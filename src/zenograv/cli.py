@@ -147,6 +147,9 @@ def resolve_params(command: str, raw: dict) -> dict:
         else:
             val = default
         if val is not None and isinstance(val, (int, float)):
+            if not math.isfinite(val):
+                raise InvalidParameterError(
+                    f"--{key} must be finite ({unit}), got {val}")
             if domain == _POS and val <= 0:
                 raise InvalidParameterError(f"--{key} must be > 0 ({unit}), got {val}")
             if domain == _NONNEG and val < 0:
@@ -176,14 +179,6 @@ def _atomic_write(path: str, text: str):
 def _config_line(command: str, params: dict, seed: int) -> str:
     payload = {"command": command, "params": params, "seed": seed}
     return "zenograv config: " + json.dumps(payload, sort_keys=True)
-
-
-def _n_workers() -> int:
-    cap = os.environ.get("ZENOGRAV_THREADS", "1")
-    try:
-        return max(1, min(int(cap), os.cpu_count() or 1))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +221,7 @@ def _run_pattern(params, outdir, seed):
     pattern = scatter.scan_pattern(
         src, (params["beta_min"], params["beta_max"]),
         (params["l_min"], params["l_max"]), params["n_b"], params["n_l"],
-        v, params["m_probe"], mirror_l=bool(params["mirror"]),
-        n_workers=_n_workers())
+        v, params["m_probe"], mirror_l=bool(params["mirror"]))
     header = _config_line("pattern", params, seed)
     buf = io.StringIO()
     scatter.pattern_to_csv(pattern, buf, header_comment=header)
@@ -248,7 +242,8 @@ def _run_pattern(params, outdir, seed):
     pts = pattern.points
     rmax = max(math.hypot(*p.proj) for p in pts) if pts else float("nan")
     return (f"probes={len(pattern.records)}  hits={pattern.n_hit}  "
-            f"max|proj|={rmax:.4g}  closed-form={2*math.tan(theta_ref/2):.4g}"
+            f"failed={pattern.n_failed}  max|proj|={rmax:.4g}  "
+            f"closed-form={2*math.tan(theta_ref/2):.4g}"
             f"  -> {', '.join(emitted)}")
 
 

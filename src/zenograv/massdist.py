@@ -70,11 +70,6 @@ class MassDistribution:
                     return True
         return False
 
-    def barycenter(self) -> np.ndarray:
-        w = np.array([c.mass for c in self.components])
-        pts = np.array([c.center for c in self.components])
-        return (w[:, None] * pts).sum(axis=0) / w.sum()
-
     def length_scale(self) -> float:
         """Max of component radii and pairwise center separations (m)."""
         comps = self.components
@@ -144,24 +139,35 @@ def potential_at(dist: MassDistribution, x, m_probe: float,
     return V
 
 
+def gravity_field(dist: MassDistribution, x,
+                  constants: PhysicalConstants = CONST) -> np.ndarray:
+    """Gravitational acceleration (m/s^2) at each row of x, shape (n, 3).
+
+    Per component, -G M (x-c)/s^3 outside the sphere and -G M (x-c)/R^3
+    inside (linear restoring field), evaluated in the same operation order
+    as the scalar integrator right-hand side.  The exterior divide is
+    masked to the exterior, so a point at a component center (interior,
+    x-c = 0) contributes zero without a floating-point warning.
+    """
+    x = np.asarray(x, dtype=float)
+    acc = np.zeros(x.shape)
+    for comp in dist.components:
+        d = x - comp.center
+        s2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+        s = np.sqrt(s2)
+        GM = constants.G * comp.mass
+        R = comp.radius
+        f = np.full(s.shape, -GM / (R * R * R))
+        np.divide(-GM, s2 * s, out=f, where=s >= R)
+        acc += f[:, None] * d
+    return acc
+
+
 def force_at(dist: MassDistribution, x, m_probe: float,
              constants: PhysicalConstants = CONST) -> np.ndarray:
     """Gravitational force (N, 3-vector) on a point probe at position x.
 
-    Analytic gradient of :func:`potential_at`: -G m M (x-c)/s^3 outside a
-    component, -G m M (x-c)/R^3 inside (linear restoring field).
+    Analytic gradient of :func:`potential_at`: m_probe times
+    :func:`gravity_field` at the single point x.
     """
-    x = np.asarray(x, dtype=float)
-    Gm = constants.G * m_probe
-    F = np.zeros(3)
-    for comp in dist.components:
-        r = x - np.asarray(comp.center)
-        s = float(np.linalg.norm(r))
-        R = comp.radius
-        if s == 0.0:
-            continue  # exactly at a center: symmetric, zero contribution
-        if s >= R:
-            F -= Gm * comp.mass * r / s**3
-        else:
-            F -= Gm * comp.mass * r / R**3
-    return F
+    return m_probe * gravity_field(dist, np.reshape(x, (1, 3)), constants)[0]

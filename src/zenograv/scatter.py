@@ -1,33 +1,45 @@
 """Classical probe scattering in the field of a sphere-superposition source.
 
-Trajectories are integrated with an adaptive embedded Runge-Kutta 5(4)
-scheme (scipy's RK45, relative tolerance 1e-9 per step by default); the
-launch plane at z_start and the escape radius r_stop are finite stand-ins
-for the asymptotic scattering problem.  Closed-form hyperbolic-orbit
-expressions (deflection angle, time of flight between true anomalies) are
-provided both as fast estimators and as independent oracles for the
-integrator.
+Single trajectories are integrated with scipy's adaptive embedded
+Runge-Kutta 5(4) scheme (RK45, relative tolerance 1e-9 per step by
+default).  Pattern scans run every probe of a grid through one lockstep
+batch engine: the same Dormand-Prince 5(4) pair and the same per-probe
+step-size controller, vectorized over an (N, 6) state array, with scipy
+RK45 as the oracle it is tested against.  The launch plane at z_start and
+the escape radius r_stop are finite stand-ins for the asymptotic
+scattering problem.  Closed-form hyperbolic-orbit expressions (deflection
+angle, time of flight between true anomalies) are provided both as fast
+estimators and as independent oracles for the integrators.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
+from scipy.optimize import brentq
 
 from .constants import CONST, PhysicalConstants
 from .errors import (IntegratorFailureError, InvalidParameterError,
                      ProjectionSingularError, UnterminatedTrajectoryError)
-from .massdist import MassDistribution, potential_at
+from .massdist import MassDistribution, gravity_field, potential_at
 
 DEFAULT_RTOL = 1e-9
 # atol = ATOL_FACTOR * rtol * characteristic scale, separately for position
 # and velocity; keeps the transverse velocity (the signal, ~theta*v) under
 # tight control even though it is orders of magnitude below the speed.
 ATOL_FACTOR = 1e-4
+
+# scipy's RK45 step-size controller, restated for the lockstep engine.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+# solve_ivp's event-root tolerance (xtol = rtol = 4 eps)
+_EVENT_TOL = 4 * np.finfo(float).eps
+_NON_FINITE = "non-finite state during integration"
 
 
 @dataclass(frozen=True)
@@ -49,17 +61,23 @@ class ScatterConfig:
     rtol: float = DEFAULT_RTOL
 
     def __post_init__(self):
-        if self.v <= 0:
+        # written as not (x > 0) so that NaN fails every check
+        if not (math.isfinite(self.b) and math.isfinite(self.l)):
+            raise InvalidParameterError(
+                f"b and l must be finite, got b={self.b}, l={self.l}")
+        if not (self.v > 0):
             raise InvalidParameterError(f"v must be > 0, got {self.v}")
-        if self.z_start >= 0:
+        if not (self.z_start < 0):
             raise InvalidParameterError(f"z_start must be < 0, got {self.z_start}")
-        if self.dt_max <= 0:
+        if not (self.dt_max > 0):
             raise InvalidParameterError(f"dt_max must be > 0, got {self.dt_max}")
-        if self.t_max <= 0:
+        if not (self.t_max > 0):
             raise InvalidParameterError(f"t_max must be > 0, got {self.t_max}")
-        if self.r_stop <= abs(self.z_start):
+        if not (self.r_stop > abs(self.z_start)):
             raise InvalidParameterError(
                 f"r_stop ({self.r_stop}) must exceed |z_start| ({-self.z_start})")
+        if not (self.rtol > 0):
+            raise InvalidParameterError(f"rtol must be > 0, got {self.rtol}")
 
     @classmethod
     def for_source(cls, dist: MassDistribution, b: float, l: float, v: float,
@@ -95,11 +113,6 @@ class ProbeTrajectory:
     deflection_angle: float  # rad, in [0, pi]
     outgoing_dir: np.ndarray  # unit 3-vector
 
-    @property
-    def samples(self):
-        """Time-ordered (t, x, v) triples."""
-        return list(zip(self.t, self.x, self.v))
-
 
 @dataclass(frozen=True)
 class PatternPoint:
@@ -128,6 +141,11 @@ class ScatterPattern:
     def n_hit(self):
         return sum(1 for p in self.records if p.hit)
 
+    @property
+    def n_failed(self):
+        """Records whose integration or projection failed (``error`` set)."""
+        return sum(1 for p in self.records if p.error is not None)
+
 
 def _acceleration_terms(dist: MassDistribution, constants: PhysicalConstants):
     """(cx, cy, cz, R, G*M) per component, for the tight RHS loop."""
@@ -147,7 +165,9 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     every accepted-step segment, not just at the sample points.
 
     The acceleration is independent of m_probe (equivalence principle);
-    the probe mass only enters energy bookkeeping.
+    the probe mass only enters energy bookkeeping.  This scipy path is
+    the single-trajectory integrator and the oracle for the lockstep
+    batch engine behind :func:`scan_pattern`.
     """
     terms = _acceleration_terms(dist, constants)
 
@@ -171,11 +191,7 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     escape.terminal = True
     escape.direction = 1.0   # outward crossing only
 
-    y0 = [cfg.l, cfg.b, cfg.z_start, 0.0, 0.0, cfg.v]
-    scale_pos = max(abs(cfg.z_start), abs(cfg.b) + abs(cfg.l))
-    atol = [ATOL_FACTOR * cfg.rtol * scale_pos] * 3 \
-        + [ATOL_FACTOR * cfg.rtol * cfg.v] * 3
-
+    y0, atol = _launch(cfg)
     sol = solve_ivp(rhs, (0.0, cfg.t_max), y0, method="RK45",
                     rtol=cfg.rtol, atol=atol, max_step=cfg.dt_max,
                     events=escape, dense_output=False)
@@ -184,23 +200,39 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     pos = sol.y[:3].T.copy()
     vel = sol.y[3:].T.copy()
     if not np.all(np.isfinite(sol.y)):
-        raise IntegratorFailureError("non-finite state during integration")
+        raise IntegratorFailureError(_NON_FINITE)
 
-    hit = _hit_on_path(pos, dist)
-    v_in = np.array([0.0, 0.0, cfg.v])
-    v_out = vel[-1]
-    theta = _angle_between(v_in, v_out)
-    out_dir = v_out / np.linalg.norm(v_out)
+    hit = bool(_segment_hits(pos[:-1], pos[1:], dist).any())
+    theta, out_dir = _outgoing(cfg, vel[-1])
     traj = ProbeTrajectory(t=t, x=pos, v=vel, hit_source=hit,
                            deflection_angle=theta, outgoing_dir=out_dir)
 
     if sol.status == 0:
-        raise UnterminatedTrajectoryError(
-            f"probe did not escape r_stop={cfg.r_stop} within t_max={cfg.t_max}",
-            trajectory=traj)
+        raise _unterminated(cfg, traj)
     if sol.status < 0:
         raise IntegratorFailureError(f"integrator failed: {sol.message}")
     return traj
+
+
+def _launch(cfg: ScatterConfig):
+    """Initial state (x, y, z, vx, vy, vz) and per-component atol of a probe."""
+    y0 = [cfg.l, cfg.b, cfg.z_start, 0.0, 0.0, cfg.v]
+    scale_pos = max(abs(cfg.z_start), abs(cfg.b) + abs(cfg.l))
+    atol = [ATOL_FACTOR * cfg.rtol * scale_pos] * 3 \
+        + [ATOL_FACTOR * cfg.rtol * cfg.v] * 3
+    return y0, atol
+
+
+def _outgoing(cfg: ScatterConfig, v_out):
+    """Deflection angle from the launch velocity and the outgoing unit vector."""
+    theta = _angle_between(np.array([0.0, 0.0, cfg.v]), v_out)
+    return theta, v_out / np.linalg.norm(v_out)
+
+
+def _unterminated(cfg: ScatterConfig, traj=None) -> UnterminatedTrajectoryError:
+    return UnterminatedTrajectoryError(
+        f"probe did not escape r_stop={cfg.r_stop} within t_max={cfg.t_max}",
+        trajectory=traj)
 
 
 def _angle_between(a, b) -> float:
@@ -209,22 +241,25 @@ def _angle_between(a, b) -> float:
     return math.atan2(cross, dot)
 
 
-def _hit_on_path(pos: np.ndarray, dist: MassDistribution) -> bool:
-    """True if any accepted-step segment passes inside a sphere component."""
+def _dot3(u, w):
+    """Row-wise dot product of two (n, 3) arrays, summed in column order."""
+    return u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1] + u[:, 2] * w[:, 2]
+
+
+def _segment_hits(p0, p1, dist: MassDistribution) -> np.ndarray:
+    """Per segment p0[i] -> p1[i]: does it pass inside a sphere component?"""
+    seg = p1 - p0
+    seg2 = _dot3(seg, seg)
+    hit = np.zeros(len(seg), dtype=bool)
     for comp in dist.components:
-        c = np.asarray(comp.center)
-        a = pos[:-1] - c
-        seg = pos[1:] - pos[:-1]
-        seg2 = np.einsum("ij,ij->i", seg, seg)
+        a = p0 - comp.center
         tstar = np.where(seg2 > 0.0,
-                         np.clip(-np.einsum("ij,ij->i", a, seg)
-                                 / np.where(seg2 > 0, seg2, 1.0), 0.0, 1.0),
+                         np.clip(-_dot3(a, seg) / np.where(seg2 > 0, seg2, 1.0),
+                                 0.0, 1.0),
                          0.0)
         nearest = a + tstar[:, None] * seg
-        d2 = np.einsum("ij,ij->i", nearest, nearest)
-        if np.any(d2 < comp.radius ** 2):
-            return True
-    return False
+        hit |= _dot3(nearest, nearest) < comp.radius ** 2
+    return hit
 
 
 def energy_series(dist: MassDistribution, traj: ProbeTrajectory, m_probe: float,
@@ -311,6 +346,187 @@ def kepler_scatter_time(M: float, rho: float, beta: float, zeta: float,
 
 
 # ---------------------------------------------------------------------------
+# Lockstep batch engine (pattern scans)
+# ---------------------------------------------------------------------------
+
+def _rms(x):
+    """Row-wise RMS norm of an (n, 6) array (scipy's ``norm`` per probe)."""
+    x2 = x * x
+    total = x2[:, 0]
+    for k in range(1, x.shape[1]):
+        total = total + x2[:, k]
+    return np.sqrt(total) / x.shape[1] ** 0.5
+
+
+def _combine(K, coef):
+    """sum_j coef[j] * K[j], accumulated in stage order.
+
+    Elementwise accumulation (not a BLAS product) keeps every probe's
+    arithmetic independent of its row in the batch.  Zero coefficients
+    (the second stage in B and E) are skipped.
+    """
+    acc = K[0] * coef[0]
+    for j in range(1, len(coef)):
+        if coef[j]:
+            acc += K[j] * coef[j]
+    return acc
+
+
+def _escape_root(K, t_old, h, y_old, r_stop, t_new):
+    """First outward r_stop crossing within one accepted step.
+
+    The step's quartic dense output (scipy's RkDenseOutput form) is
+    root-searched with brentq at solve_ivp's event tolerances; returns
+    the state at the crossing.
+    """
+    Q = K.T.dot(RK45.P)
+
+    def state(t):
+        p = np.cumprod(np.full(4, (t - t_old) / h))
+        return h * Q.dot(p) + y_old
+
+    def escape(t):
+        y = state(t)
+        return math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2) - r_stop
+
+    return state(brentq(escape, t_old, t_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL))
+
+
+def _initial_step(fun, y, f, atol, rtol, t_bound, max_step):
+    """scipy's ``select_initial_step`` for each probe, from t0 = 0."""
+    scale = atol + np.abs(y) * rtol
+    d0 = _rms(y / scale)
+    d1 = _rms(f / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, t_bound)
+    d2 = _rms((fun(y + h0[:, None] * f) - f) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                  np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(d1, d2)) ** (-_ERROR_EXPONENT))
+    return np.minimum(np.minimum(100 * h0, h1), np.minimum(t_bound, max_step))
+
+
+def _integrate_batch(dist: MassDistribution, cfgs,
+                     constants: PhysicalConstants = CONST):
+    """Integrate many probes in lockstep; per probe (final state, hit, error).
+
+    One Dormand-Prince 5(4) attempt per active probe per iteration, with
+    scipy RK45's controller reproduced probe by probe: the initial step
+    of ``select_initial_step``, the RMS error norm with scale
+    atol + max(|y|, |y_new|) rtol, safety 0.9, step factors clamped to
+    [0.2, 10] and no growth right after a rejection, min_step = 10 ulp(t),
+    max_step = dt_max and clipping at t_max.  A probe retires at its
+    outward r_stop crossing (located on the dense output as solve_ivp
+    does), at t_max (UnterminatedTrajectoryError), on a non-finite
+    accepted state or when its step underflows (IntegratorFailureError);
+    the error slot then holds the exception and the final state is NaN.
+    Source hits are checked on every accepted-step segment.
+    """
+    n = len(cfgs)
+    launch = [_launch(c) for c in cfgs]
+    y = np.array([y0 for y0, _ in launch])
+    atol = np.array([a for _, a in launch])
+    rtol = np.array([[max(c.rtol, 100 * np.finfo(float).eps)] for c in cfgs])
+    t_bound = np.array([c.t_max for c in cfgs])
+    max_step = np.array([c.dt_max for c in cfgs])
+    r_stop = np.array([c.r_stop for c in cfgs])
+
+    y_end = np.full((n, 6), np.nan)
+    hit_end = np.zeros(n, dtype=bool)
+    errors = [None] * n
+    idx = np.arange(n)           # original index of each active probe
+
+    def fun(y):
+        f = np.empty_like(y)
+        f[:, :3] = y[:, 3:]
+        f[:, 3:] = gravity_field(dist, y[:, :3], constants)
+        return f
+
+    def radius(y):
+        return np.sqrt(y[:, 0] ** 2 + y[:, 1] ** 2 + y[:, 2] ** 2)
+
+    def fail(mask, make_error):
+        for j in np.flatnonzero(mask):
+            errors[idx[j]] = make_error(j)
+        return mask
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = fun(y)
+        h_abs = _initial_step(fun, y, f, atol, rtol, t_bound, max_step)
+        t = np.zeros(n)
+        g = radius(y) - r_stop           # escape event value
+        retry = np.zeros(n, dtype=bool)  # last attempt was rejected
+        hit = np.zeros(n, dtype=bool)
+        done = fail(~np.isfinite(y).all(axis=1),
+                    lambda j: IntegratorFailureError(_NON_FINITE))
+
+        while True:
+            if done.any():
+                keep = ~done
+                (idx, t, y, f, h_abs, retry, g, hit, atol, rtol, t_bound,
+                 max_step, r_stop) = (
+                    a[keep] for a in (idx, t, y, f, h_abs, retry, g, hit, atol,
+                                      rtol, t_bound, max_step, r_stop))
+            m = len(idx)
+            if m == 0:
+                break
+            min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+            fresh = ~retry
+            h_abs = np.where(fresh & (h_abs > max_step), max_step,
+                             np.where(fresh & (h_abs < min_step), min_step,
+                                      h_abs))
+            stuck = ~(h_abs >= min_step)
+            t_new = np.minimum(t + h_abs, t_bound)
+            h = t_new - t
+            hc = h[:, None]
+
+            K = np.empty((RK45.n_stages + 1, m, 6))
+            K[0] = f
+            for s in range(1, RK45.n_stages):
+                K[s] = fun(y + _combine(K[:s], RK45.A[s, :s]) * hc)
+            y_new = y + hc * _combine(K[:-1], RK45.B)
+            f_new = K[-1] = fun(y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(_combine(K, RK45.E) * hc / scale)
+
+            accept = (err < 1) & ~stuck
+            power = _SAFETY * err ** _ERROR_EXPONENT
+            grow = np.where(err == 0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, power))
+            grow = np.where(retry, np.minimum(1.0, grow), grow)
+            h_abs = h * np.where(accept, grow, np.fmax(_MIN_FACTOR, power))
+            retry = ~accept
+
+            finite = np.isfinite(y_new).all(axis=1)
+            ok = accept & finite
+            done = fail(stuck, lambda j: IntegratorFailureError(
+                f"integrator failed: {RK45.TOO_SMALL_STEP}"))
+            done |= fail(accept & ~finite,
+                         lambda j: IntegratorFailureError(_NON_FINITE))
+
+            g_new = radius(y_new) - r_stop
+            crossed = ok & (g <= 0) & (g_new >= 0)
+            seg_end = y_new[:, :3].copy()
+            for j in np.flatnonzero(crossed):
+                y_e = _escape_root(K[:, j].copy(), t[j], h[j], y[j],
+                                   r_stop[j], t_new[j])
+                seg_end[j] = y_e[:3]
+                y_end[idx[j]] = y_e
+                if not np.isfinite(y_e).all():
+                    errors[idx[j]] = IntegratorFailureError(_NON_FINITE)
+            hit[ok] |= _segment_hits(y[ok, :3], seg_end[ok], dist)
+            hit_end[idx[crossed]] = hit[crossed]
+            done |= crossed
+            done |= fail(ok & ~crossed & (t_new >= t_bound),
+                         lambda j: _unterminated(cfgs[idx[j]]))
+
+            t = np.where(accept, t_new, t)
+            y = np.where(accept[:, None], y_new, y)
+            f = np.where(accept[:, None], f_new, f)
+            g = np.where(accept, g_new, g)
+    return y_end, hit_end, errors
+
+
+# ---------------------------------------------------------------------------
 # Stereographic projection and pattern scans
 # ---------------------------------------------------------------------------
 
@@ -329,38 +545,23 @@ def stereographic_project(outgoing_dir) -> np.ndarray:
     return np.array([2.0 * u[0] / (1.0 + u[2]), 2.0 * u[1] / (1.0 + u[2])])
 
 
-def _scan_task(args):
-    dist_dict, beta, l, b, v, m_probe, start_factor, stop_factor, rtol = args
-    dist = MassDistribution.from_dict(dist_dict)
-    cfg = ScatterConfig.for_source(dist, b=b, l=l, v=v,
-                                   start_factor=start_factor,
-                                   stop_factor=stop_factor, rtol=rtol)
-    try:
-        traj = integrate_trajectory(dist, cfg, m_probe)
-        proj = stereographic_project(traj.outgoing_dir)
-        return PatternPoint(beta=beta, l=l, b=b, theta=traj.deflection_angle,
-                            proj=(float(proj[0]), float(proj[1])),
-                            hit=traj.hit_source)
-    except (UnterminatedTrajectoryError, IntegratorFailureError,
-            ProjectionSingularError) as exc:
-        return PatternPoint(beta=beta, l=l, b=b, theta=float("nan"),
-                            proj=(float("nan"), float("nan")),
-                            hit=False, error=f"{type(exc).__name__}: {exc}")
-
-
 def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
                  n_l: int, v: float, m_probe: float, *,
-                 mirror_l: bool = True, n_workers: int = 1,
+                 mirror_l: bool = True,
                  start_factor: float = 50.0, stop_factor: float = 100.0,
                  rtol: float = DEFAULT_RTOL) -> ScatterPattern:
     """Launch a (beta, l) grid of probes and collect projected outgoing angles.
 
     Impact parameters are b = beta * R with R the largest component
     radius; with ``mirror_l`` every offset l > 0 is also launched at -l.
-    Probes that hit the source stay in ``records`` (flagged) but are
-    excluded from ``points``; per-point integration failures are recorded
-    without aborting the scan.  Results are merged in grid order, so the
-    output is deterministic for any worker count.
+    Each probe gets the :meth:`ScatterConfig.for_source` launch and
+    termination, and the whole grid is integrated at once by the lockstep
+    batch engine, which reproduces scipy RK45 (the single-trajectory
+    integrator of :func:`integrate_trajectory`) probe by probe.  Probes
+    that hit the source stay in ``records`` (flagged) but are excluded
+    from ``points``; per-point integration failures are recorded (theta
+    NaN, ``error`` set) without aborting the scan.  Records are in grid
+    order, and each probe's result does not depend on the rest of the grid.
     """
     if n_b < 1 or n_l < 1:
         raise InvalidParameterError("n_b and n_l must be >= 1")
@@ -372,21 +573,37 @@ def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
     betas = np.linspace(b_lo, b_hi, n_b)
     ls = np.linspace(l_lo, l_hi, n_l)
 
-    dist_dict = dist.to_dict()
-    tasks = []
+    launches = []
     for beta in betas:
         for l in ls:
             offsets = (l, -l) if (mirror_l and l > 0) else (l,)
             for off in offsets:
-                tasks.append((dist_dict, float(beta), float(off),
-                              float(beta * R), v, m_probe,
-                              start_factor, stop_factor, rtol))
+                launches.append((float(beta), float(off), float(beta * R)))
+    cfgs = [ScatterConfig.for_source(dist, b=b, l=off, v=v,
+                                     start_factor=start_factor,
+                                     stop_factor=stop_factor, rtol=rtol)
+            for _, off, b in launches]
+    y_end, hits, errors = _integrate_batch(dist, cfgs)
 
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(_scan_task, tasks, chunksize=16))
-    else:
-        records = [_scan_task(t) for t in tasks]
+    records = []
+    for (beta, off, b), cfg, y, hit, exc in zip(launches, cfgs, y_end, hits,
+                                                 errors):
+        if exc is None:
+            theta, out_dir = _outgoing(cfg, y[3:])
+            try:
+                proj = stereographic_project(out_dir)
+            except ProjectionSingularError as singular:
+                exc = singular
+        if exc is None:
+            records.append(PatternPoint(beta=beta, l=off, b=b, theta=theta,
+                                        proj=(float(proj[0]), float(proj[1])),
+                                        hit=bool(hit)))
+        else:
+            records.append(PatternPoint(beta=beta, l=off, b=b,
+                                        theta=float("nan"),
+                                        proj=(float("nan"), float("nan")),
+                                        hit=False,
+                                        error=f"{type(exc).__name__}: {exc}"))
     return ScatterPattern(records=tuple(records))
 
 

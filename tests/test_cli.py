@@ -62,6 +62,19 @@ class TestValidation:
                         "--output-dir", tmp_path]) == 2
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("args", [
+        ["pattern", "--t_R", "inf"],
+        ["pattern", "--t_R", "nan"],
+        ["report", "--R", "nan"],
+        ["eigen", "--a", "nan"],
+    ])
+    def test_rejected_as_validation_error(self, tmp_path, capsys, args):
+        assert run_cli(args + ["--output-dir", tmp_path]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 class TestNumericalFailure:
     def test_narrow_eigen_grid_exits_3(self, tmp_path, capsys):
         assert run_cli(["eigen", "--x_max", "1.5",
@@ -94,6 +107,11 @@ class TestPattern:
         svg = (tmp_path / "pattern.svg").read_text()
         assert svg.splitlines()[0].startswith("<?xml")
         assert "stroke-dasharray" in svg
+
+    def test_summary_counts_failures(self, tmp_path, capsys):
+        assert run_cli(["pattern", "--n_b", 2, "--n_l", 2,
+                        "--output-dir", tmp_path]) == 0
+        assert "  hits=0  failed=0  " in capsys.readouterr().out
 
     def test_byte_identical_reruns(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

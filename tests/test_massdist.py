@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,7 +8,8 @@ from scipy.integrate import dblquad
 from zenograv.constants import CONST
 from zenograv.errors import InvalidParameterError
 from zenograv.massdist import (MassDistribution, SphereComponent, force_at,
-                               make_superposed_source, potential_at)
+                               gravity_field, make_superposed_source,
+                               potential_at)
 
 R = 1e-5
 RHO = 2600.0
@@ -141,6 +144,22 @@ class TestForce:
         F = force_at(src, (0.0, 0.0, 0.0), M_PROBE)
         scale = CONST.G * M_PROBE * src.total_mass / (D / 2) ** 2
         assert np.linalg.norm(F) < 1e-14 * scale
+
+    def test_zero_and_silent_at_component_center(self):
+        src = make_superposed_source(R, RHO, D)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for comp in src.components:
+                F = force_at(MassDistribution((comp,)), comp.center, M_PROBE)
+                assert np.array_equal(F, np.zeros(3))
+
+    def test_field_rows_independent_of_batch(self):
+        # the lockstep engine relies on each row's arithmetic not
+        # depending on the other rows of the batch
+        src = make_superposed_source(R, RHO, D)
+        x = np.random.default_rng(4).uniform(-3 * R, 3 * R, (50, 3))
+        rows = np.vstack([gravity_field(src, x[i:i + 1]) for i in range(50)])
+        assert np.array_equal(gravity_field(src, x), rows)
 
     def test_point_mass_magnitude(self):
         src = make_superposed_source(R, RHO, 0.0)

@@ -9,8 +9,9 @@ from zenograv.constants import CONST
 from zenograv.errors import (InvalidParameterError, ProjectionSingularError,
                              UnterminatedTrajectoryError)
 from zenograv.massdist import MassDistribution, make_superposed_source
-from zenograv.scatter import (ScatterConfig, collapsed_scatter, energy_series,
-                              hyperbolic_time_from_anomaly,
+from zenograv.scatter import (PatternPoint, ScatterConfig, ScatterPattern,
+                              _integrate_batch, collapsed_scatter,
+                              energy_series, hyperbolic_time_from_anomaly,
                               integrate_trajectory, kepler_scatter_time,
                               make_collapsed_sources, pattern_to_csv,
                               pattern_to_svg, rutherford_angle,
@@ -43,6 +44,13 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             ScatterConfig(b=R, l=0, v=V, z_start=-1e-3, dt_max=1, t_max=1,
                           r_stop=0.5e-3)
+
+    def test_nan_launch_rejected(self):
+        ok = dict(b=R, l=0.0, v=V, z_start=-1e-3, dt_max=1.0, t_max=1.0,
+                  r_stop=1e-2, rtol=1e-9)
+        for key in ok:
+            with pytest.raises(InvalidParameterError):
+                ScatterConfig(**{**ok, key: float("nan")})
 
     def test_for_source_scales(self):
         src = make_superposed_source(R, RHO, D)
@@ -283,12 +291,89 @@ class TestScanPattern:
         with pytest.raises(InvalidParameterError):
             scan_pattern(src, (1.2, 2.0), (0.0, R), 0, 3, V, M_PROBE)
 
-    def test_parallel_scan_matches_serial(self):
+
+def scalar_pattern(dist, pattern, v, **factors):
+    """The scan's probes one by one through integrate_trajectory (scipy RK45)."""
+    records = []
+    for p in pattern.records:
+        cfg = ScatterConfig.for_source(dist, b=p.b, l=p.l, v=v, **factors)
+        try:
+            traj = integrate_trajectory(dist, cfg, M_PROBE)
+            proj = stereographic_project(traj.outgoing_dir)
+            records.append(PatternPoint(p.beta, p.l, p.b, traj.deflection_angle,
+                                        (float(proj[0]), float(proj[1])),
+                                        traj.hit_source))
+        except UnterminatedTrajectoryError as exc:
+            records.append(PatternPoint(p.beta, p.l, p.b, float("nan"),
+                                        (float("nan"), float("nan")), False,
+                                        error=f"{type(exc).__name__}: {exc}"))
+    return ScatterPattern(records=tuple(records))
+
+
+def csv_lines(pattern):
+    buf = io.StringIO()
+    pattern_to_csv(pattern, buf)
+    return buf.getvalue().splitlines()[1:]
+
+
+class TestBatchEngineOracle:
+    """The lockstep batch engine against the scalar scipy RK45 path."""
+
+    @pytest.mark.parametrize("d", [D, 0.0])
+    def test_matches_scalar_path(self, d):
+        src = make_superposed_source(R, RHO, d)
+        batch = scan_pattern(src, (0.3, 1.6), (0.0, 2 * R), 4, 3, V, M_PROBE)
+        scalar = scalar_pattern(src, batch, V)
+        assert 0 < batch.n_hit < len(batch.records)
+        assert [p.hit for p in batch.records] == [p.hit for p in scalar.records]
+        for p, q, line_b, line_s in zip(batch.records, scalar.records,
+                                        csv_lines(batch), csv_lines(scalar)):
+            if p.hit:
+                # the field's derivative jumps at the sphere surface, which
+                # amplifies round-off inside the source
+                assert p.theta == pytest.approx(q.theta, rel=1e-6)
+            else:
+                assert line_b == line_s
+
+    def test_launch_order_invariance(self):
         src = make_superposed_source(R, RHO, D)
-        serial = scan_pattern(src, (1.2, 1.5), (0.0, R), 2, 2, V, M_PROBE)
-        parallel = scan_pattern(src, (1.2, 1.5), (0.0, R), 2, 2, V, M_PROBE,
-                                n_workers=2)
-        assert parallel.records == serial.records
+        cfgs = [ScatterConfig.for_source(src, b=beta * R, l=l, v=V)
+                for beta in (0.5, 1.2, 1.9) for l in (-R, 0.0, 0.5 * R)]
+        y_ref, hit_ref, err_ref = _integrate_batch(src, cfgs)
+        order = np.random.default_rng(3).permutation(len(cfgs))
+        y_shuf, hit_shuf, err_shuf = _integrate_batch(src, [cfgs[i] for i in order])
+        assert np.array_equal(y_shuf, y_ref[order])
+        assert np.array_equal(hit_shuf, hit_ref[order])
+        assert hit_ref.any()
+        assert err_ref == err_shuf == [None] * len(cfgs)
+
+    def test_launch_outside_r_stop_is_no_escape(self):
+        # solve_ivp counts only crossings from inside r_stop; a probe
+        # launched outside it runs to t_max on both paths
+        src = make_superposed_source(R, RHO, D)
+        cfg = ScatterConfig(b=3e-3, l=0.0, v=V, z_start=-1e-3,
+                            dt_max=D / V, t_max=200 * R / V, r_stop=2e-3)
+        with pytest.raises(UnterminatedTrajectoryError) as scalar:
+            integrate_trajectory(src, cfg, M_PROBE)
+        _, _, (error,) = _integrate_batch(src, [cfg])
+        assert isinstance(error, UnterminatedTrajectoryError)
+        assert str(error) == str(scalar.value)
+
+    def test_bound_orbits_fail_like_scalar_path(self):
+        # below escape speed the probes never reach r_stop: every record
+        # carries integrate_trajectory's error, and the scan still returns
+        src = make_superposed_source(R, RHO, D)
+        v_bound = 1.8e-9
+        factors = {"start_factor": 5.0, "stop_factor": 12.0}
+        batch = scan_pattern(src, (8.0, 10.0), (0.0, R), 2, 2, v_bound, M_PROBE,
+                             rtol=1e-6, **factors)
+        scalar = scalar_pattern(src, batch, v_bound, rtol=1e-6, **factors)
+        assert batch.n_failed == len(batch.records) == 6
+        assert all(p.error.startswith("UnterminatedTrajectoryError: ")
+                   for p in batch.records)
+        assert [p.error for p in batch.records] == \
+            [p.error for p in scalar.records]
+        assert batch.points == []
 
 
 class TestCollapsed:
