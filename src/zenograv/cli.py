@@ -5,12 +5,15 @@ whose first line embeds the fully resolved configuration, so any output
 file can be regenerated from its own header.  Writes are atomic
 (temp-file rename); identical config and seed give byte-identical output.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O error.
+Exit codes: 0 success, 2 validation error, 3 numerical failure (a toolkit
+error, or an overflow, division by zero or numpy/scipy domain error in
+the arithmetic), 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -303,15 +306,18 @@ def _run_decoherence(params, outdir, seed):
                            T_int=params["T_int"])
     Rs = np.logspace(math.log10(params["R_min"]), math.log10(params["R_max"]),
                      params["n_R"])
+    with np.errstate(over="raise", divide="raise"):
+        b = deco.total_decoherence(env, Rs)
     lines = [f"# {_config_line('decoherence', params, seed)}",
              "R,p,T_env,T_int,gamma_gas,gamma_bb_sc,gamma_bb_abs,"
              "gamma_bb_em,gamma_total"]
-    for R in Rs:
-        b = deco.total_decoherence(env, float(R))
+    for R, gas, sc, ab, em, total in zip(
+            *(x.tolist() for x in (Rs, b.gamma_gas, b.gamma_bb_sc,
+                                   b.gamma_bb_abs, b.gamma_bb_em,
+                                   b.gamma_total))):
         lines.append(f"{R:.9g},{env.pressure:.9g},{env.T_env:.9g},"
-                     f"{env.T_int:.9g},{b.gamma_gas:.9g},{b.gamma_bb_sc:.9g},"
-                     f"{b.gamma_bb_abs:.9g},{b.gamma_bb_em:.9g},"
-                     f"{b.gamma_total:.9g}")
+                     f"{env.T_int:.9g},{gas:.9g},{sc:.9g},{ab:.9g},{em:.9g},"
+                     f"{total:.9g}")
     path = os.path.join(outdir, "decoherence_sweep.csv")
     _atomic_write(path, "\n".join(lines) + "\n")
     return f"R points={len(Rs)}  p={env.pressure} Pa  T={env.T_env} K  -> {path}"
@@ -374,7 +380,9 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="zenograv",
         description="Frozen-source gravitational scattering toolkit")
@@ -421,8 +429,11 @@ def main(argv=None) -> int:
     except InvalidParameterError as exc:
         print(f"zenograv: validation error: {exc}", file=sys.stderr)
         return 2
-    except ZenogravError as exc:
-        print(f"zenograv: numerical failure: {type(exc).__name__}: {exc}",
+    except (ZenogravError, ArithmeticError, ValueError) as exc:
+        # ArithmeticError: float overflow or division by zero, including
+        # numpy's FloatingPointError; ValueError: numpy/scipy domain errors
+        message = " ".join(str(exc).split())
+        print(f"zenograv: numerical failure: {type(exc).__name__}: {message}",
               file=sys.stderr)
         return 3
     except OSError as exc:

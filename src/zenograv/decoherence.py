@@ -8,6 +8,10 @@ to Lambda x^2 for x << lambda_th and to lambda_th^2 Lambda for
 x >> lambda_th.  Channels: rest-gas collisions (hydrogen background) and
 blackbody photon scattering / absorption / emission.
 
+Every rate is elementwise: radius, separation and the environment's
+pressure and temperatures may be floats or broadcastable arrays (a grid
+of environments), and a scalar call returns floats.
+
 Each first-principles rate is paired with the rounded single-significant-
 figure coefficient form quoted in the reference tables these formulas are
 usually cited with; agreement within their rounding is a consistency
@@ -23,7 +27,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .constants import CONST, PhysicalConstants
-from .errors import InvalidParameterError
+from .elementwise import ratio_or_inf, require, result
 
 # rounded reference coefficients (1 significant figure except the gas one)
 GAS_COEFF = 1.96e26       # Gamma_gas ~ GAS_COEFF * p R^2 / sqrt(T_e)
@@ -38,7 +42,8 @@ class Environment:
 
     epsilon_factor holds (Re, Im) of (eps-1)/(eps+2), each clipped to the
     dielectric worst case [0, 1]; the default (1, 1) is maximal dispersion
-    and absorption.
+    and absorption.  pressure, T_env and T_int may be broadcastable
+    arrays, one environment per element.
     """
 
     pressure: float                  # Pa
@@ -47,13 +52,12 @@ class Environment:
     epsilon_factor: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        if self.pressure < 0:
-            raise InvalidParameterError(f"pressure must be >= 0, got {self.pressure}")
-        if self.T_env <= 0 or self.T_int <= 0:
-            raise InvalidParameterError("temperatures must be > 0")
+        # written as x > 0, not as not x <= 0, so that NaN fails
+        require(self.pressure >= 0, "pressure must be >= 0, got {}",
+                self.pressure)
+        require((self.T_env > 0) & (self.T_int > 0), "temperatures must be > 0")
         re, im = self.epsilon_factor
-        if not (0 <= re <= 1 and 0 <= im <= 1):
-            raise InvalidParameterError(
+        require(0 <= re <= 1 and 0 <= im <= 1,
                 "epsilon_factor components must lie in [0, 1]")
 
 
@@ -79,38 +83,42 @@ class DecoherenceBreakdown:
 
     def __post_init__(self):
         for name in ("gamma_gas", "gamma_bb_sc", "gamma_bb_abs", "gamma_bb_em"):
-            if getattr(self, name) < 0:
-                raise InvalidParameterError(f"{name} must be >= 0")
+            require(getattr(self, name) >= 0, f"{name} must be >= 0")
         total = (self.gamma_gas + self.gamma_bb_sc
                  + self.gamma_bb_abs + self.gamma_bb_em)
         if self.gamma_total is None:
             object.__setattr__(self, "gamma_total", total)
-        elif abs(self.gamma_total - total) > 1e-9 * max(total, 1e-300):
-            raise InvalidParameterError("gamma_total must equal the channel sum")
+        else:
+            require(abs(self.gamma_total - total)
+                    <= 1e-9 * np.maximum(total, 1e-300),
+                    "gamma_total must equal the channel sum")
 
 
-def gamma_distance(Lambda: float, lambda_th: float, x: float) -> float:
+def _regime(x, lambda_th):
+    """"short" where x >= lambda_th, else "long" (a str or a str array)."""
+    flag = np.where(x >= lambda_th, "short", "long")
+    return str(flag) if flag.ndim == 0 else flag
+
+
+def gamma_distance(Lambda, lambda_th, x):
     """Saturating decoherence rate lambda^2 Lambda (1 - exp(-x^2/lambda^2)).
 
     Monotone in x: ~Lambda x^2 well below the thermal wavelength,
     saturating at lambda^2 Lambda far above it.
     """
-    if Lambda < 0:
-        raise InvalidParameterError(f"Lambda must be >= 0, got {Lambda}")
-    if lambda_th <= 0:
-        raise InvalidParameterError(f"lambda_th must be > 0, got {lambda_th}")
+    require(Lambda >= 0, "Lambda must be >= 0, got {}", Lambda)
+    require(lambda_th > 0, "lambda_th must be > 0, got {}", lambda_th)
     r = x / lambda_th
-    return lambda_th**2 * Lambda * -math.expm1(-r * r)
+    return result(lambda_th**2 * Lambda * -np.expm1(-r * r))
 
 
-def gas_thermal_wavelength(T_e: float,
-                           constants: PhysicalConstants = CONST) -> float:
+def gas_thermal_wavelength(T_e, constants: PhysicalConstants = CONST):
     """2 pi hbar / sqrt(2 pi m_H2 k_B T_e) (m)."""
-    return 2 * np.pi * constants.hbar / math.sqrt(
-        2 * np.pi * constants.m_H2 * constants.k_B * T_e)
+    return result(2 * np.pi * constants.hbar / np.sqrt(
+        2 * np.pi * constants.m_H2 * constants.k_B * T_e))
 
 
-def rest_gas_rate(env: Environment, R: float,
+def rest_gas_rate(env: Environment, R,
                   constants: PhysicalConstants = CONST) -> ChannelRate:
     """Saturated rest-gas localization rate (lambda_th/hbar)(16 pi/3) p R^2.
 
@@ -118,23 +126,21 @@ def rest_gas_rate(env: Environment, R: float,
     interest, so the saturated form is the channel rate; the Lambda field
     backs out the localization parameter for the exact distance form.
     """
-    if R <= 0:
-        raise InvalidParameterError(f"R must be > 0, got {R}")
+    require(R > 0, "R must be > 0, got {}", R)
     lam = gas_thermal_wavelength(env.T_env, constants)
     gamma_sat = (lam / constants.hbar) * (16 * np.pi / 3) * env.pressure * R**2
-    rounded = GAS_COEFF * env.pressure * R**2 / math.sqrt(env.T_env)
+    rounded = result(GAS_COEFF * env.pressure * R**2 / np.sqrt(env.T_env))
     Lambda = gamma_sat / lam**2
     return ChannelRate(Lambda=Lambda, lambda_th=lam, gamma=gamma_sat,
-                       gamma_rounded=rounded,
-                       regime="short" if R >= lam else "long")
+                       gamma_rounded=rounded, regime=_regime(R, lam))
 
 
-def bb_thermal_wavelength(T: float, constants: PhysicalConstants = CONST) -> float:
+def bb_thermal_wavelength(T, constants: PhysicalConstants = CONST):
     """pi^(2/3) hbar c / (k_B T) (m)."""
     return np.pi ** (2.0 / 3.0) * constants.hbar * constants.c / (constants.k_B * T)
 
 
-def blackbody_rates(env: Environment, R: float, x: float,
+def blackbody_rates(env: Environment, R, x,
                     constants: PhysicalConstants = CONST
                     ) -> tuple[ChannelRate, ChannelRate, ChannelRate]:
     """(scattering, absorption, emission) channel rates at separation x.
@@ -147,17 +153,15 @@ def blackbody_rates(env: Environment, R: float, x: float,
     form, which reproduces Lambda x^2 in the usual long-wavelength regime
     and caps the rate if x outruns the thermal wavelength.
     """
-    if R <= 0:
-        raise InvalidParameterError(f"R must be > 0, got {R}")
-    if x < 0:
-        raise InvalidParameterError(f"x must be >= 0, got {x}")
+    require(R > 0, "R must be > 0, got {}", R)
+    require(x >= 0, "x must be >= 0, got {}", x)
     re_f, im_f = env.epsilon_factor
     c = constants.c
     lam_e = bb_thermal_wavelength(env.T_env, constants)
     lam_i = bb_thermal_wavelength(env.T_int, constants)
 
-    L_sc = (1.0 / lam_e) ** 9 * (math.factorial(8) * 8 * zeta(9)
-                                 * np.pi**5 * c * R**6 / 9.0) * re_f**2
+    L_sc = result((1.0 / lam_e) ** 9 * (math.factorial(8) * 8 * zeta(9)
+                                        * np.pi**5 * c * R**6 / 9.0) * re_f**2)
     L_abs = (1.0 / lam_e) ** 6 * (16 * np.pi**9 * c * R**3 / 189.0) * im_f
     L_em = (1.0 / lam_i) ** 6 * (16 * np.pi**9 * c * R**3 / 189.0) * im_f
 
@@ -165,8 +169,7 @@ def blackbody_rates(env: Environment, R: float, x: float,
         rounded = rounded_coeff * R**(6 if power == 9 else 3) * T**power * x**2
         return ChannelRate(Lambda=L, lambda_th=lam,
                            gamma=gamma_distance(L, lam, x),
-                           gamma_rounded=rounded,
-                           regime="short" if x >= lam else "long")
+                           gamma_rounded=rounded, regime=_regime(x, lam))
 
     sc = channel(L_sc, lam_e, env.T_env, BB_SC_COEFF * re_f**2, 9)
     ab = channel(L_abs, lam_e, env.T_env, BB_ABEM_COEFF * im_f, 6)
@@ -174,7 +177,7 @@ def blackbody_rates(env: Environment, R: float, x: float,
     return sc, ab, em
 
 
-def total_decoherence(env: Environment, R: float,
+def total_decoherence(env: Environment, R,
                       constants: PhysicalConstants = CONST
                       ) -> DecoherenceBreakdown:
     """All channels evaluated at separation x = R; total is their sum.
@@ -192,32 +195,26 @@ def total_decoherence(env: Environment, R: float,
                       "bb_abs": ab.regime, "bb_em": em.regime})
 
 
-def wavepacket_spread(m: float, t: float, delta_u: float,
-                      constants: PhysicalConstants = CONST) -> float:
+def wavepacket_spread(m, t, delta_u, constants: PhysicalConstants = CONST):
     """Free Gaussian wavepacket width sqrt(2 du^2 + (hbar t / (m du))^2 / 2) (m)."""
-    if m <= 0 or delta_u <= 0 or t < 0:
-        raise InvalidParameterError("m and delta_u must be > 0, t >= 0")
-    return math.sqrt(2 * delta_u**2
-                     + 0.5 * (constants.hbar * t / (m * delta_u)) ** 2)
+    require((m > 0) & (delta_u > 0) & (t >= 0),
+            "m and delta_u must be > 0, t >= 0")
+    return result(np.sqrt(2 * delta_u**2
+                          + 0.5 * (constants.hbar * t / (m * delta_u)) ** 2))
 
 
-def wavepacket_spread_min(m: float, t: float,
-                          constants: PhysicalConstants = CONST
-                          ) -> tuple[float, float]:
+def wavepacket_spread_min(m, t, constants: PhysicalConstants = CONST):
     """(sigma_min, du_min): the optimum sqrt(2 hbar t/m) at du = sqrt(hbar t/(2m))."""
-    if m <= 0 or t < 0:
-        raise InvalidParameterError("m must be > 0 and t >= 0")
-    return (math.sqrt(2 * constants.hbar * t / m),
-            math.sqrt(constants.hbar * t / (2 * m)))
+    require((m > 0) & (t >= 0), "m must be > 0 and t >= 0")
+    return (result(np.sqrt(2 * constants.hbar * t / m)),
+            result(np.sqrt(constants.hbar * t / (2 * m))))
 
 
-def momentum_floor(m: float, t: float, v: float,
-                   constants: PhysicalConstants = CONST) -> tuple[float, float]:
+def momentum_floor(m, t, v, constants: PhysicalConstants = CONST):
     """(dp_min, dp_min/(m v)): momentum width sqrt(hbar m / (2 t)) of the
     minimally spreading wavepacket, and its ratio to the mean momentum."""
-    if m <= 0 or t <= 0 or v <= 0:
-        raise InvalidParameterError("m, t, v must all be > 0")
-    dp = math.sqrt(constants.hbar * m / (2 * t))
+    require((m > 0) & (t > 0) & (v > 0), "m, t, v must all be > 0")
+    dp = result(np.sqrt(constants.hbar * m / (2 * t)))
     return dp, dp / (m * v)
 
 
@@ -228,7 +225,7 @@ class MeanFreePath:
     cross_section: float     # m^2, pi (d_H2/2 + R_probe)^2
 
 
-def mean_free_path(env: Environment, R_probe: float,
+def mean_free_path(env: Environment, R_probe,
                    constants: PhysicalConstants = CONST) -> MeanFreePath:
     """Probe mean free path against the hydrogen rest gas.
 
@@ -237,11 +234,9 @@ def mean_free_path(env: Environment, R_probe: float,
     convention in and is carried for comparison only.  p = 0 gives an
     infinite path.
     """
-    if R_probe < 0:
-        raise InvalidParameterError(f"R_probe must be >= 0, got {R_probe}")
+    require(R_probe >= 0, "R_probe must be >= 0, got {}", R_probe)
     A = np.pi * (constants.d_H2 / 2 + R_probe) ** 2
-    if env.pressure == 0:
-        return MeanFreePath(value=math.inf, rounded=math.inf, cross_section=A)
-    value = constants.k_B * env.T_env / (math.sqrt(2) * A * env.pressure)
-    rounded = MFP_COEFF * env.T_env / env.pressure
+    value = ratio_or_inf(constants.k_B * env.T_env,
+                         math.sqrt(2) * A * env.pressure)
+    rounded = ratio_or_inf(MFP_COEFF * env.T_env, env.pressure)
     return MeanFreePath(value=value, rounded=rounded, cross_section=A)

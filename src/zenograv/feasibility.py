@@ -18,6 +18,16 @@ carries the run duration and the two detector thresholds (theta_min,
 t_total_cap) are sharp inequalities.  The required freeze rate reported
 is the max of the decoherence total and the dynamics requirement, and
 passes when it sits below an achievable-rate ceiling (default 1e3 1/s).
+
+Evaluation is one array kernel.  The closed forms it calls (scatter,
+zeno, decoherence) are elementwise, so a point whose R, t_R, m_probe and
+environment pressure and temperatures are broadcastable arrays stands
+for a grid of cells, and the kernel evaluates every cell in one pass.
+:func:`sweep_region` builds such a point from two sweep axes;
+:func:`evaluate_point` is the kernel's one-cell case.  The kernel runs
+with numpy's overflow and divide-by-zero errors raised, so a grid cell
+fails as float arithmetic does (an ArithmeticError) rather than
+becoming an inf or NaN row.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ import numpy as np
 from . import decoherence as deco
 from . import scatter, zeno
 from .constants import CONST, PhysicalConstants, joules_to_ev
+from .elementwise import ratio_or_inf, require
 from .errors import InvalidParameterError, ZenogravError
 
 SWEEP_AXES = ("R", "v", "t_R", "p", "T", "m_probe")
@@ -37,7 +48,12 @@ SWEEP_AXES = ("R", "v", "t_R", "p", "T", "m_probe")
 
 @dataclass(frozen=True)
 class ExperimentPoint:
-    """One point of experiment-parameter space (SI units)."""
+    """One point of experiment-parameter space (SI units).
+
+    R, t_R, m_probe and the environment's pressure and temperatures may
+    be broadcastable arrays; such a point is a grid of cells (see
+    :func:`sweep_region`).
+    """
 
     R: float                       # source sphere radius (m)
     density: float                 # source density (kg/m^3)
@@ -54,18 +70,18 @@ class ExperimentPoint:
     gamma_zeno_achievable: float = 1e3   # measurement-rate ceiling (1/s)
 
     def __post_init__(self):
-        if self.R <= 0 or self.density <= 0 or self.t_R <= 0:
-            raise InvalidParameterError("R, density, t_R must all be > 0")
-        if self.beta <= 1.0:
-            raise InvalidParameterError(f"beta must be > 1, got {self.beta}")
-        if not 0.0 < self.zeta < 1.0:
-            raise InvalidParameterError(f"zeta must be in (0,1), got {self.zeta}")
-        if self.m_probe <= 0 or self.R_probe < 0:
-            raise InvalidParameterError("m_probe must be > 0, R_probe >= 0")
-        if self.t_total_cap <= 0 or self.theta_min <= 0:
-            raise InvalidParameterError("t_total_cap and theta_min must be > 0")
-        if self.strictness < 1 or self.gamma_zeno_achievable <= 0:
-            raise InvalidParameterError("strictness >= 1 and achievable rate > 0")
+        # written as x > 0, not as not x <= 0, so that NaN fails
+        require((self.R > 0) & (self.density > 0) & (self.t_R > 0),
+                "R, density, t_R must all be > 0")
+        require(self.beta > 1.0, "beta must be > 1, got {}", self.beta)
+        require(0.0 < self.zeta < 1.0, "zeta must be in (0,1), got {}",
+                self.zeta)
+        require((self.m_probe > 0) & (self.R_probe >= 0),
+                "m_probe must be > 0, R_probe >= 0")
+        require((self.t_total_cap > 0) & (self.theta_min > 0),
+                "t_total_cap and theta_min must be > 0")
+        require((self.strictness >= 1) & (self.gamma_zeno_achievable > 0),
+                "strictness >= 1 and achievable rate > 0")
 
     @property
     def v(self) -> float:
@@ -132,81 +148,137 @@ class ConstraintReport:
         raise KeyError(name)
 
 
+def _cell(pt: ExperimentPoint, shape, index) -> ExperimentPoint:
+    """The one-cell point at ``index`` of a grid point of ``shape``."""
+    def at(x):
+        return float(np.broadcast_to(x, shape)[index])
+    env = replace(pt.env, pressure=at(pt.env.pressure),
+                  T_env=at(pt.env.T_env), T_int=at(pt.env.T_int))
+    return replace(pt, R=at(pt.R), t_R=at(pt.t_R), m_probe=at(pt.m_probe),
+                   env=env)
+
+
+def _cell_by_cell(sub, pt: ExperimentPoint):
+    """(values, failed) of a sub-evaluation that raised over the grid.
+
+    ``sub(cell)`` runs on each cell alone: a cell where it raises a
+    ZenogravError is NaN and flagged, the others keep their values.  A
+    one-cell point has already failed: (NaN, True).
+    """
+    shape = np.broadcast_shapes(*map(np.shape, (
+        pt.R, pt.t_R, pt.m_probe, pt.env.pressure, pt.env.T_env,
+        pt.env.T_int)))
+    if not shape:
+        return math.nan, True
+    values = np.full(shape, math.nan)
+    failed = np.zeros(shape, dtype=bool)
+    for index in np.ndindex(shape):
+        try:
+            values[index] = sub(_cell(pt, shape, index))
+        except ZenogravError:
+            failed[index] = True
+    return values, failed
+
+
+def _evaluate(pt: ExperimentPoint, constants: PhysicalConstants):
+    """Every report quantity and constraint of ``pt``, for all its cells.
+
+    Returns (quantities, checks).  quantities maps ConstraintReport field
+    names to values; checks holds one (name, value, threshold, margin,
+    failed, note) per constraint, where ``failed`` marks the cells whose
+    sub-evaluation raised a ZenogravError and ``note`` is then that
+    error's text.  A failed sub-evaluation marks only the constraints
+    that depend on it.  Values broadcast over the grid fields of ``pt``.
+    """
+    v, M, b0 = pt.v, pt.M, pt.b0
+    theta_max = scatter.rutherford_angle(M, v, b0, constants)
+
+    def duration(p):
+        return scatter.kepler_scatter_time(p.M, p.density, p.beta, p.zeta,
+                                           p.t_R, constants)
+
+    try:
+        t_total, time_failed, time_note = duration(pt), False, None
+    except ZenogravError as exc:
+        t_total, time_failed = _cell_by_cell(duration, pt)
+        time_note = f"{type(exc).__name__}: {exc}"
+    t_used = np.where(np.isfinite(t_total),
+                      np.minimum(t_total, pt.t_total_cap), pt.t_total_cap)
+
+    tau_Z = zeno.zeno_time_estimate(pt.m_probe, M, b0, constants)
+    rate_dyn, rate_surv = zeno.zeno_rate_bounds(tau_Z, t_used)
+    gamma_dyn_required = np.maximum(pt.strictness * rate_dyn, rate_surv)
+
+    try:
+        breakdown = deco.total_decoherence(pt.env, pt.R, constants)
+        gamma_deco, deco_failed, deco_note = breakdown.gamma_total, False, None
+    except ZenogravError as exc:
+        breakdown = None
+        gamma_deco, deco_failed = _cell_by_cell(
+            lambda p: deco.total_decoherence(p.env, p.R, constants).gamma_total,
+            pt)
+        deco_note = f"{type(exc).__name__}: {exc}"
+    gamma_required = np.where(np.isfinite(gamma_deco),
+                              np.maximum(gamma_deco, gamma_dyn_required),
+                              gamma_dyn_required)
+
+    sigma_min, _ = deco.wavepacket_spread_min(pt.m_probe, t_used, constants)
+    sigma_ratio = sigma_min / pt.R
+    _, dp_ratio = deco.momentum_floor(pt.m_probe, t_used, v, constants)
+    mfp = deco.mean_free_path(pt.env, pt.R_probe, constants).value
+    ke_eV = joules_to_ev(0.5 * pt.m_probe * v**2, constants)
+    path = v * t_used
+    achievable = pt.gamma_zeno_achievable
+
+    quantities = {
+        "theta_max": theta_max, "t_total": t_total, "t_used": t_used,
+        "tau_Z": tau_Z, "breakdown": breakdown,
+        "gamma_dyn_required": gamma_dyn_required,
+        "gamma_zeno_required": gamma_required, "sigma_ratio": sigma_ratio,
+        "dp_ratio": dp_ratio, "mfp": mfp, "kinetic_energy_eV": ke_eV}
+    checks = (
+        ("deflection", theta_max, pt.theta_min, theta_max / pt.theta_min,
+         False, "max deflection above detector floor (sharp)"),
+        ("time", t_total, pt.t_total_cap,
+         ratio_or_inf(pt.t_total_cap, t_total), time_failed,
+         time_note or "scattering duration within the run budget (sharp)"),
+        ("zeno-rate", gamma_dyn_required, achievable,
+         achievable / gamma_dyn_required, False,
+         "freeze-dynamics rate requirement achievable"),
+        ("decoherence", gamma_deco, achievable,
+         ratio_or_inf(achievable, gamma_deco), deco_failed,
+         deco_note or "decoherence rate requirement achievable"),
+        ("classicality", sigma_ratio, pt.sigma_ratio_max,
+         np.minimum(pt.sigma_ratio_max / sigma_ratio,
+                    (1.0 / pt.strictness) / dp_ratio), False,
+         "wavepacket spread and momentum width stay negligible"),
+        ("mean-free-path", mfp, pt.strictness * path,
+         mfp / (pt.strictness * path), False,
+         "collision-free flight over the full trajectory"),
+    )
+    return quantities, checks
+
+
 def evaluate_point(pt: ExperimentPoint,
                    constants: PhysicalConstants = CONST) -> ConstraintReport:
     """Evaluate every constraint at one parameter point.
 
+    The one-cell case of the grid kernel behind :func:`sweep_region`.
     Sub-evaluation failures (e.g. a non-hyperbolic orbit) mark only the
     constraints that depend on them as indeterminate.
     """
-    checks = []
-    notes = {}
-
-    theta_max = scatter.rutherford_angle(pt.M, pt.v, pt.b0, constants)
-    try:
-        t_total = scatter.kepler_scatter_time(pt.M, pt.density, pt.beta,
-                                              pt.zeta, pt.t_R, constants)
-    except ZenogravError as exc:
-        t_total = float("nan")
-        notes["time"] = f"{type(exc).__name__}: {exc}"
-    t_used = min(t_total, pt.t_total_cap) if math.isfinite(t_total) \
-        else pt.t_total_cap
-
-    tau_Z = zeno.zeno_time_estimate(pt.m_probe, pt.M, pt.b0, constants)
-    rate_dyn, rate_surv = zeno.zeno_rate_bounds(tau_Z, t_used)
-    gamma_dyn_required = max(pt.strictness * rate_dyn, rate_surv)
-
-    try:
-        breakdown = deco.total_decoherence(pt.env, pt.R, constants)
-        gamma_deco = breakdown.gamma_total
-    except ZenogravError as exc:
-        breakdown, gamma_deco = None, float("nan")
-        notes["decoherence"] = f"{type(exc).__name__}: {exc}"
-
-    gamma_required = max(gamma_deco, gamma_dyn_required) \
-        if math.isfinite(gamma_deco) else gamma_dyn_required
-
-    sigma_min, _ = deco.wavepacket_spread_min(pt.m_probe, t_used, constants)
-    sigma_ratio = sigma_min / pt.R
-    _, dp_ratio = deco.momentum_floor(pt.m_probe, t_used, pt.v, constants)
-    mfp = deco.mean_free_path(pt.env, pt.R_probe, constants).value
-    ke_eV = joules_to_ev(0.5 * pt.m_probe * pt.v**2, constants)
-
-    def add(name, value, threshold, margin, note=""):
-        if name in notes:
-            checks.append(ConstraintCheck(name, value, threshold,
-                                          float("nan"), None, notes[name]))
-        else:
-            checks.append(ConstraintCheck(name, value, threshold, margin,
-                                          bool(margin >= 1.0), note))
-
-    add("deflection", theta_max, pt.theta_min, theta_max / pt.theta_min,
-        "max deflection above detector floor (sharp)")
-    add("time", t_total, pt.t_total_cap,
-        pt.t_total_cap / t_total if t_total > 0 else float("inf"),
-        "scattering duration within the run budget (sharp)")
-    add("zeno-rate", gamma_dyn_required, pt.gamma_zeno_achievable,
-        pt.gamma_zeno_achievable / gamma_dyn_required,
-        "freeze-dynamics rate requirement achievable")
-    add("decoherence", gamma_deco, pt.gamma_zeno_achievable,
-        pt.gamma_zeno_achievable / gamma_deco if gamma_deco > 0 else float("inf"),
-        "decoherence rate requirement achievable")
-    class_margin = min(pt.sigma_ratio_max / sigma_ratio,
-                       (1.0 / pt.strictness) / dp_ratio)
-    add("classicality", sigma_ratio, pt.sigma_ratio_max, class_margin,
-        "wavepacket spread and momentum width stay negligible")
-    path = pt.v * t_used
-    add("mean-free-path", mfp, pt.strictness * path,
-        mfp / (pt.strictness * path),
-        "collision-free flight over the full trajectory")
-
-    return ConstraintReport(point=pt, theta_max=theta_max, t_total=t_total,
-                            t_used=t_used, tau_Z=tau_Z, breakdown=breakdown,
-                            gamma_dyn_required=gamma_dyn_required,
-                            gamma_zeno_required=gamma_required,
-                            sigma_ratio=sigma_ratio, dp_ratio=dp_ratio,
-                            mfp=mfp, kinetic_energy_eV=ke_eV,
-                            constraints=tuple(checks))
+    with np.errstate(over="raise", divide="raise"):
+        quantities, checks = _evaluate(pt, constants)
+    constraints = []
+    for name, value, threshold, margin, failed, note in checks:
+        margin = math.nan if failed else float(margin)
+        constraints.append(ConstraintCheck(
+            name, float(value), float(threshold), margin,
+            None if failed else margin >= 1.0, note))
+    breakdown = quantities.pop("breakdown")
+    return ConstraintReport(
+        point=pt, breakdown=breakdown, constraints=tuple(constraints),
+        **{name: float(x) for name, x in quantities.items()})
 
 
 def report_to_dict(report: ConstraintReport) -> dict:
@@ -250,6 +322,7 @@ def _apply_axes(base: ExperimentPoint, assignments: dict) -> ExperimentPoint:
     With two of {R, v, t_R} assigned the third is derived; with one
     assigned, an R axis keeps the base t_R (deriving v), while a v or t_R
     axis keeps the base R.  A T axis sets both environment temperatures.
+    Values may be broadcastable arrays (the axes of a grid).
     """
     pt = base
     env = base.env
@@ -300,7 +373,14 @@ def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
     """Evaluate a 2D grid of points; rows ordered axis1-major.
 
     Axis names come from {R, v, t_R, p, T, m_probe}; values should be
-    log-spaced for the usual decade-spanning sweeps.
+    log-spaced for the usual decade-spanning sweeps.  The two axes are
+    broadcast against each other (axis1 down, axis2 across) and applied
+    to ``base`` by the :func:`_apply_axes` rules, giving one grid point
+    whose fields are per-cell arrays; it is validated as a whole and
+    evaluated in one pass of the array kernel (see
+    :func:`evaluate_point`, its one-cell case).  A cell whose duration
+    or decoherence evaluation fails is indeterminate and does not pass;
+    an overflow or division by zero anywhere raises FloatingPointError.
     """
     name1, vals1 = axis1
     name2, vals2 = axis2
@@ -310,17 +390,20 @@ def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
                 f"unknown axis {name!r}; choose from {SWEEP_AXES}")
     if name1 == name2:
         raise InvalidParameterError("the two axes must differ")
-    rows = []
-    for v1 in vals1:
-        for v2 in vals2:
-            pt = _apply_axes(base, {name1: float(v1), name2: float(v2)})
-            rep = evaluate_point(pt, constants)
-            rows.append(RegionRow(
-                axis1=float(v1), axis2=float(v2), theta_max=rep.theta_max,
-                t_total=rep.t_total, gamma_required=rep.gamma_zeno_required,
-                sigma_ratio=rep.sigma_ratio, mfp=rep.mfp,
-                KE_eV=rep.kinetic_energy_eV, passed=rep.passed))
-    return rows
+    a1 = np.asarray(vals1, dtype=float).reshape(-1, 1)
+    a2 = np.asarray(vals2, dtype=float).reshape(1, -1)
+    with np.errstate(over="raise", divide="raise"):
+        grid = _apply_axes(base, {name1: a1, name2: a2})
+        quantities, checks = _evaluate(grid, constants)
+    passed = True
+    for _, _, _, margin, failed, _ in checks:
+        passed = passed & np.logical_not(failed) & (margin >= 1.0)
+    columns = (a1, a2, quantities["theta_max"], quantities["t_total"],
+               quantities["gamma_zeno_required"], quantities["sigma_ratio"],
+               quantities["mfp"], quantities["kinetic_energy_eV"], passed)
+    shape = (a1.size, a2.size)
+    return [RegionRow(*row) for row in zip(
+        *(np.broadcast_to(c, shape).ravel().tolist() for c in columns))]
 
 
 def region_to_csv(rows, fh, header_comment: str | None = None):

@@ -33,9 +33,10 @@ class SphereComponent:
         if len(self.center) != 3:
             raise InvalidParameterError("center must be a 3-vector")
         object.__setattr__(self, "center", tuple(float(x) for x in self.center))
-        if self.radius <= 0:
+        # written as not (x > 0) so that NaN fails every check
+        if not (self.radius > 0):
             raise InvalidParameterError(f"radius must be > 0, got {self.radius}")
-        if self.mass <= 0:
+        if not (self.mass > 0):
             raise InvalidParameterError(f"mass must be > 0, got {self.mass}")
 
 
@@ -53,7 +54,7 @@ class MassDistribution:
         msum = sum(c.mass for c in self.components)
         if self.total_mass is None:
             object.__setattr__(self, "total_mass", msum)
-        elif abs(self.total_mass - msum) > _TOTAL_MASS_RTOL * msum:
+        elif not (abs(self.total_mass - msum) <= _TOTAL_MASS_RTOL * msum):
             raise InvalidParameterError(
                 f"total_mass {self.total_mass} != sum of component masses {msum}")
         if self._has_overlap():
@@ -103,11 +104,11 @@ def make_superposed_source(R: float, density: float, d: float) -> MassDistributi
     d : separation of the two positions (m); d = 0 collapses to a single
         sphere of mass M at the origin.
     """
-    if R <= 0:
+    if not (R > 0):
         raise InvalidParameterError(f"R must be > 0, got {R}")
-    if density <= 0:
+    if not (density > 0):
         raise InvalidParameterError(f"density must be > 0, got {density}")
-    if d < 0:
+    if not (d >= 0):
         raise InvalidParameterError(f"d must be >= 0, got {d}")
     M = 4.0 / 3.0 * np.pi * density * R**3
     if d == 0:

@@ -22,6 +22,7 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import brentq
 
 from .constants import CONST, PhysicalConstants
+from .elementwise import require, result
 from .errors import (IntegratorFailureError, InvalidParameterError,
                      ProjectionSingularError, UnterminatedTrajectoryError)
 from .massdist import MassDistribution, gravity_field, potential_at
@@ -91,7 +92,15 @@ class ScatterConfig:
         <~1e-3 relative level in the deflection angle; raise the factors
         when comparing against asymptotic closed forms.
         """
-        scale = dist.length_scale()
+        return cls.for_scale(dist.length_scale(), b, l, v,
+                             start_factor=start_factor,
+                             stop_factor=stop_factor, rtol=rtol)
+
+    @classmethod
+    def for_scale(cls, scale: float, b: float, l: float, v: float, *,
+                  start_factor: float = 50.0, stop_factor: float = 100.0,
+                  rtol: float = DEFAULT_RTOL) -> "ScatterConfig":
+        """:meth:`for_source` given the source's ``length_scale()`` (m)."""
         z_start = -start_factor * scale
         r_stop = stop_factor * scale
         launch = math.sqrt(b * b + l * l + z_start * z_start)
@@ -274,74 +283,95 @@ def energy_series(dist: MassDistribution, traj: ProbeTrajectory, m_probe: float,
 # Closed-form hyperbolic-orbit expressions
 # ---------------------------------------------------------------------------
 
-def rutherford_angle(M: float, v: float, b0: float,
-                     constants: PhysicalConstants = CONST) -> float:
-    """Deflection angle 2*acot(v^2 b0 / (G M)) off a point mass M (rad)."""
-    if M <= 0 or v <= 0 or b0 <= 0:
-        raise InvalidParameterError("M, v, b0 must all be > 0")
-    return 2.0 * math.atan(constants.G * M / (v * v * b0))
+def rutherford_angle(M, v, b0, constants: PhysicalConstants = CONST):
+    """Deflection angle 2*acot(v^2 b0 / (G M)) off a point mass M (rad).
+
+    Elementwise over floats or broadcastable arrays.
+    """
+    require((M > 0) & (v > 0) & (b0 > 0), "M, v, b0 must all be > 0")
+    return result(2.0 * np.arctan(constants.G * M / (v * v * b0)))
 
 
-def rutherford_angle_density(rho: float, beta: float, t_R: float,
-                             approx: bool = False,
-                             constants: PhysicalConstants = CONST) -> float:
+def rutherford_angle_density(rho, beta, t_R, approx: bool = False,
+                             constants: PhysicalConstants = CONST):
     """Max deflection in the (density, beta, t_R) parametrization (rad).
 
     For a sphere of density rho probed at impact parameter beta*R with
     speed R/t_R the radius cancels: the exact angle is
     2*atan((4 pi G rho / (3 beta)) t_R^2); ``approx=True`` returns the
-    small-angle form (8 pi G rho / (3 beta)) t_R^2.
+    small-angle form (8 pi G rho / (3 beta)) t_R^2.  Elementwise.
     """
-    if rho <= 0 or beta <= 0 or t_R <= 0:
-        raise InvalidParameterError("rho, beta, t_R must all be > 0")
+    require((rho > 0) & (beta > 0) & (t_R > 0), "rho, beta, t_R must all be > 0")
     x = 4.0 * np.pi * constants.G * rho * t_R**2 / (3.0 * beta)
-    return 2.0 * x if approx else 2.0 * math.atan(x)
+    return 2.0 * x if approx else result(2.0 * np.arctan(x))
 
 
-def hyperbolic_time_from_anomaly(e: float, phi: float, h: float, GM: float) -> float:
+def hyperbolic_time_from_anomaly(e, phi, h, GM, e2m1=None):
     """Time (s) from periapsis to true anomaly phi on a hyperbolic orbit.
 
     h is the angular momentum per unit mass (m^2/s), GM the gravitational
     parameter (m^3/s^2).  Valid for 0 <= phi < phi_inf = acos(-1/e).
+    ``e2m1`` is e^2 - 1 where the caller knows it more precisely than
+    e itself carries it (near a parabola e rounds to 1); by default it is
+    (e - 1)(e + 1).  Elementwise.
+
+    The form avoids the cancellation of the textbook difference near
+    e = 1: with the hyperbolic anomaly F = 2 atanh(sqrt((e-1)/(e+1))
+    tan(phi/2)) the time is (h^3/GM^2) ((e-1) sinh F + (sinh F - F))
+    / (e^2-1)^(3/2), with e - 1 = (e^2-1)/(e+1) and sinh F - F from its
+    series below F = 0.5.
     """
-    if e <= 1.0:
-        raise InvalidParameterError(f"orbit not hyperbolic: e = {e} <= 1")
-    if phi < 0:
-        raise InvalidParameterError(f"phi must be >= 0, got {phi}")
-    tn = math.tan(phi / 2.0)
-    sqep = math.sqrt(e + 1.0)
-    sqem = math.sqrt(e - 1.0)
-    if sqem * tn >= sqep:
-        raise InvalidParameterError("phi at or beyond the asymptotic anomaly")
-    e2m1 = e * e - 1.0
-    term1 = e * math.sin(phi) / (e2m1 * (1.0 + e * math.cos(phi)))
-    term2 = math.log((sqep + sqem * tn) / (sqep - sqem * tn)) / e2m1**1.5
-    return (h**3 / GM**2) * (term1 - term2)
+    if e2m1 is None:
+        e2m1 = (e - 1.0) * (e + 1.0)
+    require((e >= 1.0) & (e2m1 > 0), "orbit not hyperbolic: e = {} <= 1", e)
+    require(phi >= 0, "phi must be >= 0, got {}", phi)
+    em1 = e2m1 / (e + 1.0)
+    tanh_half_F = np.sqrt(em1 / (e + 1.0)) * np.tan(phi / 2.0)
+    require((phi < np.pi) & (tanh_half_F < 1.0),
+            "phi at or beyond the asymptotic anomaly")
+    F = 2.0 * np.arctanh(tanh_half_F)
+    sinh_F = np.sinh(F)
+    # sinh F - F = sum F^(2k+1)/(2k+1)!, k >= 1, nested; below F = 0.5
+    # the omitted terms are under 1e-21 of the sum
+    F2 = F * F
+    series = 1.0
+    for k in range(8, 1, -1):
+        series = 1.0 + F2 / ((2 * k) * (2 * k + 1)) * series
+    series = F * F2 / 6.0 * series
+    sinh_F_minus_F = np.where(F < 0.5, series, sinh_F - F)
+    return result((h**3 / GM**2) * (em1 * sinh_F + sinh_F_minus_F)
+                  / e2m1**1.5)
 
 
-def kepler_scatter_time(M: float, rho: float, beta: float, zeta: float,
-                        t_R: float,
-                        constants: PhysicalConstants = CONST) -> float:
+def kepler_scatter_time(M, rho, beta, zeta, t_R,
+                        constants: PhysicalConstants = CONST):
     """Scattering duration: twice the periapsis-to-zeta*phi_inf flight time (s).
 
     The probe's hyperbola is fixed by (rho, beta, t_R): impact parameter
     b0 = beta*R, speed v = R/t_R with R the sphere radius implied by
     (M, rho).  phi_inf is the asymptotic true anomaly, related to the
     deflection angle theta by theta = 2*phi_inf - pi, equivalently
-    e = -1/cos(phi_inf) = 1/sin(theta/2).
+    e = -1/cos(phi_inf) = 1/sin(theta/2).  Elementwise.
+
+    Stable near the parabolic limit (large t_R): with x = tan(theta/2),
+    e^2 - 1 = 1/x^2 exactly, and :func:`hyperbolic_time_from_anomaly`
+    takes it from there without forming e - 1 from a rounded e.
     """
-    if beta <= 1.0:
-        raise InvalidParameterError(f"beta must be > 1, got {beta}")
-    if not 0.0 < zeta < 1.0:
-        raise InvalidParameterError(f"zeta must be in (0, 1), got {zeta}")
-    if t_R <= 0 or M <= 0 or rho <= 0:
-        raise InvalidParameterError("M, rho, t_R must all be > 0")
+    require(beta > 1.0, "beta must be > 1, got {}", beta)
+    require((zeta > 0.0) & (zeta < 1.0), "zeta must be in (0, 1), got {}", zeta)
+    require((t_R > 0) & (M > 0) & (rho > 0), "M, rho, t_R must all be > 0")
     theta = rutherford_angle_density(rho, beta, t_R, constants=constants)
+    x = 0.5 * rutherford_angle_density(rho, beta, t_R, approx=True,
+                                       constants=constants)   # tan(theta/2)
+    # (1/x)^2 underflows to 0 past the parabolic limit, where x * x would
+    # overflow: such an orbit is rejected as not hyperbolic
+    e2m1 = (1.0 / x) ** 2
+    e = np.sqrt(1.0 + e2m1)
     phi_inf = 0.5 * (np.pi + theta)
-    e = -1.0 / math.cos(phi_inf)
     R = (3.0 * M / (4.0 * np.pi * rho)) ** (1.0 / 3.0)
     h = (R / t_R) * (beta * R)       # v * b0
-    t_half = hyperbolic_time_from_anomaly(e, zeta * phi_inf, h, constants.G * M)
+    t_half = hyperbolic_time_from_anomaly(e, zeta * phi_inf, h, constants.G * M,
+                                          e2m1=e2m1)
     return 2.0 * t_half
 
 
@@ -555,7 +585,7 @@ def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
     Impact parameters are b = beta * R with R the largest component
     radius; with ``mirror_l`` every offset l > 0 is also launched at -l.
     Each probe gets the :meth:`ScatterConfig.for_source` launch and
-    termination, and the whole grid is integrated at once by the lockstep
+    termination (the source's length scale is computed once per scan), and the whole grid is integrated at once by the lockstep
     batch engine, which reproduces scipy RK45 (the single-trajectory
     integrator of :func:`integrate_trajectory`) probe by probe.  Probes
     that hit the source stay in ``records`` (flagged) but are excluded
@@ -579,9 +609,10 @@ def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
             offsets = (l, -l) if (mirror_l and l > 0) else (l,)
             for off in offsets:
                 launches.append((float(beta), float(off), float(beta * R)))
-    cfgs = [ScatterConfig.for_source(dist, b=b, l=off, v=v,
-                                     start_factor=start_factor,
-                                     stop_factor=stop_factor, rtol=rtol)
+    scale = dist.length_scale()
+    cfgs = [ScatterConfig.for_scale(scale, b=b, l=off, v=v,
+                                    start_factor=start_factor,
+                                    stop_factor=stop_factor, rtol=rtol)
             for _, off, b in launches]
     y_end, hits, errors = _integrate_batch(dist, cfgs)
 

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .constants import CONST, PhysicalConstants
+from .elementwise import require
 from .errors import InvalidParameterError
 
 _HERM_TOL = 1e-12
@@ -209,30 +210,26 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
                               effective_H_error=err)
 
 
-def zeno_time_estimate(m: float, M: float, b0: float,
-                       constants: PhysicalConstants = CONST) -> float:
+def zeno_time_estimate(m, M, b0, constants: PhysicalConstants = CONST):
     """Freeze timescale hbar * b0 / (G m M) for a gravitating probe-source pair (s).
 
     b0 is the closest-approach scale of the scattering trajectory; the
     measurement interval must sit well below this time for the freeze to
-    hold.
+    hold.  Elementwise over floats or broadcastable arrays.
     """
-    if m <= 0 or M <= 0 or b0 <= 0:
-        raise InvalidParameterError("m, M, b0 must all be > 0")
+    require((m > 0) & (M > 0) & (b0 > 0), "m, M, b0 must all be > 0")
     return constants.hbar * b0 / (constants.G * m * M)
 
 
-def zeno_rate_bounds(tau_Z: float, t_total: float) -> tuple[float, float]:
+def zeno_rate_bounds(tau_Z, t_total):
     """Lower bounds on the measurement rate: (1/tau_Z, t_total/tau_Z^2).
 
     The first keeps each interval short against the interaction timescale;
     the second keeps the cumulative survival probability of a t_total-long
-    run near one.  The binding bound is their maximum.
+    run near one.  The binding bound is their maximum.  Elementwise.
     """
-    if tau_Z <= 0:
-        raise InvalidParameterError(f"tau_Z must be > 0, got {tau_Z}")
-    if t_total < 0:
-        raise InvalidParameterError(f"t_total must be >= 0, got {t_total}")
+    require(tau_Z > 0, "tau_Z must be > 0, got {}", tau_Z)
+    require(t_total >= 0, "t_total must be >= 0, got {}", t_total)
     return 1.0 / tau_Z, t_total / tau_Z**2
 
 

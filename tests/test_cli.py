@@ -1,10 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from zenograv import cli
+from zenograv import decoherence as deco
 
 
 def run_cli(args):
@@ -80,6 +83,23 @@ class TestNumericalFailure:
         assert run_cli(["eigen", "--x_max", "1.5",
                         "--output-dir", tmp_path]) == 3
         assert "GridInsufficientError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,error", [
+        # source mass (4/3) pi rho R^3 overflows
+        (["report", "--R", "1e200"], "OverflowError"),
+        # R = v t_R ~ 1e300..1e302: the grid's source mass overflows
+        (["feasibility", "--axis1", "v", "--axis2", "t_R",
+          "--a1_min", "1e300", "--a1_max", "1e300"], "FloatingPointError"),
+        # the gas thermal wavelength divides by an underflowed sqrt(T)
+        (["feasibility", "--axis1", "T", "--a1_min", "1e-300",
+          "--a1_max", "1e-300"], "FloatingPointError"),
+    ])
+    def test_arithmetic_failure_exits_3(self, tmp_path, capsys, args, error):
+        assert run_cli(args + ["--output-dir", tmp_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"zenograv: numerical failure: {error}")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
 
 class TestEigen:
@@ -163,6 +183,32 @@ class TestSweeps:
         assert int(row[1]) == 20
         assert 0.0 <= float(row[2]) <= 1.0
 
+    def test_decoherence_sweep_matches_scalar_rates(self, tmp_path):
+        # one elementwise call over the R grid writes what per-R scalar
+        # calls would
+        assert run_cli(["decoherence", "--pressure", "1e-12", "--n_R", 9,
+                        "--output-dir", tmp_path]) == 0
+        lines = (tmp_path / "decoherence_sweep.csv").read_text().split("\n")
+        env = deco.Environment(1e-12, 1.0, 1.0)
+        for line, R in zip(lines[2:], np.logspace(-7, -4, 9)):
+            b = deco.total_decoherence(env, float(R))
+            assert line == (f"{R:.9g},{1e-12:.9g},{1.0:.9g},{1.0:.9g},"
+                            f"{b.gamma_gas:.9g},{b.gamma_bb_sc:.9g},"
+                            f"{b.gamma_bb_abs:.9g},{b.gamma_bb_em:.9g},"
+                            f"{b.gamma_total:.9g}")
+
+    def test_feasibility_R_v_figure_preset(self, tmp_path):
+        # FIGURES.md crossing-time contours: R = 1..100 m and
+        # v = 1e-7..1e-5 m/s put t_R = R/v at 1e5..1e9 s, near the
+        # parabolic limit of the probe orbit
+        assert run_cli(["feasibility", "--axis1", "R", "--axis2", "v",
+                        "--a2_min", "1e-7", "--a2_max", "1e-5",
+                        "--output-dir", tmp_path]) == 0
+        lines = (tmp_path / "region.csv").read_text().strip().split("\n")
+        assert len(lines) == 2 + 16 * 16
+        t_total = [float(line.split(",")[3]) for line in lines[2:]]
+        assert all(math.isfinite(t) and t > 0 for t in t_total)
+
     def test_feasibility_region(self, tmp_path):
         assert run_cli(["feasibility", "--n1", 6, "--n2", 2,
                         "--a2_min", "1e-5", "--a2_max", "2e-5",
@@ -170,6 +216,10 @@ class TestSweeps:
         lines = (tmp_path / "region.csv").read_text().strip().split("\n")
         assert lines[1].startswith("axis1,axis2,theta_max")
         assert len(lines) == 2 + 12
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_console_entry_point():

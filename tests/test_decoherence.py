@@ -253,8 +253,63 @@ class TestValidation:
             Environment(pressure=0.0, T_env=1.0, T_int=1.0,
                         epsilon_factor=(1.5, 0.0))
 
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0),
+                                      (1e-15, math.nan, 1.0),
+                                      (1e-15, 1.0, math.nan)])
+    def test_environment_rejects_nan(self, args):
+        with pytest.raises(InvalidParameterError):
+            Environment(*args)
+
+    def test_array_environment_names_first_bad_value(self):
+        with pytest.raises(InvalidParameterError,
+                           match="pressure must be >= 0, got -2.0"):
+            Environment(np.array([1e-15, -2.0, -3.0]), 1.0, 1.0)
+
     def test_negative_radius(self):
         with pytest.raises(InvalidParameterError):
             rest_gas_rate(REF_ENV, -1e-5)
         with pytest.raises(InvalidParameterError):
             mean_free_path(REF_ENV, -1e-6)
+
+
+class TestElementwise:
+    def test_grid_of_environments_matches_scalar_calls(self):
+        # one call over a (pressure, temperature) x radius grid equals the
+        # scalar calls cell by cell, and scalar calls return floats
+        p = np.array([0.0, 1e-15, 1e-9])[:, None, None]
+        T = np.array([0.5, 4.0])[None, :, None]
+        Rs = np.logspace(-7, -4, 4)
+        env = Environment(p, T, 2 * T)
+        b = total_decoherence(env, Rs)
+        mfp = mean_free_path(env, 1e-6)
+        shape = b.gamma_total.shape
+        assert shape == (3, 2, 4)
+        for i, j, k in np.ndindex(shape):
+            one_env = Environment(float(p[i, 0, 0]), float(T[0, j, 0]),
+                                  float(2 * T[0, j, 0]))
+            one = total_decoherence(one_env, float(Rs[k]))
+            for name in ("gamma_gas", "gamma_bb_sc", "gamma_bb_abs",
+                         "gamma_bb_em", "gamma_total"):
+                assert type(getattr(one, name)) is float
+                grid = np.broadcast_to(getattr(b, name), shape)
+                assert grid[i, j, k] == pytest.approx(getattr(one, name),
+                                                      rel=1e-14, abs=0.0)
+            for flag in ("gas", "bb_sc", "bb_abs", "bb_em"):
+                assert one.regime_flags[flag] in ("short", "long")
+                grid = np.broadcast_to(b.regime_flags[flag], shape)
+                assert grid[i, j, k] == one.regime_flags[flag]
+            one_mfp = mean_free_path(one_env, 1e-6).value
+            assert np.broadcast_to(mfp.value, (3, 2, 1))[i, j, 0] == \
+                pytest.approx(one_mfp, rel=1e-15)
+        assert np.all(np.isinf(mfp.value[0]))
+
+    def test_probe_bounds_elementwise(self):
+        t = np.array([1.0, 10.0, 100.0])
+        sigma, du = wavepacket_spread_min(1e-18, t)
+        dp, ratio = momentum_floor(1e-18, t, 1e-6)
+        for k, tk in enumerate(t):
+            assert sigma[k] == wavepacket_spread_min(1e-18, float(tk))[0]
+            assert ratio[k] == momentum_floor(1e-18, float(tk), 1e-6)[1]
+        assert type(momentum_floor(1e-18, 1.0, 1e-6)[1]) is float
+        with pytest.raises(InvalidParameterError):
+            momentum_floor(1e-18, np.array([1.0, 0.0]), 1e-6)

@@ -1,15 +1,20 @@
 import io
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import anomaly_crossing_elapsed, oracle_config
 
+from zenograv import decoherence as deco
+from zenograv import scatter, zeno
+from zenograv.constants import joules_to_ev
 from zenograv.decoherence import Environment
-from zenograv.errors import InvalidParameterError
-from zenograv.feasibility import (evaluate_point, reference_point,
-                                  region_to_csv, report_to_dict,
-                                  sweep_region)
+from zenograv.errors import InvalidParameterError, ZenogravError
+from zenograv.feasibility import (SWEEP_AXES, _apply_axes, evaluate_point,
+                                  reference_point, region_to_csv,
+                                  report_to_dict, sweep_region)
 from zenograv.massdist import make_superposed_source
 from zenograv.scatter import integrate_trajectory
 
@@ -30,6 +35,22 @@ class TestExperimentPoint:
             replace(REF, zeta=1.0)
         with pytest.raises(InvalidParameterError):
             replace(REF, t_R=-1.0)
+
+    @pytest.mark.parametrize("field", ["R", "density", "t_R", "beta",
+                                       "m_probe"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(InvalidParameterError):
+            replace(REF, **{field: math.nan})
+
+    def test_grid_fields_validated_whole(self):
+        # an array field is checked in every cell, NaN included, with the
+        # scalar message
+        with pytest.raises(InvalidParameterError,
+                           match="R, density, t_R must all be > 0"):
+            replace(REF, R=np.array([1e-5, math.nan]))
+        with pytest.raises(InvalidParameterError,
+                           match="m_probe must be > 0"):
+            replace(REF, m_probe=np.array([[1e-18], [0.0]]))
 
 
 class TestReferenceReport:
@@ -188,3 +209,193 @@ class TestSweep:
         assert lines[1] == ("axis1,axis2,theta_max,t_total,gamma_required,"
                             "sigma_ratio,mfp,KE_eV,pass")
         assert len(lines) == 2 + 5 * 2
+
+
+# ---------------------------------------------------------------------------
+# Grid kernel against a per-cell reference
+# ---------------------------------------------------------------------------
+
+AXIS_VALUES = {
+    "R": np.logspace(-6, -4, 5),
+    "v": np.logspace(-7, -5, 4),
+    "t_R": np.logspace(-1, 3, 6),
+    "p": np.array([0.0, 1e-15, 1e-12, 1e-9]),
+    "T": np.logspace(-1, 2.5, 4),
+    "m_probe": np.logspace(-19, -17, 5),
+}
+COLUMNS = ("axis1", "axis2", "theta_max", "t_total", "gamma_required",
+           "sigma_ratio", "mfp", "KE_eV")
+
+
+def _reference_cell(pt):
+    """One cell as the per-cell loop evaluated it: scalar closed forms and
+    Python branches, with a failed duration or decoherence evaluation
+    leaving the cell indeterminate (not passed)."""
+    theta = scatter.rutherford_angle(pt.M, pt.v, pt.b0)
+    try:
+        t_total = scatter.kepler_scatter_time(pt.M, pt.density, pt.beta,
+                                              pt.zeta, pt.t_R)
+        time_ok = True
+    except ZenogravError:
+        t_total, time_ok = math.nan, False
+    t_used = min(t_total, pt.t_total_cap) if math.isfinite(t_total) \
+        else pt.t_total_cap
+    tau_Z = zeno.zeno_time_estimate(pt.m_probe, pt.M, pt.b0)
+    rate_dyn, rate_surv = zeno.zeno_rate_bounds(tau_Z, t_used)
+    gamma_dyn = max(pt.strictness * rate_dyn, rate_surv)
+    try:
+        gamma_deco = deco.total_decoherence(pt.env, pt.R).gamma_total
+        deco_ok = True
+    except ZenogravError:
+        gamma_deco, deco_ok = math.nan, False
+    sigma_ratio = deco.wavepacket_spread_min(pt.m_probe, t_used)[0] / pt.R
+    dp_ratio = deco.momentum_floor(pt.m_probe, t_used, pt.v)[1]
+    mfp = deco.mean_free_path(pt.env, pt.R_probe).value
+    path = pt.v * t_used
+    margins = (
+        theta / pt.theta_min,
+        pt.t_total_cap / t_total if t_total > 0 else math.inf,
+        pt.gamma_zeno_achievable / gamma_dyn,
+        pt.gamma_zeno_achievable / gamma_deco if gamma_deco > 0 else math.inf,
+        min(pt.sigma_ratio_max / sigma_ratio,
+            (1.0 / pt.strictness) / dp_ratio),
+        mfp / (pt.strictness * path))
+    passed = time_ok and deco_ok and all(m >= 1.0 for m in margins)
+    gamma_required = max(gamma_deco, gamma_dyn) if deco_ok else gamma_dyn
+    return (theta, t_total, gamma_required, sigma_ratio, mfp,
+            joules_to_ev(0.5 * pt.m_probe * pt.v**2), passed)
+
+
+def _reference_sweep(axis1, axis2, base):
+    """The per-cell loop the grid kernel replaced."""
+    (name1, vals1), (name2, vals2) = axis1, axis2
+    rows = []
+    for v1 in vals1:
+        for v2 in vals2:
+            pt = _apply_axes(base, {name1: float(v1), name2: float(v2)})
+            rows.append((float(v1), float(v2)) + _reference_cell(pt))
+    return rows
+
+
+def _same(a, b, rel=1e-13):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def _assert_parity(axis1, axis2, base=REF):
+    rows = sweep_region(axis1, axis2, base)
+    expected = _reference_sweep(axis1, axis2, base)
+    assert len(rows) == len(expected)
+    for row, ref in zip(rows, expected):
+        for name, want in zip(COLUMNS, ref):
+            got = getattr(row, name)
+            assert type(got) is float
+            assert _same(got, want), (name, row, ref)
+        assert row.passed is ref[-1], (row, ref)
+    return rows
+
+
+class TestGridKernelParity:
+    @pytest.mark.parametrize("name1,name2",
+                             list(itertools.combinations(SWEEP_AXES, 2)))
+    def test_axis_pair(self, name1, name2):
+        rows = _assert_parity((name1, AXIS_VALUES[name1]),
+                              (name2, AXIS_VALUES[name2]))
+        assert len(rows) == AXIS_VALUES[name1].size * AXIS_VALUES[name2].size
+
+    def test_derived_R_from_v_and_t_R(self):
+        rows = _assert_parity(("t_R", AXIS_VALUES["t_R"]),
+                              ("v", AXIS_VALUES["v"]))
+        # the probe flies at the v axis value: R = v t_R is derived
+        for row in rows:
+            assert row.KE_eV == pytest.approx(
+                joules_to_ev(0.5 * REF.m_probe * row.axis2**2), rel=1e-12)
+
+    def test_vacuum_gives_infinite_mean_free_path(self):
+        base = replace(REF, env=Environment(0.0, 1.0, 1.0))
+        rows = _assert_parity(("t_R", np.array([3.0, 10.0, 12.0, 30.0])),
+                              ("R", AXIS_VALUES["R"]), base)
+        assert all(r.mfp == math.inf for r in rows)
+        assert any(r.passed for r in rows)
+
+    def test_one_by_one_grid(self):
+        rows = _assert_parity(("t_R", np.array([10.0])),
+                              ("R", np.array([1e-5])))
+        assert len(rows) == 1 and rows[0].passed
+
+    def test_indeterminate_cells(self):
+        # past t_R ~ 1e80 tan(theta/2) is so large that e^2 - 1 underflows:
+        # those cells' durations fail and only they are indeterminate
+        t_R = np.array([10.0, 1e100, 12.0, 3e120])
+        rows = _assert_parity(("t_R", t_R), ("R", np.array([1e-5, 1.2e-5])))
+        failed = [math.isnan(r.t_total) for r in rows]
+        assert failed == [False, False, True, True] * 2
+        assert rows[0].passed and not any(r.passed for r in rows[2:4])
+
+    @pytest.mark.parametrize("module,name,marked,cell_marked", [
+        (scatter, "kepler_scatter_time", lambda args: args[4] == 12.0,
+         lambda t_R, p: t_R == 12.0),
+        (deco, "total_decoherence", lambda args: args[0].pressure == 1e-16,
+         lambda t_R, p: p == 1e-16),
+    ])
+    def test_failed_sub_evaluation_marks_only_its_cells(
+            self, monkeypatch, module, name, marked, cell_marked):
+        # every cell of this grid passes; the sub-evaluation is made to
+        # fail in the marked cells, so the grid call raises and the kernel
+        # goes cell by cell: only the marked cells become indeterminate
+        original = getattr(module, name)
+
+        def failing(*args):
+            if np.any(marked(args)):
+                raise InvalidParameterError("forced failure")
+            return original(*args)
+
+        axis1, axis2 = ("t_R", np.array([10.0, 12.0])), \
+            ("p", np.array([1e-15, 1e-16]))
+        assert all(r.passed for r in sweep_region(axis1, axis2, REF))
+        monkeypatch.setattr(module, name, failing)
+        rows = _assert_parity(axis1, axis2)
+        assert [r.passed for r in rows] == [
+            not cell_marked(t_R, p)
+            for t_R, p in itertools.product(axis1[1], axis2[1])]
+
+    def test_evaluate_point_is_a_cell_of_the_sweep(self):
+        axis1 = ("t_R", np.array([3.0, 10.0, 10 ** 1.3]))
+        axis2 = ("p", np.array([0.0, 1e-15, 1e-6]))
+        rows = sweep_region(axis1, axis2, REF)
+        cells = itertools.product(axis1[1], axis2[1])
+        for row, (t_R, p) in zip(rows, cells):
+            rep = evaluate_point(_apply_axes(REF, {"t_R": t_R, "p": p}))
+            got = (rep.theta_max, rep.t_total, rep.gamma_zeno_required,
+                   rep.sigma_ratio, rep.mfp, rep.kinetic_energy_eV)
+            want = (row.theta_max, row.t_total, row.gamma_required,
+                    row.sigma_ratio, row.mfp, row.KE_eV)
+            assert all(_same(a, b) for a, b in zip(got, want)), (got, want)
+            assert rep.passed is row.passed
+
+    def test_one_cell_indeterminate_report(self):
+        rep = evaluate_point(replace(REF, t_R=1e100))
+        time = rep.constraint("time")
+        assert time.passed is None and math.isnan(time.margin)
+        assert time.note.startswith("InvalidParameterError: orbit not hyperbolic")
+        assert rep.constraint("deflection").passed is True
+        assert not rep.passed
+
+    def test_nan_axis_value_rejected(self):
+        with pytest.raises(InvalidParameterError,
+                           match="R, density, t_R must all be > 0"):
+            sweep_region(("t_R", np.array([10.0, math.nan])),
+                         ("R", np.array([1e-5])), REF)
+        with pytest.raises(InvalidParameterError, match="pressure must be"):
+            sweep_region(("p", np.array([1e-15, math.nan])),
+                         ("R", np.array([1e-5])), REF)
+
+    def test_overflow_raises_instead_of_inf_rows(self):
+        # R = v t_R ~ 1e300 overflows the source mass: float arithmetic
+        # raises OverflowError here, the grid FloatingPointError
+        with pytest.raises(FloatingPointError):
+            sweep_region(("v", np.array([1e300])),
+                         ("t_R", np.array([1.0, 10.0])), REF)

@@ -64,6 +64,18 @@ class TestMakeSuperposedSource:
         with pytest.raises(InvalidParameterError):
             make_superposed_source(R, RHO, -1e-6)
 
+    @pytest.mark.parametrize("args", [(np.nan, RHO, 0.0), (R, np.nan, 0.0),
+                                      (R, RHO, np.nan)])
+    def test_nan_rejected(self, args):
+        with pytest.raises(InvalidParameterError):
+            make_superposed_source(*args)
+
+    def test_component_nan_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            SphereComponent((0.0, 0.0, 0.0), np.nan, 1.0)
+        with pytest.raises(InvalidParameterError):
+            SphereComponent((0.0, 0.0, 0.0), 1.0, np.nan)
+
     def test_overlapping_lobes_warn(self):
         with pytest.warns(UserWarning, match="overlap"):
             make_superposed_source(R, RHO, R)  # d < 2R: lobes intersect

@@ -211,8 +211,11 @@ class TestKeplerTime:
             hyperbolic_time_from_anomaly(0.99, 0.3, 1.0, 1.0)
 
     def test_anomaly_beyond_asymptote_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            hyperbolic_time_from_anomaly(1.5, 3.0, 1.0, 1.0)
+        # phi_inf = acos(-1/1.5) = 2.30; at 7 rad tan(phi/2) wraps back
+        # below the asymptotic bound
+        for phi in (3.0, 7.0):
+            with pytest.raises(InvalidParameterError):
+                hyperbolic_time_from_anomaly(1.5, phi, 1.0, 1.0)
 
     def test_parameter_validation(self):
         M = 4.0 / 3.0 * np.pi * RHO * R**3
@@ -220,6 +223,74 @@ class TestKeplerTime:
             kepler_scatter_time(M, RHO, 0.9, 0.75, T_R)
         with pytest.raises(InvalidParameterError):
             kepler_scatter_time(M, RHO, 1.2, 1.5, T_R)
+        with pytest.raises(InvalidParameterError, match="t_R"):
+            kepler_scatter_time(M, RHO, 1.2, 0.75, math.nan)
+
+    @pytest.mark.parametrize("zeta", [0.3, 0.75, 0.95])
+    def test_matches_high_precision_closed_form(self, zeta):
+        # the same closed form in 60-digit arithmetic, from the float
+        # inputs; the textbook difference of two terms lost up to 1e-2
+        # (t_R = 1e5) here, and went negative near t_R = 1e7
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+        M = 4.0 / 3.0 * np.pi * RHO * R**3
+        G, rho, beta = mp.mpf(CONST.G), mp.mpf(RHO), mp.mpf(1.2)
+        radius = (3 * mp.mpf(M) / (4 * mp.pi * rho)) ** (mp.mpf(1) / 3)
+        for t_R in np.logspace(-2, 9, 45):
+            t = mp.mpf(float(t_R))
+            x = 4 * mp.pi * G * rho * t**2 / (3 * beta)
+            theta = 2 * mp.atan(x)
+            e = 1 / mp.sin(theta / 2)
+            phi = mp.mpf(zeta) * (mp.pi + theta) / 2
+            F = 2 * mp.atanh(mp.sqrt((e - 1) / (e + 1)) * mp.tan(phi / 2))
+            h = (radius / t) * (beta * radius)
+            exact = 2 * (h**3 / (G * mp.mpf(M)) ** 2) \
+                * (e * mp.sinh(F) - F) / (e * e - 1) ** mp.mpf(1.5)
+            got = kepler_scatter_time(M, RHO, 1.2, zeta, float(t_R))
+            assert abs((got - exact) / exact) < 5e-14, t_R
+
+    def test_parabolic_limit(self):
+        # far beyond e = 1 + 1e-14 the time is Barker's parabolic
+        # (h^3/GM^2)(D/2 + D^3/6), D = tan(phi/2), to within e - 1
+        M = 4.0 / 3.0 * np.pi * RHO * R**3
+        for t_R in (1e7, 1e8, 1e9, 1e12):
+            theta = rutherford_angle_density(RHO, 1.2, t_R)
+            D = math.tan(0.75 * 0.5 * (np.pi + theta) / 2)
+            h = (R / t_R) * (1.2 * R)
+            barker = 2 * h**3 / (CONST.G * M) ** 2 * (D / 2 + D**3 / 6)
+            got = kepler_scatter_time(M, RHO, 1.2, 0.75, t_R)
+            assert got > 0
+            assert got == pytest.approx(barker, rel=1e-11)
+
+    def test_beyond_parabolic_rejected(self):
+        # tan(theta/2) so large that e^2 - 1 = 1/x^2 underflows to zero
+        M = 4.0 / 3.0 * np.pi * RHO * R**3
+        with pytest.raises(InvalidParameterError, match="not hyperbolic"):
+            kepler_scatter_time(M, RHO, 1.2, 0.75, 1e100)
+
+    def test_elementwise(self):
+        # arrays broadcast, and each element is the scalar call's value
+        M = 4.0 / 3.0 * np.pi * RHO * np.array([3e-6, 1e-5, 4e-5]) ** 3
+        t_R = np.logspace(-1, 6, 5)[:, None]
+        got = kepler_scatter_time(M, RHO, 1.2, 0.75, t_R)
+        assert got.shape == (5, 3)
+        for i, j in np.ndindex(got.shape):
+            one = kepler_scatter_time(float(M[j]), RHO, 1.2, 0.75,
+                                      float(t_R[i, 0]))
+            assert type(one) is float
+            assert got[i, j] == pytest.approx(one, rel=1e-14)
+        theta = rutherford_angle_density(RHO, 1.2, t_R)
+        assert theta.shape == (5, 1)
+        assert type(rutherford_angle_density(RHO, 1.2, 10.0)) is float
+        assert type(rutherford_angle(1e-11, 1e-6, 1.2e-5)) is float
+
+    def test_elementwise_validation_names_first_bad_value(self):
+        with pytest.raises(InvalidParameterError,
+                           match=r"orbit not hyperbolic: e = 0\.5 <= 1"):
+            hyperbolic_time_from_anomaly(np.array([1.5, 0.5, 0.2]), 0.3,
+                                         1.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="M, v, b0"):
+            rutherford_angle(np.array([1.0, math.nan]), 1.0, 1.0)
 
 
 class TestStereographic:
@@ -259,6 +330,15 @@ class TestScanPattern:
             theta = rutherford_angle(src.total_mass, V, b_tot)
             assert math.hypot(*p.proj) == pytest.approx(
                 2 * math.tan(theta / 2), rel=2e-3)
+
+    def test_length_scale_once_per_scan(self, monkeypatch):
+        src = make_superposed_source(R, RHO, D)
+        calls = []
+        original = MassDistribution.length_scale
+        monkeypatch.setattr(MassDistribution, "length_scale",
+                            lambda self: calls.append(1) or original(self))
+        pattern = scan_pattern(src, (1.2, 1.6), (0.0, 2 * R), 2, 2, V, M_PROBE)
+        assert len(pattern.records) == 6 and len(calls) == 1
 
     def test_mirror_antisymmetry(self):
         src = make_superposed_source(R, RHO, D)

@@ -237,6 +237,19 @@ class TestRateEstimates:
         assert zeno_rate_bounds(10.0, 100.0) == (0.1, 1.0)
         assert zeno_rate_bounds(1.9, 0.0)[1] == 0.0
 
+    def test_elementwise(self):
+        m = np.array([1e-18, 2e-18])
+        tau = zeno_time_estimate(m, 1e-11, 1.2e-5)
+        assert list(tau) == [zeno_time_estimate(x, 1e-11, 1.2e-5)
+                             for x in (1e-18, 2e-18)]
+        lo, hi = zeno_rate_bounds(np.array([1.9, 10.0]), 100.0)
+        assert list(lo) == [1 / 1.9, 0.1] and list(hi) == [100 / 1.9**2, 1.0]
+        for bad in (np.nan, -1.0):
+            with pytest.raises(InvalidParameterError, match="t_total"):
+                zeno_rate_bounds(np.array([1.9, 10.0]), np.array([1.0, bad]))
+            with pytest.raises(InvalidParameterError):
+                zeno_time_estimate(np.array([1e-18, bad]), 1e-11, 1.2e-5)
+
     def test_survival_probability_forms(self):
         prod, lin = survival_probability(1e-3, 1.0, 0)
         assert prod == 1.0 and lin == 1.0
