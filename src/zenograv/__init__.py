@@ -17,7 +17,8 @@ from .errors import (GridInsufficientError, IntegratorFailureError,
                      InvalidParameterError, ProjectionSingularError,
                      UnterminatedTrajectoryError, ZenogravError)
 from .massdist import (MassDistribution, SphereComponent, force_at,
-                       gravity_field, make_superposed_source, potential_at)
+                       gravity_field, gravity_potential,
+                       make_superposed_source, potential_at)
 from .scatter import (ProbeTrajectory, ScatterConfig, ScatterPattern,
                       collapsed_scatter, integrate_trajectory,
                       kepler_scatter_time, rutherford_angle,

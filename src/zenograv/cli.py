@@ -150,9 +150,10 @@ def resolve_params(command: str, raw: dict) -> dict:
         else:
             val = default
         if val is not None and isinstance(val, (int, float)):
-            if not math.isfinite(val):
+            # an int beyond the float range is no more usable than inf
+            if not (abs(val) <= sys.float_info.max):
                 raise InvalidParameterError(
-                    f"--{key} must be finite ({unit}), got {val}")
+                    f"--{key} must be finite ({unit}), got {raw[key]!r:.40}")
             if domain == _POS and val <= 0:
                 raise InvalidParameterError(f"--{key} must be > 0 ({unit}), got {val}")
             if domain == _NONNEG and val < 0:
@@ -215,7 +216,9 @@ def _run_scatter(params, outdir, seed):
     path = os.path.join(outdir, "trajectory.csv")
     _atomic_write(path, "\n".join(lines) + "\n")
     return (f"theta={traj.deflection_angle:.6g} rad  hit={traj.hit_source}  "
-            f"samples={len(traj.t)}  source={coin}  -> {path}")
+            f"samples={len(traj.t)}  steps={traj.n_accepted}  "
+            f"rejected={traj.n_rejected}  rhs_calls={traj.n_rhs}  "
+            f"source={coin}  -> {path}")
 
 
 def _run_pattern(params, outdir, seed):

@@ -123,20 +123,35 @@ def potential_at(dist: MassDistribution, x, m_probe: float,
                  constants: PhysicalConstants = CONST) -> float:
     """Gravitational potential energy (J) of a point probe at position x.
 
-    Exterior of a component the sphere acts as a point mass; in the
-    interior the exact uniform-sphere form -G m M (3R^2 - s^2)/(2R^3)
-    keeps grazing/penetrating trajectories well defined.
+    One row of :func:`gravity_potential`.
+    """
+    return float(gravity_potential(dist, np.reshape(x, (1, 3)), m_probe,
+                                   constants)[0])
+
+
+def gravity_potential(dist: MassDistribution, x, m_probe: float,
+                      constants: PhysicalConstants = CONST) -> np.ndarray:
+    """Potential energy (J) of a point probe of mass m_probe at each row of x.
+
+    x has shape (n, 3); the result has shape (n,).  Exterior of a
+    component the sphere acts as a point mass, -G m M/s; in the interior
+    the exact uniform-sphere form -G m M (3R^2 - s^2)/(2R^3) keeps
+    grazing/penetrating trajectories well defined.  The distance s is
+    formed as in :func:`gravity_field`, and the exterior divide is masked
+    to the exterior, so a point at a component center gives no
+    floating-point warning.
     """
     x = np.asarray(x, dtype=float)
     Gm = constants.G * m_probe
-    V = 0.0
+    V = np.zeros(len(x))
     for comp in dist.components:
-        s = float(np.linalg.norm(x - np.asarray(comp.center)))
+        d = x - comp.center
+        s = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
         R = comp.radius
-        if s >= R:
-            V -= Gm * comp.mass / s
-        else:
-            V -= Gm * comp.mass * (3 * R**2 - s**2) / (2 * R**3)
+        GmM = Gm * comp.mass
+        term = GmM * (3 * R**2 - s * s) / (2 * R**3)
+        np.divide(GmM, s, out=term, where=s >= R)
+        V -= term
     return V
 
 

@@ -1,11 +1,12 @@
 """Classical probe scattering in the field of a sphere-superposition source.
 
-Single trajectories are integrated with scipy's adaptive embedded
-Runge-Kutta 5(4) scheme (RK45, relative tolerance 1e-9 per step by
+Both integrators are the adaptive Dormand-Prince 5(4) pair with scipy
+RK45's step-size controller (relative tolerance 1e-9 per step by
 default).  Pattern scans run every probe of a grid through one lockstep
-batch engine: the same Dormand-Prince 5(4) pair and the same per-probe
-step-size controller, vectorized over an (N, 6) state array, with scipy
-RK45 as the oracle it is tested against.  The launch plane at z_start and
+batch engine over an (N, 6) state array; a single trajectory runs the
+same step on plain Python floats, in the same operation order, so both
+give the same probe bit for bit.  scipy's RK45 itself is not used here: it
+is the oracle the tests check both against.  The launch plane at z_start and
 the escape radius r_stop are finite stand-ins for the asymptotic
 scattering problem.  Closed-form hyperbolic-orbit expressions (deflection
 angle, time of flight between true anomalies) are provided both as fast
@@ -18,14 +19,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import RK45
 from scipy.optimize import brentq
 
 from .constants import CONST, PhysicalConstants
 from .elementwise import require, result
 from .errors import (IntegratorFailureError, InvalidParameterError,
                      ProjectionSingularError, UnterminatedTrajectoryError)
-from .massdist import MassDistribution, gravity_field, potential_at
+# potential_at is re-exported: the perfbench tracer wraps it under this name
+from .massdist import (MassDistribution, gravity_field, gravity_potential,
+                       potential_at)  # noqa: F401
 
 DEFAULT_RTOL = 1e-9
 # atol = ATOL_FACTOR * rtol * characteristic scale, separately for position
@@ -40,6 +43,8 @@ _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
 # solve_ivp's event-root tolerance (xtol = rtol = 4 eps)
 _EVENT_TOL = 4 * np.finfo(float).eps
+# scipy RK45's floor on rtol
+_RTOL_FLOOR = 100 * np.finfo(float).eps
 _NON_FINITE = "non-finite state during integration"
 
 
@@ -121,6 +126,9 @@ class ProbeTrajectory:
     hit_source: bool
     deflection_angle: float  # rad, in [0, pi]
     outgoing_dir: np.ndarray  # unit 3-vector
+    n_accepted: int = 0      # accepted integrator steps
+    n_rejected: int = 0      # rejected step attempts
+    n_rhs: int = 0           # right-hand-side evaluations
 
 
 @dataclass(frozen=True)
@@ -171,16 +179,25 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     exceeded (UnterminatedTrajectoryError, carrying the partial
     trajectory).  A probe that enters a sphere component keeps evolving in
     the interior field but is flagged ``hit_source``; entry is detected on
-    every accepted-step segment, not just at the sample points.
+    every accepted-step segment, not just at the sample points.  One
+    sample is kept per accepted step, the last at the escape crossing.
+
+    The stepper is the lockstep engine of :func:`scan_pattern` written on
+    plain floats: the same Dormand-Prince 5(4) step, controller, escape
+    root and failure rules in the same operation order, so the final
+    state and hit flag equal ``_integrate_batch([cfg])`` bit for bit.
+    scipy's ``solve_ivp`` (RK45) is the oracle both are tested against.
 
     The acceleration is independent of m_probe (equivalence principle);
-    the probe mass only enters energy bookkeeping.  This scipy path is
-    the single-trajectory integrator and the oracle for the lockstep
-    batch engine behind :func:`scan_pattern`.
+    the probe mass only enters energy bookkeeping.
     """
     terms = _acceleration_terms(dist, constants)
+    n_rhs = 0
 
-    def rhs(t, y):
+    def rhs(y):
+        # gravity_field's arithmetic, one point at a time
+        nonlocal n_rhs
+        n_rhs += 1
         x, yy, z, vx, vy, vz = y
         ax = ay = az = 0.0
         for (cx, cy, cz, R, GM) in terms:
@@ -195,32 +212,134 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
             az += f * dz
         return (vx, vy, vz, ax, ay, az)
 
-    def escape(t, y):
-        return math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2) - cfg.r_stop
-    escape.terminal = True
-    escape.direction = 1.0   # outward crossing only
-
-    y0, atol = _launch(cfg)
-    sol = solve_ivp(rhs, (0.0, cfg.t_max), y0, method="RK45",
-                    rtol=cfg.rtol, atol=atol, max_step=cfg.dt_max,
-                    events=escape, dense_output=False)
-
-    t = sol.t
-    pos = sol.y[:3].T.copy()
-    vel = sol.y[3:].T.copy()
-    if not np.all(np.isfinite(sol.y)):
+    y, atol = _launch(cfg)
+    if not all(map(math.isfinite, y)):
         raise IntegratorFailureError(_NON_FINITE)
+    rtol = max(cfg.rtol, _RTOL_FLOOR)
+    t_bound, max_step, r_stop = cfg.t_max, cfg.dt_max, cfg.r_stop
+    f = rhs(y)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h_abs = float(_initial_step(lambda rows: np.array([rhs(rows[0])]),
+                                    np.array([y]), np.array([f]),
+                                    np.array(atol), rtol, t_bound,
+                                    max_step)[0])
+    t = 0.0
+    g = _radius(y) - r_stop
+    retry = False
+    ts, ys = [t], [y]
+    n_accepted = n_rejected = 0
 
-    hit = bool(_segment_hits(pos[:-1], pos[1:], dist).any())
-    theta, out_dir = _outgoing(cfg, vel[-1])
-    traj = ProbeTrajectory(t=t, x=pos, v=vel, hit_source=hit,
-                           deflection_angle=theta, outgoing_dir=out_dir)
+    def trajectory():
+        states = np.array(ys)
+        pos, vel = states[:, :3].copy(), states[:, 3:].copy()
+        theta, out_dir = _outgoing(cfg, vel[-1])
+        return ProbeTrajectory(
+            t=np.array(ts), x=pos, v=vel,
+            hit_source=bool(_segment_hits(pos[:-1], pos[1:], dist).any()),
+            deflection_angle=theta, outgoing_dir=out_dir,
+            n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs)
 
-    if sol.status == 0:
-        raise _unterminated(cfg, traj)
-    if sol.status < 0:
-        raise IntegratorFailureError(f"integrator failed: {sol.message}")
-    return traj
+    while True:
+        min_step = 10 * math.ulp(t)
+        if not retry:
+            if h_abs > max_step:
+                h_abs = max_step
+            elif h_abs < min_step:
+                h_abs = min_step
+        if not (h_abs >= min_step):
+            raise IntegratorFailureError(
+                f"integrator failed: {RK45.TOO_SMALL_STEP}")
+        t_new = min(t + h_abs, t_bound)
+        h = t_new - t
+
+        y_new, K, e = _dormand_prince(rhs, y, f, h)
+        err = _rms_floats([
+            ei * h / (a + max(abs(yi), abs(yn)) * rtol)
+            for ei, a, yi, yn in zip(e, atol, y, y_new)])
+
+        if not (err < 1):
+            power = _SAFETY * _pow(err)
+            h_abs = h * (power if power > _MIN_FACTOR else _MIN_FACTOR)
+            retry = True
+            n_rejected += 1
+            continue
+        grow = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR,
+                                                  _SAFETY * _pow(err))
+        h_abs = h * (min(1.0, grow) if retry else grow)
+        retry = False
+        n_accepted += 1
+        if not all(map(math.isfinite, y_new)):
+            raise IntegratorFailureError(_NON_FINITE)
+
+        g_new = _radius(y_new) - r_stop
+        if g <= 0 <= g_new:
+            t_e, y_e = _escape_root(np.array(K), t, h, np.array(y), r_stop,
+                                    t_new)
+            if not np.isfinite(y_e).all():
+                raise IntegratorFailureError(_NON_FINITE)
+            ts.append(t_e)
+            ys.append(y_e)
+            return trajectory()
+        ts.append(t_new)
+        ys.append(y_new)
+        if t_new >= t_bound:
+            raise _unterminated(cfg, trajectory())
+        t, y, f, g = t_new, y_new, K[-1], g_new
+
+
+# RK45's Dormand-Prince 5(4) tableau as plain floats: per stage the
+# coefficients of the earlier stages, then B and E.
+_A_ROWS = tuple(tuple(RK45.A[s, :s].tolist())
+                for s in range(1, RK45.n_stages))
+_B = tuple(RK45.B.tolist())
+_E = tuple(RK45.E.tolist())
+
+
+def _dormand_prince(rhs, y, k1, h):
+    """One Dormand-Prince 5(4) attempt on 6 floats from y with slope k1.
+
+    Returns the 5th-order state, the seven stage slopes and the error
+    estimate sum_j E[j] k_j (not yet times h).  Every stage sum runs in
+    stage order and skips the zero coefficients B[1] and E[1], as
+    :func:`_combine` does, so each value equals the batch engine's.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A_ROWS
+    b1, _, b3, b4, b5, b6 = _B
+    e1, _, e3, e4, e5, e6, e7 = _E
+    k2 = rhs([yi + p1 * a21 * h for yi, p1 in zip(y, k1)])
+    k3 = rhs([yi + (p1 * a31 + p2 * a32) * h
+              for yi, p1, p2 in zip(y, k1, k2)])
+    k4 = rhs([yi + (p1 * a41 + p2 * a42 + p3 * a43) * h
+              for yi, p1, p2, p3 in zip(y, k1, k2, k3)])
+    k5 = rhs([yi + (p1 * a51 + p2 * a52 + p3 * a53 + p4 * a54) * h
+              for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+    k6 = rhs([yi + (p1 * a61 + p2 * a62 + p3 * a63 + p4 * a64 + p5 * a65) * h
+              for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [yi + h * (p1 * b1 + p3 * b3 + p4 * b4 + p5 * b5 + p6 * b6)
+             for yi, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(y_new)
+    error = [p1 * e1 + p3 * e3 + p4 * e4 + p5 * e5 + p6 * e6 + p7 * e7
+             for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), error
+
+
+def _rms_floats(x):
+    """:func:`_rms` of one row of floats."""
+    total = x[0] * x[0]
+    for v in x[1:]:
+        total = total + v * v
+    return math.sqrt(total) / len(x) ** 0.5
+
+
+def _pow(err):
+    """err ** _ERROR_EXPONENT through numpy's array power, as the batch
+    engine computes it (libm's pow differs in the last bit for some err)."""
+    return float(np.power(err, _ERROR_EXPONENT))
+
+
+def _radius(y):
+    return math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
 
 
 def _launch(cfg: ScatterConfig):
@@ -275,7 +394,7 @@ def energy_series(dist: MassDistribution, traj: ProbeTrajectory, m_probe: float,
                   constants: PhysicalConstants = CONST) -> np.ndarray:
     """Total energy E = m|v|^2/2 + V(x) at every sample (J)."""
     kin = 0.5 * m_probe * np.einsum("ij,ij->i", traj.v, traj.v)
-    pot = np.array([potential_at(dist, x, m_probe, constants) for x in traj.x])
+    pot = gravity_potential(dist, traj.x, m_probe, constants)
     return kin + pot
 
 
@@ -407,7 +526,7 @@ def _escape_root(K, t_old, h, y_old, r_stop, t_new):
 
     The step's quartic dense output (scipy's RkDenseOutput form) is
     root-searched with brentq at solve_ivp's event tolerances; returns
-    the state at the crossing.
+    the time and the state of the crossing.
     """
     Q = K.T.dot(RK45.P)
 
@@ -419,7 +538,8 @@ def _escape_root(K, t_old, h, y_old, r_stop, t_new):
         y = state(t)
         return math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2) - r_stop
 
-    return state(brentq(escape, t_old, t_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL))
+    t_root = brentq(escape, t_old, t_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+    return t_root, state(t_root)
 
 
 def _initial_step(fun, y, f, atol, rtol, t_bound, max_step):
@@ -430,9 +550,10 @@ def _initial_step(fun, y, f, atol, rtol, t_bound, max_step):
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, t_bound)
     d2 = _rms((fun(y + h0[:, None] * f) - f) / scale) / h0
+    # max(d1, d2) as Python's max takes it: a NaN d2 leaves d1
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                   np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / np.maximum(d1, d2)) ** (-_ERROR_EXPONENT))
+                  (0.01 / np.where(d2 > d1, d2, d1)) ** (-_ERROR_EXPONENT))
     return np.minimum(np.minimum(100 * h0, h1), np.minimum(t_bound, max_step))
 
 
@@ -456,7 +577,7 @@ def _integrate_batch(dist: MassDistribution, cfgs,
     launch = [_launch(c) for c in cfgs]
     y = np.array([y0 for y0, _ in launch])
     atol = np.array([a for _, a in launch])
-    rtol = np.array([[max(c.rtol, 100 * np.finfo(float).eps)] for c in cfgs])
+    rtol = np.array([[max(c.rtol, _RTOL_FLOOR)] for c in cfgs])
     t_bound = np.array([c.t_max for c in cfgs])
     max_step = np.array([c.dt_max for c in cfgs])
     r_stop = np.array([c.r_stop for c in cfgs])
@@ -537,8 +658,8 @@ def _integrate_batch(dist: MassDistribution, cfgs,
             crossed = ok & (g <= 0) & (g_new >= 0)
             seg_end = y_new[:, :3].copy()
             for j in np.flatnonzero(crossed):
-                y_e = _escape_root(K[:, j].copy(), t[j], h[j], y[j],
-                                   r_stop[j], t_new[j])
+                _, y_e = _escape_root(K[:, j].copy(), t[j], h[j], y[j],
+                                      r_stop[j], t_new[j])
                 seg_end[j] = y_e[:3]
                 y_end[idx[j]] = y_e
                 if not np.isfinite(y_e).all():
@@ -585,9 +706,10 @@ def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
     Impact parameters are b = beta * R with R the largest component
     radius; with ``mirror_l`` every offset l > 0 is also launched at -l.
     Each probe gets the :meth:`ScatterConfig.for_source` launch and
-    termination (the source's length scale is computed once per scan), and the whole grid is integrated at once by the lockstep
-    batch engine, which reproduces scipy RK45 (the single-trajectory
-    integrator of :func:`integrate_trajectory`) probe by probe.  Probes
+    termination (the source's length scale is computed once per scan),
+    and the whole grid is integrated at once by the lockstep batch
+    engine; each record's theta, projection and hit flag equal what
+    :func:`integrate_trajectory` gives for that probe.  Probes
     that hit the source stay in ``records`` (flagged) but are excluded
     from ``points``; per-point integration failures are recorded (theta
     NaN, ``error`` set) without aborting the scan.  Records are in grid

@@ -10,6 +10,7 @@ Dirichlet boundaries, diagonalized as a symmetric tridiagonal matrix.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -131,32 +132,27 @@ def potential_gradient(spec: PotentialSpec1D, x: float,
     return spec.V0(constants) / spec.d * abs(float(spec.potential_derivative(x)))
 
 
-def find_wells(spec: PotentialSpec1D, x_max: float = 4.0,
-               n_scan: int = 20001) -> dict:
-    """Critical points of V from sign changes of V', refined by bisection.
+def find_wells(spec: PotentialSpec1D, x_max: float = 4.0) -> dict:
+    """Nonzero sign-changing critical points of V with |x| <= x_max.
+
+    V'(x) = x (2a - 4b u + 6c u^2) with u = x^2, so the critical points
+    besides x = 0 are x = +-sqrt(u) for the positive roots u of that
+    quadratic, taken in the cancellation-free form.  x = 0, a critical
+    point of every such V, is never returned, and neither is a double
+    root (zero discriminant), where V' does not change sign.  At a simple
+    root V'' = 2u (12 c u - 4b), whose sign tells a minimum from a maximum.
 
     Returns {"minima": [...], "maxima": [...]} in units of d, ascending.
     """
-    x = np.linspace(-x_max, x_max, n_scan)
-    dV = spec.potential_derivative(x)
+    A, B, C = 6.0 * spec.c, -4.0 * spec.b, 2.0 * spec.a
+    disc = B * B - 4.0 * A * C
     minima, maxima = [], []
-    for i in range(len(x) - 1):
-        if dV[i] == 0.0 and x[i] != 0.0:
-            root = x[i]
-        elif dV[i] * dV[i + 1] < 0:
-            lo, hi = x[i], x[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if spec.potential_derivative(lo) * spec.potential_derivative(mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            root = 0.5 * (lo + hi)
-        else:
-            continue
-        curv = spec.potential_derivative(root + 1e-7) \
-            - spec.potential_derivative(root - 1e-7)
-        (minima if curv > 0 else maxima).append(root)
+    if disc > 0:
+        q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+        for u in (q / A, C / q):
+            if u > 0 and math.sqrt(u) <= x_max:
+                x = math.sqrt(u)
+                (minima if 2.0 * A * u + B > 0 else maxima).extend((-x, x))
     return {"minima": sorted(minima), "maxima": sorted(maxima)}
 
 

@@ -1,8 +1,16 @@
-"""Shared test oracles: asymptotic launch configs and orbit timing."""
+"""Shared test oracles: asymptotic launch configs, orbit timing and the
+scipy RK45 trajectory integrator."""
+
+import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
-from zenograv.scatter import ScatterConfig
+from zenograv.constants import CONST
+from zenograv.errors import IntegratorFailureError
+from zenograv.scatter import (ProbeTrajectory, ScatterConfig,
+                              _acceleration_terms, _launch, _outgoing,
+                              _segment_hits, _unterminated)
 
 
 def oracle_config(dist, b, l, v, rtol=1e-10):
@@ -33,3 +41,56 @@ def anomaly_crossing_elapsed(traj, phi_target):
     t_post = np.interp(phi_target, [phi[i1 - 1], phi[i1]],
                        [traj.t[i1 - 1], traj.t[i1]])
     return t_post - t_pre
+
+
+def scipy_trajectory(dist, cfg, constants=CONST):
+    """One probe through scipy's ``solve_ivp`` (RK45), the oracle of the
+    toolkit's own Dormand-Prince steppers.
+
+    Same contract as ``integrate_trajectory``: launch and tolerances from
+    ``_launch``, a terminal outward r_stop event, hits on every sample
+    segment, and the same errors.  ``n_rhs`` is scipy's ``nfev``; the
+    step counters stay 0.
+    """
+    terms = _acceleration_terms(dist, constants)
+
+    def rhs(t, y):
+        x, yy, z, vx, vy, vz = y
+        ax = ay = az = 0.0
+        for (cx, cy, cz, R, GM) in terms:
+            dx = x - cx
+            dy = yy - cy
+            dz = z - cz
+            s2 = dx * dx + dy * dy + dz * dz
+            s = math.sqrt(s2)
+            f = -GM / (s2 * s) if s >= R else -GM / (R * R * R)
+            ax += f * dx
+            ay += f * dy
+            az += f * dz
+        return (vx, vy, vz, ax, ay, az)
+
+    def escape(t, y):
+        return math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2) - cfg.r_stop
+    escape.terminal = True
+    escape.direction = 1.0   # outward crossing only
+
+    y0, atol = _launch(cfg)
+    sol = solve_ivp(rhs, (0.0, cfg.t_max), y0, method="RK45",
+                    rtol=cfg.rtol, atol=atol, max_step=cfg.dt_max,
+                    events=escape, dense_output=False)
+
+    pos = sol.y[:3].T.copy()
+    vel = sol.y[3:].T.copy()
+    if not np.all(np.isfinite(sol.y)):
+        raise IntegratorFailureError("non-finite state during integration")
+
+    hit = bool(_segment_hits(pos[:-1], pos[1:], dist).any())
+    theta, out_dir = _outgoing(cfg, vel[-1])
+    traj = ProbeTrajectory(t=sol.t, x=pos, v=vel, hit_source=hit,
+                           deflection_angle=theta, outgoing_dir=out_dir,
+                           n_rhs=sol.nfev)
+    if sol.status == 0:
+        raise _unterminated(cfg, traj)
+    if sol.status < 0:
+        raise IntegratorFailureError(f"integrator failed: {sol.message}")
+    return traj

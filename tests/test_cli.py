@@ -5,9 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenograv import cli
 from zenograv import decoherence as deco
+from zenograv.errors import InvalidParameterError
 
 
 def run_cli(args):
@@ -155,6 +158,15 @@ class TestScatter:
         assert lines[1] == "t,x,y,z,vx,vy,vz"
         assert len(lines) > 50
 
+    def test_summary_counts_integrator_work(self, tmp_path, capsys):
+        assert run_cli(["scatter", "--output-dir", tmp_path]) == 0
+        out = capsys.readouterr().out
+        fields = dict(f.split("=", 1) for f in out.split() if "=" in f)
+        samples, steps, rejected, rhs_calls = (
+            int(fields[k]) for k in ("samples", "steps", "rejected", "rhs_calls"))
+        assert steps == samples - 1
+        assert rhs_calls == 2 + 6 * (steps + rejected)
+
     def test_random_coin_deterministic_by_seed(self, tmp_path, capsys):
         outs = []
         for d in ("a", "b"):
@@ -216,6 +228,36 @@ class TestSweeps:
         lines = (tmp_path / "region.csv").read_text().strip().split("\n")
         assert lines[1].startswith("axis1,axis2,theta_max")
         assert len(lines) == 2 + 12
+
+
+# arbitrary text, plus number-like text that parses: huge and tiny
+# magnitudes, non-finite spellings and integers beyond the float range
+_VALUE_TEXT = st.one_of(
+    st.text(),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.integers(min_value=10**300, max_value=10**1000).map(str),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e309", "-0", "0x10",
+                     "1_000", " 7 ", "5e-324"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_VALUE_TEXT)
+def test_resolve_params_accepts_or_rejects_any_text(text):
+    # every command and schema key: the value resolves or is a
+    # validation error (exit 2); no other exception escapes
+    for command, schema in cli.PARAM_SCHEMAS.items():
+        for key in schema:
+            try:
+                cli.resolve_params(command, {key: text})
+            except InvalidParameterError:
+                pass
+
+
+def test_integer_beyond_float_range_rejected(tmp_path, capsys):
+    assert run_cli(["pattern", "--n_b", "9" * 400,
+                    "--output-dir", tmp_path]) == 2
+    assert "--n_b" in capsys.readouterr().err
 
 
 def test_parser_built_once():

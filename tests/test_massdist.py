@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,8 +9,8 @@ from scipy.integrate import dblquad
 from zenograv.constants import CONST
 from zenograv.errors import InvalidParameterError
 from zenograv.massdist import (MassDistribution, SphereComponent, force_at,
-                               gravity_field, make_superposed_source,
-                               potential_at)
+                               gravity_field, gravity_potential,
+                               make_superposed_source, potential_at)
 
 R = 1e-5
 RHO = 2600.0
@@ -207,6 +208,44 @@ class TestForce:
             assert_allclose(F, F_num, rtol=1e-5,
                             atol=1e-5 * np.linalg.norm(F_num))
         assert n_interior > 10  # the sample really covers the interior
+
+
+def per_point_potential(dist, x, m_probe):
+    """The piecewise potential one point at a time, the distance summed in
+    coordinate order."""
+    Gm = CONST.G * m_probe
+    V = 0.0
+    for comp in dist.components:
+        dx, dy, dz = (float(xi) - ci for xi, ci in zip(x, comp.center))
+        s = math.sqrt(dx * dx + dy * dy + dz * dz)
+        R = comp.radius
+        if s >= R:
+            V -= Gm * comp.mass / s
+        else:
+            V -= Gm * comp.mass * (3 * R**2 - s * s) / (2 * R**3)
+    return V
+
+
+class TestPotentialKernel:
+    def test_matches_per_point_formula(self):
+        src = make_superposed_source(R, RHO, D)
+        rng = np.random.default_rng(11)
+        left, right = (np.asarray(c.center) for c in src.components)
+        points = np.array([
+            *rng.uniform(-5 * R, 5 * R, (20, 3)),
+            *(right + rng.uniform(-0.5, 0.5, (5, 3)) * R),   # interior
+            *(left + rng.uniform(-0.5, 0.5, (5, 3)) * R),
+            (0.0, 0.0, 0.0),          # s = R from both lobes at d = 2R
+            right + (0.0, R, 0.0),    # s = R
+            left,                     # a component center, s = 0
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            V = gravity_potential(src, points, M_PROBE)
+        assert V.shape == (len(points),)
+        assert V.tolist() == [per_point_potential(src, x, M_PROBE)
+                              for x in points]
+        assert [potential_at(src, x, M_PROBE) for x in points] == V.tolist()
 
 
 def _numeric_force(src, x, h_rel=1e-7):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -6,11 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from zenograv.constants import CONST
-from zenograv.errors import (InvalidParameterError, ProjectionSingularError,
-                             UnterminatedTrajectoryError)
+from zenograv.errors import (IntegratorFailureError, InvalidParameterError,
+                             ProjectionSingularError,
+                             UnterminatedTrajectoryError, ZenogravError)
 from zenograv.massdist import MassDistribution, make_superposed_source
 from zenograv.scatter import (PatternPoint, ScatterConfig, ScatterPattern,
-                              _integrate_batch, collapsed_scatter,
+                              _integrate_batch, _outgoing, collapsed_scatter,
                               energy_series, hyperbolic_time_from_anomaly,
                               integrate_trajectory, kepler_scatter_time,
                               make_collapsed_sources, pattern_to_csv,
@@ -26,7 +28,7 @@ V = R / T_R
 M_PROBE = 1e-18
 
 
-from conftest import anomaly_crossing_elapsed, oracle_config
+from conftest import anomaly_crossing_elapsed, oracle_config, scipy_trajectory
 
 
 def single_sphere(radius=R, rho=RHO):
@@ -373,12 +375,12 @@ class TestScanPattern:
 
 
 def scalar_pattern(dist, pattern, v, **factors):
-    """The scan's probes one by one through integrate_trajectory (scipy RK45)."""
+    """The scan's probes one by one through the scipy RK45 oracle."""
     records = []
     for p in pattern.records:
         cfg = ScatterConfig.for_source(dist, b=p.b, l=p.l, v=v, **factors)
         try:
-            traj = integrate_trajectory(dist, cfg, M_PROBE)
+            traj = scipy_trajectory(dist, cfg)
             proj = stereographic_project(traj.outgoing_dir)
             records.append(PatternPoint(p.beta, p.l, p.b, traj.deflection_angle,
                                         (float(proj[0]), float(proj[1])),
@@ -396,13 +398,18 @@ def csv_lines(pattern):
     return buf.getvalue().splitlines()[1:]
 
 
+def hit_grid(dist):
+    """A mirrored (beta, l) probe grid of which some probes hit the source."""
+    return scan_pattern(dist, (0.3, 1.6), (0.0, 2 * R), 4, 3, V, M_PROBE)
+
+
 class TestBatchEngineOracle:
-    """The lockstep batch engine against the scalar scipy RK45 path."""
+    """The lockstep batch engine against the scipy RK45 oracle."""
 
     @pytest.mark.parametrize("d", [D, 0.0])
     def test_matches_scalar_path(self, d):
         src = make_superposed_source(R, RHO, d)
-        batch = scan_pattern(src, (0.3, 1.6), (0.0, 2 * R), 4, 3, V, M_PROBE)
+        batch = hit_grid(src)
         scalar = scalar_pattern(src, batch, V)
         assert 0 < batch.n_hit < len(batch.records)
         assert [p.hit for p in batch.records] == [p.hit for p in scalar.records]
@@ -434,14 +441,30 @@ class TestBatchEngineOracle:
         cfg = ScatterConfig(b=3e-3, l=0.0, v=V, z_start=-1e-3,
                             dt_max=D / V, t_max=200 * R / V, r_stop=2e-3)
         with pytest.raises(UnterminatedTrajectoryError) as scalar:
-            integrate_trajectory(src, cfg, M_PROBE)
+            scipy_trajectory(src, cfg)
         _, _, (error,) = _integrate_batch(src, [cfg])
         assert isinstance(error, UnterminatedTrajectoryError)
         assert str(error) == str(scalar.value)
 
+    def test_overflowing_initial_norm_integrates_as_scipy(self):
+        # rtol = 1e-300 leaves atol ~ 1e-307: the initial-step norm of f
+        # overflows and its difference quotient is NaN, where scipy's
+        # max(d1, d2) keeps d1 and integrates on
+        src = make_superposed_source(R, RHO, D)
+        cfg = ScatterConfig.for_source(src, b=1.2 * R, l=0.0, v=V, rtol=1e-300)
+        (y,), _, (error,) = _integrate_batch(src, [cfg])
+        assert error is None
+        with pytest.warns(UserWarning, match="rtol"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            ref = scipy_trajectory(src, cfg)
+        theta, _ = _outgoing(cfg, y[3:])
+        assert theta == pytest.approx(ref.deflection_angle, rel=1e-12)
+        traj = integrate_trajectory(src, cfg, M_PROBE)
+        assert np.array_equal(np.concatenate([traj.x[-1], traj.v[-1]]), y)
+
     def test_bound_orbits_fail_like_scalar_path(self):
         # below escape speed the probes never reach r_stop: every record
-        # carries integrate_trajectory's error, and the scan still returns
+        # carries the scipy path's error, and the scan still returns
         src = make_superposed_source(R, RHO, D)
         v_bound = 1.8e-9
         factors = {"start_factor": 5.0, "stop_factor": 12.0}
@@ -454,6 +477,78 @@ class TestBatchEngineOracle:
         assert [p.error for p in batch.records] == \
             [p.error for p in scalar.records]
         assert batch.points == []
+
+
+class TestScalarPathOracle:
+    """integrate_trajectory, the plain-float stepper, against scipy RK45
+    and against the batch engine."""
+
+    @pytest.mark.parametrize("d", [D, 0.0])
+    def test_matches_scipy(self, d):
+        src = make_superposed_source(R, RHO, d)
+        records = hit_grid(src).records
+        assert 0 < sum(p.hit for p in records) < len(records)
+        for p in records:
+            cfg = ScatterConfig.for_source(src, b=p.b, l=p.l, v=V)
+            traj = integrate_trajectory(src, cfg, M_PROBE)
+            ref = scipy_trajectory(src, cfg)
+            assert traj.hit_source == ref.hit_source
+            if traj.hit_source:
+                # round-off amplified by the field's kink at the surface
+                assert traj.deflection_angle == pytest.approx(
+                    ref.deflection_angle, rel=1e-6)
+            else:
+                assert len(traj.t) == len(ref.t)
+                assert traj.deflection_angle == pytest.approx(
+                    ref.deflection_angle, rel=1e-12)
+                assert traj.n_rhs == ref.n_rhs
+            assert traj.n_accepted == len(traj.t) - 1
+            assert traj.n_rhs == 2 + 6 * (traj.n_accepted + traj.n_rejected)
+
+    @pytest.mark.parametrize("d", [D, 0.0])
+    def test_bit_identical_to_batch_engine(self, d):
+        # rows of a batch do not depend on each other (launch order
+        # invariance), so the whole grid stands for one batch per probe
+        src = make_superposed_source(R, RHO, d)
+        pattern = hit_grid(src)
+        cfgs = [ScatterConfig.for_source(src, b=p.b, l=p.l, v=V)
+                for p in pattern.records]
+        y_end, hits, errors = _integrate_batch(src, cfgs)
+        assert errors == [None] * len(cfgs)
+        assert 0 < pattern.n_hit < len(cfgs)
+        for p, cfg, y, hit in zip(pattern.records, cfgs, y_end, hits):
+            traj = integrate_trajectory(src, cfg, M_PROBE)
+            assert np.array_equal(np.concatenate([traj.x[-1], traj.v[-1]]), y)
+            assert traj.hit_source == hit == p.hit
+            assert traj.deflection_angle == p.theta
+            assert tuple(stereographic_project(traj.outgoing_dir)) == p.proj
+
+    def test_same_errors_as_batch_and_scipy(self):
+        src = make_superposed_source(R, RHO, D)
+        bound = ScatterConfig.for_source(src, b=8 * R, l=0.0, v=1.8e-9,
+                                         start_factor=5.0, stop_factor=12.0,
+                                         rtol=1e-6)
+        bound = dataclasses.replace(bound, t_max=bound.t_max / 10)
+        outside = ScatterConfig(b=3e-3, l=0.0, v=V, z_start=-1e-3,
+                                dt_max=D / V, t_max=200 * R / V, r_stop=2e-3)
+        # a fall from rest at 1e8 R: at the source, 10 ulp of the elapsed
+        # time exceed the step the tolerance asks for
+        tiny_step = ScatterConfig(b=0.5 * R, l=0.0, v=1e-15, z_start=-1e3,
+                                  dt_max=1e30, t_max=1e30, r_stop=2e3)
+        cases = [(src, bound), (src, outside), (single_sphere(), tiny_step)]
+        batch_errors = [_integrate_batch(dist, [cfg])[2][0]
+                        for dist, cfg in cases]
+        assert [type(e) for e in batch_errors] == [
+            UnterminatedTrajectoryError, UnterminatedTrajectoryError,
+            IntegratorFailureError]
+        assert str(batch_errors[2]).endswith("spacing between numbers.")
+        for (dist, cfg), batch_error in zip(cases, batch_errors):
+            with pytest.raises(ZenogravError) as ours:
+                integrate_trajectory(dist, cfg, M_PROBE)
+            with pytest.raises(ZenogravError) as ref:
+                scipy_trajectory(dist, cfg)
+            assert type(ours.value) is type(ref.value) is type(batch_error)
+            assert str(ours.value) == str(ref.value) == str(batch_error)
 
 
 class TestCollapsed:
