@@ -20,12 +20,15 @@ import math
 import os
 import sys
 import tempfile
+import warnings
+from dataclasses import fields
 
 import numpy as np
 
 from . import decoherence as deco
 from . import feasibility, scatter, zeno
 from .constants import CONST
+from .elementwise import csv_text
 from .errors import InvalidParameterError, ZenogravError
 from .massdist import make_superposed_source
 from .schrod1d import (PotentialSpec1D, classify_ground_state,
@@ -208,13 +211,10 @@ def _run_scatter(params, outdir, seed):
             params["R"], params["density"], params["d"])
         traj = scatter.collapsed_scatter(left, right, cfg,
                                          params["m_probe"], coin)
-    lines = [f"# {_config_line('scatter', params, seed)}",
-             "t,x,y,z,vx,vy,vz"]
-    for t, x, vel in zip(traj.t, traj.x, traj.v):
-        lines.append(f"{t:.9g},{x[0]:.9g},{x[1]:.9g},{x[2]:.9g},"
-                     f"{vel[0]:.9g},{vel[1]:.9g},{vel[2]:.9g}")
     path = os.path.join(outdir, "trajectory.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, csv_text("t,x,y,z,vx,vy,vz",
+                                 [traj.t, *traj.x.T, *traj.v.T],
+                                 _config_line("scatter", params, seed)))
     return (f"theta={traj.deflection_angle:.6g} rad  hit={traj.hit_source}  "
             f"samples={len(traj.t)}  steps={traj.n_accepted}  "
             f"rejected={traj.n_rejected}  rhs_calls={traj.n_rhs}  "
@@ -234,9 +234,8 @@ def _run_pattern(params, outdir, seed):
     csv_path = os.path.join(outdir, "pattern.csv")
     _atomic_write(csv_path, buf.getvalue())
     emitted = [csv_path]
-    theta_ref = scatter.rutherford_angle(
-        4.0 / 3.0 * np.pi * params["density"] * params["R"] ** 3, v,
-        params["beta_min"] * params["R"])
+    theta_ref = scatter.rutherford_angle(src.total_mass, v,
+                                         params["beta_min"] * params["R"])
     if params["svg"]:
         buf = io.StringIO()
         scatter.pattern_to_svg(pattern, buf,
@@ -259,14 +258,11 @@ def _run_eigen(params, outdir, seed):
     grid = (-params["x_max"], params["x_max"], params["n_points"])
     sol = solve_eigen(spec, n_states=max(2, params["n_states"]), grid=grid)
     cls = classify_ground_state(sol, spec)
-    x = sol.x
-    V = spec.potential(x)
-    lines = [f"# {_config_line('eigen', params, seed)}", "x,V_of_x,psi0,psi1"]
-    for i in range(len(x)):
-        lines.append(f"{x[i]:.9g},{V[i]:.9g},{sol.wavefunctions[0][i]:.9g},"
-                     f"{sol.wavefunctions[1][i]:.9g}")
     csv_path = os.path.join(outdir, "eigen.csv")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _atomic_write(csv_path, csv_text(
+        "x,V_of_x,psi0,psi1",
+        [sol.x, spec.potential(sol.x), *sol.wavefunctions[:2]],
+        _config_line("eigen", params, seed)))
     summary = {
         "config": {"command": "eigen", "params": params, "seed": seed},
         "E0_J": sol.energies[0], "E1_J": sol.energies[1],
@@ -292,15 +288,14 @@ def _run_zeno(params, outdir, seed):
                        math.log10(params["tau_max_ratio"]),
                        params["n_tau"]) * tau_Z
     N = params["N"]
-    lines = [f"# {_config_line('zeno', params, seed)}",
-             "tau,N,survival_sim,survival_formula,trace_dist"]
-    for tau in taus:
-        res = zeno.strobo_evolve(sys_model, tau, N, alpha0)
-        p_form, _ = zeno.survival_probability(tau, tau_Z, N)
-        lines.append(f"{tau:.9g},{N},{res.survival_prob:.9g},"
-                     f"{p_form:.9g},{res.effective_H_error:.9g}")
+    runs = [zeno.strobo_evolve(sys_model, tau, N, alpha0) for tau in taus]
     path = os.path.join(outdir, "zeno_scan.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, csv_text(
+        "tau,N,survival_sim,survival_formula,trace_dist",
+        [taus, N, [r.survival_prob for r in runs],
+         [zeno.survival_probability(tau, tau_Z, N)[0] for tau in taus],
+         [r.effective_H_error for r in runs]],
+        _config_line("zeno", params, seed)))
     return f"freeze_time={tau_Z:.6g} s  N={N}  tau points={len(taus)}  -> {path}"
 
 
@@ -311,32 +306,22 @@ def _run_decoherence(params, outdir, seed):
                      params["n_R"])
     with np.errstate(over="raise", divide="raise"):
         b = deco.total_decoherence(env, Rs)
-    lines = [f"# {_config_line('decoherence', params, seed)}",
-             "R,p,T_env,T_int,gamma_gas,gamma_bb_sc,gamma_bb_abs,"
-             "gamma_bb_em,gamma_total"]
-    for R, gas, sc, ab, em, total in zip(
-            *(x.tolist() for x in (Rs, b.gamma_gas, b.gamma_bb_sc,
-                                   b.gamma_bb_abs, b.gamma_bb_em,
-                                   b.gamma_total))):
-        lines.append(f"{R:.9g},{env.pressure:.9g},{env.T_env:.9g},"
-                     f"{env.T_int:.9g},{gas:.9g},{sc:.9g},{ab:.9g},{em:.9g},"
-                     f"{total:.9g}")
     path = os.path.join(outdir, "decoherence_sweep.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, csv_text(
+        "R,p,T_env,T_int,gamma_gas,gamma_bb_sc,gamma_bb_abs,gamma_bb_em,"
+        "gamma_total",
+        [Rs, env.pressure, env.T_env, env.T_int, b.gamma_gas, b.gamma_bb_sc,
+         b.gamma_bb_abs, b.gamma_bb_em, b.gamma_total],
+        _config_line("decoherence", params, seed)))
     return f"R points={len(Rs)}  p={env.pressure} Pa  T={env.T_env} K  -> {path}"
 
 
 def _point_from_params(params) -> feasibility.ExperimentPoint:
     env = deco.Environment(pressure=params["pressure"], T_env=params["T_env"],
                            T_int=params["T_int"])
-    return feasibility.ExperimentPoint(
-        R=params["R"], density=params["density"], beta=params["beta"],
-        zeta=params["zeta"], t_R=params["t_R"], m_probe=params["m_probe"],
-        R_probe=params["R_probe"], env=env,
-        t_total_cap=params["t_total_cap"], theta_min=params["theta_min"],
-        strictness=params["strictness"],
-        sigma_ratio_max=params["sigma_ratio_max"],
-        gamma_zeno_achievable=params["gamma_zeno_achievable"])
+    return feasibility.ExperimentPoint(env=env, **{
+        f.name: params[f.name] for f in fields(feasibility.ExperimentPoint)
+        if f.name != "env"})
 
 
 def _run_report(params, outdir, seed):
@@ -353,20 +338,16 @@ def _run_report(params, outdir, seed):
 
 def _run_feasibility(params, outdir, seed):
     base = _point_from_params(params)
-    ax1 = (params["axis1"], np.logspace(math.log10(params["a1_min"]),
-                                        math.log10(params["a1_max"]),
-                                        params["n1"]))
-    ax2 = (params["axis2"], np.logspace(math.log10(params["a2_min"]),
-                                        math.log10(params["a2_max"]),
-                                        params["n2"]))
-    rows = feasibility.sweep_region(ax1, ax2, base)
+    axes = [(params[f"axis{i}"], np.logspace(math.log10(params[f"a{i}_min"]),
+                                             math.log10(params[f"a{i}_max"]),
+                                             params[f"n{i}"])) for i in (1, 2)]
+    rows = feasibility.sweep_region(*axes, base)
     buf = io.StringIO()
-    feasibility.region_to_csv(rows, buf,
-                              header_comment=_config_line("feasibility",
-                                                          params, seed))
+    feasibility.region_to_csv(
+        rows, buf, header_comment=_config_line("feasibility", params, seed))
     path = os.path.join(outdir, "region.csv")
     _atomic_write(path, buf.getvalue())
-    n_pass = sum(r.passed for r in rows)
+    n_pass = np.count_nonzero(rows.columns["passed"])
     return (f"grid={params['n1']}x{params['n2']} over "
             f"({params['axis1']},{params['axis2']})  pass={n_pass}/{len(rows)}"
             f"  -> {path}")
@@ -383,10 +364,15 @@ _RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a malformed command line: one line, exit 2
+        self.exit(2, f"zenograv: validation error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process (parsing does not change it)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zenograv",
         description="Frozen-source gravitational scattering toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -428,7 +414,8 @@ def main(argv=None) -> int:
         if val is not None:
             raw[key] = val
     try:
-        summary = run(args.command, raw, args.output_dir, args.seed)
+        with warnings.catch_warnings(record=True) as caught:
+            summary = run(args.command, raw, args.output_dir, args.seed)
     except InvalidParameterError as exc:
         print(f"zenograv: validation error: {exc}", file=sys.stderr)
         return 2
@@ -442,6 +429,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"zenograv: I/O error: {exc}", file=sys.stderr)
         return 4
+    for w in caught:   # one line each, and none from a failed run
+        print(f"zenograv: warning: {w.message}", file=sys.stderr)
     print(f"zenograv {args.command}: {summary}")
     return 0
 

@@ -3,12 +3,14 @@
 A closed form written with Python operators and numpy ufuncs works on
 both; these helpers keep the two cases alike at the edges: validation
 that holds for every element (NaN fails it), a float result for scalar
-input, and the ``den = 0 -> inf`` ratios the formulas use.
+input, and the ``den = 0 -> inf`` ratios the formulas use.  The results
+leave the toolkit as CSV columns through :func:`csv_text`.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -44,3 +46,19 @@ def ratio_or_inf(num, den):
     den = np.asarray(den, dtype=float)
     out = np.full(np.broadcast_shapes(np.shape(num), den.shape), np.inf)
     return np.divide(num, den, out=out, where=den > 0)
+
+
+def csv_text(names: str, columns, comment: str | None = None) -> str:
+    """CSV text: ``# comment``, the ``names`` line, one row per element.
+
+    The columns broadcast against each other (a scalar is a constant
+    column) and are read in C order.  Integer and bool columns are written
+    as ``%d``, others as ``%.9g`` (the text of ``f"{x:.9g}"``, NaN, inf and
+    -0 included), all rows by one formatting call on a repeated template.
+    """
+    arrays = np.broadcast_arrays(*map(np.asarray, columns))
+    row = ",".join("%d" if a.dtype.kind in "biu" else "%.9g"
+                   for a in arrays) + "\n"
+    values = chain.from_iterable(zip(*(a.ravel().tolist() for a in arrays)))
+    head = f"# {comment}\n" if comment else ""
+    return f"{head}{names}\n" + row * arrays[0].size % tuple(values)

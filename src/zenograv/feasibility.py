@@ -33,14 +33,15 @@ becoming an inf or NaN row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import decoherence as deco
 from . import scatter, zeno
 from .constants import CONST, PhysicalConstants, joules_to_ev
-from .elementwise import ratio_or_inf, require
+from .elementwise import csv_text, ratio_or_inf, require
 from .errors import InvalidParameterError, ZenogravError
 
 SWEEP_AXES = ("R", "v", "t_R", "p", "T", "m_probe")
@@ -298,10 +299,8 @@ def report_to_dict(report: ConstraintReport) -> dict:
         "t_total_s": report.t_total,
         "t_used_s": report.t_used,
         "tau_Z_s": report.tau_Z,
-        "gamma_gas_s": report.breakdown.gamma_gas if report.breakdown else None,
-        "gamma_bb_sc_s": report.breakdown.gamma_bb_sc if report.breakdown else None,
-        "gamma_bb_abs_s": report.breakdown.gamma_bb_abs if report.breakdown else None,
-        "gamma_bb_em_s": report.breakdown.gamma_bb_em if report.breakdown else None,
+        **{f"{name}_s": getattr(report.breakdown, name, None) for name in (
+            "gamma_gas", "gamma_bb_sc", "gamma_bb_abs", "gamma_bb_em")},
         "gamma_dyn_required_s": report.gamma_dyn_required,
         "gamma_zeno_required_s": report.gamma_zeno_required,
         "sigma_ratio": report.sigma_ratio,
@@ -367,9 +366,32 @@ class RegionRow:
     passed: bool
 
 
+class RegionGrid(Sequence):
+    """The cells of a :func:`sweep_region` grid, axis1-major, as columns.
+
+    ``columns`` maps each RegionRow field to a flat array over the cells.
+    As a sequence it holds RegionRow objects, built on access with float
+    fields and a bool ``passed``; a slice is a RegionGrid of those cells.
+    """
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns["passed"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RegionGrid({k: c[index] for k, c in self.columns.items()})
+        return RegionRow(*(c[index].item() for c in self.columns.values()))
+
+    def __iter__(self):
+        return map(RegionRow, *(c.tolist() for c in self.columns.values()))
+
+
 def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
                  base: ExperimentPoint,
-                 constants: PhysicalConstants = CONST) -> list[RegionRow]:
+                 constants: PhysicalConstants = CONST) -> RegionGrid:
     """Evaluate a 2D grid of points; rows ordered axis1-major.
 
     Axis names come from {R, v, t_R, p, T, m_probe}; values should be
@@ -401,18 +423,12 @@ def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
     columns = (a1, a2, quantities["theta_max"], quantities["t_total"],
                quantities["gamma_zeno_required"], quantities["sigma_ratio"],
                quantities["mfp"], quantities["kinetic_energy_eV"], passed)
-    shape = (a1.size, a2.size)
-    return [RegionRow(*row) for row in zip(
-        *(np.broadcast_to(c, shape).ravel().tolist() for c in columns))]
+    return RegionGrid({field.name: c.ravel() for field, c in zip(
+        fields(RegionRow), np.broadcast_arrays(*columns))})
 
 
-def region_to_csv(rows, fh, header_comment: str | None = None):
+def region_to_csv(rows: RegionGrid, fh, header_comment: str | None = None):
     """CSV: axis1,axis2,theta_max,t_total,gamma_required,sigma_ratio,mfp,KE_eV,pass."""
-    if header_comment:
-        fh.write(f"# {header_comment}\n")
-    fh.write("axis1,axis2,theta_max,t_total,gamma_required,"
-             "sigma_ratio,mfp,KE_eV,pass\n")
-    for r in rows:
-        fh.write(f"{r.axis1:.9g},{r.axis2:.9g},{r.theta_max:.9g},"
-                 f"{r.t_total:.9g},{r.gamma_required:.9g},{r.sigma_ratio:.9g},"
-                 f"{r.mfp:.9g},{r.KE_eV:.9g},{int(r.passed)}\n")
+    fh.write(csv_text("axis1,axis2,theta_max,t_total,gamma_required,"
+                      "sigma_ratio,mfp,KE_eV,pass", rows.columns.values(),
+                      header_comment))

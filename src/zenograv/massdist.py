@@ -10,12 +10,14 @@ on the x axis.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import CONST, PhysicalConstants
+from .elementwise import require
 from .errors import InvalidParameterError
 
 _TOTAL_MASS_RTOL = 1e-12
@@ -33,11 +35,9 @@ class SphereComponent:
         if len(self.center) != 3:
             raise InvalidParameterError("center must be a 3-vector")
         object.__setattr__(self, "center", tuple(float(x) for x in self.center))
-        # written as not (x > 0) so that NaN fails every check
-        if not (self.radius > 0):
-            raise InvalidParameterError(f"radius must be > 0, got {self.radius}")
-        if not (self.mass > 0):
-            raise InvalidParameterError(f"mass must be > 0, got {self.mass}")
+        # written as x > 0, not as not x <= 0, so that NaN fails
+        require(self.radius > 0, "radius must be > 0, got {}", self.radius)
+        require(self.mass > 0, "mass must be > 0, got {}", self.mass)
 
 
 @dataclass(frozen=True)
@@ -57,30 +57,22 @@ class MassDistribution:
         elif not (abs(self.total_mass - msum) <= _TOTAL_MASS_RTOL * msum):
             raise InvalidParameterError(
                 f"total_mass {self.total_mass} != sum of component masses {msum}")
-        if self._has_overlap():
+        if any(sep < a.radius + b.radius for a, b, sep in self._pairs()):
             warnings.warn("sphere components overlap; fields still superpose "
                           "but the two-position source model assumes disjoint lobes",
                           stacklevel=3)
 
-    def _has_overlap(self) -> bool:
+    def _pairs(self):
+        """(a, b, center separation) per pair of components; ``math.hypot``
+        does not overflow for separations near the float range."""
         comps = self.components
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                sep = np.linalg.norm(np.subtract(comps[i].center, comps[j].center))
-                if sep < comps[i].radius + comps[j].radius:
-                    return True
-        return False
+        return [(a, b, math.hypot(*(p - q for p, q in zip(a.center, b.center))))
+                for i, a in enumerate(comps) for b in comps[i + 1:]]
 
     def length_scale(self) -> float:
         """Max of component radii and pairwise center separations (m)."""
-        comps = self.components
-        scale = max(c.radius for c in comps)
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                sep = float(np.linalg.norm(
-                    np.subtract(comps[i].center, comps[j].center)))
-                scale = max(scale, sep)
-        return scale
+        return max([c.radius for c in self.components]
+                   + [sep for _, _, sep in self._pairs()])
 
     def to_dict(self) -> dict:
         return {"components": [{"center": list(c.center),
@@ -104,12 +96,9 @@ def make_superposed_source(R: float, density: float, d: float) -> MassDistributi
     d : separation of the two positions (m); d = 0 collapses to a single
         sphere of mass M at the origin.
     """
-    if not (R > 0):
-        raise InvalidParameterError(f"R must be > 0, got {R}")
-    if not (density > 0):
-        raise InvalidParameterError(f"density must be > 0, got {density}")
-    if not (d >= 0):
-        raise InvalidParameterError(f"d must be >= 0, got {d}")
+    require(R > 0, "R must be > 0, got {}", R)
+    require(density > 0, "density must be > 0, got {}", density)
+    require(d >= 0, "d must be >= 0, got {}", d)
     M = 4.0 / 3.0 * np.pi * density * R**3
     if d == 0:
         return MassDistribution((SphereComponent((0.0, 0.0, 0.0), R, M),))

@@ -23,7 +23,7 @@ from scipy.integrate import RK45
 from scipy.optimize import brentq
 
 from .constants import CONST, PhysicalConstants
-from .elementwise import require, result
+from .elementwise import csv_text, require, result
 from .errors import (IntegratorFailureError, InvalidParameterError,
                      ProjectionSingularError, UnterminatedTrajectoryError)
 # potential_at is re-exported: the perfbench tracer wraps it under this name
@@ -67,23 +67,17 @@ class ScatterConfig:
     rtol: float = DEFAULT_RTOL
 
     def __post_init__(self):
-        # written as not (x > 0) so that NaN fails every check
-        if not (math.isfinite(self.b) and math.isfinite(self.l)):
-            raise InvalidParameterError(
+        # written as x > 0, not as not x <= 0, so that NaN fails
+        require(math.isfinite(self.b) and math.isfinite(self.l),
                 f"b and l must be finite, got b={self.b}, l={self.l}")
-        if not (self.v > 0):
-            raise InvalidParameterError(f"v must be > 0, got {self.v}")
-        if not (self.z_start < 0):
-            raise InvalidParameterError(f"z_start must be < 0, got {self.z_start}")
-        if not (self.dt_max > 0):
-            raise InvalidParameterError(f"dt_max must be > 0, got {self.dt_max}")
-        if not (self.t_max > 0):
-            raise InvalidParameterError(f"t_max must be > 0, got {self.t_max}")
-        if not (self.r_stop > abs(self.z_start)):
-            raise InvalidParameterError(
+        require(0 < self.v < CONST.c,
+                "v must be in (0, c) m/s (Newtonian probe), got {}", self.v)
+        require(self.z_start < 0, "z_start must be < 0, got {}", self.z_start)
+        require(self.dt_max > 0, "dt_max must be > 0, got {}", self.dt_max)
+        require(self.t_max > 0, "t_max must be > 0, got {}", self.t_max)
+        require(self.r_stop > abs(self.z_start),
                 f"r_stop ({self.r_stop}) must exceed |z_start| ({-self.z_start})")
-        if not (self.rtol > 0):
-            raise InvalidParameterError(f"rtol must be > 0, got {self.rtol}")
+        require(self.rtol > 0, "rtol must be > 0, got {}", self.rtol)
 
     @classmethod
     def for_source(cls, dist: MassDistribution, b: float, l: float, v: float,
@@ -789,18 +783,12 @@ def collapsed_scatter(dist_left: MassDistribution, dist_right: MassDistribution,
 # Emission
 # ---------------------------------------------------------------------------
 
-def pattern_rows(pattern: ScatterPattern):
-    """CSV rows beta,l,b,theta_rad,proj_x,proj_y,hit, one per launched probe."""
-    for p in pattern.records:
-        yield (p.beta, p.l, p.b, p.theta, p.proj[0], p.proj[1], int(p.hit))
-
-
 def pattern_to_csv(pattern: ScatterPattern, fh, header_comment: str | None = None):
-    if header_comment:
-        fh.write(f"# {header_comment}\n")
-    fh.write("beta,l,b,theta_rad,proj_x,proj_y,hit\n")
-    for beta, l, b, theta, px, py, hit in pattern_rows(pattern):
-        fh.write(f"{beta:.9g},{l:.9g},{b:.9g},{theta:.9g},{px:.9g},{py:.9g},{hit}\n")
+    """CSV: beta,l,b,theta_rad,proj_x,proj_y,hit, one row per launched probe."""
+    columns = zip(*((p.beta, p.l, p.b, p.theta, *p.proj, p.hit)
+                    for p in pattern.records))
+    fh.write(csv_text("beta,l,b,theta_rad,proj_x,proj_y,hit", columns,
+                      header_comment))
 
 
 def pattern_to_svg(pattern: ScatterPattern, fh, dashed_radius: float | None = None,

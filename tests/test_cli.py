@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from zenograv import cli
 from zenograv import decoherence as deco
+from zenograv import feasibility
 from zenograv.errors import InvalidParameterError
 
 
@@ -258,6 +262,108 @@ def test_integer_beyond_float_range_rejected(tmp_path, capsys):
     assert run_cli(["pattern", "--n_b", "9" * 400,
                     "--output-dir", tmp_path]) == 2
     assert "--n_b" in capsys.readouterr().err
+
+
+# Every grid size is always set, at most to these caps, so that one
+# example runs in milliseconds.
+_GRID_CAPS = {"n_b": 2, "n_l": 2, "n1": 4, "n2": 4, "n_R": 4,
+              "n_points": 400, "N": 20, "n_tau": 3}
+_SPECIAL = ["nan", "inf", "-inf", "0", "-0.0", "-1", "-1e-5", "5e-324",
+            "1e-300"]
+_CHOICES = {"collapsed": ["none", "left", "right", "random"],
+            "axis1": list(feasibility.SWEEP_AXES),
+            "axis2": list(feasibility.SWEEP_AXES)}
+
+
+def _value(command, key):
+    """Text for one override: special values, or a finite number.
+
+    scatter and pattern draw finite values within a factor 2 of the
+    default: a slow probe (large t_R or density, or a source length
+    scale far beyond R) orbits for tens of crossing times before it is
+    reported unterminated, which takes seconds per probe.  The closed-form
+    commands take any float.
+    """
+    typ, default, _, _ = cli.PARAM_SCHEMAS[command][key]
+    if typ is str:
+        return st.sampled_from(_CHOICES[key] + ["bogus", "nan"])
+    special = st.sampled_from(_SPECIAL)
+    if typ is int:
+        cap = _GRID_CAPS.get(key, 3)
+        return special | st.integers(-1, cap).map(str)
+    if command in ("scatter", "pattern"):
+        scale = default or 1e-5
+        finite = st.floats(0.5, 2.0).map(lambda f: repr(f * scale))
+    else:
+        finite = st.floats().map(repr)
+    return special | finite
+
+
+@st.composite
+def _command_line(draw):
+    command = draw(st.sampled_from(sorted(cli.PARAM_SCHEMAS)))
+    schema = cli.PARAM_SCHEMAS[command]
+    params = {key: str(draw(st.integers(1, cap)))
+              for key, cap in _GRID_CAPS.items() if key in schema}
+    for key in draw(st.lists(st.sampled_from(sorted(schema)), min_size=1,
+                             max_size=3, unique=True)):
+        params[key] = draw(_value(command, key))
+    return [command] + [f"--{k}={v}" for k, v in params.items()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_command_line())
+def test_exit_code_contract_end_to_end(argv):
+    # overridden parameters of every command, run to the end: the exit
+    # code is one of the documented four, and a failure is one line
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv + ["--output-dir", out])
+        except SystemExit as exc:   # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("zenograv: "), (
+            argv, lines)
+
+
+def test_malformed_command_line_is_one_line(capsys):
+    # argparse takes "-inf" for an option, not for the value of --R
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["report", "--R", "-inf"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zenograv: validation error: argument --R")
+    assert err.count("\n") == 1
+
+
+def test_huge_lobe_separation_is_one_validation_line(tmp_path, capsys):
+    # the source length scale is 1e308 m without overflowing, and the
+    # launch distance beyond it is what fails
+    assert run_cli(["scatter", "--d", "1e308", "--output-dir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zenograv: validation error: r_stop")
+    assert err.count("\n") == 1
+
+
+def test_probe_faster_than_light_rejected(tmp_path, capsys):
+    assert run_cli(["pattern", "--t_R", "1e-300", "--n_b", 1, "--n_l", 1,
+                    "--output-dir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "v must be in (0, c)" in err and err.count("\n") == 1
+
+
+def test_warning_of_finished_run_is_one_line(tmp_path, capsys):
+    assert run_cli(["pattern", "--d", "1e-5", "--n_b", 1, "--n_l", 1,
+                    "--output-dir", tmp_path]) == 0
+    err = capsys.readouterr().err
+    assert err == ("zenograv: warning: sphere components overlap; fields "
+                   "still superpose but the two-position source model "
+                   "assumes disjoint lobes\n")
 
 
 def test_parser_built_once():

@@ -12,9 +12,9 @@ from zenograv import scatter, zeno
 from zenograv.constants import joules_to_ev
 from zenograv.decoherence import Environment
 from zenograv.errors import InvalidParameterError, ZenogravError
-from zenograv.feasibility import (SWEEP_AXES, _apply_axes, evaluate_point,
-                                  reference_point, region_to_csv,
-                                  report_to_dict, sweep_region)
+from zenograv.feasibility import (SWEEP_AXES, RegionRow, _apply_axes,
+                                  evaluate_point, reference_point,
+                                  region_to_csv, report_to_dict, sweep_region)
 from zenograv.massdist import make_superposed_source
 from zenograv.scatter import integrate_trajectory
 
@@ -195,6 +195,25 @@ class TestSweep:
                          REF)
         with pytest.raises(InvalidParameterError):
             sweep_region(("R", np.array([1e-5])), ("R", np.array([1e-5])), REF)
+
+    def test_grid_is_a_sequence_of_rows(self):
+        rows = sweep_region(("t_R", np.logspace(0.5, 1.5, 7)),
+                            ("p", np.array([1e-15, 1e-12])), REF)
+        listed = list(rows)
+        assert len(rows) == len(listed) == 14
+        assert [rows[i] for i in range(-14, 14)] == listed + listed
+        assert all(type(r) is RegionRow for r in listed)
+        assert all(type(r.passed) is bool and type(r.mfp) is float
+                   for r in listed)
+        with pytest.raises(IndexError):
+            rows[14]
+        part = rows[3:9:2]
+        assert list(part) == listed[3:9:2]
+        buf = io.StringIO()
+        region_to_csv(part, buf)
+        assert len(buf.getvalue().splitlines()) == 1 + 3
+        assert sum(r.passed for r in rows) == np.count_nonzero(
+            rows.columns["passed"])
 
     def test_csv_deterministic(self):
         rows = sweep_region(("t_R", np.logspace(0.9, 1.3, 5)),

@@ -81,6 +81,20 @@ class TestMakeSuperposedSource:
         with pytest.warns(UserWarning, match="overlap"):
             make_superposed_source(R, RHO, R)  # d < 2R: lobes intersect
 
+    @pytest.mark.parametrize("d", [2.5e-5, 1e-3, 1e200, 1e308])
+    def test_length_scale_is_the_separation(self, d):
+        # exact on the x axis, and no overflow near the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            src = make_superposed_source(R, RHO, d)
+            assert src.length_scale() == d
+
+    def test_length_scale_off_axis(self):
+        src = MassDistribution((SphereComponent((0.0, 0.0, 0.0), 1.0, 1.0),
+                                SphereComponent((3e300, 4e300, 0.0), 1.0, 1.0),
+                                SphereComponent((0.0, 0.0, 10.0), 2.0, 1.0)))
+        assert src.length_scale() == pytest.approx(5e300, rel=1e-15)
+
     def test_empty_distribution_rejected(self):
         with pytest.raises(InvalidParameterError):
             MassDistribution(())
