@@ -35,7 +35,6 @@ from .schrod1d import (PotentialSpec1D, classify_ground_state,
                        potential_gradient, solve_eigen)
 
 T_R_FIGURE = 10 ** 1.1   # s, the two-lobe pattern preset
-T_R_SUMMARY = 10.0       # s, the feasibility summary preset
 
 # (type, default, unit, positivity) per parameter; default None means
 # derived from other parameters at resolve time.
@@ -43,21 +42,30 @@ _POS = "pos"        # value must be > 0
 _NONNEG = "nonneg"  # value must be >= 0
 _ANY = "any"
 
+# The feasibility point's parameters, read from the metadata of its
+# fields, with the environment's in place of ``env``.
+_POINT_SCHEMA = {
+    f.name: (float, f.default, f.metadata["help"], f.metadata["domain"])
+    for point_field in fields(feasibility.ExperimentPoint)
+    for f in (fields(deco.Environment) if point_field.name == "env"
+              else [point_field])
+    if f.metadata}
+
 PARAM_SCHEMAS = {
     "scatter": {
-        "R": (float, 1e-5, "m, source sphere radius", _POS),
-        "density": (float, 2600.0, "kg/m^3, source density", _POS),
+        "R": _POINT_SCHEMA["R"],
+        "density": _POINT_SCHEMA["density"],
         "d": (float, None, "m, lobe separation (default 2R)", _NONNEG),
         "beta": (float, 1.2, "impact parameter in units of R", _POS),
         "l": (float, 0.0, "m, launch offset along x", _ANY),
         "t_R": (float, T_R_FIGURE, "s, R/v", _POS),
-        "m_probe": (float, 1e-18, "kg, probe mass", _POS),
+        "m_probe": _POINT_SCHEMA["m_probe"],
         "collapsed": (str, "none", "none|left|right|random source coin", _ANY),
         "rtol": (float, scatter.DEFAULT_RTOL, "integrator tolerance", _POS),
     },
     "pattern": {
-        "R": (float, 1e-5, "m, source sphere radius", _POS),
-        "density": (float, 2600.0, "kg/m^3, source density", _POS),
+        "R": _POINT_SCHEMA["R"],
+        "density": _POINT_SCHEMA["density"],
         "d": (float, None, "m, lobe separation (default 2R)", _NONNEG),
         "beta_min": (float, 1.2, "grid lower beta", _POS),
         "beta_max": (float, 2.0, "grid upper beta", _POS),
@@ -66,7 +74,7 @@ PARAM_SCHEMAS = {
         "n_b": (int, 40, "beta grid points", _POS),
         "n_l": (int, 40, "offset grid points", _POS),
         "t_R": (float, T_R_FIGURE, "s, R/v", _POS),
-        "m_probe": (float, 1e-18, "kg, probe mass", _POS),
+        "m_probe": _POINT_SCHEMA["m_probe"],
         "svg": (int, 1, "also emit SVG (0/1)", _NONNEG),
         "mirror": (int, 1, "mirror offsets to -l (0/1)", _NONNEG),
     },
@@ -92,42 +100,21 @@ PARAM_SCHEMAS = {
         "R_min": (float, 1e-7, "m, sweep lower radius", _POS),
         "R_max": (float, 1e-4, "m, sweep upper radius", _POS),
         "n_R": (int, 25, "radius grid points (log)", _POS),
-        "pressure": (float, 1e-15, "Pa", _NONNEG),
-        "T_env": (float, 1.0, "K, environment temperature", _POS),
-        "T_int": (float, 1.0, "K, internal temperature", _POS),
+        **{key: _POINT_SCHEMA[key] for key in ("pressure", "T_env", "T_int")},
+    },
+    "report": _POINT_SCHEMA,
+    "feasibility": {
+        **_POINT_SCHEMA,
+        "axis1": (str, "t_R", f"first axis, one of {feasibility.SWEEP_AXES}", _ANY),
+        "a1_min": (float, 1.0, "axis1 lower bound", _POS),
+        "a1_max": (float, 100.0, "axis1 upper bound", _POS),
+        "n1": (int, 16, "axis1 grid points (log)", _POS),
+        "axis2": (str, "R", f"second axis, one of {feasibility.SWEEP_AXES}", _ANY),
+        "a2_min": (float, 1e-6, "axis2 lower bound", _POS),
+        "a2_max": (float, 1e-4, "axis2 upper bound", _POS),
+        "n2": (int, 16, "axis2 grid points (log)", _POS),
     },
 }
-
-_POINT_SCHEMA = {
-    "R": (float, 1e-5, "m, source sphere radius", _POS),
-    "density": (float, 2600.0, "kg/m^3, source density", _POS),
-    "beta": (float, 1.2, "impact margin, > 1", _POS),
-    "zeta": (float, 0.75, "anomaly fraction in (0,1)", _POS),
-    "t_R": (float, T_R_SUMMARY, "s, R/v", _POS),
-    "m_probe": (float, 1e-18, "kg, probe mass", _POS),
-    "R_probe": (float, 1e-6, "m, probe radius (mean free path)", _NONNEG),
-    "pressure": (float, 1e-15, "Pa", _NONNEG),
-    "T_env": (float, 1.0, "K, environment temperature", _POS),
-    "T_int": (float, 1.0, "K, internal temperature", _POS),
-    "t_total_cap": (float, 100.0, "s, run-duration budget", _POS),
-    "theta_min": (float, 1e-4, "rad, detector angular floor", _POS),
-    "strictness": (float, 100.0, "the >>-means->=-100x factor", _POS),
-    "sigma_ratio_max": (float, 0.02, "classicality ceiling on sigma/R", _POS),
-    "gamma_zeno_achievable": (float, 1e3, "1/s, achievable rate ceiling", _POS),
-}
-
-PARAM_SCHEMAS["report"] = dict(_POINT_SCHEMA)
-PARAM_SCHEMAS["feasibility"] = dict(_POINT_SCHEMA)
-PARAM_SCHEMAS["feasibility"].update({
-    "axis1": (str, "t_R", f"first axis, one of {feasibility.SWEEP_AXES}", _ANY),
-    "a1_min": (float, 1.0, "axis1 lower bound", _POS),
-    "a1_max": (float, 100.0, "axis1 upper bound", _POS),
-    "n1": (int, 16, "axis1 grid points (log)", _POS),
-    "axis2": (str, "R", f"second axis, one of {feasibility.SWEEP_AXES}", _ANY),
-    "a2_min": (float, 1e-6, "axis2 lower bound", _POS),
-    "a2_max": (float, 1e-4, "axis2 upper bound", _POS),
-    "n2": (int, 16, "axis2 grid points (log)", _POS),
-})
 
 
 def resolve_params(command: str, raw: dict) -> dict:
@@ -395,8 +382,27 @@ def run(command: str, raw_params: dict, output_dir: str, seed: int) -> str:
     return _RUNNERS[command](params, output_dir, seed)
 
 
+_VALUE_FLAGS = {f"--{key}" for schema in PARAM_SCHEMAS.values()
+                for key in schema}
+
+
+def _bind_dash_values(argv: list) -> list:
+    """argv with ``--key -x`` joined into ``--key=-x`` for schema keys:
+    argparse takes a token that starts with ``-`` for a flag unless it is
+    a plain negative number such as -1 or -1.5 (``--`` stays a flag)."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in _VALUE_FLAGS and arg.startswith("-")
+                and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _bind_dash_values(sys.argv[1:] if argv is None else argv))
     raw = {}
     if args.config:
         try:
@@ -408,11 +414,8 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             print(f"zenograv: config is not valid JSON: {exc}", file=sys.stderr)
             return 2
-    schema = PARAM_SCHEMAS[args.command]
-    for key in schema:
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = val
+    raw.update((key, getattr(args, key)) for key in PARAM_SCHEMAS[args.command]
+               if getattr(args, key) is not None)
     try:
         with warnings.catch_warnings(record=True) as caught:
             summary = run(args.command, raw, args.output_dir, args.seed)

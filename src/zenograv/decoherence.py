@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .constants import CONST, PhysicalConstants
-from .elementwise import ratio_or_inf, require, result
+from .elementwise import parameter, ratio_or_inf, require, result
 
 # rounded reference coefficients (1 significant figure except the gas one)
 GAS_COEFF = 1.96e26       # Gamma_gas ~ GAS_COEFF * p R^2 / sqrt(T_e)
@@ -46,9 +46,9 @@ class Environment:
     arrays, one environment per element.
     """
 
-    pressure: float                  # Pa
-    T_env: float                     # K, environment temperature
-    T_int: float                     # K, internal source temperature
+    pressure: float = parameter(1e-15, "Pa", "nonneg", "pressure_Pa")
+    T_env: float = parameter(1.0, "K, environment temperature", "pos", "T_env_K")
+    T_int: float = parameter(1.0, "K, internal temperature", "pos", "T_int_K")
     epsilon_factor: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):

@@ -4,12 +4,14 @@ A closed form written with Python operators and numpy ufuncs works on
 both; these helpers keep the two cases alike at the edges: validation
 that holds for every element (NaN fails it), a float result for scalar
 input, and the ``den = 0 -> inf`` ratios the formulas use.  The results
-leave the toolkit as CSV columns through :func:`csv_text`.
+leave the toolkit as CSV columns through :func:`csv_text`; the inputs
+enter as dataclass fields made by :func:`parameter`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import field
 from itertools import chain
 
 import numpy as np
@@ -32,6 +34,14 @@ def require(ok, message: str, value=None) -> None:
                                                      np.shape(value)))
         value = float(np.broadcast_to(value, ok.shape)[~ok].flat[0])
     raise InvalidParameterError(message.format(value))
+
+
+def parameter(default, help: str, domain: str, key: str):
+    """A dataclass field with its schema in ``metadata``: ``help``, the CLI
+    help text (unit first); ``domain``, the CLI sign rule ("pos": > 0,
+    "nonneg": >= 0, "any"); ``key``, its name in ``report.json``."""
+    return field(default=default,
+                 metadata={"help": help, "domain": domain, "key": key})
 
 
 def result(x):

@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import decoherence as deco
 from . import scatter, zeno
 from .constants import CONST, PhysicalConstants, joules_to_ev
-from .elementwise import csv_text, ratio_or_inf, require
+from .elementwise import csv_text, parameter, ratio_or_inf, require
 from .errors import InvalidParameterError, ZenogravError
 
 SWEEP_AXES = ("R", "v", "t_R", "p", "T", "m_probe")
@@ -53,22 +53,29 @@ class ExperimentPoint:
 
     R, t_R, m_probe and the environment's pressure and temperatures may
     be broadcastable arrays; such a point is a grid of cells (see
-    :func:`sweep_region`).
+    :func:`sweep_region`).  Each field's default, unit, CLI sign rule and
+    ``report.json`` key are in its metadata (see ``elementwise.parameter``).
     """
 
-    R: float                       # source sphere radius (m)
-    density: float                 # source density (kg/m^3)
-    beta: float                    # impact-parameter margin, b0 = beta R
-    zeta: float                    # anomaly fraction defining the run length
-    t_R: float                     # R / v (s)
-    m_probe: float                 # probe mass (kg)
-    R_probe: float                 # probe radius, mean-free-path only (m)
-    env: deco.Environment
-    t_total_cap: float = 100.0     # run-duration budget (s)
-    theta_min: float = 1e-4        # detector angular floor (rad)
-    strictness: float = 100.0      # the ">> means >= 100x" factor
-    sigma_ratio_max: float = 0.02  # classicality ceiling on sigma_min/R
-    gamma_zeno_achievable: float = 1e3   # measurement-rate ceiling (1/s)
+    R: float = parameter(1e-5, "m, source sphere radius", "pos", "R_m")
+    density: float = parameter(2600.0, "kg/m^3, source density", "pos", "density_kg_m3")
+    beta: float = parameter(1.2, "impact margin, > 1", "pos", "beta")
+    zeta: float = parameter(0.75, "anomaly fraction in (0,1)", "pos", "zeta")
+    t_R: float = parameter(10.0, "s, R/v", "pos", "t_R_s")
+    m_probe: float = parameter(1e-18, "kg, probe mass", "pos", "m_probe_kg")
+    R_probe: float = parameter(1e-6, "m, probe radius (mean free path)",
+                               "nonneg", "R_probe_m")
+    env: deco.Environment = field(default_factory=deco.Environment)
+    t_total_cap: float = parameter(100.0, "s, run-duration budget", "pos",
+                                   "t_total_cap_s")
+    theta_min: float = parameter(1e-4, "rad, detector angular floor", "pos",
+                                 "theta_min_rad")
+    strictness: float = parameter(100.0, "the >>-means->=-100x factor", "pos",
+                                  "strictness")
+    sigma_ratio_max: float = parameter(
+        0.02, "classicality ceiling on sigma/R", "pos", "sigma_ratio_max")
+    gamma_zeno_achievable: float = parameter(
+        1e3, "1/s, achievable rate ceiling", "pos", "gamma_zeno_achievable_s")
 
     def __post_init__(self):
         # written as x > 0, not as not x <= 0, so that NaN fails
@@ -79,8 +86,9 @@ class ExperimentPoint:
                 self.zeta)
         require((self.m_probe > 0) & (self.R_probe >= 0),
                 "m_probe must be > 0, R_probe >= 0")
-        require((self.t_total_cap > 0) & (self.theta_min > 0),
-                "t_total_cap and theta_min must be > 0")
+        require((self.t_total_cap > 0) & (self.theta_min > 0)
+                & (self.sigma_ratio_max > 0),
+                "t_total_cap, theta_min and sigma_ratio_max must be > 0")
         require((self.strictness >= 1) & (self.gamma_zeno_achievable > 0),
                 "strictness >= 1 and achievable rate > 0")
 
@@ -101,15 +109,12 @@ class ExperimentPoint:
 
 
 def reference_point() -> ExperimentPoint:
-    """The summary feasibility configuration.
+    """The summary feasibility configuration: every field at its default.
 
     10 um silica sphere (mass ~1e-11 kg), probe of 1e-18 kg at 1 um/s
     (t_R = 10 s), cryogenic ultra-high vacuum (1e-15 Pa, 1 K).
     """
-    return ExperimentPoint(
-        R=1e-5, density=2600.0, beta=1.2, zeta=0.75, t_R=10.0,
-        m_probe=1e-18, R_probe=1e-6,
-        env=deco.Environment(pressure=1e-15, T_env=1.0, T_int=1.0))
+    return ExperimentPoint()
 
 
 @dataclass(frozen=True)
@@ -284,17 +289,10 @@ def evaluate_point(pt: ExperimentPoint,
 
 def report_to_dict(report: ConstraintReport) -> dict:
     pt = report.point
+    point = {f.metadata["key"]: getattr(obj, f.name)
+             for obj in (pt, pt.env) for f in fields(obj) if f.metadata}
     return {
-        "point": {
-            "R_m": pt.R, "density_kg_m3": pt.density, "beta": pt.beta,
-            "zeta": pt.zeta, "t_R_s": pt.t_R, "v_m_s": pt.v,
-            "M_kg": pt.M, "m_probe_kg": pt.m_probe, "R_probe_m": pt.R_probe,
-            "pressure_Pa": pt.env.pressure, "T_env_K": pt.env.T_env,
-            "T_int_K": pt.env.T_int, "t_total_cap_s": pt.t_total_cap,
-            "theta_min_rad": pt.theta_min, "strictness": pt.strictness,
-            "sigma_ratio_max": pt.sigma_ratio_max,
-            "gamma_zeno_achievable_s": pt.gamma_zeno_achievable,
-        },
+        "point": {**point, "v_m_s": pt.v, "M_kg": pt.M},
         "theta_max_rad": report.theta_max,
         "t_total_s": report.t_total,
         "t_used_s": report.t_used,
@@ -323,34 +321,22 @@ def _apply_axes(base: ExperimentPoint, assignments: dict) -> ExperimentPoint:
     axis keeps the base R.  A T axis sets both environment temperatures.
     Values may be broadcastable arrays (the axes of a grid).
     """
-    pt = base
-    env = base.env
-    scatter_axes = {k: v for k, v in assignments.items() if k in ("R", "v", "t_R")}
-    if len(scatter_axes) > 2:
+    if {"R", "v", "t_R"} <= set(assignments):
         raise InvalidParameterError("at most two of R, v, t_R may be axes")
-    if {"R", "v"} <= set(scatter_axes):
-        pt = replace(pt, R=scatter_axes["R"],
-                     t_R=scatter_axes["R"] / scatter_axes["v"])
-    elif {"R", "t_R"} <= set(scatter_axes):
-        pt = replace(pt, R=scatter_axes["R"], t_R=scatter_axes["t_R"])
-    elif {"v", "t_R"} <= set(scatter_axes):
-        pt = replace(pt, R=scatter_axes["v"] * scatter_axes["t_R"],
-                     t_R=scatter_axes["t_R"])
-    elif "R" in scatter_axes:
-        pt = replace(pt, R=scatter_axes["R"])
-    elif "v" in scatter_axes:
-        pt = replace(pt, t_R=pt.R / scatter_axes["v"])
-    elif "t_R" in scatter_axes:
-        pt = replace(pt, t_R=scatter_axes["t_R"])
+    R = assignments.get("R", base.R)
+    t_R = assignments.get("t_R", base.t_R)
+    if "v" in assignments:   # derive whichever of R, t_R is not an axis
+        if "t_R" in assignments:
+            R = assignments["v"] * t_R
+        else:
+            t_R = R / assignments["v"]
+    env = base.env
     if "p" in assignments:
         env = replace(env, pressure=assignments["p"])
     if "T" in assignments:
         env = replace(env, T_env=assignments["T"], T_int=assignments["T"])
-    if env is not base.env:
-        pt = replace(pt, env=env)
-    if "m_probe" in assignments:
-        pt = replace(pt, m_probe=assignments["m_probe"])
-    return pt
+    return replace(base, R=R, t_R=t_R, env=env,
+                   m_probe=assignments.get("m_probe", base.m_probe))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .constants import CONST, PhysicalConstants
+from .elementwise import require
 from .errors import GridInsufficientError, InvalidParameterError
 
 DEFAULT_GRID = (-4.0, 4.0, 4000)
@@ -46,10 +47,11 @@ class PotentialSpec1D:
     d: float     # length unit (m)
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise InvalidParameterError(f"c must be > 0 (confining), got {self.c}")
-        if self.M <= 0 or self.d <= 0:
-            raise InvalidParameterError("M and d must be > 0")
+        # written as x > 0, not as not x <= 0, so that NaN fails
+        require(math.isfinite(self.a) and math.isfinite(self.b),
+                "a and b must be finite")
+        require(self.c > 0, "c must be > 0 (confining), got {}", self.c)
+        require((self.M > 0) & (self.d > 0), "M and d must be > 0")
 
     def V0(self, constants: PhysicalConstants = CONST) -> float:
         """Energy unit hbar^2/(2 M d^2) in joules."""

@@ -184,15 +184,12 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
     Pphi = np.outer(sys.phi, sys.phi.conj())
 
     rho = np.kron(alpha0, Pphi)      # unnormalized phi branch
-    frozen_fidelity = 1.0
+    survival = before = float(np.trace(rho).real)
     for _ in range(n):
-        rho = U @ rho @ U.conj().T
-        pre_trace = float(np.trace(rho).real)
-        rho = P @ rho @ P
-        post_trace = float(np.trace(rho).real)
-        frozen_fidelity = post_trace / pre_trace if pre_trace > 0 else 0.0
-
-    survival = float(np.trace(rho).real)
+        rho = P @ (U @ rho @ U.conj().T) @ P
+        before, survival = survival, float(np.trace(rho).real)
+    # U is unitary, so the last step's pre-measurement trace is tr rho_{n-1}
+    frozen_fidelity = 1.0 if n == 0 else survival / before if before > 0 else 0.0
     if survival > 0:
         probe = np.einsum("psqs->pq",
                           rho.reshape(sys.dim_P, sys.dim_S,

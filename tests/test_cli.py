@@ -332,13 +332,30 @@ def test_exit_code_contract_end_to_end(argv):
 
 
 def test_malformed_command_line_is_one_line(capsys):
-    # argparse takes "-inf" for an option, not for the value of --R
+    # a flag where the value of --R should be: --R has no value
     with pytest.raises(SystemExit) as exc:
-        run_cli(["report", "--R", "-inf"])
+        run_cli(["report", "--R", "--density", "2600"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("zenograv: validation error: argument --R")
     assert err.count("\n") == 1
+
+
+class TestValueStartingWithDash:
+    # argparse alone reads "-1e-5" or "-inf" as a flag, not as a value
+    def test_binds_to_its_flag(self, tmp_path):
+        for name, args in (("spaced", ["--l", "-1e-5"]),
+                           ("joined", ["--l=-1e-5"])):
+            assert run_cli(["scatter", *args,
+                            "--output-dir", tmp_path / name]) == 0
+        assert ((tmp_path / "spaced" / "trajectory.csv").read_bytes()
+                == (tmp_path / "joined" / "trajectory.csv").read_bytes())
+
+    def test_non_finite_is_one_validation_line(self, tmp_path, capsys):
+        assert run_cli(["report", "--R", "-inf", "--output-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zenograv: validation error: --R must be finite")
+        assert err.count("\n") == 1
 
 
 def test_huge_lobe_separation_is_one_validation_line(tmp_path, capsys):
@@ -364,6 +381,105 @@ def test_warning_of_finished_run_is_one_line(tmp_path, capsys):
     assert err == ("zenograv: warning: sphere components overlap; fields "
                    "still superpose but the two-position source model "
                    "assumes disjoint lobes\n")
+
+
+FIGURE_T_R = 10 ** 1.1
+SWEEP_AXES = "('R', 'v', 't_R', 'p', 'T', 'm_probe')"
+POINT_SCHEMA = {
+    "R": (float, 1e-5, "m, source sphere radius", "pos"),
+    "density": (float, 2600.0, "kg/m^3, source density", "pos"),
+    "beta": (float, 1.2, "impact margin, > 1", "pos"),
+    "zeta": (float, 0.75, "anomaly fraction in (0,1)", "pos"),
+    "t_R": (float, 10.0, "s, R/v", "pos"),
+    "m_probe": (float, 1e-18, "kg, probe mass", "pos"),
+    "R_probe": (float, 1e-6, "m, probe radius (mean free path)", "nonneg"),
+    "pressure": (float, 1e-15, "Pa", "nonneg"),
+    "T_env": (float, 1.0, "K, environment temperature", "pos"),
+    "T_int": (float, 1.0, "K, internal temperature", "pos"),
+    "t_total_cap": (float, 100.0, "s, run-duration budget", "pos"),
+    "theta_min": (float, 1e-4, "rad, detector angular floor", "pos"),
+    "strictness": (float, 100.0, "the >>-means->=-100x factor", "pos"),
+    "sigma_ratio_max": (float, 0.02, "classicality ceiling on sigma/R", "pos"),
+    "gamma_zeno_achievable": (float, 1e3, "1/s, achievable rate ceiling",
+                              "pos"),
+}
+# every command's (type, default, help, domain) per key, spelled out
+PARAM_SCHEMAS = {
+    "scatter": {
+        "R": (float, 1e-5, "m, source sphere radius", "pos"),
+        "density": (float, 2600.0, "kg/m^3, source density", "pos"),
+        "d": (float, None, "m, lobe separation (default 2R)", "nonneg"),
+        "beta": (float, 1.2, "impact parameter in units of R", "pos"),
+        "l": (float, 0.0, "m, launch offset along x", "any"),
+        "t_R": (float, FIGURE_T_R, "s, R/v", "pos"),
+        "m_probe": (float, 1e-18, "kg, probe mass", "pos"),
+        "collapsed": (str, "none", "none|left|right|random source coin",
+                      "any"),
+        "rtol": (float, 1e-9, "integrator tolerance", "pos"),
+    },
+    "pattern": {
+        "R": (float, 1e-5, "m, source sphere radius", "pos"),
+        "density": (float, 2600.0, "kg/m^3, source density", "pos"),
+        "d": (float, None, "m, lobe separation (default 2R)", "nonneg"),
+        "beta_min": (float, 1.2, "grid lower beta", "pos"),
+        "beta_max": (float, 2.0, "grid upper beta", "pos"),
+        "l_min": (float, 0.0, "m, grid lower offset", "nonneg"),
+        "l_max": (float, None, "m, grid upper offset (default 2R)", "nonneg"),
+        "n_b": (int, 40, "beta grid points", "pos"),
+        "n_l": (int, 40, "offset grid points", "pos"),
+        "t_R": (float, FIGURE_T_R, "s, R/v", "pos"),
+        "m_probe": (float, 1e-18, "kg, probe mass", "pos"),
+        "svg": (int, 1, "also emit SVG (0/1)", "nonneg"),
+        "mirror": (int, 1, "mirror offsets to -l (0/1)", "nonneg"),
+    },
+    "eigen": {
+        "a": (float, 1.0, "x^2 coefficient (dimensionless)", "any"),
+        "b": (float, 4.0, "x^4 coefficient (dimensionless)", "any"),
+        "c": (float, 1.0, "x^6 coefficient (dimensionless)", "pos"),
+        "M": (float, 1e-11, "kg, source mass", "pos"),
+        "d": (float, 1e-5, "m, length unit", "pos"),
+        "n_states": (int, 2, "eigenstates to solve", "pos"),
+        "x_max": (float, 4.0, "half-width of the grid, units of d", "pos"),
+        "n_points": (int, 4000, "grid points", "pos"),
+    },
+    "zeno": {
+        "g_over_hbar": (float, 1.0, "1/s, coupling over hbar (freeze time 1/g)",
+                        "pos"),
+        "probe_splitting_ratio": (float, 0.7, "probe level splitting / g",
+                                  "any"),
+        "N": (int, 100, "measurements per run", "pos"),
+        "tau_min_ratio": (float, 1e-4, "smallest tau over freeze time", "pos"),
+        "tau_max_ratio": (float, 1e-2, "largest tau over freeze time", "pos"),
+        "n_tau": (int, 9, "tau grid points (log)", "pos"),
+    },
+    "decoherence": {
+        "R_min": (float, 1e-7, "m, sweep lower radius", "pos"),
+        "R_max": (float, 1e-4, "m, sweep upper radius", "pos"),
+        "n_R": (int, 25, "radius grid points (log)", "pos"),
+        "pressure": (float, 1e-15, "Pa", "nonneg"),
+        "T_env": (float, 1.0, "K, environment temperature", "pos"),
+        "T_int": (float, 1.0, "K, internal temperature", "pos"),
+    },
+    "report": POINT_SCHEMA,
+    "feasibility": {
+        **POINT_SCHEMA,
+        "axis1": (str, "t_R", f"first axis, one of {SWEEP_AXES}", "any"),
+        "a1_min": (float, 1.0, "axis1 lower bound", "pos"),
+        "a1_max": (float, 100.0, "axis1 upper bound", "pos"),
+        "n1": (int, 16, "axis1 grid points (log)", "pos"),
+        "axis2": (str, "R", f"second axis, one of {SWEEP_AXES}", "any"),
+        "a2_min": (float, 1e-6, "axis2 lower bound", "pos"),
+        "a2_max": (float, 1e-4, "axis2 upper bound", "pos"),
+        "n2": (int, 16, "axis2 grid points (log)", "pos"),
+    },
+}
+
+
+def test_param_schemas_are_the_spelled_out_table():
+    # the report/feasibility entries come from the ExperimentPoint and
+    # Environment fields; the table pins every key, type, default, help
+    # text and domain
+    assert cli.PARAM_SCHEMAS == PARAM_SCHEMAS
 
 
 def test_parser_built_once():

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from zenograv import scatter, zeno
 from zenograv.constants import joules_to_ev
 from zenograv.decoherence import Environment
 from zenograv.errors import InvalidParameterError, ZenogravError
-from zenograv.feasibility import (SWEEP_AXES, RegionRow, _apply_axes,
-                                  evaluate_point, reference_point,
+from zenograv.feasibility import (SWEEP_AXES, ExperimentPoint, RegionRow,
+                                  _apply_axes, evaluate_point, reference_point,
                                   region_to_csv, report_to_dict, sweep_region)
 from zenograv.massdist import make_superposed_source
 from zenograv.scatter import integrate_trajectory
@@ -41,6 +42,22 @@ class TestExperimentPoint:
     def test_nan_rejected(self, field):
         with pytest.raises(InvalidParameterError):
             replace(REF, **{field: math.nan})
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan])
+    def test_sigma_ratio_max_must_be_positive(self, value):
+        with pytest.raises(InvalidParameterError, match="sigma_ratio_max"):
+            replace(REF, sigma_ratio_max=value)
+
+    def test_defaults_are_the_summary_configuration(self):
+        # the literals reference_point() spelled out before the field
+        # defaults took them over
+        assert ExperimentPoint() == ExperimentPoint(
+            R=1e-5, density=2600.0, beta=1.2, zeta=0.75, t_R=10.0,
+            m_probe=1e-18, R_probe=1e-6,
+            env=Environment(pressure=1e-15, T_env=1.0, T_int=1.0),
+            t_total_cap=100.0, theta_min=1e-4, strictness=100.0,
+            sigma_ratio_max=0.02, gamma_zeno_achievable=1e3)
+        assert reference_point() == ExperimentPoint()
 
     def test_grid_fields_validated_whole(self):
         # an array field is checked in every cell, NaN included, with the
@@ -418,3 +435,31 @@ class TestGridKernelParity:
         with pytest.raises(FloatingPointError):
             sweep_region(("v", np.array([1e300])),
                          ("t_R", np.array([1.0, 10.0])), REF)
+
+
+# report.json "point" key -> the ExperimentPoint attribute it holds
+REPORT_POINT_KEYS = {
+    "R_m": "R", "density_kg_m3": "density", "beta": "beta", "zeta": "zeta",
+    "t_R_s": "t_R", "v_m_s": "v", "M_kg": "M", "m_probe_kg": "m_probe",
+    "R_probe_m": "R_probe", "pressure_Pa": "env.pressure",
+    "T_env_K": "env.T_env", "T_int_K": "env.T_int",
+    "t_total_cap_s": "t_total_cap", "theta_min_rad": "theta_min",
+    "strictness": "strictness", "sigma_ratio_max": "sigma_ratio_max",
+    "gamma_zeno_achievable_s": "gamma_zeno_achievable",
+}
+
+
+@pytest.mark.parametrize("pt", [
+    ExperimentPoint(),
+    # every field distinct, so that two swapped keys would show
+    ExperimentPoint(R=2e-5, density=2000.0, beta=1.5, zeta=0.6, t_R=12.0,
+                    m_probe=3e-18, R_probe=4e-6,
+                    env=Environment(pressure=5e-15, T_env=1.5, T_int=2.5),
+                    t_total_cap=90.0, theta_min=7e-5, strictness=50.0,
+                    sigma_ratio_max=0.03, gamma_zeno_achievable=2e3),
+])
+def test_report_point_block_holds_every_parameter(pt):
+    point = report_to_dict(evaluate_point(pt))["point"]
+    assert len(REPORT_POINT_KEYS) == 17
+    assert point == {key: attrgetter(name)(pt)
+                     for key, name in REPORT_POINT_KEYS.items()}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,6 +21,15 @@ class TestSpec:
             PotentialSpec1D(a=1, b=4, c=0.0, M=1e-11, d=1e-5)
         with pytest.raises(InvalidParameterError):
             PotentialSpec1D(a=1, b=4, c=1, M=-1e-11, d=1e-5)
+
+    @pytest.mark.parametrize("field, message", [
+        ("a", "a and b must be finite"), ("b", "a and b must be finite"),
+        ("c", r"c must be > 0 \(confining\)"), ("M", "M and d must be > 0"),
+        ("d", "M and d must be > 0")])
+    def test_nan_rejected(self, field, message):
+        params = {**dict(a=1, b=4, c=1, M=1e-11, d=1e-5), field: math.nan}
+        with pytest.raises(InvalidParameterError, match=message):
+            PotentialSpec1D(**params)
 
     def test_potential_shape(self):
         # triple well: central minimum at 0, two deep side minima, two barriers
