@@ -5,8 +5,9 @@
 pytest-benchmark cases, outside the tier-1 ``testpaths``.  Each round
 runs ``python -m zenograv.cli`` in a new interpreter, so a case times
 what a user waits for: start-up and imports as well as the command's
-work, which for these commands is a few milliseconds.  ``feasibility``
-runs its default 16x16 grid.
+work, which for these commands is a few milliseconds (``scatter``, one
+trajectory, takes about 30 ms).  ``feasibility`` runs its default 16x16
+grid, ``pattern`` a 1x1 grid.
 """
 
 import os
@@ -22,6 +23,8 @@ CASES = {
     "report": ["report"],
     "feasibility_16x16": ["feasibility"],
     "decoherence": ["decoherence"],
+    "scatter": ["scatter"],
+    "pattern_1x1": ["pattern", "--n_b", "1", "--n_l", "1"],
     "help": ["--help"],
 }
 

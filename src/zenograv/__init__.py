@@ -5,6 +5,7 @@ Submodules
 constants     shared physical constants and eV conversion
 massdist      sphere-superposition sources: potential and force fields
 scatter       probe trajectories, deflection angles, pattern scans
+rk45          scipy's RK45 step, controller and event root, reproduced
 zeno          stroboscopic freeze dynamics on finite-dimensional models
 schrod1d      1D multiwell eigensolver for the source's trap ground state
 decoherence   environmental localization rates and probe classicality
@@ -15,7 +16,8 @@ cli           command-line front-end (``zenograv <command>``)
 from .constants import CONST, PhysicalConstants, ev_to_joules, joules_to_ev
 from .errors import (GridInsufficientError, IntegratorFailureError,
                      InvalidParameterError, ProjectionSingularError,
-                     UnterminatedTrajectoryError, ZenogravError)
+                     RateOverflowError, UnterminatedTrajectoryError,
+                     ZenogravError)
 from .massdist import (MassDistribution, SphereComponent, force_at,
                        gravity_field, gravity_potential,
                        make_superposed_source, potential_at)

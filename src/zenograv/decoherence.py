@@ -24,16 +24,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta
 
 from .constants import CONST, PhysicalConstants
 from .elementwise import parameter, ratio_or_inf, require, result
+from .errors import RateOverflowError
 
 # rounded reference coefficients (1 significant figure except the gas one)
 GAS_COEFF = 1.96e26       # Gamma_gas ~ GAS_COEFF * p R^2 / sqrt(T_e)
 BB_SC_COEFF = 5e36        # Lambda_bb_sc ~ BB_SC_COEFF * R^6 T_e^9
 BB_ABEM_COEFF = 5e25      # Lambda_bb_ab/em ~ BB_ABEM_COEFF * R^3 T^6
 MFP_COEFF = 3.6e-15       # l_mfp ~ MFP_COEFF * T_e / p (area-convention bound)
+# Riemann zeta(9): scipy.special.zeta(9) as a literal, so that importing the
+# toolkit does not import scipy.  A numpy float like scipy's, so that an
+# overflow in a product with it still raises under np.errstate.
+ZETA_9 = np.float64(1.0020083928260821)
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,10 @@ def rest_gas_rate(env: Environment, R,
     require(R > 0, "R must be > 0, got {}", R)
     lam = gas_thermal_wavelength(env.T_env, constants)
     gamma_sat = (lam / constants.hbar) * (16 * np.pi / 3) * env.pressure * R**2
+    if not np.all(np.isfinite(gamma_sat)):
+        # the prefactor times p overflows; times an underflowed R^2 it is NaN
+        raise RateOverflowError("rest-gas rate (lambda_th/hbar)(16 pi/3) "
+                                "p R^2 overflows the float range")
     rounded = result(GAS_COEFF * env.pressure * R**2 / np.sqrt(env.T_env))
     Lambda = gamma_sat / lam**2
     return ChannelRate(Lambda=Lambda, lambda_th=lam, gamma=gamma_sat,
@@ -160,7 +168,7 @@ def blackbody_rates(env: Environment, R, x,
     lam_e = bb_thermal_wavelength(env.T_env, constants)
     lam_i = bb_thermal_wavelength(env.T_int, constants)
 
-    L_sc = result((1.0 / lam_e) ** 9 * (math.factorial(8) * 8 * zeta(9)
+    L_sc = result((1.0 / lam_e) ** 9 * (math.factorial(8) * 8 * ZETA_9
                                         * np.pi**5 * c * R**6 / 9.0) * re_f**2)
     L_abs = (1.0 / lam_e) ** 6 * (16 * np.pi**9 * c * R**3 / 189.0) * im_f
     L_em = (1.0 / lam_i) ** 6 * (16 * np.pi**9 * c * R**3 / 189.0) * im_f

@@ -24,6 +24,10 @@ class IntegratorFailureError(ZenogravError):
     """The ODE integrator produced a non-finite state."""
 
 
+class RateOverflowError(ZenogravError):
+    """A rate overflows the float range although its inputs are valid."""
+
+
 class ProjectionSingularError(ZenogravError):
     """Direction coincides with the projection pole."""
 

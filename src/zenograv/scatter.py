@@ -5,12 +5,16 @@ RK45's step-size controller (relative tolerance 1e-9 per step by
 default).  Pattern scans run every probe of a grid through one lockstep
 batch engine over an (N, 6) state array; a single trajectory runs the
 same step on plain Python floats, in the same operation order, so both
-give the same probe bit for bit.  scipy's RK45 itself is not used here: it
-is the oracle the tests check both against.  The launch plane at z_start and
-the escape radius r_stop are finite stand-ins for the asymptotic
-scattering problem.  Closed-form hyperbolic-orbit expressions (deflection
-angle, time of flight between true anomalies) are provided both as fast
-estimators and as independent oracles for the integrators.
+give the same probe bit for bit.  Their numerics come from
+:mod:`zenograv.rk45`, which also finds the escape crossing on the last
+step's dense output with a lockstep port of scipy's ``brentq``; a scan
+solves the crossings of all its probes at once after the engine
+finishes.  scipy itself is not imported: its RK45 and ``brentq`` are the
+oracles the tests check both paths against.  The launch plane at z_start
+and the escape radius r_stop are finite stand-ins for the asymptotic
+scattering problem.  Closed-form hyperbolic-orbit expressions
+(deflection angle, time of flight between true anomalies) are provided
+both as fast estimators and as independent oracles for the integrators.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.optimize import brentq
 
+from . import rk45
 from .constants import CONST, PhysicalConstants
 from .elementwise import csv_text, require, result
 from .errors import (IntegratorFailureError, InvalidParameterError,
@@ -36,16 +39,8 @@ DEFAULT_RTOL = 1e-9
 # tight control even though it is orders of magnitude below the speed.
 ATOL_FACTOR = 1e-4
 
-# scipy's RK45 step-size controller, restated for the lockstep engine.
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
-# solve_ivp's event-root tolerance (xtol = rtol = 4 eps)
-_EVENT_TOL = 4 * np.finfo(float).eps
-# scipy RK45's floor on rtol
-_RTOL_FLOOR = 100 * np.finfo(float).eps
 _NON_FINITE = "non-finite state during integration"
+_POLE = "direction at the projection pole (0,0,-1)"
 
 
 @dataclass(frozen=True)
@@ -209,11 +204,11 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     y, atol = _launch(cfg)
     if not all(map(math.isfinite, y)):
         raise IntegratorFailureError(_NON_FINITE)
-    rtol = max(cfg.rtol, _RTOL_FLOOR)
+    rtol = max(cfg.rtol, rk45.RTOL_FLOOR)
     t_bound, max_step, r_stop = cfg.t_max, cfg.dt_max, cfg.r_stop
     f = rhs(y)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        h_abs = float(_initial_step(lambda rows: np.array([rhs(rows[0])]),
+        h_abs = float(rk45.initial_step(lambda rows: np.array([rhs(rows[0])]),
                                     np.array([y]), np.array([f]),
                                     np.array(atol), rtol, t_bound,
                                     max_step)[0])
@@ -242,23 +237,24 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
                 h_abs = min_step
         if not (h_abs >= min_step):
             raise IntegratorFailureError(
-                f"integrator failed: {RK45.TOO_SMALL_STEP}")
+                f"integrator failed: {rk45.TOO_SMALL_STEP}")
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
 
-        y_new, K, e = _dormand_prince(rhs, y, f, h)
-        err = _rms_floats([
+        y_new, K, e = rk45.dormand_prince(rhs, y, f, h)
+        err = rk45.rms_floats([
             ei * h / (a + max(abs(yi), abs(yn)) * rtol)
             for ei, a, yi, yn in zip(e, atol, y, y_new)])
 
         if not (err < 1):
-            power = _SAFETY * _pow(err)
-            h_abs = h * (power if power > _MIN_FACTOR else _MIN_FACTOR)
+            power = rk45.SAFETY * rk45.error_power(err)
+            h_abs = h * (power if power > rk45.MIN_FACTOR
+                         else rk45.MIN_FACTOR)
             retry = True
             n_rejected += 1
             continue
-        grow = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR,
-                                                  _SAFETY * _pow(err))
+        grow = rk45.MAX_FACTOR if err == 0 else min(
+            rk45.MAX_FACTOR, rk45.SAFETY * rk45.error_power(err))
         h_abs = h * (min(1.0, grow) if retry else grow)
         retry = False
         n_accepted += 1
@@ -267,11 +263,12 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
 
         g_new = _radius(y_new) - r_stop
         if g <= 0 <= g_new:
-            t_e, y_e = _escape_root(np.array(K), t, h, np.array(y), r_stop,
-                                    t_new)
+            (t_e,), (y_e,) = rk45.escape_roots(
+                np.array(K)[:, None], np.array([t]), np.array([h]),
+                np.array([y]), np.array([r_stop]), np.array([t_new]))
             if not np.isfinite(y_e).all():
                 raise IntegratorFailureError(_NON_FINITE)
-            ts.append(t_e)
+            ts.append(float(t_e))
             ys.append(y_e)
             return trajectory()
         ts.append(t_new)
@@ -279,57 +276,6 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
         if t_new >= t_bound:
             raise _unterminated(cfg, trajectory())
         t, y, f, g = t_new, y_new, K[-1], g_new
-
-
-# RK45's Dormand-Prince 5(4) tableau as plain floats: per stage the
-# coefficients of the earlier stages, then B and E.
-_A_ROWS = tuple(tuple(RK45.A[s, :s].tolist())
-                for s in range(1, RK45.n_stages))
-_B = tuple(RK45.B.tolist())
-_E = tuple(RK45.E.tolist())
-
-
-def _dormand_prince(rhs, y, k1, h):
-    """One Dormand-Prince 5(4) attempt on 6 floats from y with slope k1.
-
-    Returns the 5th-order state, the seven stage slopes and the error
-    estimate sum_j E[j] k_j (not yet times h).  Every stage sum runs in
-    stage order and skips the zero coefficients B[1] and E[1], as
-    :func:`_combine` does, so each value equals the batch engine's.
-    """
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _A_ROWS
-    b1, _, b3, b4, b5, b6 = _B
-    e1, _, e3, e4, e5, e6, e7 = _E
-    k2 = rhs([yi + p1 * a21 * h for yi, p1 in zip(y, k1)])
-    k3 = rhs([yi + (p1 * a31 + p2 * a32) * h
-              for yi, p1, p2 in zip(y, k1, k2)])
-    k4 = rhs([yi + (p1 * a41 + p2 * a42 + p3 * a43) * h
-              for yi, p1, p2, p3 in zip(y, k1, k2, k3)])
-    k5 = rhs([yi + (p1 * a51 + p2 * a52 + p3 * a53 + p4 * a54) * h
-              for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-    k6 = rhs([yi + (p1 * a61 + p2 * a62 + p3 * a63 + p4 * a64 + p5 * a65) * h
-              for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [yi + h * (p1 * b1 + p3 * b3 + p4 * b4 + p5 * b5 + p6 * b6)
-             for yi, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-    k7 = rhs(y_new)
-    error = [p1 * e1 + p3 * e3 + p4 * e4 + p5 * e5 + p6 * e6 + p7 * e7
-             for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
-    return y_new, (k1, k2, k3, k4, k5, k6, k7), error
-
-
-def _rms_floats(x):
-    """:func:`_rms` of one row of floats."""
-    total = x[0] * x[0]
-    for v in x[1:]:
-        total = total + v * v
-    return math.sqrt(total) / len(x) ** 0.5
-
-
-def _pow(err):
-    """err ** _ERROR_EXPONENT through numpy's array power, as the batch
-    engine computes it (libm's pow differs in the last bit for some err)."""
-    return float(np.power(err, _ERROR_EXPONENT))
 
 
 def _radius(y):
@@ -346,21 +292,31 @@ def _launch(cfg: ScatterConfig):
 
 
 def _outgoing(cfg: ScatterConfig, v_out):
-    """Deflection angle from the launch velocity and the outgoing unit vector."""
-    theta = _angle_between(np.array([0.0, 0.0, cfg.v]), v_out)
-    return theta, v_out / np.linalg.norm(v_out)
+    """Deflection angle from the launch velocity and the outgoing unit
+    vector: :func:`_deflection` on one row."""
+    (theta,), (u,) = _deflection(cfg.v, np.reshape(v_out, (1, 3)))
+    return float(theta), u
+
+
+def _deflection(v, v_out):
+    """Per row of v_out (n, 3): the angle from the launch velocity
+    (0, 0, v) and the outgoing unit vector.
+
+    The angle is atan2(|a x b|, a . b) for a = (0, 0, v), whose cross
+    product with b is (-v b_y, v b_x, 0); the norms are summed in column
+    order, and atan2 is the math module's, row by row (numpy's array
+    arctan2 may differ from it in the last bit).
+    """
+    bx, by, bz = v_out.T
+    cross = np.sqrt((v * by) ** 2 + (v * bx) ** 2)
+    theta = np.array(list(map(math.atan2, cross.tolist(), (v * bz).tolist())))
+    return theta, v_out / np.sqrt(_dot3(v_out, v_out))[:, None]
 
 
 def _unterminated(cfg: ScatterConfig, traj=None) -> UnterminatedTrajectoryError:
     return UnterminatedTrajectoryError(
         f"probe did not escape r_stop={cfg.r_stop} within t_max={cfg.t_max}",
         trajectory=traj)
-
-
-def _angle_between(a, b) -> float:
-    cross = np.linalg.norm(np.cross(a, b))
-    dot = float(np.dot(a, b))
-    return math.atan2(cross, dot)
 
 
 def _dot3(u, w):
@@ -492,65 +448,6 @@ def kepler_scatter_time(M, rho, beta, zeta, t_R,
 # Lockstep batch engine (pattern scans)
 # ---------------------------------------------------------------------------
 
-def _rms(x):
-    """Row-wise RMS norm of an (n, 6) array (scipy's ``norm`` per probe)."""
-    x2 = x * x
-    total = x2[:, 0]
-    for k in range(1, x.shape[1]):
-        total = total + x2[:, k]
-    return np.sqrt(total) / x.shape[1] ** 0.5
-
-
-def _combine(K, coef):
-    """sum_j coef[j] * K[j], accumulated in stage order.
-
-    Elementwise accumulation (not a BLAS product) keeps every probe's
-    arithmetic independent of its row in the batch.  Zero coefficients
-    (the second stage in B and E) are skipped.
-    """
-    acc = K[0] * coef[0]
-    for j in range(1, len(coef)):
-        if coef[j]:
-            acc += K[j] * coef[j]
-    return acc
-
-
-def _escape_root(K, t_old, h, y_old, r_stop, t_new):
-    """First outward r_stop crossing within one accepted step.
-
-    The step's quartic dense output (scipy's RkDenseOutput form) is
-    root-searched with brentq at solve_ivp's event tolerances; returns
-    the time and the state of the crossing.
-    """
-    Q = K.T.dot(RK45.P)
-
-    def state(t):
-        p = np.cumprod(np.full(4, (t - t_old) / h))
-        return h * Q.dot(p) + y_old
-
-    def escape(t):
-        y = state(t)
-        return math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2) - r_stop
-
-    t_root = brentq(escape, t_old, t_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
-    return t_root, state(t_root)
-
-
-def _initial_step(fun, y, f, atol, rtol, t_bound, max_step):
-    """scipy's ``select_initial_step`` for each probe, from t0 = 0."""
-    scale = atol + np.abs(y) * rtol
-    d0 = _rms(y / scale)
-    d1 = _rms(f / scale)
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    h0 = np.minimum(h0, t_bound)
-    d2 = _rms((fun(y + h0[:, None] * f) - f) / scale) / h0
-    # max(d1, d2) as Python's max takes it: a NaN d2 leaves d1
-    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
-                  np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / np.where(d2 > d1, d2, d1)) ** (-_ERROR_EXPONENT))
-    return np.minimum(np.minimum(100 * h0, h1), np.minimum(t_bound, max_step))
-
-
 def _integrate_batch(dist: MassDistribution, cfgs,
                      constants: PhysicalConstants = CONST):
     """Integrate many probes in lockstep; per probe (final state, hit, error).
@@ -561,17 +458,21 @@ def _integrate_batch(dist: MassDistribution, cfgs,
     atol + max(|y|, |y_new|) rtol, safety 0.9, step factors clamped to
     [0.2, 10] and no growth right after a rejection, min_step = 10 ulp(t),
     max_step = dt_max and clipping at t_max.  A probe retires at its
-    outward r_stop crossing (located on the dense output as solve_ivp
-    does), at t_max (UnterminatedTrajectoryError), on a non-finite
-    accepted state or when its step underflows (IntegratorFailureError);
-    the error slot then holds the exception and the final state is NaN.
-    Source hits are checked on every accepted-step segment.
+    outward r_stop crossing, at t_max (UnterminatedTrajectoryError), on a
+    non-finite accepted state or when its step underflows
+    (IntegratorFailureError); the error slot then holds the exception and
+    the final state is NaN.  Source hits are checked on every
+    accepted-step segment.  A crossing probe's last step is only
+    recorded: once every probe has retired, all crossings are located on
+    their steps' dense output by one lockstep Brent search
+    (:func:`rk45.escape_roots`, solve_ivp's event root), and the partial
+    segments up to them are checked for hits in one call.
     """
     n = len(cfgs)
     launch = [_launch(c) for c in cfgs]
     y = np.array([y0 for y0, _ in launch])
     atol = np.array([a for _, a in launch])
-    rtol = np.array([[max(c.rtol, _RTOL_FLOOR)] for c in cfgs])
+    rtol = np.array([[max(c.rtol, rk45.RTOL_FLOOR)] for c in cfgs])
     t_bound = np.array([c.t_max for c in cfgs])
     max_step = np.array([c.dt_max for c in cfgs])
     r_stop = np.array([c.r_stop for c in cfgs])
@@ -580,6 +481,7 @@ def _integrate_batch(dist: MassDistribution, cfgs,
     hit_end = np.zeros(n, dtype=bool)
     errors = [None] * n
     idx = np.arange(n)           # original index of each active probe
+    crossings = []               # per iteration: the crossing probes' steps
 
     def fun(y):
         f = np.empty_like(y)
@@ -597,7 +499,7 @@ def _integrate_batch(dist: MassDistribution, cfgs,
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = fun(y)
-        h_abs = _initial_step(fun, y, f, atol, rtol, t_bound, max_step)
+        h_abs = rk45.initial_step(fun, y, f, atol, rtol, t_bound, max_step)
         t = np.zeros(n)
         g = radius(y) - r_stop           # escape event value
         retry = np.zeros(n, dtype=bool)  # last attempt was rejected
@@ -625,49 +527,56 @@ def _integrate_batch(dist: MassDistribution, cfgs,
             h = t_new - t
             hc = h[:, None]
 
-            K = np.empty((RK45.n_stages + 1, m, 6))
+            K = np.empty((rk45.N_STAGES + 1, m, 6))
             K[0] = f
-            for s in range(1, RK45.n_stages):
-                K[s] = fun(y + _combine(K[:s], RK45.A[s, :s]) * hc)
-            y_new = y + hc * _combine(K[:-1], RK45.B)
+            for s in range(1, rk45.N_STAGES):
+                K[s] = fun(y + rk45.combine(K[:s], rk45.A_ROWS[s - 1]) * hc)
+            y_new = y + hc * rk45.combine(K[:-1], rk45.B)
             f_new = K[-1] = fun(y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(_combine(K, RK45.E) * hc / scale)
+            err = rk45.rms(rk45.combine(K, rk45.E) * hc / scale)
 
             accept = (err < 1) & ~stuck
-            power = _SAFETY * err ** _ERROR_EXPONENT
-            grow = np.where(err == 0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, power))
+            power = rk45.SAFETY * err ** rk45.ERROR_EXPONENT
+            grow = np.where(err == 0, rk45.MAX_FACTOR,
+                            np.minimum(rk45.MAX_FACTOR, power))
             grow = np.where(retry, np.minimum(1.0, grow), grow)
-            h_abs = h * np.where(accept, grow, np.fmax(_MIN_FACTOR, power))
+            h_abs = h * np.where(accept, grow, np.fmax(rk45.MIN_FACTOR, power))
             retry = ~accept
 
             finite = np.isfinite(y_new).all(axis=1)
             ok = accept & finite
             done = fail(stuck, lambda j: IntegratorFailureError(
-                f"integrator failed: {RK45.TOO_SMALL_STEP}"))
+                f"integrator failed: {rk45.TOO_SMALL_STEP}"))
             done |= fail(accept & ~finite,
                          lambda j: IntegratorFailureError(_NON_FINITE))
 
             g_new = radius(y_new) - r_stop
             crossed = ok & (g <= 0) & (g_new >= 0)
-            seg_end = y_new[:, :3].copy()
-            for j in np.flatnonzero(crossed):
-                _, y_e = _escape_root(K[:, j].copy(), t[j], h[j], y[j],
-                                      r_stop[j], t_new[j])
-                seg_end[j] = y_e[:3]
-                y_end[idx[j]] = y_e
-                if not np.isfinite(y_e).all():
-                    errors[idx[j]] = IntegratorFailureError(_NON_FINITE)
-            hit[ok] |= _segment_hits(y[ok, :3], seg_end[ok], dist)
-            hit_end[idx[crossed]] = hit[crossed]
+            moved = ok & ~crossed
+            hit[moved] |= _segment_hits(y[moved, :3], y_new[moved, :3], dist)
+            if crossed.any():
+                crossings.append((idx[crossed], K[:, crossed], t[crossed],
+                                  h[crossed], y[crossed], r_stop[crossed],
+                                  t_new[crossed], hit[crossed]))
             done |= crossed
-            done |= fail(ok & ~crossed & (t_new >= t_bound),
+            done |= fail(moved & (t_new >= t_bound),
                          lambda j: _unterminated(cfgs[idx[j]]))
 
             t = np.where(accept, t_new, t)
             y = np.where(accept[:, None], y_new, y)
             f = np.where(accept[:, None], f_new, f)
             g = np.where(accept, g_new, g)
+
+        if crossings:
+            steps = list(zip(*crossings))
+            K = np.concatenate(steps.pop(1), axis=1)
+            lanes, t, h, y, r_stop, t_new, hit = map(np.concatenate, steps)
+            _, y_end[lanes] = rk45.escape_roots(K, t, h, y, r_stop, t_new)
+            hit_end[lanes] = hit | _segment_hits(y[:, :3], y_end[lanes, :3],
+                                                 dist)
+            for j in lanes[~np.isfinite(y_end[lanes]).all(axis=1)]:
+                errors[j] = IntegratorFailureError(_NON_FINITE)
     return y_end, hit_end, errors
 
 
@@ -681,13 +590,43 @@ def stereographic_project(outgoing_dir) -> np.ndarray:
     (0,0,1) maps to the origin, the equator to the circle of radius 2; a
     small deflection theta lands at radius 2*tan(theta/2) ~ theta.
     """
-    u = np.asarray(outgoing_dir, dtype=float)
-    norm = np.linalg.norm(u)
-    if abs(norm - 1.0) > 1e-9:
-        raise InvalidParameterError(f"direction must be unit length, |u| = {norm}")
-    if 1.0 + u[2] < 1e-12:
-        raise ProjectionSingularError("direction at the projection pole (0,0,-1)")
-    return np.array([2.0 * u[0] / (1.0 + u[2]), 2.0 * u[1] / (1.0 + u[2])])
+    proj, (pole,) = _project(
+        np.reshape(np.asarray(outgoing_dir, dtype=float), (1, 3)))
+    if pole:
+        raise ProjectionSingularError(_POLE)
+    return proj[0]
+
+
+def _project(u):
+    """:func:`stereographic_project` of each row of u (n, 3): the (n, 2)
+    projections, and a mask of the rows at the pole, whose projection is
+    not a number."""
+    norm = np.sqrt(_dot3(u, u))
+    bad = np.abs(norm - 1.0) > 1e-9
+    if bad.any():
+        raise InvalidParameterError(
+            f"direction must be unit length, |u| = {norm[bad][0]}")
+    den = 1.0 + u[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 * u[:, :2] / den[:, None], den < 1e-12
+
+
+def _x_symmetric(dist: MassDistribution) -> bool:
+    """Is the source's field odd in x bit for bit, so that a probe
+    launched at -l is the exact mirror image of the one at +l?
+
+    True for one component centered on x = 0, and for two components that
+    are mirror images of each other with equal radius and mass: their two
+    terms swap places in the field sum, and a two-term sum commutes.
+    """
+    comps = dist.components
+    if len(comps) == 1:
+        return comps[0].center[0] == 0.0
+    if len(comps) == 2:
+        a, b = comps
+        return (a.center[0] == -b.center[0] and a.center[1:] == b.center[1:]
+                and a.radius == b.radius and a.mass == b.mass)
+    return False
 
 
 def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
@@ -701,9 +640,15 @@ def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
     radius; with ``mirror_l`` every offset l > 0 is also launched at -l.
     Each probe gets the :meth:`ScatterConfig.for_source` launch and
     termination (the source's length scale is computed once per scan),
-    and the whole grid is integrated at once by the lockstep batch
-    engine; each record's theta, projection and hit flag equal what
-    :func:`integrate_trajectory` gives for that probe.  Probes
+    and the grid is integrated at once by the lockstep batch engine,
+    whose escape crossings are solved together by one lockstep Brent
+    search after it finishes.  If the source is x-mirror symmetric (one
+    sphere centered on x = 0, or two mirror-image spheres of equal radius
+    and mass), a -l probe is not integrated: its final state is its +l
+    partner's with x and vx negated, which is what integrating it gives
+    bit for bit.  Angles and projections are then computed for all
+    records at once.  Each record's theta, projection and hit flag equal
+    what :func:`integrate_trajectory` gives for that probe.  Probes
     that hit the source stay in ``records`` (flagged) but are excluded
     from ``points``; per-point integration failures are recorded (theta
     NaN, ``error`` set) without aborting the scan.  Records are in grid
@@ -716,42 +661,37 @@ def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
     if b_lo <= 0 or b_hi < b_lo or l_lo < 0 or l_hi < l_lo:
         raise InvalidParameterError("invalid beta_range or l_range")
     R = max(c.radius for c in dist.components)
-    betas = np.linspace(b_lo, b_hi, n_b)
-    ls = np.linspace(l_lo, l_hi, n_l)
-
-    launches = []
-    for beta in betas:
-        for l in ls:
-            offsets = (l, -l) if (mirror_l and l > 0) else (l,)
-            for off in offsets:
-                launches.append((float(beta), float(off), float(beta * R)))
+    launches = [(float(beta), float(off), float(beta * R))
+                for beta in np.linspace(b_lo, b_hi, n_b)
+                for l in np.linspace(l_lo, l_hi, n_l)
+                for off in ((l, -l) if (mirror_l and l > 0) else (l,))]
+    # a -l launch follows its +l partner; for a symmetric source it takes
+    # the partner's row, mirrored
+    mirrored = np.array([off < 0 for _, off, _ in launches]) \
+        & _x_symmetric(dist)
     scale = dist.length_scale()
-    cfgs = [ScatterConfig.for_scale(scale, b=b, l=off, v=v,
-                                    start_factor=start_factor,
-                                    stop_factor=stop_factor, rtol=rtol)
-            for _, off, b in launches]
-    y_end, hits, errors = _integrate_batch(dist, cfgs)
+    y_run, hit_run, err_run = _integrate_batch(dist, [
+        ScatterConfig.for_scale(scale, b=b, l=off, v=v,
+                                start_factor=start_factor,
+                                stop_factor=stop_factor, rtol=rtol)
+        for (_, off, b), m in zip(launches, mirrored) if not m])
+    row = np.cumsum(~mirrored) - 1
+    y_end, hits = y_run[row], hit_run[row]
+    y_end[mirrored, 0] *= -1.0
+    y_end[mirrored, 3] *= -1.0
 
-    records = []
-    for (beta, off, b), cfg, y, hit, exc in zip(launches, cfgs, y_end, hits,
-                                                 errors):
-        if exc is None:
-            theta, out_dir = _outgoing(cfg, y[3:])
-            try:
-                proj = stereographic_project(out_dir)
-            except ProjectionSingularError as singular:
-                exc = singular
-        if exc is None:
-            records.append(PatternPoint(beta=beta, l=off, b=b, theta=theta,
-                                        proj=(float(proj[0]), float(proj[1])),
-                                        hit=bool(hit)))
-        else:
-            records.append(PatternPoint(beta=beta, l=off, b=b,
-                                        theta=float("nan"),
-                                        proj=(float("nan"), float("nan")),
-                                        hit=False,
-                                        error=f"{type(exc).__name__}: {exc}"))
-    return ScatterPattern(records=tuple(records))
+    theta, u = _deflection(v, y_end[:, 3:])
+    proj, pole = _project(u)
+    errors = [f"{type(exc).__name__}: {exc}" if exc is not None else
+              f"ProjectionSingularError: {_POLE}" if at_pole else None
+              for exc, at_pole in zip((err_run[k] for k in row),
+                                      pole.tolist())]
+    nan = float("nan")
+    return ScatterPattern(records=tuple(
+        PatternPoint(beta, off, b, th, (px, py), hit) if error is None else
+        PatternPoint(beta, off, b, nan, (nan, nan), False, error)
+        for (beta, off, b), th, (px, py), hit, error in zip(
+            launches, theta.tolist(), proj.tolist(), hits.tolist(), errors)))
 
 
 def make_collapsed_sources(R: float, density: float, d: float):

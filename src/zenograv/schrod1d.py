@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .constants import CONST, PhysicalConstants
 from .elementwise import require
@@ -102,6 +101,7 @@ def solve_eigen(spec: PotentialSpec1D, n_states: int = 2,
     V = spec.potential(x)
     diag = 2.0 / h**2 + V
     off = np.full(n - 1, -1.0 / h**2)
+    from scipy.linalg import eigh_tridiagonal   # here: no scipy at start-up
     energies, vecs = eigh_tridiagonal(diag, off, select="i",
                                       select_range=(0, n_states - 1))
 

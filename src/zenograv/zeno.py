@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .constants import CONST, PhysicalConstants
 from .elementwise import require
@@ -176,6 +175,7 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
     if n < 0:
         raise InvalidParameterError(f"n must be >= 0, got {n}")
     alpha0 = _check_density_matrix(initial_probe, sys.dim_P)
+    from scipy.linalg import expm   # here: no scipy at start-up
 
     hbar = constants.hbar
     H = sys.total_hamiltonian()

@@ -493,3 +493,15 @@ def test_console_entry_point():
     for command in ("scatter", "pattern", "eigen", "zeno", "decoherence",
                     "feasibility", "report"):
         assert command in proc.stdout
+
+
+def test_gas_rate_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # (lambda_th/hbar)(16 pi/3) p overflows and R^2 underflows: their
+    # product is NaN, which used to reach a check on Lambda (exit 2)
+    assert run_cli(["decoherence", "--pressure", "1e300", "--R_min", "1e-168",
+                    "--R_max", "1e-168", "--n_R", "1",
+                    "--output-dir", tmp_path]) == 3
+    assert capsys.readouterr().err == (
+        "zenograv: numerical failure: RateOverflowError: rest-gas rate "
+        "(lambda_th/hbar)(16 pi/3) p R^2 overflows the float range\n")
+    assert not list(tmp_path.iterdir())

@@ -10,7 +10,7 @@ from zenograv.decoherence import (BB_ABEM_COEFF, BB_SC_COEFF, GAS_COEFF,
                                   momentum_floor, rest_gas_rate,
                                   total_decoherence, wavepacket_spread,
                                   wavepacket_spread_min)
-from zenograv.errors import InvalidParameterError
+from zenograv.errors import InvalidParameterError, RateOverflowError
 
 REF_ENV = Environment(pressure=1e-15, T_env=1.0, T_int=1.0)
 R = 1e-5
@@ -313,3 +313,15 @@ class TestElementwise:
         assert type(momentum_floor(1e-18, 1.0, 1e-6)[1]) is float
         with pytest.raises(InvalidParameterError):
             momentum_floor(1e-18, np.array([1.0, 0.0]), 1e-6)
+
+
+def test_rest_gas_overflow_is_a_numerical_error():
+    # (lambda_th/hbar)(16 pi/3) p is inf, R^2 is 0 and their product NaN
+    env = Environment(pressure=1e300)
+    for R in (1e-168, np.array([1e-5, 1e-168])):
+        with pytest.raises(RateOverflowError, match="overflows") as exc, \
+                np.errstate(invalid="ignore"):
+            total_decoherence(env, R)
+        assert not isinstance(exc.value, InvalidParameterError)
+    assert math.isfinite(rest_gas_rate(Environment(pressure=1e100),
+                                       1e-168).gamma)
