@@ -29,13 +29,13 @@ GRID = ((1.2, 2.0), (0.0, 2 * R), 12, 12, V, M_PROBE)
 @pytest.fixture(scope="module")
 def cfgs():
     pattern = scan_pattern(SRC, *GRID)
-    return [ScatterConfig.for_source(SRC, b=p.b, l=p.l, v=V)
-            for p in pattern.records]
+    return [ScatterConfig.for_source(SRC, b=b, l=l, v=V)
+            for b, l in zip(pattern.b.tolist(), pattern.l.tolist())]
 
 
 def test_scan_pattern_12x12_mirrored(benchmark):
     pattern = benchmark(scan_pattern, SRC, *GRID)
-    assert len(pattern.records) == 276 and pattern.n_failed == 0
+    assert len(pattern.hit) == 276 and pattern.n_failed == 0
 
 
 def test_integrate_batch_276(benchmark, cfgs):

@@ -231,9 +231,10 @@ def _run_pattern(params, outdir, seed):
         svg_path = os.path.join(outdir, "pattern.svg")
         _atomic_write(svg_path, buf.getvalue())
         emitted.append(svg_path)
-    pts = pattern.points
-    rmax = max(math.hypot(*p.proj) for p in pts) if pts else float("nan")
-    return (f"probes={len(pattern.records)}  hits={pattern.n_hit}  "
+    clean = pattern.clean
+    rmax = max(map(math.hypot, pattern.proj_x[clean].tolist(),
+                   pattern.proj_y[clean].tolist()), default=float("nan"))
+    return (f"probes={pattern.hit.size}  hits={pattern.n_hit}  "
             f"failed={pattern.n_failed}  max|proj|={rmax:.4g}  "
             f"closed-form={2*math.tan(theta_ref/2):.4g}"
             f"  -> {', '.join(emitted)}")
@@ -328,16 +329,16 @@ def _run_feasibility(params, outdir, seed):
     axes = [(params[f"axis{i}"], np.logspace(math.log10(params[f"a{i}_min"]),
                                              math.log10(params[f"a{i}_max"]),
                                              params[f"n{i}"])) for i in (1, 2)]
-    rows = feasibility.sweep_region(*axes, base)
+    grid = feasibility.sweep_region(*axes, base)
     buf = io.StringIO()
     feasibility.region_to_csv(
-        rows, buf, header_comment=_config_line("feasibility", params, seed))
+        grid, buf, header_comment=_config_line("feasibility", params, seed))
     path = os.path.join(outdir, "region.csv")
     _atomic_write(path, buf.getvalue())
-    n_pass = np.count_nonzero(rows.columns["passed"])
+    n_pass = np.count_nonzero(grid.passed)
     return (f"grid={params['n1']}x{params['n2']} over "
-            f"({params['axis1']},{params['axis2']})  pass={n_pass}/{len(rows)}"
-            f"  -> {path}")
+            f"({params['axis1']},{params['axis2']})  pass={n_pass}/"
+            f"{grid.passed.size}  -> {path}")
 
 
 _RUNNERS = {

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import CONST, PhysicalConstants
-from .elementwise import parameter, ratio_or_inf, require, result
+from .elementwise import (parameter, ratio_or_inf, require, require_finite,
+                          result)
 from .errors import RateOverflowError
 
 # rounded reference coefficients (1 significant figure except the gas one)
@@ -63,6 +64,7 @@ class Environment:
         re, im = self.epsilon_factor
         require(0 <= re <= 1 and 0 <= im <= 1,
                 "epsilon_factor components must lie in [0, 1]")
+        require_finite(self)
 
 
 @dataclass(frozen=True)

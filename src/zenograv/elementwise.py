@@ -11,7 +11,7 @@ enter as dataclass fields made by :func:`parameter`.
 from __future__ import annotations
 
 import math
-from dataclasses import field
+from dataclasses import field, fields
 from itertools import chain
 
 import numpy as np
@@ -34,6 +34,16 @@ def require(ok, message: str, value=None) -> None:
                                                      np.shape(value)))
         value = float(np.broadcast_to(value, ok.shape)[~ok].flat[0])
     raise InvalidParameterError(message.format(value))
+
+
+def require_finite(obj) -> None:
+    """Raise InvalidParameterError naming the first :func:`parameter` field
+    of the dataclass ``obj`` that is not finite everywhere."""
+    for f in fields(obj):
+        x = getattr(obj, f.name)
+        if f.metadata and not (math.isfinite(x) if isinstance(x, float)
+                               else np.isfinite(x).all()):
+            require(np.isfinite(x), f"{f.name} must be finite, got {{}}", x)
 
 
 def parameter(default, help: str, domain: str, key: str):

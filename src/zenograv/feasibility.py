@@ -33,7 +33,6 @@ becoming an inf or NaN row.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -41,7 +40,8 @@ import numpy as np
 from . import decoherence as deco
 from . import scatter, zeno
 from .constants import CONST, PhysicalConstants, joules_to_ev
-from .elementwise import csv_text, parameter, ratio_or_inf, require
+from .elementwise import (csv_text, parameter, ratio_or_inf, require,
+                          require_finite)
 from .errors import InvalidParameterError, ZenogravError
 
 SWEEP_AXES = ("R", "v", "t_R", "p", "T", "m_probe")
@@ -91,6 +91,7 @@ class ExperimentPoint:
                 "t_total_cap, theta_min and sigma_ratio_max must be > 0")
         require((self.strictness >= 1) & (self.gamma_zeno_achievable > 0),
                 "strictness >= 1 and achievable rate > 0")
+        require_finite(self)
 
     @property
     def v(self) -> float:
@@ -200,8 +201,14 @@ def _evaluate(pt: ExperimentPoint, constants: PhysicalConstants):
     theta_max = scatter.rutherford_angle(M, v, b0, constants)
 
     def duration(p):
-        return scatter.kepler_scatter_time(p.M, p.density, p.beta, p.zeta,
-                                           p.t_R, constants)
+        # past the parabolic limit the time underflows to 0 or is 0/0:
+        # such a duration fails, as a non-hyperbolic orbit's does
+        with np.errstate(invalid="ignore"):
+            t = scatter.kepler_scatter_time(p.M, p.density, p.beta, p.zeta,
+                                            p.t_R, constants)
+        require((t > 0) & (t < math.inf),
+                "scattering duration not finite and > 0: {} s", t)
+        return t
 
     try:
         t_total, time_failed, time_note = duration(pt), False, None
@@ -270,8 +277,9 @@ def evaluate_point(pt: ExperimentPoint,
     """Evaluate every constraint at one parameter point.
 
     The one-cell case of the grid kernel behind :func:`sweep_region`.
-    Sub-evaluation failures (e.g. a non-hyperbolic orbit) mark only the
-    constraints that depend on them as indeterminate.
+    Sub-evaluation failures (e.g. a non-hyperbolic orbit, or a duration
+    that underflows to 0) mark only the constraints that depend on them
+    as indeterminate.
     """
     with np.errstate(over="raise", divide="raise"):
         quantities, checks = _evaluate(pt, constants)
@@ -340,45 +348,26 @@ def _apply_axes(base: ExperimentPoint, assignments: dict) -> ExperimentPoint:
 
 
 @dataclass(frozen=True)
-class RegionRow:
-    axis1: float
-    axis2: float
-    theta_max: float
-    t_total: float
-    gamma_required: float
-    sigma_ratio: float
-    mfp: float
-    KE_eV: float
-    passed: bool
+class RegionGrid:
+    """The cells of a :func:`sweep_region` grid, axis1-major: one flat
+    array per ``region.csv`` column, in column order (``passed`` is bool)."""
 
-
-class RegionGrid(Sequence):
-    """The cells of a :func:`sweep_region` grid, axis1-major, as columns.
-
-    ``columns`` maps each RegionRow field to a flat array over the cells.
-    As a sequence it holds RegionRow objects, built on access with float
-    fields and a bool ``passed``; a slice is a RegionGrid of those cells.
-    """
-
-    def __init__(self, columns: dict):
-        self.columns = columns
-
-    def __len__(self):
-        return len(self.columns["passed"])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RegionGrid({k: c[index] for k, c in self.columns.items()})
-        return RegionRow(*(c[index].item() for c in self.columns.values()))
-
-    def __iter__(self):
-        return map(RegionRow, *(c.tolist() for c in self.columns.values()))
+    axis1: np.ndarray
+    axis2: np.ndarray
+    theta_max: np.ndarray
+    t_total: np.ndarray
+    gamma_required: np.ndarray
+    sigma_ratio: np.ndarray
+    mfp: np.ndarray
+    KE_eV: np.ndarray
+    passed: np.ndarray
 
 
 def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
                  base: ExperimentPoint,
                  constants: PhysicalConstants = CONST) -> RegionGrid:
-    """Evaluate a 2D grid of points; rows ordered axis1-major.
+    """Evaluate a 2D grid of points: one RegionGrid column per result,
+    cells ordered axis1-major.
 
     Axis names come from {R, v, t_R, p, T, m_probe}; values should be
     log-spaced for the usual decade-spanning sweeps.  The two axes are
@@ -387,8 +376,9 @@ def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
     whose fields are per-cell arrays; it is validated as a whole and
     evaluated in one pass of the array kernel (see
     :func:`evaluate_point`, its one-cell case).  A cell whose duration
-    or decoherence evaluation fails is indeterminate and does not pass;
-    an overflow or division by zero anywhere raises FloatingPointError.
+    or decoherence evaluation fails, or whose duration is not finite and
+    > 0, is indeterminate and does not pass; an overflow or division by
+    zero anywhere raises FloatingPointError.
     """
     name1, vals1 = axis1
     name2, vals2 = axis2
@@ -409,12 +399,12 @@ def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
     columns = (a1, a2, quantities["theta_max"], quantities["t_total"],
                quantities["gamma_zeno_required"], quantities["sigma_ratio"],
                quantities["mfp"], quantities["kinetic_energy_eV"], passed)
-    return RegionGrid({field.name: c.ravel() for field, c in zip(
-        fields(RegionRow), np.broadcast_arrays(*columns))})
+    return RegionGrid(*(c.ravel() for c in np.broadcast_arrays(*columns)))
 
 
-def region_to_csv(rows: RegionGrid, fh, header_comment: str | None = None):
+def region_to_csv(grid: RegionGrid, fh, header_comment: str | None = None):
     """CSV: axis1,axis2,theta_max,t_total,gamma_required,sigma_ratio,mfp,KE_eV,pass."""
     fh.write(csv_text("axis1,axis2,theta_max,t_total,gamma_required,"
-                      "sigma_ratio,mfp,KE_eV,pass", rows.columns.values(),
+                      "sigma_ratio,mfp,KE_eV,pass",
+                      [getattr(grid, f.name) for f in fields(grid)],
                       header_comment))

@@ -121,36 +121,34 @@ class ProbeTrajectory:
 
 
 @dataclass(frozen=True)
-class PatternPoint:
-    beta: float
-    l: float
-    b: float
-    theta: float
-    proj: tuple[float, float]
-    hit: bool
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class ScatterPattern:
-    """Outgoing-direction pattern of a probe grid, stereographically projected."""
+    """Outgoing-direction pattern of a probe grid, stereographically
+    projected: one array per ``pattern.csv`` column, one element per
+    launched probe in grid order, plus each probe's ``error`` (None, or
+    ``"<Type>: <message>"`` when its integration or projection failed)."""
 
-    records: tuple[PatternPoint, ...]   # every launched probe, grid order
+    beta: np.ndarray
+    l: np.ndarray
+    b: np.ndarray
+    theta: np.ndarray
+    proj_x: np.ndarray
+    proj_y: np.ndarray
+    hit: np.ndarray
+    error: tuple[str | None, ...]
     projection_pole: str = "(0,0,-1), plane tangent at +z, scale 2"
 
     @property
-    def points(self):
-        """Clean pattern points: excludes source hits and failed integrations."""
-        return [p for p in self.records if not p.hit and p.error is None]
+    def clean(self) -> np.ndarray:
+        """Mask of the probes that neither hit the source nor failed."""
+        return ~self.hit & np.array([e is None for e in self.error], bool)
 
     @property
-    def n_hit(self):
-        return sum(1 for p in self.records if p.hit)
+    def n_hit(self) -> int:
+        return int(np.count_nonzero(self.hit))
 
     @property
-    def n_failed(self):
-        """Records whose integration or projection failed (``error`` set)."""
-        return sum(1 for p in self.records if p.error is not None)
+    def n_failed(self) -> int:
+        return sum(e is not None for e in self.error)
 
 
 def _acceleration_terms(dist: MassDistribution, constants: PhysicalConstants):
@@ -647,12 +645,13 @@ def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
     and mass), a -l probe is not integrated: its final state is its +l
     partner's with x and vx negated, which is what integrating it gives
     bit for bit.  Angles and projections are then computed for all
-    records at once.  Each record's theta, projection and hit flag equal
-    what :func:`integrate_trajectory` gives for that probe.  Probes
-    that hit the source stay in ``records`` (flagged) but are excluded
-    from ``points``; per-point integration failures are recorded (theta
-    NaN, ``error`` set) without aborting the scan.  Records are in grid
-    order, and each probe's result does not depend on the rest of the grid.
+    probes at once, as columns.  Each probe's theta, projection and hit
+    flag equal what :func:`integrate_trajectory` gives for it.  Probes
+    that hit the source are flagged in ``hit`` and left out of ``clean``;
+    a probe whose integration or projection fails gets its ``error``
+    text, NaN theta and projection and ``hit`` False, without aborting
+    the scan.  Rows are in grid order, and each probe's result does not
+    depend on the rest of the grid.
     """
     if n_b < 1 or n_l < 1:
         raise InvalidParameterError("n_b and n_l must be >= 1")
@@ -682,16 +681,15 @@ def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
 
     theta, u = _deflection(v, y_end[:, 3:])
     proj, pole = _project(u)
-    errors = [f"{type(exc).__name__}: {exc}" if exc is not None else
-              f"ProjectionSingularError: {_POLE}" if at_pole else None
-              for exc, at_pole in zip((err_run[k] for k in row),
-                                      pole.tolist())]
-    nan = float("nan")
-    return ScatterPattern(records=tuple(
-        PatternPoint(beta, off, b, th, (px, py), hit) if error is None else
-        PatternPoint(beta, off, b, nan, (nan, nan), False, error)
-        for (beta, off, b), th, (px, py), hit, error in zip(
-            launches, theta.tolist(), proj.tolist(), hits.tolist(), errors)))
+    errors = tuple(f"{type(exc).__name__}: {exc}" if exc is not None else
+                   f"ProjectionSingularError: {_POLE}" if at_pole else None
+                   for exc, at_pole in zip((err_run[k] for k in row),
+                                           pole.tolist()))
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    theta[failed] = np.nan
+    proj[failed] = np.nan
+    return ScatterPattern(*np.array(launches).T, theta, *proj.T,
+                          hits & ~failed, errors)
 
 
 def make_collapsed_sources(R: float, density: float, d: float):
@@ -725,9 +723,9 @@ def collapsed_scatter(dist_left: MassDistribution, dist_right: MassDistribution,
 
 def pattern_to_csv(pattern: ScatterPattern, fh, header_comment: str | None = None):
     """CSV: beta,l,b,theta_rad,proj_x,proj_y,hit, one row per launched probe."""
-    columns = zip(*((p.beta, p.l, p.b, p.theta, *p.proj, p.hit)
-                    for p in pattern.records))
-    fh.write(csv_text("beta,l,b,theta_rad,proj_x,proj_y,hit", columns,
+    fh.write(csv_text("beta,l,b,theta_rad,proj_x,proj_y,hit",
+                      (pattern.beta, pattern.l, pattern.b, pattern.theta,
+                       pattern.proj_x, pattern.proj_y, pattern.hit),
                       header_comment))
 
 
@@ -738,8 +736,10 @@ def pattern_to_svg(pattern: ScatterPattern, fh, dashed_radius: float | None = No
     A dashed circle (the closed-form maximum-deflection radius) can be
     overlaid for comparison with the simulated points.
     """
-    pts = pattern.points
-    rmax = max([math.hypot(*p.proj) for p in pts] + [dashed_radius or 0.0])
+    clean = pattern.clean
+    pts = list(zip(pattern.proj_x[clean].tolist(),
+                   pattern.proj_y[clean].tolist(), pattern.l[clean].tolist()))
+    rmax = max([math.hypot(x, y) for x, y, _ in pts] + [dashed_radius or 0.0])
     if rmax <= 0:
         rmax = 1.0
     pad = 1.15
@@ -765,8 +765,8 @@ def pattern_to_svg(pattern: ScatterPattern, fh, dashed_radius: float | None = No
         fh.write(f'<circle cx="{size/2}" cy="{size/2}" r="{dashed_radius*scale:.2f}" '
                  'fill="none" stroke="black" stroke-width="1" '
                  'stroke-dasharray="6,4"/>\n')
-    for p in pts:
-        color = "#d62728" if p.l > 0 else ("#1f77b4" if p.l < 0 else "#2ca02c")
-        fh.write(f'<circle cx="{sx(p.proj[0]):.2f}" cy="{sy(p.proj[1]):.2f}" '
+    for x, y, l in pts:
+        color = "#d62728" if l > 0 else ("#1f77b4" if l < 0 else "#2ca02c")
+        fh.write(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" '
                  f'r="2" fill="{color}" fill-opacity="0.7"/>\n')
     fh.write("</svg>\n")

@@ -149,15 +149,6 @@ def zeno_variance(sys: BipartiteSystem) -> np.ndarray:
     return mom2 - Hphi @ Hphi
 
 
-def strobo_step_nonselective(sys: BipartiteSystem, U: np.ndarray,
-                             rho: np.ndarray) -> np.ndarray:
-    """One unitary step followed by the source dephasing over {P_phi, P_perp}."""
-    P = sys.projector_phi()
-    Q = np.eye(P.shape[0]) - P
-    rho = U @ rho @ U.conj().T
-    return P @ rho @ P + Q @ rho @ Q
-
-
 def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
                   initial_probe: np.ndarray,
                   constants: PhysicalConstants = CONST) -> StroboscopicResult:

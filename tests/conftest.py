@@ -1,5 +1,5 @@
 """Shared test oracles: asymptotic launch configs, orbit timing and the
-scipy RK45 trajectory integrator."""
+scipy RK45 trajectory integrator; and the rows of a pattern scan."""
 
 import math
 
@@ -19,6 +19,20 @@ def oracle_config(dist, b, l, v, rtol=1e-10):
     return ScatterConfig.for_source(dist, b=b, l=l, v=v,
                                     start_factor=200 * b / scale,
                                     stop_factor=400 * b / scale, rtol=rtol)
+
+
+def clean_rows(pattern, *names):
+    """The named columns of a scan's clean probes, one tuple of Python
+    floats per probe, in grid order."""
+    clean = pattern.clean
+    return list(zip(*(getattr(pattern, name)[clean].tolist()
+                      for name in names)))
+
+
+def launch_configs(dist, pattern, v, **factors):
+    """The launch config of each probe of a scan, in grid order."""
+    return [ScatterConfig.for_source(dist, b=b, l=l, v=v, **factors)
+            for b, l in zip(pattern.b.tolist(), pattern.l.tolist())]
 
 
 def anomaly_crossing_elapsed(traj, phi_target):

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import oracle_config
+from conftest import clean_rows, oracle_config
 
 from zenograv.constants import CONST
 from zenograv.decoherence import (Environment, blackbody_rates,
@@ -112,35 +112,37 @@ def test_criterion_4_scattering_pattern():
     elapsed = time.perf_counter() - t0
 
     # two-sphere pattern: two disjoint clusters paired by x-reflection
-    pos = [p.proj[0] for p in two.points if p.l >= 0.1 * R]
-    neg = [p.proj[0] for p in two.points if p.l <= -0.1 * R]
+    two_pts = clean_rows(two, "beta", "l", "proj_x", "proj_y")
+    pos = [x for _, l, x, _ in two_pts if l >= 0.1 * R]
+    neg = [x for _, l, x, _ in two_pts if l <= -0.1 * R]
     lobes_ok = max(pos) < 0.0 < min(neg)
     mirrored = all(
-        any(abs(p.proj[0] + q.proj[0]) < 1e-12 + 1e-9 * abs(p.proj[0])
-            and abs(p.proj[1] - q.proj[1]) < 1e-12 + 1e-9 * abs(p.proj[1])
-            for q in two.points if q.l == -p.l and q.beta == p.beta)
-        for p in two.points if p.l > 0)
+        any(abs(x + qx) < 1e-12 + 1e-9 * abs(x)
+            and abs(y - qy) < 1e-12 + 1e-9 * abs(y)
+            for q_beta, q_l, qx, qy in two_pts if q_l == -l and q_beta == beta)
+        for beta, l, x, y in two_pts if l > 0)
 
     # collapsed source: a single annulus (radius a function of total
     # impact parameter only), outer edge on the closed-form circle
-    radii = np.array([math.hypot(*p.proj) for p in one.points])
+    one_pts = clean_rows(one, "b", "l", "proj_x", "proj_y")
+    radii = np.array([math.hypot(x, y) for _, _, x, y in one_pts])
     annulus_ok = True
-    for p in one.points:
-        b_tot = math.hypot(p.b, p.l)
+    for b, l, x, y in one_pts:
+        b_tot = math.hypot(b, l)
         expected = 2 * math.tan(rutherford_angle(M_total, v, b_tot) / 2)
-        if abs(math.hypot(*p.proj) - expected) > 0.01 * expected:
+        if abs(math.hypot(x, y) - expected) > 0.01 * expected:
             annulus_ok = False
     inner_positive = radii.min() > 0.3 * radii.max()
 
     d0_max = radii.max()
     max_ok = abs(d0_max - dashed) <= 0.05 * dashed
-    two_max = max(math.hypot(*p.proj) for p in two.points)
+    two_max = max(math.hypot(x, y) for _, _, x, y in two_pts)
     bounded_ok = two_max <= 1.05 * dashed
 
     ok = (lobes_ok and mirrored and annulus_ok and inner_positive and max_ok
           and bounded_ok and elapsed < 120)
     _line(4, "two-lobe vs annulus pattern", ok,
-          f"probes={len(two.records)}+{len(one.records)}, "
+          f"probes={len(two.hit)}+{len(one.hit)}, "
           f"annulus max {d0_max:.4g} vs closed form {dashed:.4g}, "
           f"two-lobe max {two_max:.4g}, {elapsed:.0f}s")
     assert lobes_ok and mirrored

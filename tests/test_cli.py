@@ -100,6 +100,12 @@ class TestNumericalFailure:
         # the gas thermal wavelength divides by an underflowed sqrt(T)
         (["feasibility", "--axis1", "T", "--a1_min", "1e-300",
           "--a1_max", "1e-300"], "FloatingPointError"),
+        # the rest-gas rate overflows: a grid runs with float overflow
+        # raised, where one point (report) marks the constraint instead
+        (["feasibility", "--axis1", "p", "--a1_min", "1e300", "--a1_max",
+          "1e300", "--n1", "2", "--axis2", "R", "--a2_min", "1e-5",
+          "--a2_max", "1e-5", "--n2", "1"],
+         "FloatingPointError: overflow encountered in multiply"),
     ])
     def test_arithmetic_failure_exits_3(self, tmp_path, capsys, args, error):
         assert run_cli(args + ["--output-dir", tmp_path]) == 3
@@ -505,3 +511,42 @@ def test_gas_rate_overflow_is_a_numerical_failure(tmp_path, capsys):
         "zenograv: numerical failure: RateOverflowError: rest-gas rate "
         "(lambda_th/hbar)(16 pi/3) p R^2 overflows the float range\n")
     assert not list(tmp_path.iterdir())
+
+
+def test_gas_rate_overflow_in_report_is_indeterminate(tmp_path, capsys):
+    # one point: only the decoherence sub-evaluation fails, so only its
+    # constraint is indeterminate and the report is written
+    assert run_cli(["report", "--pressure", "1e300",
+                    "--output-dir", tmp_path]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    check = report["constraints"]["decoherence"]
+    assert check["passed"] is None and math.isnan(check["margin"])
+    assert check["note"].startswith("RateOverflowError: ")
+
+
+@pytest.mark.parametrize("t_R", ["1e40", "1e60"])
+def test_degenerate_duration_report_is_indeterminate(tmp_path, capsys, t_R):
+    # the Kepler time underflows to 0 (1e40) or is 0/0 (1e60); either
+    # used to reach a validation error or pass the time check
+    assert run_cli(["report", "--t_R", t_R, "--output-dir", tmp_path]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("zenograv report: pass=False")
+    report = json.loads((tmp_path / "report.json").read_text())
+    time = report["constraints"]["time"]
+    assert time["passed"] is None and math.isnan(time["margin"])
+    assert report["t_used_s"] == report["point"]["t_total_cap_s"]
+
+
+def test_degenerate_duration_cells_do_not_pass(tmp_path, capsys):
+    assert run_cli(["feasibility", "--axis1", "t_R", "--a1_min", "10",
+                    "--a1_max", "1e100", "--n1", "3", "--axis2", "R",
+                    "--a2_min", "1e-5", "--a2_max", "1e-5", "--n2", "1",
+                    "--output-dir", tmp_path]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "pass=1/3" in out
+    rows = [line.split(",") for line in
+            (tmp_path / "region.csv").read_text().splitlines()[2:]]
+    assert [(row[3], row[-1]) for row in rows][1:] == [("nan", "0")] * 2
+    assert rows[0][-1] == "1"

@@ -82,17 +82,14 @@ def test_region_csv_from_cli_matches_rows(tmp_path, axes):
                      "--output-dir", str(tmp_path)]) == 0
     text = (tmp_path / "region.csv").read_text()
     comment = text.splitlines()[0][2:]
-    rows = sweep_region((ax1, np.logspace(math.log10(lo1), math.log10(hi1),
+    grid = sweep_region((ax1, np.logspace(math.log10(lo1), math.log10(hi1),
                                           5)),
                         (ax2, np.logspace(math.log10(lo2), math.log10(hi2),
                                           3)), reference_point())
     want = [f"# {comment}", "axis1,axis2,theta_max,t_total,gamma_required,"
             "sigma_ratio,mfp,KE_eV,pass"]
-    for r in rows:
-        want.append(f"{r.axis1:.9g},{r.axis2:.9g},{r.theta_max:.9g},"
-                    f"{r.t_total:.9g},{r.gamma_required:.9g},"
-                    f"{r.sigma_ratio:.9g},{r.mfp:.9g},{r.KE_eV:.9g},"
-                    f"{int(r.passed)}")
+    for *values, passed in zip(*(c.tolist() for c in vars(grid).values())):
+        want.append(",".join(f"{x:.9g}" for x in values) + f",{int(passed)}")
     assert text == "\n".join(want) + "\n"
 
 

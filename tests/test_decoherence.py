@@ -260,6 +260,17 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             Environment(*args)
 
+    @pytest.mark.parametrize("field,args", [
+        ("pressure", (math.inf, 1.0, 1.0)),
+        ("T_env", (1e-15, math.inf, 1.0)),
+        ("T_int", (1e-15, 1.0, math.inf)),
+        ("pressure", (np.array([1e-15, math.inf]), 1.0, 1.0)),
+    ])
+    def test_environment_rejects_inf(self, field, args):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{field} must be finite, got inf$"):
+            Environment(*args)
+
     def test_array_environment_names_first_bad_value(self):
         with pytest.raises(InvalidParameterError,
                            match="pressure must be >= 0, got -2.0"):

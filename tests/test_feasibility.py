@@ -13,8 +13,8 @@ from zenograv import scatter, zeno
 from zenograv.constants import joules_to_ev
 from zenograv.decoherence import Environment
 from zenograv.errors import InvalidParameterError, ZenogravError
-from zenograv.feasibility import (SWEEP_AXES, ExperimentPoint, RegionRow,
-                                  _apply_axes, evaluate_point, reference_point,
+from zenograv.feasibility import (SWEEP_AXES, ExperimentPoint, _apply_axes,
+                                  evaluate_point, reference_point,
                                   region_to_csv, report_to_dict, sweep_region)
 from zenograv.massdist import make_superposed_source
 from zenograv.scatter import integrate_trajectory
@@ -42,6 +42,17 @@ class TestExperimentPoint:
     def test_nan_rejected(self, field):
         with pytest.raises(InvalidParameterError):
             replace(REF, **{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["R", "t_R", "R_probe", "t_total_cap",
+                                       "strictness", "gamma_zeno_achievable"])
+    def test_inf_rejected(self, field):
+        # the sign checks pass +inf; the finiteness check names the field
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{field} must be finite, got inf$"):
+            replace(REF, **{field: math.inf})
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{field} must be finite, got inf$"):
+            replace(REF, **{field: np.array([1.0, math.inf])})
 
     @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan])
     def test_sigma_ratio_max_must_be_positive(self, value):
@@ -171,40 +182,40 @@ class TestDurationWindow:
 
 class TestSweep:
     def test_axis_consistency_R_v(self):
-        rows = sweep_region(("R", np.array([1e-5])), ("v", np.array([1e-6])),
+        grid = sweep_region(("R", np.array([1e-5])), ("v", np.array([1e-6])),
                             REF)
         # t_R = R/v = 10 s at this cell: same report as the reference
         ref = evaluate_point(REF)
-        assert rows[0].theta_max == pytest.approx(ref.theta_max, rel=1e-12)
-        assert rows[0].t_total == pytest.approx(ref.t_total, rel=1e-12)
-        assert rows[0].passed
+        assert grid.theta_max[0] == pytest.approx(ref.theta_max, rel=1e-12)
+        assert grid.t_total[0] == pytest.approx(ref.t_total, rel=1e-12)
+        assert grid.passed[0]
 
     def test_R_axis_keeps_t_R(self):
-        rows = sweep_region(("R", np.array([2e-5])), ("p", np.array([1e-15])),
+        grid = sweep_region(("R", np.array([2e-5])), ("p", np.array([1e-15])),
                             REF)
         # deflection and duration depend only on (rho, beta, zeta, t_R)
         ref = evaluate_point(REF)
-        assert rows[0].theta_max == pytest.approx(ref.theta_max, rel=1e-9)
-        assert rows[0].t_total == pytest.approx(ref.t_total, rel=1e-9)
-        assert rows[0].KE_eV == pytest.approx(4 * ref.kinetic_energy_eV,
+        assert grid.theta_max[0] == pytest.approx(ref.theta_max, rel=1e-9)
+        assert grid.t_total[0] == pytest.approx(ref.t_total, rel=1e-9)
+        assert grid.KE_eV[0] == pytest.approx(4 * ref.kinetic_energy_eV,
                                               rel=1e-9)  # v = R/t_R doubled
 
     def test_classicality_contour_location(self):
         # sigma_min/R = 1e-2 contour at R = 1e-5 sits between 1e-18 and
         # 2.2e-18 kg (inverting sigma_min = sqrt(2 hbar t / m))
         masses = np.logspace(-18.2, -17.6, 25)
-        rows = sweep_region(("m_probe", masses), ("p", np.array([1e-15])), REF)
-        ratios = np.array([r.sigma_ratio for r in rows])
+        ratios = sweep_region(("m_probe", masses), ("p", np.array([1e-15])),
+                              REF).sigma_ratio
         assert ratios[0] > 1e-2 > ratios[-1]
         k = int(np.nonzero(ratios < 1e-2)[0][0])
         crossing = masses[k]
         assert 1e-18 < crossing < 2.2e-18
 
     def test_t_R_band_in_sweep(self):
-        rows = sweep_region(("t_R", np.logspace(0.5, 1.5, 21)),
+        grid = sweep_region(("t_R", np.logspace(0.5, 1.5, 21)),
                             ("p", np.array([1e-15])), REF)
-        n_pass = sum(r.passed for r in rows)
-        assert 0 < n_pass < len(rows)
+        n_pass = sum(grid.passed)
+        assert 0 < n_pass < len(grid.passed)
 
     def test_axis_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -213,24 +224,14 @@ class TestSweep:
         with pytest.raises(InvalidParameterError):
             sweep_region(("R", np.array([1e-5])), ("R", np.array([1e-5])), REF)
 
-    def test_grid_is_a_sequence_of_rows(self):
-        rows = sweep_region(("t_R", np.logspace(0.5, 1.5, 7)),
+    def test_grid_is_a_table_of_columns(self):
+        grid = sweep_region(("t_R", np.logspace(0.5, 1.5, 7)),
                             ("p", np.array([1e-15, 1e-12])), REF)
-        listed = list(rows)
-        assert len(rows) == len(listed) == 14
-        assert [rows[i] for i in range(-14, 14)] == listed + listed
-        assert all(type(r) is RegionRow for r in listed)
-        assert all(type(r.passed) is bool and type(r.mfp) is float
-                   for r in listed)
-        with pytest.raises(IndexError):
-            rows[14]
-        part = rows[3:9:2]
-        assert list(part) == listed[3:9:2]
+        assert {len(column) for column in vars(grid).values()} == {14}
         buf = io.StringIO()
-        region_to_csv(part, buf)
-        assert len(buf.getvalue().splitlines()) == 1 + 3
-        assert sum(r.passed for r in rows) == np.count_nonzero(
-            rows.columns["passed"])
+        region_to_csv(grid, buf)
+        assert len(buf.getvalue().splitlines()) == 1 + 14
+        assert sum(grid.passed.tolist()) == np.count_nonzero(grid.passed)
 
     def test_csv_deterministic(self):
         rows = sweep_region(("t_R", np.logspace(0.9, 1.3, 5)),
@@ -322,54 +323,56 @@ def _same(a, b, rel=1e-13):
 
 
 def _assert_parity(axis1, axis2, base=REF):
-    rows = sweep_region(axis1, axis2, base)
+    grid = sweep_region(axis1, axis2, base)
     expected = _reference_sweep(axis1, axis2, base)
-    assert len(rows) == len(expected)
+    assert len(grid.passed) == len(expected)
+    rows = zip(*(getattr(grid, name).tolist() for name in COLUMNS),
+               grid.passed.tolist())
     for row, ref in zip(rows, expected):
-        for name, want in zip(COLUMNS, ref):
-            got = getattr(row, name)
+        for name, got, want in zip(COLUMNS, row, ref):
             assert type(got) is float
             assert _same(got, want), (name, row, ref)
-        assert row.passed is ref[-1], (row, ref)
-    return rows
+        assert row[-1] is ref[-1], (row, ref)
+    return grid
 
 
 class TestGridKernelParity:
     @pytest.mark.parametrize("name1,name2",
                              list(itertools.combinations(SWEEP_AXES, 2)))
     def test_axis_pair(self, name1, name2):
-        rows = _assert_parity((name1, AXIS_VALUES[name1]),
+        grid = _assert_parity((name1, AXIS_VALUES[name1]),
                               (name2, AXIS_VALUES[name2]))
-        assert len(rows) == AXIS_VALUES[name1].size * AXIS_VALUES[name2].size
+        assert len(grid.passed) == \
+            AXIS_VALUES[name1].size * AXIS_VALUES[name2].size
 
     def test_derived_R_from_v_and_t_R(self):
-        rows = _assert_parity(("t_R", AXIS_VALUES["t_R"]),
+        grid = _assert_parity(("t_R", AXIS_VALUES["t_R"]),
                               ("v", AXIS_VALUES["v"]))
         # the probe flies at the v axis value: R = v t_R is derived
-        for row in rows:
-            assert row.KE_eV == pytest.approx(
-                joules_to_ev(0.5 * REF.m_probe * row.axis2**2), rel=1e-12)
+        for ke, v in zip(grid.KE_eV, grid.axis2):
+            assert ke == pytest.approx(
+                joules_to_ev(0.5 * REF.m_probe * v**2), rel=1e-12)
 
     def test_vacuum_gives_infinite_mean_free_path(self):
         base = replace(REF, env=Environment(0.0, 1.0, 1.0))
-        rows = _assert_parity(("t_R", np.array([3.0, 10.0, 12.0, 30.0])),
+        grid = _assert_parity(("t_R", np.array([3.0, 10.0, 12.0, 30.0])),
                               ("R", AXIS_VALUES["R"]), base)
-        assert all(r.mfp == math.inf for r in rows)
-        assert any(r.passed for r in rows)
+        assert all(mfp == math.inf for mfp in grid.mfp)
+        assert any(grid.passed)
 
     def test_one_by_one_grid(self):
-        rows = _assert_parity(("t_R", np.array([10.0])),
+        grid = _assert_parity(("t_R", np.array([10.0])),
                               ("R", np.array([1e-5])))
-        assert len(rows) == 1 and rows[0].passed
+        assert len(grid.passed) == 1 and grid.passed[0]
 
     def test_indeterminate_cells(self):
         # past t_R ~ 1e80 tan(theta/2) is so large that e^2 - 1 underflows:
         # those cells' durations fail and only they are indeterminate
         t_R = np.array([10.0, 1e100, 12.0, 3e120])
-        rows = _assert_parity(("t_R", t_R), ("R", np.array([1e-5, 1.2e-5])))
-        failed = [math.isnan(r.t_total) for r in rows]
+        grid = _assert_parity(("t_R", t_R), ("R", np.array([1e-5, 1.2e-5])))
+        failed = [math.isnan(t) for t in grid.t_total]
         assert failed == [False, False, True, True] * 2
-        assert rows[0].passed and not any(r.passed for r in rows[2:4])
+        assert grid.passed[0] and not any(grid.passed[2:4])
 
     @pytest.mark.parametrize("module,name,marked,cell_marked", [
         (scatter, "kepler_scatter_time", lambda args: args[4] == 12.0,
@@ -391,26 +394,27 @@ class TestGridKernelParity:
 
         axis1, axis2 = ("t_R", np.array([10.0, 12.0])), \
             ("p", np.array([1e-15, 1e-16]))
-        assert all(r.passed for r in sweep_region(axis1, axis2, REF))
+        assert all(sweep_region(axis1, axis2, REF).passed)
         monkeypatch.setattr(module, name, failing)
-        rows = _assert_parity(axis1, axis2)
-        assert [r.passed for r in rows] == [
+        grid = _assert_parity(axis1, axis2)
+        assert grid.passed.tolist() == [
             not cell_marked(t_R, p)
             for t_R, p in itertools.product(axis1[1], axis2[1])]
 
     def test_evaluate_point_is_a_cell_of_the_sweep(self):
         axis1 = ("t_R", np.array([3.0, 10.0, 10 ** 1.3]))
         axis2 = ("p", np.array([0.0, 1e-15, 1e-6]))
-        rows = sweep_region(axis1, axis2, REF)
+        grid = sweep_region(axis1, axis2, REF)
         cells = itertools.product(axis1[1], axis2[1])
-        for row, (t_R, p) in zip(rows, cells):
+        for i, (t_R, p) in enumerate(cells):
             rep = evaluate_point(_apply_axes(REF, {"t_R": t_R, "p": p}))
             got = (rep.theta_max, rep.t_total, rep.gamma_zeno_required,
                    rep.sigma_ratio, rep.mfp, rep.kinetic_energy_eV)
-            want = (row.theta_max, row.t_total, row.gamma_required,
-                    row.sigma_ratio, row.mfp, row.KE_eV)
+            want = tuple(getattr(grid, name)[i] for name in (
+                "theta_max", "t_total", "gamma_required", "sigma_ratio",
+                "mfp", "KE_eV"))
             assert all(_same(a, b) for a, b in zip(got, want)), (got, want)
-            assert rep.passed is row.passed
+            assert rep.passed is grid.passed.tolist()[i]
 
     def test_one_cell_indeterminate_report(self):
         rep = evaluate_point(replace(REF, t_R=1e100))
@@ -419,6 +423,29 @@ class TestGridKernelParity:
         assert time.note.startswith("InvalidParameterError: orbit not hyperbolic")
         assert rep.constraint("deflection").passed is True
         assert not rep.passed
+
+    def test_degenerate_duration_is_indeterminate(self):
+        # past the parabolic limit the Kepler time underflows to 0
+        # (t_R = 1e40) or is 0/0 (t_R = 1e60): such a duration is
+        # indeterminate, and the run budget stands in for it
+        for t_R, t_total in ((1e40, "0.0"), (1e60, "nan")):
+            rep = evaluate_point(replace(REF, t_R=t_R))
+            time = rep.constraint("time")
+            assert time.passed is None and math.isnan(time.margin)
+            assert time.note == ("InvalidParameterError: scattering duration "
+                                 f"not finite and > 0: {t_total} s")
+            assert math.isnan(rep.t_total) and rep.t_used == REF.t_total_cap
+            assert not rep.passed
+        grid = sweep_region(("t_R", np.array([10.0, 1e40, 1e60])),
+                            ("R", np.array([1e-5])), REF)
+        assert grid.passed.tolist() == [True, False, False]
+        assert [math.isnan(t) for t in grid.t_total] == [False, True, True]
+
+    def test_inf_axis_value_rejected(self):
+        with pytest.raises(InvalidParameterError,
+                           match="pressure must be finite, got inf"):
+            sweep_region(("p", np.array([1e-15, np.inf])),
+                         ("R", np.array([1e-5])), REF)
 
     def test_nan_axis_value_rejected(self):
         with pytest.raises(InvalidParameterError,

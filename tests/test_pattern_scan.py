@@ -4,14 +4,15 @@
   ``scipy.optimize.brentq`` on the same elementwise dense-output function,
   bracket by bracket, bit for bit.
 * The mirror: for an x-symmetric source the -l probes are not integrated,
-  and the records still equal those of every launch integrated.
-* The array tail: angles, projections and error strings per record.
+  and the rows still equal those of every launch integrated.
+* The array tail: angles, projections and error strings per probe.
 """
 
 import math
 
 import numpy as np
 import pytest
+from conftest import launch_configs
 from scipy.optimize import brentq
 
 from zenograv import rk45, scatter
@@ -205,16 +206,19 @@ class TestMirror:
                             lambda dist, cfgs: launched.extend(cfgs)
                             or original(dist, cfgs))
         pattern = scan(d, HITS)
-        assert [c.l for c in launched] == [p.l for p in pattern.records
-                                          if p.l >= 0]
-        cfgs = [ScatterConfig.for_source(src, b=p.b, l=p.l, v=V)
-                for p in pattern.records]
+        assert [c.l for c in launched] == [l for l in pattern.l.tolist()
+                                          if l >= 0]
+        cfgs = launch_configs(src, pattern, V)
         y_end, hits, errors = original(src, cfgs)
         assert errors == [None] * len(cfgs)
         assert 0 < pattern.n_hit < len(cfgs)
-        for p, cfg, y, hit in zip(pattern.records, cfgs, y_end, hits):
+        rows = zip(pattern.theta.tolist(), pattern.proj_x.tolist(),
+                   pattern.proj_y.tolist(), pattern.hit.tolist(),
+                   pattern.error)
+        for (theta_p, x, y_p, hit_p, error), cfg, y, hit in zip(
+                rows, cfgs, y_end, hits):
             theta, u = _outgoing(cfg, y[3:])
-            assert (p.theta, p.proj, p.hit, p.error) == (
+            assert (theta_p, (x, y_p), hit_p, error) == (
                 theta, tuple(stereographic_project(u)), hit, None)
 
     def test_final_state_is_the_mirror_image(self):
@@ -239,7 +243,7 @@ class TestMirror:
                             or original(d, cfgs))
         pattern = scan_pattern(dist, (1.2, 2.0), (0.0, 2 * R), 2, 3, V,
                                M_PROBE)
-        assert [c.l for c in launched] == [p.l for p in pattern.records]
+        assert [c.l for c in launched] == pattern.l.tolist()
         assert any(c.l < 0 for c in launched)
 
     def test_which_sources_are_symmetric(self):
@@ -271,20 +275,24 @@ class TestTail:
             return y, np.array([True, False, False]), [None, failure, None]
 
         monkeypatch.setattr(scatter, "_integrate_batch", fake)
-        clean, failed, pole = scan_pattern(src, (1.0, 3.0), (0.0, 0.0), 3, 1,
-                                           V, M_PROBE, mirror_l=False).records
+        pattern = scan_pattern(src, (1.0, 3.0), (0.0, 0.0), 3, 1, V, M_PROBE,
+                               mirror_l=False)
+        clean, failed, pole = zip(
+            pattern.theta.tolist(), pattern.proj_x.tolist(),
+            pattern.proj_y.tolist(), pattern.hit.tolist(), pattern.error)
         cfg = ScatterConfig.for_source(src, b=R, l=0.0, v=V)
         theta, u = _outgoing(cfg, np.array([1e-9, -2e-9, V]))
-        assert (clean.theta, clean.proj, clean.hit, clean.error) == (
-            theta, tuple(stereographic_project(u)), True, None)
-        assert type(clean.theta) is float and type(clean.hit) is bool
-        assert failed.error == ("IntegratorFailureError: non-finite state "
-                                "during integration")
-        assert pole.error == ("ProjectionSingularError: direction at the "
-                              "projection pole (0,0,-1)")
-        for p in (failed, pole):
-            assert math.isnan(p.theta) and all(map(math.isnan, p.proj))
-            assert p.hit is False
+        assert clean == (theta, *stereographic_project(u), True, None)
+        assert pattern.theta.dtype == float and pattern.hit.dtype == bool
+        assert failed[4] == ("IntegratorFailureError: non-finite state "
+                             "during integration")
+        assert pole[4] == ("ProjectionSingularError: direction at the "
+                           "projection pole (0,0,-1)")
+        for theta, x, y, hit, _ in (failed, pole):
+            assert math.isnan(theta) and math.isnan(x) and math.isnan(y)
+            assert hit is False
+        assert pattern.clean.tolist() == [False, False, False]
+        assert (pattern.n_hit, pattern.n_failed) == (1, 2)
 
     def test_project_rows_and_one_row(self):
         u = np.array([[0, 0, 1], [1, 0, 0], [0, -1, 0], [0, 0, -1.0]])

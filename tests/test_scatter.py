@@ -11,7 +11,7 @@ from zenograv.errors import (IntegratorFailureError, InvalidParameterError,
                              ProjectionSingularError,
                              UnterminatedTrajectoryError, ZenogravError)
 from zenograv.massdist import MassDistribution, make_superposed_source
-from zenograv.scatter import (PatternPoint, ScatterConfig, ScatterPattern,
+from zenograv.scatter import (ScatterConfig, ScatterPattern,
                               _integrate_batch, _outgoing, collapsed_scatter,
                               energy_series, hyperbolic_time_from_anomaly,
                               integrate_trajectory, kepler_scatter_time,
@@ -28,7 +28,8 @@ V = R / T_R
 M_PROBE = 1e-18
 
 
-from conftest import anomaly_crossing_elapsed, oracle_config, scipy_trajectory
+from conftest import (anomaly_crossing_elapsed, clean_rows, launch_configs,
+                      oracle_config, scipy_trajectory)
 
 
 def single_sphere(radius=R, rho=RHO):
@@ -327,10 +328,10 @@ class TestScanPattern:
         src = single_sphere()
         pattern = scan_pattern(src, (1.2, 2.0), (0.0, 2 * R), 3, 3, V, M_PROBE)
         assert pattern.n_hit == 0
-        for p in pattern.points:
-            b_tot = math.hypot(p.b, p.l)
+        for b, l, x, y in clean_rows(pattern, "b", "l", "proj_x", "proj_y"):
+            b_tot = math.hypot(b, l)
             theta = rutherford_angle(src.total_mass, V, b_tot)
-            assert math.hypot(*p.proj) == pytest.approx(
+            assert math.hypot(x, y) == pytest.approx(
                 2 * math.tan(theta / 2), rel=2e-3)
 
     def test_length_scale_once_per_scan(self, monkeypatch):
@@ -340,33 +341,35 @@ class TestScanPattern:
         monkeypatch.setattr(MassDistribution, "length_scale",
                             lambda self: calls.append(1) or original(self))
         pattern = scan_pattern(src, (1.2, 1.6), (0.0, 2 * R), 2, 2, V, M_PROBE)
-        assert len(pattern.records) == 6 and len(calls) == 1
+        assert len(pattern.hit) == 6 and len(calls) == 1
 
     def test_mirror_antisymmetry(self):
         src = make_superposed_source(R, RHO, D)
         pattern = scan_pattern(src, (1.2, 1.6), (0.0, 2 * R), 2, 3, V, M_PROBE)
-        pts = {(p.beta, p.l): p for p in pattern.points}
-        for (beta, l), p in pts.items():
+        pts = {(beta, l): (x, y, theta) for beta, l, x, y, theta in
+               clean_rows(pattern, "beta", "l", "proj_x", "proj_y", "theta")}
+        for (beta, l), (x, y, theta) in pts.items():
             if l > 0:
-                mirror = pts[(beta, -l)]
-                assert mirror.proj[0] == pytest.approx(-p.proj[0], rel=1e-12)
-                assert mirror.proj[1] == pytest.approx(p.proj[1], rel=1e-12)
-                assert mirror.theta == pytest.approx(p.theta, rel=1e-12)
+                mirror_x, mirror_y, mirror_theta = pts[(beta, -l)]
+                assert mirror_x == pytest.approx(-x, rel=1e-12)
+                assert mirror_y == pytest.approx(y, rel=1e-12)
+                assert mirror_theta == pytest.approx(theta, rel=1e-12)
 
     def test_two_lobe_sign_separation(self):
         src = make_superposed_source(R, RHO, D)
         pattern = scan_pattern(src, (1.2, 1.6), (0.5 * R, 2 * R), 2, 3, V,
                                M_PROBE)
-        for p in pattern.points:
-            assert p.proj[0] * p.l < 0  # deflection tilts away from the near lobe
+        for x, l in clean_rows(pattern, "proj_x", "l"):
+            assert x * l < 0  # deflection tilts away from the near lobe
 
     def test_hits_counted_but_excluded(self):
         src = single_sphere()
         # beta below 1 guarantees the probe enters the sphere
         pattern = scan_pattern(src, (0.5, 1.5), (0.0, 0.0), 3, 1, V, M_PROBE)
         assert pattern.n_hit >= 1
-        assert len(pattern.points) == len(pattern.records) - pattern.n_hit
-        assert all(not p.hit for p in pattern.points)
+        assert np.count_nonzero(pattern.clean) == \
+            len(pattern.hit) - pattern.n_hit
+        assert not pattern.hit[pattern.clean].any()
 
     def test_grid_validation(self):
         src = single_sphere()
@@ -376,20 +379,20 @@ class TestScanPattern:
 
 def scalar_pattern(dist, pattern, v, **factors):
     """The scan's probes one by one through the scipy RK45 oracle."""
-    records = []
-    for p in pattern.records:
-        cfg = ScatterConfig.for_source(dist, b=p.b, l=p.l, v=v, **factors)
+    rows = []
+    for cfg in launch_configs(dist, pattern, v, **factors):
         try:
             traj = scipy_trajectory(dist, cfg)
             proj = stereographic_project(traj.outgoing_dir)
-            records.append(PatternPoint(p.beta, p.l, p.b, traj.deflection_angle,
-                                        (float(proj[0]), float(proj[1])),
-                                        traj.hit_source))
+            rows.append((traj.deflection_angle, float(proj[0]),
+                         float(proj[1]), traj.hit_source, None))
         except UnterminatedTrajectoryError as exc:
-            records.append(PatternPoint(p.beta, p.l, p.b, float("nan"),
-                                        (float("nan"), float("nan")), False,
-                                        error=f"{type(exc).__name__}: {exc}"))
-    return ScatterPattern(records=tuple(records))
+            rows.append((float("nan"), float("nan"), float("nan"), False,
+                         f"{type(exc).__name__}: {exc}"))
+    theta, proj_x, proj_y, hit, error = zip(*rows)
+    return ScatterPattern(pattern.beta, pattern.l, pattern.b,
+                          np.array(theta), np.array(proj_x),
+                          np.array(proj_y), np.array(hit), error)
 
 
 def csv_lines(pattern):
@@ -411,14 +414,15 @@ class TestBatchEngineOracle:
         src = make_superposed_source(R, RHO, d)
         batch = hit_grid(src)
         scalar = scalar_pattern(src, batch, V)
-        assert 0 < batch.n_hit < len(batch.records)
-        assert [p.hit for p in batch.records] == [p.hit for p in scalar.records]
-        for p, q, line_b, line_s in zip(batch.records, scalar.records,
-                                        csv_lines(batch), csv_lines(scalar)):
-            if p.hit:
+        assert 0 < batch.n_hit < len(batch.hit)
+        assert batch.hit.tolist() == scalar.hit.tolist()
+        for hit, theta_b, theta_s, line_b, line_s in zip(
+                batch.hit, batch.theta, scalar.theta, csv_lines(batch),
+                csv_lines(scalar)):
+            if hit:
                 # the field's derivative jumps at the sphere surface, which
                 # amplifies round-off inside the source
-                assert p.theta == pytest.approx(q.theta, rel=1e-6)
+                assert theta_b == pytest.approx(theta_s, rel=1e-6)
             else:
                 assert line_b == line_s
 
@@ -463,7 +467,7 @@ class TestBatchEngineOracle:
         assert np.array_equal(np.concatenate([traj.x[-1], traj.v[-1]]), y)
 
     def test_bound_orbits_fail_like_scalar_path(self):
-        # below escape speed the probes never reach r_stop: every record
+        # below escape speed the probes never reach r_stop: every probe
         # carries the scipy path's error, and the scan still returns
         src = make_superposed_source(R, RHO, D)
         v_bound = 1.8e-9
@@ -471,12 +475,11 @@ class TestBatchEngineOracle:
         batch = scan_pattern(src, (8.0, 10.0), (0.0, R), 2, 2, v_bound, M_PROBE,
                              rtol=1e-6, **factors)
         scalar = scalar_pattern(src, batch, v_bound, rtol=1e-6, **factors)
-        assert batch.n_failed == len(batch.records) == 6
-        assert all(p.error.startswith("UnterminatedTrajectoryError: ")
-                   for p in batch.records)
-        assert [p.error for p in batch.records] == \
-            [p.error for p in scalar.records]
-        assert batch.points == []
+        assert batch.n_failed == len(batch.error) == 6
+        assert all(error.startswith("UnterminatedTrajectoryError: ")
+                   for error in batch.error)
+        assert batch.error == scalar.error
+        assert not batch.clean.any()
 
 
 class TestScalarPathOracle:
@@ -486,10 +489,9 @@ class TestScalarPathOracle:
     @pytest.mark.parametrize("d", [D, 0.0])
     def test_matches_scipy(self, d):
         src = make_superposed_source(R, RHO, d)
-        records = hit_grid(src).records
-        assert 0 < sum(p.hit for p in records) < len(records)
-        for p in records:
-            cfg = ScatterConfig.for_source(src, b=p.b, l=p.l, v=V)
+        pattern = hit_grid(src)
+        assert 0 < sum(pattern.hit) < len(pattern.hit)
+        for cfg in launch_configs(src, pattern, V):
             traj = integrate_trajectory(src, cfg, M_PROBE)
             ref = scipy_trajectory(src, cfg)
             assert traj.hit_source == ref.hit_source
@@ -511,17 +513,17 @@ class TestScalarPathOracle:
         # invariance), so the whole grid stands for one batch per probe
         src = make_superposed_source(R, RHO, d)
         pattern = hit_grid(src)
-        cfgs = [ScatterConfig.for_source(src, b=p.b, l=p.l, v=V)
-                for p in pattern.records]
+        cfgs = launch_configs(src, pattern, V)
         y_end, hits, errors = _integrate_batch(src, cfgs)
         assert errors == [None] * len(cfgs)
         assert 0 < pattern.n_hit < len(cfgs)
-        for p, cfg, y, hit in zip(pattern.records, cfgs, y_end, hits):
+        for i, (cfg, y, hit) in enumerate(zip(cfgs, y_end, hits)):
             traj = integrate_trajectory(src, cfg, M_PROBE)
             assert np.array_equal(np.concatenate([traj.x[-1], traj.v[-1]]), y)
-            assert traj.hit_source == hit == p.hit
-            assert traj.deflection_angle == p.theta
-            assert tuple(stereographic_project(traj.outgoing_dir)) == p.proj
+            assert traj.hit_source == hit == pattern.hit[i]
+            assert traj.deflection_angle == pattern.theta[i]
+            assert tuple(stereographic_project(traj.outgoing_dir)) == (
+                pattern.proj_x[i], pattern.proj_y[i])
 
     def test_same_errors_as_batch_and_scipy(self):
         src = make_superposed_source(R, RHO, D)
@@ -618,4 +620,4 @@ class TestEmission:
         assert svg.startswith("<?xml")
         assert "<script" not in svg
         assert "stroke-dasharray" in svg
-        assert svg.count("<circle") == len(pattern.points) + 1
+        assert svg.count("<circle") == np.count_nonzero(pattern.clean) + 1

@@ -9,8 +9,8 @@ from zenograv.constants import CONST
 from zenograv.errors import InvalidParameterError
 from zenograv.zeno import (BipartiteSystem, effective_hamiltonian,
                            spin_pair_model, strobo_evolve,
-                           strobo_step_nonselective, survival_probability,
-                           system_from_json, system_to_json, trace_distance,
+                           survival_probability, system_from_json,
+                           system_to_json, trace_distance,
                            zeno_rate_bounds, zeno_time_estimate, zeno_variance)
 
 HBAR = CONST.hbar
@@ -196,16 +196,6 @@ class TestStroboEvolve:
         assert 0.0 <= res.survival_prob <= 1.0
         assert np.trace(res.probe_state).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(res.probe_state).min() > -1e-10
-
-    def test_nonselective_step_preserves_trace(self):
-        sys_m = xx_model(probe_splitting=0.3 * G_COUPLING)
-        U = expm(-1j * sys_m.total_hamiltonian() * 0.1 / HBAR)
-        rho = np.kron(PLUS, np.outer(sys_m.phi, sys_m.phi.conj()))
-        for _ in range(10):
-            rho = strobo_step_nonselective(sys_m, U, rho)
-            assert float(np.trace(rho).real) == pytest.approx(1.0, abs=1e-10)
-        evals = np.linalg.eigvalsh(rho)
-        assert evals.min() > -1e-10
 
 
 class TestRateEstimates:
