@@ -57,6 +57,7 @@ class MassDistribution:
         elif not (abs(self.total_mass - msum) <= _TOTAL_MASS_RTOL * msum):
             raise InvalidParameterError(
                 f"total_mass {self.total_mass} != sum of component masses {msum}")
+        object.__setattr__(self, "_stacks", {})
         if any(sep < a.radius + b.radius for a, b, sep in self._pairs()):
             warnings.warn("sphere components overlap; fields still superpose "
                           "but the two-position source model assumes disjoint lobes",
@@ -68,6 +69,23 @@ class MassDistribution:
         comps = self.components
         return [(a, b, math.hypot(*(p - q for p, q in zip(a.center, b.center))))
                 for i, a in enumerate(comps) for b in comps[i + 1:]]
+
+    def _field_stack(self, G: float):
+        """The components as the stacked arrays of :func:`gravity_field`,
+        built once per value of G: centers (C, 3, 1), and radii, -G M and
+        the interior factor -G M / R^3 as (C, 1) columns, each value
+        computed as the per-component field computes it."""
+        stack = self._stacks.get(G)
+        if stack is None:
+            comps = self.components
+            neg_gm = [-(G * c.mass) for c in comps]
+            stack = self._stacks[G] = (
+                np.array([c.center for c in comps])[:, :, None],
+                np.array([[c.radius] for c in comps]),
+                np.array(neg_gm)[:, None],
+                np.array([[ng / (c.radius * c.radius * c.radius)]
+                          for ng, c in zip(neg_gm, comps)]))
+        return stack
 
     def length_scale(self) -> float:
         """Max of component radii and pairwise center separations (m)."""
@@ -150,22 +168,39 @@ def gravity_field(dist: MassDistribution, x,
 
     Per component, -G M (x-c)/s^3 outside the sphere and -G M (x-c)/R^3
     inside (linear restoring field), evaluated in the same operation order
-    as the scalar integrator right-hand side.  The exterior divide is
-    masked to the exterior, so a point at a component center (interior,
-    x-c = 0) contributes zero without a floating-point warning.
+    as the scalar integrator right-hand side.  This is :func:`field_rows`
+    on the coordinate rows x.T.  The exterior branch is also computed
+    where the interior one is taken, so its divide by zero at a component
+    center (and overflow next to one) is silenced: such a point gets the
+    interior value, zero at the center, without a floating-point warning.
     """
     x = np.asarray(x, dtype=float)
-    acc = np.zeros(x.shape)
-    for comp in dist.components:
-        d = x - comp.center
-        s2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
-        s = np.sqrt(s2)
-        GM = constants.G * comp.mass
-        R = comp.radius
-        f = np.full(s.shape, -GM / (R * R * R))
-        np.divide(-GM, s2 * s, out=f, where=s >= R)
-        acc += f[:, None] * d
-    return acc
+    if x.ndim != 2 or x.shape[1] != 3:
+        raise InvalidParameterError(f"x must have shape (n, 3), got {x.shape}")
+    with np.errstate(divide="ignore", over="ignore"):
+        return field_rows(dist, np.ascontiguousarray(x.T), constants).T
+
+
+def field_rows(dist: MassDistribution, x,
+               constants: PhysicalConstants = CONST) -> np.ndarray:
+    """The field kernel: accelerations (3, m) at the points whose
+    coordinates are the rows of x (3, m), all components at once.
+
+    On the arrays of :meth:`MassDistribution._field_stack`, d = x - c is
+    (C, 3, m), s^2 is summed in coordinate order by a reduce from -0.0
+    (see :func:`rk45.rms`), the factor is where(s >= R, -G M/(s^2 s),
+    -G M/R^3), and the terms are added in component order by a reduce
+    from 0.0, the zeroed accumulator.  Every element's arithmetic is the
+    scalar right-hand side's, whatever the batch.  Floating-point
+    warnings are the caller's: the exterior branch divides by zero at a
+    component center.
+    """
+    centers, radius, neg_gm, interior = dist._field_stack(constants.G)
+    d = x - centers
+    s2 = np.add.reduce(d * d, axis=1, initial=-0.0)
+    s = np.sqrt(s2)
+    f = np.where(s >= radius, neg_gm / (s2 * s), interior)
+    return np.add.reduce(f[:, None] * d, axis=0, initial=0.0)
 
 
 def force_at(dist: MassDistribution, x, m_probe: float,

@@ -99,26 +99,45 @@ def error_power(err):
 
 
 def rms(x):
-    """Row-wise RMS norm of an (n, 6) array (scipy's ``norm`` per probe)."""
-    x2 = x * x
-    total = x2[:, 0]
-    for k in range(1, x.shape[1]):
-        total = total + x2[:, k]
-    return np.sqrt(total) / x.shape[1] ** 0.5
+    """RMS norm of each column of a (6, m) array (scipy's ``norm`` per
+    probe).
+
+    The squares are added in coordinate order by one reduce started from
+    -0.0, an exact identity (-0.0 + a == a), not from numpy's 0.0, which
+    turns a sum of -0.0 into 0.0.  numpy adds the slices of a leading
+    axis in order, and a contiguous run of fewer than 8 elements (m = 1)
+    too, so this is the in-order loop's sum bit for bit.
+    """
+    return np.sqrt(np.add.reduce(x * x, axis=0, initial=-0.0)) / len(x) ** 0.5
+
+
+def _stage_sum(coef):
+    """The stages with a nonzero coefficient (a slice when they lead) and
+    those coefficients as a (k, 1, 1) column, for :func:`combine`."""
+    stages = [j for j, c in enumerate(coef) if c]
+    return (slice(len(stages)) if stages == list(range(len(stages)))
+            else np.array(stages),
+            np.array([coef[j] for j in stages])[:, None, None])
+
+
+# per coefficient tuple of the tableau: the arguments of its stage sum
+_STAGE_SUMS = {coef: _stage_sum(coef) for coef in (*A_ROWS, B, E, *zip(*P))}
 
 
 def combine(K, coef):
-    """sum_j coef[j] * K[j], accumulated in stage order.
+    """sum_j coef[j] * K[j], accumulated in stage order, for coef one of
+    A_ROWS, B, E or a column of P.
 
+    One multiply of the stages with a nonzero coefficient (the zero ones,
+    the second stage in B and E, are skipped) by their coefficient column,
+    and one reduce over the stage axis, started from -0.0 as in
+    :func:`rms`, so the sum is K_0 c_0 + K_1 c_1 + ... in that order.
     Elementwise accumulation (not a BLAS product) keeps every probe's
-    arithmetic independent of its row in the batch.  Zero coefficients
-    (the second stage in B and E) are skipped.
+    arithmetic independent of its place in the batch.  K has the stages
+    on its first of three axes.
     """
-    acc = K[0] * coef[0]
-    for j in range(1, len(coef)):
-        if coef[j]:
-            acc += K[j] * coef[j]
-    return acc
+    stages, weights = _STAGE_SUMS[coef]
+    return np.add.reduce(K[stages] * weights, axis=0, initial=-0.0)
 
 
 def escape_roots(K, t_old, h, y_old, r_stop, t_new):
@@ -234,13 +253,16 @@ def brentq(f, xa, xb):
 
 
 def initial_step(fun, y, f, atol, rtol, t_bound, max_step):
-    """scipy's ``select_initial_step`` for each probe, from t0 = 0."""
+    """scipy's ``select_initial_step`` for each probe, from t0 = 0.
+
+    Takes rows: y and f are (n, 6), atol and rtol broadcast against
+    them, and ``fun`` maps (n, 6) states to their slopes."""
     scale = atol + np.abs(y) * rtol
-    d0 = rms(y / scale)
-    d1 = rms(f / scale)
+    d0 = rms((y / scale).T)
+    d1 = rms((f / scale).T)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, t_bound)
-    d2 = rms((fun(y + h0[:, None] * f) - f) / scale) / h0
+    d2 = rms(((fun(y + h0[:, None] * f) - f) / scale).T) / h0
     # max(d1, d2) as Python's max takes it: a NaN d2 leaves d1
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                   np.maximum(1e-6, h0 * 1e-3),

@@ -3,7 +3,7 @@
 Both integrators are the adaptive Dormand-Prince 5(4) pair with scipy
 RK45's step-size controller (relative tolerance 1e-9 per step by
 default).  Pattern scans run every probe of a grid through one lockstep
-batch engine over an (N, 6) state array; a single trajectory runs the
+batch engine over a (6, N) state array; a single trajectory runs the
 same step on plain Python floats, in the same operation order, so both
 give the same probe bit for bit.  Their numerics come from
 :mod:`zenograv.rk45`, which also finds the escape crossing on the last
@@ -30,7 +30,7 @@ from .elementwise import csv_text, require, result
 from .errors import (IntegratorFailureError, InvalidParameterError,
                      ProjectionSingularError, UnterminatedTrajectoryError)
 # potential_at is re-exported: the perfbench tracer wraps it under this name
-from .massdist import (MassDistribution, gravity_field, gravity_potential,
+from .massdist import (MassDistribution, field_rows, gravity_potential,
                        potential_at)  # noqa: F401
 
 DEFAULT_RTOL = 1e-9
@@ -40,6 +40,8 @@ DEFAULT_RTOL = 1e-9
 ATOL_FACTOR = 1e-4
 
 _NON_FINITE = "non-finite state during integration"
+_TOO_SMALL = f"integrator failed: {rk45.TOO_SMALL_STEP}"
+_HIT_ROWS = 1024   # batch engine: segments buffered per hit check
 _POLE = "direction at the projection pole (0,0,-1)"
 
 
@@ -234,8 +236,7 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
             elif h_abs < min_step:
                 h_abs = min_step
         if not (h_abs >= min_step):
-            raise IntegratorFailureError(
-                f"integrator failed: {rk45.TOO_SMALL_STEP}")
+            raise IntegratorFailureError(_TOO_SMALL)
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
 
@@ -458,64 +459,66 @@ def _integrate_batch(dist: MassDistribution, cfgs,
     max_step = dt_max and clipping at t_max.  A probe retires at its
     outward r_stop crossing, at t_max (UnterminatedTrajectoryError), on a
     non-finite accepted state or when its step underflows
-    (IntegratorFailureError); the error slot then holds the exception and
-    the final state is NaN.  Source hits are checked on every
-    accepted-step segment.  A crossing probe's last step is only
-    recorded: once every probe has retired, all crossings are located on
-    their steps' dense output by one lockstep Brent search
+    (IntegratorFailureError); the error slot then holds the exception, the
+    final state is NaN and the hit flag False.  The state is
+    coordinate-major, one column per active probe: y, its slope and atol
+    are (6, m), the stages (7, 6, m), per-probe scalars (m,); rows are
+    transposed only for :func:`rk45.initial_step`, :func:`rk45.escape_roots`
+    and :func:`_segment_hits`.  Source hits are checked on every
+    accepted-step segment, buffered: one call per _HIT_ROWS / n
+    iterations of n probes, and one at the end.  A crossing probe's last
+    step is only recorded: once every probe has retired, all crossings
+    are located on their steps' dense output by one lockstep Brent search
     (:func:`rk45.escape_roots`, solve_ivp's event root), and the partial
     segments up to them are checked for hits in one call.
     """
     n = len(cfgs)
-    launch = [_launch(c) for c in cfgs]
-    y = np.array([y0 for y0, _ in launch])
-    atol = np.array([a for _, a in launch])
-    rtol = np.array([[max(c.rtol, rk45.RTOL_FLOOR)] for c in cfgs])
-    t_bound = np.array([c.t_max for c in cfgs])
-    max_step = np.array([c.dt_max for c in cfgs])
-    r_stop = np.array([c.r_stop for c in cfgs])
+    y, atol = np.array([_launch(c) for c in cfgs]).transpose(1, 2, 0).copy()
+    rtol, t_bound, max_step, r_stop = np.array([
+        (max(c.rtol, rk45.RTOL_FLOOR), c.t_max, c.dt_max, c.r_stop)
+        for c in cfgs]).T.copy()
 
     y_end = np.full((n, 6), np.nan)
-    hit_end = np.zeros(n, dtype=bool)
-    errors = [None] * n
+    hit_end, hit = np.zeros((2, n), dtype=bool)  # hit: a checked segment hit
+    done = ~np.isfinite(y).all(axis=0)
+    errors = [IntegratorFailureError(_NON_FINITE) if bad else None
+              for bad in done.tolist()]
     idx = np.arange(n)           # original index of each active probe
     crossings = []               # per iteration: the crossing probes' steps
+    segments = []                # per iteration: steps not yet hit-checked
 
     def fun(y):
-        f = np.empty_like(y)
-        f[:, :3] = y[:, 3:]
-        f[:, 3:] = gravity_field(dist, y[:, :3], constants)
-        return f
+        return np.concatenate((y[3:], field_rows(dist, y[:3], constants)))
 
     def radius(y):
-        return np.sqrt(y[:, 0] ** 2 + y[:, 1] ** 2 + y[:, 2] ** 2)
+        return np.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2)
 
-    def fail(mask, make_error):
-        for j in np.flatnonzero(mask):
-            errors[idx[j]] = make_error(j)
-        return mask
+    def check_hits():
+        lanes, y0, y1, moved = (np.concatenate(a, axis=-1)
+                                for a in zip(*segments))
+        segments.clear()
+        hit[lanes[moved][_segment_hits(y0[:3, moved].T, y1[:3, moved].T,
+                                       dist)]] = True
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = fun(y)
-        h_abs = rk45.initial_step(fun, y, f, atol, rtol, t_bound, max_step)
+        h_abs = rk45.initial_step(lambda rows: fun(rows.T).T, y.T, f.T,
+                                  atol.T, rtol[:, None], t_bound, max_step)
         t = np.zeros(n)
         g = radius(y) - r_stop           # escape event value
         retry = np.zeros(n, dtype=bool)  # last attempt was rejected
-        hit = np.zeros(n, dtype=bool)
-        done = fail(~np.isfinite(y).all(axis=1),
-                    lambda j: IntegratorFailureError(_NON_FINITE))
 
         while True:
             if done.any():
                 keep = ~done
-                (idx, t, y, f, h_abs, retry, g, hit, atol, rtol, t_bound,
-                 max_step, r_stop) = (
-                    a[keep] for a in (idx, t, y, f, h_abs, retry, g, hit, atol,
-                                      rtol, t_bound, max_step, r_stop))
+                (idx, t, h_abs, retry, g, rtol, t_bound, max_step,
+                 r_stop) = (a[keep] for a in (idx, t, h_abs, retry, g, rtol,
+                                              t_bound, max_step, r_stop))
+                y, f, atol = y[:, keep], f[:, keep], atol[:, keep]
             m = len(idx)
             if m == 0:
                 break
-            min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+            min_step = 10 * np.spacing(t)
             fresh = ~retry
             h_abs = np.where(fresh & (h_abs > max_step), max_step,
                              np.where(fresh & (h_abs < min_step), min_step,
@@ -523,16 +526,15 @@ def _integrate_batch(dist: MassDistribution, cfgs,
             stuck = ~(h_abs >= min_step)
             t_new = np.minimum(t + h_abs, t_bound)
             h = t_new - t
-            hc = h[:, None]
 
-            K = np.empty((rk45.N_STAGES + 1, m, 6))
+            K = np.empty((rk45.N_STAGES + 1, 6, m))
             K[0] = f
             for s in range(1, rk45.N_STAGES):
-                K[s] = fun(y + rk45.combine(K[:s], rk45.A_ROWS[s - 1]) * hc)
-            y_new = y + hc * rk45.combine(K[:-1], rk45.B)
+                K[s] = fun(y + rk45.combine(K[:s], rk45.A_ROWS[s - 1]) * h)
+            y_new = y + h * rk45.combine(K[:-1], rk45.B)
             f_new = K[-1] = fun(y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = rk45.rms(rk45.combine(K, rk45.E) * hc / scale)
+            err = rk45.rms(rk45.combine(K, rk45.E) * h / scale)
 
             accept = (err < 1) & ~stuck
             power = rk45.SAFETY * err ** rk45.ERROR_EXPONENT
@@ -542,37 +544,40 @@ def _integrate_batch(dist: MassDistribution, cfgs,
             h_abs = h * np.where(accept, grow, np.fmax(rk45.MIN_FACTOR, power))
             retry = ~accept
 
-            finite = np.isfinite(y_new).all(axis=1)
-            ok = accept & finite
-            done = fail(stuck, lambda j: IntegratorFailureError(
-                f"integrator failed: {rk45.TOO_SMALL_STEP}"))
-            done |= fail(accept & ~finite,
-                         lambda j: IntegratorFailureError(_NON_FINITE))
-
+            ok = accept & np.isfinite(y_new).all(axis=0)
             g_new = radius(y_new) - r_stop
             crossed = ok & (g <= 0) & (g_new >= 0)
             moved = ok & ~crossed
-            hit[moved] |= _segment_hits(y[moved, :3], y_new[moved, :3], dist)
+            late = moved & (t_new >= t_bound)
+            done = stuck | (accept & ~ok) | late
+            if done.any():
+                for j in np.flatnonzero(done).tolist():
+                    errors[idx[j]] = _unterminated(cfgs[idx[j]]) if late[j] \
+                        else IntegratorFailureError(_TOO_SMALL if stuck[j]
+                                                    else _NON_FINITE)
+            segments.append((idx, y, y_new, moved))
+            if len(segments) * n >= _HIT_ROWS:
+                check_hits()
             if crossed.any():
-                crossings.append((idx[crossed], K[:, crossed], t[crossed],
-                                  h[crossed], y[crossed], r_stop[crossed],
-                                  t_new[crossed], hit[crossed]))
-            done |= crossed
-            done |= fail(moved & (t_new >= t_bound),
-                         lambda j: _unterminated(cfgs[idx[j]]))
+                crossings.append((idx[crossed], K[:, :, crossed].transpose(
+                    0, 2, 1), t[crossed], h[crossed], y[:, crossed].T,
+                    r_stop[crossed], t_new[crossed]))
+                done |= crossed
 
             t = np.where(accept, t_new, t)
-            y = np.where(accept[:, None], y_new, y)
-            f = np.where(accept[:, None], f_new, f)
+            y = np.where(accept, y_new, y)
+            f = np.where(accept, f_new, f)
             g = np.where(accept, g_new, g)
 
+        if segments:
+            check_hits()
         if crossings:
             steps = list(zip(*crossings))
             K = np.concatenate(steps.pop(1), axis=1)
-            lanes, t, h, y, r_stop, t_new, hit = map(np.concatenate, steps)
+            lanes, t, h, y, r_stop, t_new = map(np.concatenate, steps)
             _, y_end[lanes] = rk45.escape_roots(K, t, h, y, r_stop, t_new)
-            hit_end[lanes] = hit | _segment_hits(y[:, :3], y_end[lanes, :3],
-                                                 dist)
+            hit_end[lanes] = hit[lanes] | _segment_hits(y[:, :3],
+                                                        y_end[lanes, :3], dist)
             for j in lanes[~np.isfinite(y_end[lanes]).all(axis=1)]:
                 errors[j] = IntegratorFailureError(_NON_FINITE)
     return y_end, hit_end, errors
@@ -745,12 +750,6 @@ def pattern_to_svg(pattern: ScatterPattern, fh, dashed_radius: float | None = No
     pad = 1.15
     scale = (size / 2.0) / (rmax * pad)
 
-    def sx(val):
-        return size / 2.0 + val * scale
-
-    def sy(val):
-        return size / 2.0 - val * scale
-
     fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     if header_comment:
         fh.write(f"<!-- {header_comment} -->\n")
@@ -767,6 +766,7 @@ def pattern_to_svg(pattern: ScatterPattern, fh, dashed_radius: float | None = No
                  'stroke-dasharray="6,4"/>\n')
     for x, y, l in pts:
         color = "#d62728" if l > 0 else ("#1f77b4" if l < 0 else "#2ca02c")
-        fh.write(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" '
+        fh.write(f'<circle cx="{size / 2.0 + x * scale:.2f}" '
+                 f'cy="{size / 2.0 - y * scale:.2f}" '
                  f'r="2" fill="{color}" fill-opacity="0.7"/>\n')
     fh.write("</svg>\n")

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -153,6 +154,36 @@ class TestPattern:
                             "--output-dir", d]) == 0
         assert (d1 / "pattern.csv").read_bytes() == (d2 / "pattern.csv").read_bytes()
         assert (d1 / "pattern.svg").read_bytes() == (d2 / "pattern.svg").read_bytes()
+
+    # sha256 of pattern.csv and pattern.svg, as emitted before the lockstep
+    # engine went coordinate-major (x86-64 Linux, numpy 2.4): an engine
+    # change that moves one byte of these fails here.  The grids are the
+    # benchmark-shaped 12x12 and the 6x5 one of which some probes hit the
+    # source, each on the two-lobe source and with --d 0.
+    GOLDEN = {
+        ("--n_b", "12", "--n_l", "12"): (
+            "1860d526bcb2513ad74d4740062ef0254867c531a3afee68422e0091ea4f8077",
+            "d0ffe54bd22607a20e2624712f373dc1aaa7a721721cb2066544abdd41ef0562"),
+        ("--n_b", "12", "--n_l", "12", "--d", "0"): (
+            "1f49564e5a33973f285837e9622832fd5aa1df99d5fc05e34dfce4bc9cb59e08",
+            "e814446b0d2a2560a64199e4c82153de15eb8438cd866e3927f5e659c641526f"),
+        ("--n_b", "6", "--n_l", "5", "--beta_min", "0.3", "--beta_max",
+         "1.6"): (
+            "7edd6f44bebc816a55173ccda174e3d6f26596c035fa32a729e4dc28f16fa060",
+            "8aa3729360c1e38295a2473d9f7560b5bf6f4b09b08ede5de78dc23117aa8021"),
+        ("--n_b", "6", "--n_l", "5", "--beta_min", "0.3", "--beta_max",
+         "1.6", "--d", "0"): (
+            "08786eb5739c612ac3607f7c2af4084f502c7623a906546b7b9015cc4a786ed1",
+            "a21df26916908f546b97dde20e7b8aa357a5ac27d8c9eb8eb23182308af08382"),
+    }
+
+    @pytest.mark.parametrize("grid", GOLDEN, ids=["12x12", "12x12-d0",
+                                                  "6x5-hits", "6x5-hits-d0"])
+    def test_golden_digests(self, grid, tmp_path):
+        assert run_cli(["pattern", *grid, "--output-dir", tmp_path]) == 0
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in ("pattern.csv", "pattern.svg")) \
+            == self.GOLDEN[grid]
 
     def test_no_temp_residue(self, tmp_path):
         assert run_cli(["pattern", "--n_b", 2, "--n_l", 1,

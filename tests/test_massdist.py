@@ -8,8 +8,8 @@ from scipy.integrate import dblquad
 
 from zenograv.constants import CONST
 from zenograv.errors import InvalidParameterError
-from zenograv.massdist import (MassDistribution, SphereComponent, force_at,
-                               gravity_field, gravity_potential,
+from zenograv.massdist import (MassDistribution, SphereComponent, field_rows,
+                               force_at, gravity_field, gravity_potential,
                                make_superposed_source, potential_at)
 
 R = 1e-5
@@ -188,6 +188,38 @@ class TestForce:
         rows = np.vstack([gravity_field(src, x[i:i + 1]) for i in range(50)])
         assert np.array_equal(gravity_field(src, x), rows)
 
+    @pytest.mark.parametrize("comps", [
+        [((0.0, 0.0, 0.0), R, 1e-11)],
+        [((-R, 0.0, 0.0), R, 5e-12), ((R, 0.0, 0.0), R, 5e-12)],
+        [((-3 * R, 0.4 * R, -R), R, 1e-11), ((2 * R, -R, 0.5 * R), 0.5 * R,
+                                               3e-12),
+         ((0.2 * R, 3 * R, 2 * R), 1.5 * R, 2e-11)],
+    ], ids=["one", "two-lobe", "three-off-axis"])
+    def test_stacked_kernel_equals_component_loop(self, comps):
+        # the stacked kernel, in both layouts, against the loop over
+        # components it replaced, bit for bit (signed zeros included)
+        src = MassDistribution(tuple(SphereComponent(*c) for c in comps))
+        rng = np.random.default_rng(len(comps))
+        centers = np.array([c[0] for c in comps])
+        near = centers[rng.integers(len(comps), size=60)] \
+            + rng.uniform(-0.9, 0.9, (60, 3)) * R       # mostly interior
+        x = np.vstack([rng.uniform(-5 * R, 5 * R, (60, 3)), near, centers,
+                       centers * [1, 0, 1], centers * [0, 1, 1]])
+        want = component_loop_field(src, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gravity_field(src, x)
+            rows = gravity_field(src, centers)
+        assert got.tobytes() == want.tobytes()
+        assert rows.tobytes() == component_loop_field(src, centers).tobytes()
+        with np.errstate(divide="ignore"):
+            assert field_rows(src, x.T).tobytes() == want.T.tobytes()
+        for one in x[:5]:     # one row, as force_at takes it
+            assert gravity_field(src, one[None]).tobytes() == \
+                component_loop_field(src, one[None]).tobytes()
+        with pytest.raises(InvalidParameterError, match=r"shape \(n, 3\)"):
+            gravity_field(src, x[0])     # a point is a row of (1, 3)
+
     def test_point_mass_magnitude(self):
         src = make_superposed_source(R, RHO, 0.0)
         M = src.total_mass
@@ -222,6 +254,22 @@ class TestForce:
             assert_allclose(F, F_num, rtol=1e-5,
                             atol=1e-5 * np.linalg.norm(F_num))
         assert n_interior > 10  # the sample really covers the interior
+
+
+def component_loop_field(dist, x):
+    """The field one component at a time on (n, 3) rows, each term added
+    to a zeroed accumulator; the exterior divide masked to the exterior."""
+    acc = np.zeros(x.shape)
+    for comp in dist.components:
+        d = x - comp.center
+        s2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+        s = np.sqrt(s2)
+        GM = CONST.G * comp.mass
+        R = comp.radius
+        f = np.full(s.shape, -GM / (R * R * R))
+        np.divide(-GM, s2 * s, out=f, where=s >= R)
+        acc += f[:, None] * d
+    return acc
 
 
 def per_point_potential(dist, x, m_probe):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from zenograv import rk45, scatter
 from zenograv.constants import CONST
 from zenograv.errors import (IntegratorFailureError, InvalidParameterError,
                              ProjectionSingularError,
@@ -426,6 +427,41 @@ class TestBatchEngineOracle:
             else:
                 assert line_b == line_s
 
+    def test_buffered_hit_checks(self, monkeypatch):
+        # the segments of a batch are checked for hits in buffered calls:
+        # over many calls the flags still equal the per-probe ones, and a
+        # probe that passed through the source before it failed (out of
+        # time, or its step underflowed) still returns hit False
+        src = single_sphere()
+        cfgs = launch_configs(src, hit_grid(src), V)
+        bound = ScatterConfig.for_source(src, b=0.5 * R, l=0.0, v=1.8e-9,
+                                         start_factor=5.0, stop_factor=12.0,
+                                         rtol=1e-6)
+        bound = dataclasses.replace(bound, t_max=bound.t_max / 10)
+        fall = ScatterConfig(b=0.0, l=0.0, v=1e-15, z_start=-1e3,
+                             dt_max=1e30, t_max=1e30, r_stop=2e3)
+        checks = []
+        original = scatter._segment_hits
+        monkeypatch.setattr(scatter, "_segment_hits", lambda p0, p1, dist:
+                            checks.append(original(p0, p1, dist)) or checks[-1])
+        y_end, hits, errors = _integrate_batch(src, cfgs + [bound, fall])
+        trajs = [integrate_trajectory(src, cfg, M_PROBE) for cfg in cfgs]
+        assert sum(traj.n_accepted for traj in trajs) > 2 * scatter._HIT_ROWS
+        assert len(checks) > 3
+        assert hits[:-2].tolist() == [traj.hit_source for traj in trajs]
+        assert 0 < sum(hits) < len(cfgs)
+        assert [type(e) for e in errors] == [type(None)] * len(cfgs) + [
+            UnterminatedTrajectoryError, IntegratorFailureError]
+        assert hits[-2:].tolist() == [False, False]
+        for cfg in (bound, fall):
+            checks.clear()
+            _, (hit,), (error,) = _integrate_batch(src, [cfg])
+            assert error is not None and not hit
+            assert any(check.any() for check in checks)
+        # one probe's steps fit in the buffer: they are checked at the end
+        first = hits.tolist().index(True)
+        assert _integrate_batch(src, [cfgs[first]])[1].tolist() == [True]
+
     def test_launch_order_invariance(self):
         src = make_superposed_source(R, RHO, D)
         cfgs = [ScatterConfig.for_source(src, b=beta * R, l=l, v=V)
@@ -551,6 +587,37 @@ class TestScalarPathOracle:
                 scipy_trajectory(dist, cfg)
             assert type(ours.value) is type(ref.value) is type(batch_error)
             assert str(ours.value) == str(ref.value) == str(batch_error)
+
+
+class TestStageSums:
+    """rk45.combine and rk45.rms, one reduce each, against the in-order
+    loops they replaced, bit for bit (signed zeros included)."""
+
+    @staticmethod
+    def in_order(terms):
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 144])
+    def test_equal_to_loops(self, m):
+        rng = np.random.default_rng(m)
+        for coef in (*rk45.A_ROWS, rk45.B, rk45.E, *zip(*rk45.P)):
+            for shape in ((len(coef), 6, m), (len(coef), m, 6)):
+                K = rng.standard_normal(shape) * 10.0 ** rng.integers(
+                    -8, 8, shape)
+                K[rng.random(shape) < 0.3] = -0.0
+                want = self.in_order([K[j] * c for j, c in enumerate(coef)
+                                      if c])
+                assert rk45.combine(K, coef).tobytes() == want.tobytes()
+        x = rng.standard_normal((6, m)) * 10.0 ** rng.integers(-8, 8, (6, m))
+        want = np.sqrt(self.in_order(list(x * x))) / 6 ** 0.5
+        assert rk45.rms(x).tobytes() == want.tobytes()
+        assert rk45.rms(np.ascontiguousarray(x.T).T).tobytes() == \
+            want.tobytes()
+        assert rk45.combine(np.full((2, 6, m), -0.0), rk45.A_ROWS[1]) \
+            .tobytes() == np.full((6, m), -0.0).tobytes()
 
 
 class TestCollapsed:
