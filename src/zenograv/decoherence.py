@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CONST, PhysicalConstants
+from .constants import CONST
 from .elementwise import (parameter, ratio_or_inf, require, require_finite,
                           result)
 from .errors import RateOverflowError
@@ -84,20 +84,15 @@ class DecoherenceBreakdown:
     gamma_bb_sc: float
     gamma_bb_abs: float
     gamma_bb_em: float
-    gamma_total: float = field(default=None)
+    gamma_total: float = field(init=False)   # the channel sum
     regime_flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("gamma_gas", "gamma_bb_sc", "gamma_bb_abs", "gamma_bb_em"):
             require(getattr(self, name) >= 0, f"{name} must be >= 0")
-        total = (self.gamma_gas + self.gamma_bb_sc
-                 + self.gamma_bb_abs + self.gamma_bb_em)
-        if self.gamma_total is None:
-            object.__setattr__(self, "gamma_total", total)
-        else:
-            require(abs(self.gamma_total - total)
-                    <= 1e-9 * np.maximum(total, 1e-300),
-                    "gamma_total must equal the channel sum")
+        object.__setattr__(self, "gamma_total",
+                           self.gamma_gas + self.gamma_bb_sc
+                           + self.gamma_bb_abs + self.gamma_bb_em)
 
 
 def _regime(x, lambda_th):
@@ -118,14 +113,13 @@ def gamma_distance(Lambda, lambda_th, x):
     return result(lambda_th**2 * Lambda * -np.expm1(-r * r))
 
 
-def gas_thermal_wavelength(T_e, constants: PhysicalConstants = CONST):
+def gas_thermal_wavelength(T_e):
     """2 pi hbar / sqrt(2 pi m_H2 k_B T_e) (m)."""
-    return result(2 * np.pi * constants.hbar / np.sqrt(
-        2 * np.pi * constants.m_H2 * constants.k_B * T_e))
+    return result(2 * np.pi * CONST.hbar / np.sqrt(
+        2 * np.pi * CONST.m_H2 * CONST.k_B * T_e))
 
 
-def rest_gas_rate(env: Environment, R,
-                  constants: PhysicalConstants = CONST) -> ChannelRate:
+def rest_gas_rate(env: Environment, R) -> ChannelRate:
     """Saturated rest-gas localization rate (lambda_th/hbar)(16 pi/3) p R^2.
 
     The gas thermal wavelength is far below any superposition size of
@@ -133,8 +127,8 @@ def rest_gas_rate(env: Environment, R,
     backs out the localization parameter for the exact distance form.
     """
     require(R > 0, "R must be > 0, got {}", R)
-    lam = gas_thermal_wavelength(env.T_env, constants)
-    gamma_sat = (lam / constants.hbar) * (16 * np.pi / 3) * env.pressure * R**2
+    lam = gas_thermal_wavelength(env.T_env)
+    gamma_sat = (lam / CONST.hbar) * (16 * np.pi / 3) * env.pressure * R**2
     if not np.all(np.isfinite(gamma_sat)):
         # the prefactor times p overflows; times an underflowed R^2 it is NaN
         raise RateOverflowError("rest-gas rate (lambda_th/hbar)(16 pi/3) "
@@ -145,13 +139,12 @@ def rest_gas_rate(env: Environment, R,
                        gamma_rounded=rounded, regime=_regime(R, lam))
 
 
-def bb_thermal_wavelength(T, constants: PhysicalConstants = CONST):
+def bb_thermal_wavelength(T):
     """pi^(2/3) hbar c / (k_B T) (m)."""
-    return np.pi ** (2.0 / 3.0) * constants.hbar * constants.c / (constants.k_B * T)
+    return np.pi ** (2.0 / 3.0) * CONST.hbar * CONST.c / (CONST.k_B * T)
 
 
-def blackbody_rates(env: Environment, R, x,
-                    constants: PhysicalConstants = CONST
+def blackbody_rates(env: Environment, R, x
                     ) -> tuple[ChannelRate, ChannelRate, ChannelRate]:
     """(scattering, absorption, emission) channel rates at separation x.
 
@@ -166,9 +159,9 @@ def blackbody_rates(env: Environment, R, x,
     require(R > 0, "R must be > 0, got {}", R)
     require(x >= 0, "x must be >= 0, got {}", x)
     re_f, im_f = env.epsilon_factor
-    c = constants.c
-    lam_e = bb_thermal_wavelength(env.T_env, constants)
-    lam_i = bb_thermal_wavelength(env.T_int, constants)
+    c = CONST.c
+    lam_e = bb_thermal_wavelength(env.T_env)
+    lam_i = bb_thermal_wavelength(env.T_int)
 
     L_sc = result((1.0 / lam_e) ** 9 * (math.factorial(8) * 8 * ZETA_9
                                         * np.pi**5 * c * R**6 / 9.0) * re_f**2)
@@ -187,17 +180,15 @@ def blackbody_rates(env: Environment, R, x,
     return sc, ab, em
 
 
-def total_decoherence(env: Environment, R,
-                      constants: PhysicalConstants = CONST
-                      ) -> DecoherenceBreakdown:
+def total_decoherence(env: Environment, R) -> DecoherenceBreakdown:
     """All channels evaluated at separation x = R; total is their sum.
 
     The total is the decoherence-side lower bound on the freeze
     (measurement) rate needed to hold the superposition.
     """
-    gas = rest_gas_rate(env, R, constants)
+    gas = rest_gas_rate(env, R)
     gamma_gas = gamma_distance(gas.Lambda, gas.lambda_th, R)
-    sc, ab, em = blackbody_rates(env, R, R, constants)
+    sc, ab, em = blackbody_rates(env, R, R)
     return DecoherenceBreakdown(
         gamma_gas=gamma_gas, gamma_bb_sc=sc.gamma,
         gamma_bb_abs=ab.gamma, gamma_bb_em=em.gamma,
@@ -205,26 +196,26 @@ def total_decoherence(env: Environment, R,
                       "bb_abs": ab.regime, "bb_em": em.regime})
 
 
-def wavepacket_spread(m, t, delta_u, constants: PhysicalConstants = CONST):
+def wavepacket_spread(m, t, delta_u):
     """Free Gaussian wavepacket width sqrt(2 du^2 + (hbar t / (m du))^2 / 2) (m)."""
     require((m > 0) & (delta_u > 0) & (t >= 0),
             "m and delta_u must be > 0, t >= 0")
     return result(np.sqrt(2 * delta_u**2
-                          + 0.5 * (constants.hbar * t / (m * delta_u)) ** 2))
+                          + 0.5 * (CONST.hbar * t / (m * delta_u)) ** 2))
 
 
-def wavepacket_spread_min(m, t, constants: PhysicalConstants = CONST):
+def wavepacket_spread_min(m, t):
     """(sigma_min, du_min): the optimum sqrt(2 hbar t/m) at du = sqrt(hbar t/(2m))."""
     require((m > 0) & (t >= 0), "m must be > 0 and t >= 0")
-    return (result(np.sqrt(2 * constants.hbar * t / m)),
-            result(np.sqrt(constants.hbar * t / (2 * m))))
+    return (result(np.sqrt(2 * CONST.hbar * t / m)),
+            result(np.sqrt(CONST.hbar * t / (2 * m))))
 
 
-def momentum_floor(m, t, v, constants: PhysicalConstants = CONST):
+def momentum_floor(m, t, v):
     """(dp_min, dp_min/(m v)): momentum width sqrt(hbar m / (2 t)) of the
     minimally spreading wavepacket, and its ratio to the mean momentum."""
     require((m > 0) & (t > 0) & (v > 0), "m, t, v must all be > 0")
-    dp = result(np.sqrt(constants.hbar * m / (2 * t)))
+    dp = result(np.sqrt(CONST.hbar * m / (2 * t)))
     return dp, dp / (m * v)
 
 
@@ -235,8 +226,7 @@ class MeanFreePath:
     cross_section: float     # m^2, pi (d_H2/2 + R_probe)^2
 
 
-def mean_free_path(env: Environment, R_probe,
-                   constants: PhysicalConstants = CONST) -> MeanFreePath:
+def mean_free_path(env: Environment, R_probe) -> MeanFreePath:
     """Probe mean free path against the hydrogen rest gas.
 
     First-principles value uses the geometric cross section of the probe
@@ -245,8 +235,8 @@ def mean_free_path(env: Environment, R_probe,
     infinite path.
     """
     require(R_probe >= 0, "R_probe must be >= 0, got {}", R_probe)
-    A = np.pi * (constants.d_H2 / 2 + R_probe) ** 2
-    value = ratio_or_inf(constants.k_B * env.T_env,
+    A = np.pi * (CONST.d_H2 / 2 + R_probe) ** 2
+    value = ratio_or_inf(CONST.k_B * env.T_env,
                          math.sqrt(2) * A * env.pressure)
     rounded = ratio_or_inf(MFP_COEFF * env.T_env, env.pressure)
     return MeanFreePath(value=value, rounded=rounded, cross_section=A)

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import decoherence as deco
 from . import scatter, zeno
-from .constants import CONST, PhysicalConstants, joules_to_ev
+from .constants import joules_to_ev
 from .elementwise import (csv_text, parameter, ratio_or_inf, require,
                           require_finite)
 from .errors import InvalidParameterError, ZenogravError
@@ -187,7 +187,7 @@ def _cell_by_cell(sub, pt: ExperimentPoint):
     return values, failed
 
 
-def _evaluate(pt: ExperimentPoint, constants: PhysicalConstants):
+def _evaluate(pt: ExperimentPoint):
     """Every report quantity and constraint of ``pt``, for all its cells.
 
     Returns (quantities, checks).  quantities maps ConstraintReport field
@@ -198,14 +198,14 @@ def _evaluate(pt: ExperimentPoint, constants: PhysicalConstants):
     that depend on it.  Values broadcast over the grid fields of ``pt``.
     """
     v, M, b0 = pt.v, pt.M, pt.b0
-    theta_max = scatter.rutherford_angle(M, v, b0, constants)
+    theta_max = scatter.rutherford_angle(M, v, b0)
 
     def duration(p):
         # past the parabolic limit the time underflows to 0 or is 0/0:
         # such a duration fails, as a non-hyperbolic orbit's does
         with np.errstate(invalid="ignore"):
             t = scatter.kepler_scatter_time(p.M, p.density, p.beta, p.zeta,
-                                            p.t_R, constants)
+                                            p.t_R)
         require((t > 0) & (t < math.inf),
                 "scattering duration not finite and > 0: {} s", t)
         return t
@@ -218,28 +218,27 @@ def _evaluate(pt: ExperimentPoint, constants: PhysicalConstants):
     t_used = np.where(np.isfinite(t_total),
                       np.minimum(t_total, pt.t_total_cap), pt.t_total_cap)
 
-    tau_Z = zeno.zeno_time_estimate(pt.m_probe, M, b0, constants)
+    tau_Z = zeno.zeno_time_estimate(pt.m_probe, M, b0)
     rate_dyn, rate_surv = zeno.zeno_rate_bounds(tau_Z, t_used)
     gamma_dyn_required = np.maximum(pt.strictness * rate_dyn, rate_surv)
 
     try:
-        breakdown = deco.total_decoherence(pt.env, pt.R, constants)
+        breakdown = deco.total_decoherence(pt.env, pt.R)
         gamma_deco, deco_failed, deco_note = breakdown.gamma_total, False, None
     except ZenogravError as exc:
         breakdown = None
         gamma_deco, deco_failed = _cell_by_cell(
-            lambda p: deco.total_decoherence(p.env, p.R, constants).gamma_total,
-            pt)
+            lambda p: deco.total_decoherence(p.env, p.R).gamma_total, pt)
         deco_note = f"{type(exc).__name__}: {exc}"
     gamma_required = np.where(np.isfinite(gamma_deco),
                               np.maximum(gamma_deco, gamma_dyn_required),
                               gamma_dyn_required)
 
-    sigma_min, _ = deco.wavepacket_spread_min(pt.m_probe, t_used, constants)
+    sigma_min, _ = deco.wavepacket_spread_min(pt.m_probe, t_used)
     sigma_ratio = sigma_min / pt.R
-    _, dp_ratio = deco.momentum_floor(pt.m_probe, t_used, v, constants)
-    mfp = deco.mean_free_path(pt.env, pt.R_probe, constants).value
-    ke_eV = joules_to_ev(0.5 * pt.m_probe * v**2, constants)
+    _, dp_ratio = deco.momentum_floor(pt.m_probe, t_used, v)
+    mfp = deco.mean_free_path(pt.env, pt.R_probe).value
+    ke_eV = joules_to_ev(0.5 * pt.m_probe * v**2)
     path = v * t_used
     achievable = pt.gamma_zeno_achievable
 
@@ -272,8 +271,7 @@ def _evaluate(pt: ExperimentPoint, constants: PhysicalConstants):
     return quantities, checks
 
 
-def evaluate_point(pt: ExperimentPoint,
-                   constants: PhysicalConstants = CONST) -> ConstraintReport:
+def evaluate_point(pt: ExperimentPoint) -> ConstraintReport:
     """Evaluate every constraint at one parameter point.
 
     The one-cell case of the grid kernel behind :func:`sweep_region`.
@@ -282,7 +280,7 @@ def evaluate_point(pt: ExperimentPoint,
     as indeterminate.
     """
     with np.errstate(over="raise", divide="raise"):
-        quantities, checks = _evaluate(pt, constants)
+        quantities, checks = _evaluate(pt)
     constraints = []
     for name, value, threshold, margin, failed, note in checks:
         margin = math.nan if failed else float(margin)
@@ -364,8 +362,7 @@ class RegionGrid:
 
 
 def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
-                 base: ExperimentPoint,
-                 constants: PhysicalConstants = CONST) -> RegionGrid:
+                 base: ExperimentPoint) -> RegionGrid:
     """Evaluate a 2D grid of points: one RegionGrid column per result,
     cells ordered axis1-major.
 
@@ -392,7 +389,7 @@ def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
     a2 = np.asarray(vals2, dtype=float).reshape(1, -1)
     with np.errstate(over="raise", divide="raise"):
         grid = _apply_axes(base, {name1: a1, name2: a2})
-        quantities, checks = _evaluate(grid, constants)
+        quantities, checks = _evaluate(grid)
     passed = True
     for _, _, _, margin, failed, _ in checks:
         passed = passed & np.logical_not(failed) & (margin >= 1.0)

@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .constants import CONST, PhysicalConstants
+from .constants import CONST
 from .elementwise import require
 from .errors import InvalidParameterError
 
@@ -57,7 +58,6 @@ class MassDistribution:
         elif not (abs(self.total_mass - msum) <= _TOTAL_MASS_RTOL * msum):
             raise InvalidParameterError(
                 f"total_mass {self.total_mass} != sum of component masses {msum}")
-        object.__setattr__(self, "_stacks", {})
         if any(sep < a.radius + b.radius for a, b, sep in self._pairs()):
             warnings.warn("sphere components overlap; fields still superpose "
                           "but the two-position source model assumes disjoint lobes",
@@ -70,22 +70,19 @@ class MassDistribution:
         return [(a, b, math.hypot(*(p - q for p, q in zip(a.center, b.center))))
                 for i, a in enumerate(comps) for b in comps[i + 1:]]
 
-    def _field_stack(self, G: float):
-        """The components as the stacked arrays of :func:`gravity_field`,
-        built once per value of G: centers (C, 3, 1), and radii, -G M and
-        the interior factor -G M / R^3 as (C, 1) columns, each value
+    @cached_property
+    def _field_stack(self):
+        """The components as the stacked arrays of :func:`field_rows`,
+        built once per distribution: centers (C, 3, 1), and radii, -G M
+        and the interior factor -G M / R^3 as (C, 1) columns, each value
         computed as the per-component field computes it."""
-        stack = self._stacks.get(G)
-        if stack is None:
-            comps = self.components
-            neg_gm = [-(G * c.mass) for c in comps]
-            stack = self._stacks[G] = (
-                np.array([c.center for c in comps])[:, :, None],
+        comps = self.components
+        neg_gm = [-(CONST.G * c.mass) for c in comps]
+        return (np.array([c.center for c in comps])[:, :, None],
                 np.array([[c.radius] for c in comps]),
                 np.array(neg_gm)[:, None],
                 np.array([[ng / (c.radius * c.radius * c.radius)]
                           for ng, c in zip(neg_gm, comps)]))
-        return stack
 
     def length_scale(self) -> float:
         """Max of component radii and pairwise center separations (m)."""
@@ -126,18 +123,15 @@ def make_superposed_source(R: float, density: float, d: float) -> MassDistributi
     ))
 
 
-def potential_at(dist: MassDistribution, x, m_probe: float,
-                 constants: PhysicalConstants = CONST) -> float:
+def potential_at(dist: MassDistribution, x, m_probe: float) -> float:
     """Gravitational potential energy (J) of a point probe at position x.
 
     One row of :func:`gravity_potential`.
     """
-    return float(gravity_potential(dist, np.reshape(x, (1, 3)), m_probe,
-                                   constants)[0])
+    return float(gravity_potential(dist, np.reshape(x, (1, 3)), m_probe)[0])
 
 
-def gravity_potential(dist: MassDistribution, x, m_probe: float,
-                      constants: PhysicalConstants = CONST) -> np.ndarray:
+def gravity_potential(dist: MassDistribution, x, m_probe: float) -> np.ndarray:
     """Potential energy (J) of a point probe of mass m_probe at each row of x.
 
     x has shape (n, 3); the result has shape (n,).  Exterior of a
@@ -149,7 +143,7 @@ def gravity_potential(dist: MassDistribution, x, m_probe: float,
     floating-point warning.
     """
     x = np.asarray(x, dtype=float)
-    Gm = constants.G * m_probe
+    Gm = CONST.G * m_probe
     V = np.zeros(len(x))
     for comp in dist.components:
         d = x - comp.center
@@ -162,8 +156,7 @@ def gravity_potential(dist: MassDistribution, x, m_probe: float,
     return V
 
 
-def gravity_field(dist: MassDistribution, x,
-                  constants: PhysicalConstants = CONST) -> np.ndarray:
+def gravity_field(dist: MassDistribution, x) -> np.ndarray:
     """Gravitational acceleration (m/s^2) at each row of x, shape (n, 3).
 
     Per component, -G M (x-c)/s^3 outside the sphere and -G M (x-c)/R^3
@@ -178,24 +171,24 @@ def gravity_field(dist: MassDistribution, x,
     if x.ndim != 2 or x.shape[1] != 3:
         raise InvalidParameterError(f"x must have shape (n, 3), got {x.shape}")
     with np.errstate(divide="ignore", over="ignore"):
-        return field_rows(dist, np.ascontiguousarray(x.T), constants).T
+        return field_rows(dist, np.ascontiguousarray(x.T)).T
 
 
-def field_rows(dist: MassDistribution, x,
-               constants: PhysicalConstants = CONST) -> np.ndarray:
+def field_rows(dist: MassDistribution, x) -> np.ndarray:
     """The field kernel: accelerations (3, m) at the points whose
     coordinates are the rows of x (3, m), all components at once.
 
-    On the arrays of :meth:`MassDistribution._field_stack`, d = x - c is
-    (C, 3, m), s^2 is summed in coordinate order by a reduce from -0.0
-    (see :func:`rk45.rms`), the factor is where(s >= R, -G M/(s^2 s),
-    -G M/R^3), and the terms are added in component order by a reduce
-    from 0.0, the zeroed accumulator.  Every element's arithmetic is the
+    On the distribution's field stack (``MassDistribution._field_stack``,
+    built on first use and kept), d = x - c is (C, 3, m), s^2 is summed
+    in coordinate order by a reduce from -0.0 (see :func:`rk45.rms`), the
+    factor is where(s >= R, -G M/(s^2 s), -G M/R^3), and the terms are
+    added in component order by a reduce from 0.0, the zeroed
+    accumulator.  Every element's arithmetic is the
     scalar right-hand side's, whatever the batch.  Floating-point
     warnings are the caller's: the exterior branch divides by zero at a
     component center.
     """
-    centers, radius, neg_gm, interior = dist._field_stack(constants.G)
+    centers, radius, neg_gm, interior = dist._field_stack
     d = x - centers
     s2 = np.add.reduce(d * d, axis=1, initial=-0.0)
     s = np.sqrt(s2)
@@ -203,11 +196,10 @@ def field_rows(dist: MassDistribution, x,
     return np.add.reduce(f[:, None] * d, axis=0, initial=0.0)
 
 
-def force_at(dist: MassDistribution, x, m_probe: float,
-             constants: PhysicalConstants = CONST) -> np.ndarray:
+def force_at(dist: MassDistribution, x, m_probe: float) -> np.ndarray:
     """Gravitational force (N, 3-vector) on a point probe at position x.
 
     Analytic gradient of :func:`potential_at`: m_probe times
     :func:`gravity_field` at the single point x.
     """
-    return m_probe * gravity_field(dist, np.reshape(x, (1, 3)), constants)[0]
+    return m_probe * gravity_field(dist, np.reshape(x, (1, 3)))[0]

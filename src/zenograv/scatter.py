@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rk45
-from .constants import CONST, PhysicalConstants
+from .constants import CONST
 from .elementwise import csv_text, require, result
 from .errors import (IntegratorFailureError, InvalidParameterError,
                      ProjectionSingularError, UnterminatedTrajectoryError)
@@ -43,6 +43,7 @@ _NON_FINITE = "non-finite state during integration"
 _TOO_SMALL = f"integrator failed: {rk45.TOO_SMALL_STEP}"
 _HIT_ROWS = 1024   # batch engine: segments buffered per hit check
 _POLE = "direction at the projection pole (0,0,-1)"
+_SVG_SIZE = 640    # pattern.svg width and height (px)
 
 
 @dataclass(frozen=True)
@@ -153,15 +154,14 @@ class ScatterPattern:
         return sum(e is not None for e in self.error)
 
 
-def _acceleration_terms(dist: MassDistribution, constants: PhysicalConstants):
+def _acceleration_terms(dist: MassDistribution):
     """(cx, cy, cz, R, G*M) per component, for the tight RHS loop."""
     return [(c.center[0], c.center[1], c.center[2], c.radius,
-             constants.G * c.mass) for c in dist.components]
+             CONST.G * c.mass) for c in dist.components]
 
 
 def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
-                         m_probe: float,
-                         constants: PhysicalConstants = CONST) -> ProbeTrajectory:
+                         m_probe: float) -> ProbeTrajectory:
     """Integrate one probe through the source field until escape.
 
     Integration runs until |x| crosses r_stop moving outward, or t_max is
@@ -180,7 +180,7 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     The acceleration is independent of m_probe (equivalence principle);
     the probe mass only enters energy bookkeeping.
     """
-    terms = _acceleration_terms(dist, constants)
+    terms = _acceleration_terms(dist)
     n_rhs = 0
 
     def rhs(y):
@@ -339,11 +339,11 @@ def _segment_hits(p0, p1, dist: MassDistribution) -> np.ndarray:
     return hit
 
 
-def energy_series(dist: MassDistribution, traj: ProbeTrajectory, m_probe: float,
-                  constants: PhysicalConstants = CONST) -> np.ndarray:
+def energy_series(dist: MassDistribution, traj: ProbeTrajectory,
+                  m_probe: float) -> np.ndarray:
     """Total energy E = m|v|^2/2 + V(x) at every sample (J)."""
     kin = 0.5 * m_probe * np.einsum("ij,ij->i", traj.v, traj.v)
-    pot = gravity_potential(dist, traj.x, m_probe, constants)
+    pot = gravity_potential(dist, traj.x, m_probe)
     return kin + pot
 
 
@@ -351,17 +351,16 @@ def energy_series(dist: MassDistribution, traj: ProbeTrajectory, m_probe: float,
 # Closed-form hyperbolic-orbit expressions
 # ---------------------------------------------------------------------------
 
-def rutherford_angle(M, v, b0, constants: PhysicalConstants = CONST):
+def rutherford_angle(M, v, b0):
     """Deflection angle 2*acot(v^2 b0 / (G M)) off a point mass M (rad).
 
     Elementwise over floats or broadcastable arrays.
     """
     require((M > 0) & (v > 0) & (b0 > 0), "M, v, b0 must all be > 0")
-    return result(2.0 * np.arctan(constants.G * M / (v * v * b0)))
+    return result(2.0 * np.arctan(CONST.G * M / (v * v * b0)))
 
 
-def rutherford_angle_density(rho, beta, t_R, approx: bool = False,
-                             constants: PhysicalConstants = CONST):
+def rutherford_angle_density(rho, beta, t_R, approx: bool = False):
     """Max deflection in the (density, beta, t_R) parametrization (rad).
 
     For a sphere of density rho probed at impact parameter beta*R with
@@ -370,7 +369,7 @@ def rutherford_angle_density(rho, beta, t_R, approx: bool = False,
     small-angle form (8 pi G rho / (3 beta)) t_R^2.  Elementwise.
     """
     require((rho > 0) & (beta > 0) & (t_R > 0), "rho, beta, t_R must all be > 0")
-    x = 4.0 * np.pi * constants.G * rho * t_R**2 / (3.0 * beta)
+    x = 4.0 * np.pi * CONST.G * rho * t_R**2 / (3.0 * beta)
     return 2.0 * x if approx else result(2.0 * np.arctan(x))
 
 
@@ -411,8 +410,7 @@ def hyperbolic_time_from_anomaly(e, phi, h, GM, e2m1=None):
                   / e2m1**1.5)
 
 
-def kepler_scatter_time(M, rho, beta, zeta, t_R,
-                        constants: PhysicalConstants = CONST):
+def kepler_scatter_time(M, rho, beta, zeta, t_R):
     """Scattering duration: twice the periapsis-to-zeta*phi_inf flight time (s).
 
     The probe's hyperbola is fixed by (rho, beta, t_R): impact parameter
@@ -428,9 +426,9 @@ def kepler_scatter_time(M, rho, beta, zeta, t_R,
     require(beta > 1.0, "beta must be > 1, got {}", beta)
     require((zeta > 0.0) & (zeta < 1.0), "zeta must be in (0, 1), got {}", zeta)
     require((t_R > 0) & (M > 0) & (rho > 0), "M, rho, t_R must all be > 0")
-    theta = rutherford_angle_density(rho, beta, t_R, constants=constants)
-    x = 0.5 * rutherford_angle_density(rho, beta, t_R, approx=True,
-                                       constants=constants)   # tan(theta/2)
+    theta = rutherford_angle_density(rho, beta, t_R)
+    x = 0.5 * rutherford_angle_density(rho, beta, t_R,
+                                       approx=True)   # tan(theta/2)
     # (1/x)^2 underflows to 0 past the parabolic limit, where x * x would
     # overflow: such an orbit is rejected as not hyperbolic
     e2m1 = (1.0 / x) ** 2
@@ -438,7 +436,7 @@ def kepler_scatter_time(M, rho, beta, zeta, t_R,
     phi_inf = 0.5 * (np.pi + theta)
     R = (3.0 * M / (4.0 * np.pi * rho)) ** (1.0 / 3.0)
     h = (R / t_R) * (beta * R)       # v * b0
-    t_half = hyperbolic_time_from_anomaly(e, zeta * phi_inf, h, constants.G * M,
+    t_half = hyperbolic_time_from_anomaly(e, zeta * phi_inf, h, CONST.G * M,
                                           e2m1=e2m1)
     return 2.0 * t_half
 
@@ -447,8 +445,7 @@ def kepler_scatter_time(M, rho, beta, zeta, t_R,
 # Lockstep batch engine (pattern scans)
 # ---------------------------------------------------------------------------
 
-def _integrate_batch(dist: MassDistribution, cfgs,
-                     constants: PhysicalConstants = CONST):
+def _integrate_batch(dist: MassDistribution, cfgs):
     """Integrate many probes in lockstep; per probe (final state, hit, error).
 
     One Dormand-Prince 5(4) attempt per active probe per iteration, with
@@ -488,7 +485,7 @@ def _integrate_batch(dist: MassDistribution, cfgs,
     segments = []                # per iteration: steps not yet hit-checked
 
     def fun(y):
-        return np.concatenate((y[3:], field_rows(dist, y[:3], constants)))
+        return np.concatenate((y[3:], field_rows(dist, y[:3])))
 
     def radius(y):
         return np.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2)
@@ -708,8 +705,8 @@ def make_collapsed_sources(R: float, density: float, d: float):
 
 
 def collapsed_scatter(dist_left: MassDistribution, dist_right: MassDistribution,
-                      cfg: ScatterConfig, m_probe: float, which: str,
-                      constants: PhysicalConstants = CONST) -> ProbeTrajectory:
+                      cfg: ScatterConfig, m_probe: float,
+                      which: str) -> ProbeTrajectory:
     """Scatter off one localized alternative selected by the coin ``which``.
 
     Models the per-probe collapsed situation: each probe sees the full
@@ -719,7 +716,7 @@ def collapsed_scatter(dist_left: MassDistribution, dist_right: MassDistribution,
     if which not in ("left", "right"):
         raise InvalidParameterError(f'which must be "left" or "right", got {which!r}')
     dist = dist_left if which == "left" else dist_right
-    return integrate_trajectory(dist, cfg, m_probe, constants)
+    return integrate_trajectory(dist, cfg, m_probe)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +732,7 @@ def pattern_to_csv(pattern: ScatterPattern, fh, header_comment: str | None = Non
 
 
 def pattern_to_svg(pattern: ScatterPattern, fh, dashed_radius: float | None = None,
-                   size: int = 640, header_comment: str | None = None):
+                   header_comment: str | None = None):
     """Static SVG of the projected pattern, colored by the sign of l.
 
     A dashed circle (the closed-form maximum-deflection radius) can be
@@ -748,6 +745,7 @@ def pattern_to_svg(pattern: ScatterPattern, fh, dashed_radius: float | None = No
     if rmax <= 0:
         rmax = 1.0
     pad = 1.15
+    size = _SVG_SIZE
     scale = (size / 2.0) / (rmax * pad)
 
     fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST, PhysicalConstants
+from .constants import CONST
 from .elementwise import require
 from .errors import GridInsufficientError, InvalidParameterError
 
@@ -52,9 +52,9 @@ class PotentialSpec1D:
         require(self.c > 0, "c must be > 0 (confining), got {}", self.c)
         require((self.M > 0) & (self.d > 0), "M and d must be > 0")
 
-    def V0(self, constants: PhysicalConstants = CONST) -> float:
+    def V0(self) -> float:
         """Energy unit hbar^2/(2 M d^2) in joules."""
-        return constants.hbar**2 / (2.0 * self.M * self.d**2)
+        return CONST.hbar**2 / (2.0 * self.M * self.d**2)
 
     def potential(self, x):
         """Dimensionless V at dimensionless x (scalar or array)."""
@@ -81,8 +81,7 @@ class EigenSolution:
 
 
 def solve_eigen(spec: PotentialSpec1D, n_states: int = 2,
-                grid: tuple[float, float, int] = DEFAULT_GRID,
-                constants: PhysicalConstants = CONST) -> EigenSolution:
+                grid: tuple[float, float, int] = DEFAULT_GRID) -> EigenSolution:
     """Lowest n_states eigenpairs of -psi'' + V psi = E psi on the grid.
 
     Raises GridInsufficientError when any returned wavefunction has
@@ -90,12 +89,12 @@ def solve_eigen(spec: PotentialSpec1D, n_states: int = 2,
     biasing the spectrum).
     """
     x_min, x_max, n = grid
-    if n < 1000:
-        raise InvalidParameterError(f"n_points must be >= 1000, got {n}")
-    if n_states < 1:
-        raise InvalidParameterError("n_states must be >= 1")
-    if x_max <= x_min:
-        raise InvalidParameterError("x_max must exceed x_min")
+    # written as x > 0, not as not x <= 0, so that NaN fails
+    require(n >= 1000, "n_points must be >= 1000, got {}", n)
+    require(n_states >= 1, "n_states must be >= 1")
+    require(math.isfinite(x_min) and math.isfinite(x_max),
+            f"grid bounds must be finite, got [{x_min}, {x_max}]")
+    require(x_max > x_min, "x_max must exceed x_min")
     x = np.linspace(x_min, x_max, n)
     h = x[1] - x[0]
     V = spec.potential(x)
@@ -121,17 +120,16 @@ def solve_eigen(spec: PotentialSpec1D, n_states: int = 2,
         if psi[k][first] < 0:
             psi[k] = -psi[k]
 
-    V0 = spec.V0(constants)
+    V0 = spec.V0()
     energies_J = energies * V0
     gap = energies_J[1] - energies_J[0] if n_states >= 2 else float("nan")
     return EigenSolution(energies=energies_J, energies_V0=energies,
                          wavefunctions=psi, grid=(x_min, x_max, n), gap_01=gap)
 
 
-def potential_gradient(spec: PotentialSpec1D, x: float,
-                       constants: PhysicalConstants = CONST) -> float:
+def potential_gradient(spec: PotentialSpec1D, x: float) -> float:
     """|dV/dx| in J/m at dimensionless position x: (V0/d)|2ax - 4bx^3 + 6cx^5|."""
-    return spec.V0(constants) / spec.d * abs(float(spec.potential_derivative(x)))
+    return spec.V0() / spec.d * abs(float(spec.potential_derivative(x)))
 
 
 def find_wells(spec: PotentialSpec1D, x_max: float = 4.0) -> dict:

@@ -15,16 +15,18 @@ propagator is both the engine and the brute-force oracle.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST, PhysicalConstants
+from .constants import CONST
 from .elementwise import require
 from .errors import InvalidParameterError
 
 _HERM_TOL = 1e-12
+_EIGEN_TOL = 1e-10   # phi_is_eigenstate: residual relative to ||H_S||
 
 
 def _check_hermitian(A: np.ndarray, name: str):
@@ -82,14 +84,14 @@ class BipartiteSystem:
         P = np.outer(self.phi, self.phi.conj())
         return np.kron(np.eye(self.dim_P), P)
 
-    def phi_is_eigenstate(self, tol: float = 1e-10) -> bool:
+    def phi_is_eigenstate(self) -> bool:
         """Whether the source Hamiltonian leaves phi invariant (trapped source)."""
         norm = np.linalg.norm(self.H_S, 2)
         if norm == 0.0:
             return True
         r = self.H_S @ self.phi
         E = np.vdot(self.phi, r)
-        return bool(np.linalg.norm(r - E * self.phi) <= tol * norm)
+        return bool(np.linalg.norm(r - E * self.phi) <= _EIGEN_TOL * norm)
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
 
 
-def effective_hamiltonian(sys: BipartiteSystem,
-                          constants: PhysicalConstants = CONST) -> np.ndarray:
+def effective_hamiltonian(sys: BipartiteSystem) -> np.ndarray:
     """H_phi = Tr_S[(1 x P_phi) H]: the probe generator once S is frozen.
 
     Equals the partial matrix element <phi|H|phi>, i.e.
@@ -150,8 +151,7 @@ def zeno_variance(sys: BipartiteSystem) -> np.ndarray:
 
 
 def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
-                  initial_probe: np.ndarray,
-                  constants: PhysicalConstants = CONST) -> StroboscopicResult:
+                  initial_probe: np.ndarray) -> StroboscopicResult:
     """n cycles of (evolve tau, project source onto phi), selectively.
 
     The source starts in phi.  The unnormalized phi-branch state is
@@ -161,14 +161,13 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
     unitary evolution under the effective Hamiltonian for the same total
     time n*tau.
     """
-    if tau <= 0:
-        raise InvalidParameterError(f"tau must be > 0, got {tau}")
-    if n < 0:
-        raise InvalidParameterError(f"n must be >= 0, got {n}")
+    # written as x > 0, not as not x <= 0, so that NaN fails
+    require(0 < tau < math.inf, "tau must be finite and > 0, got {}", tau)
+    require(n >= 0, "n must be >= 0, got {}", n)
     alpha0 = _check_density_matrix(initial_probe, sys.dim_P)
     from scipy.linalg import expm   # here: no scipy at start-up
 
-    hbar = constants.hbar
+    hbar = CONST.hbar
     H = sys.total_hamiltonian()
     U = expm(-1j * H * tau / hbar)
     P = sys.projector_phi()
@@ -188,7 +187,7 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
     else:
         probe = np.full((sys.dim_P, sys.dim_P), np.nan, dtype=complex)
 
-    Hphi = effective_hamiltonian(sys, constants)
+    Hphi = effective_hamiltonian(sys)
     Uphi = expm(-1j * Hphi * (n * tau) / hbar)
     target = Uphi @ alpha0 @ Uphi.conj().T
     err = trace_distance(probe, target) if survival > 0 else float("nan")
@@ -198,7 +197,7 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
                               effective_H_error=err)
 
 
-def zeno_time_estimate(m, M, b0, constants: PhysicalConstants = CONST):
+def zeno_time_estimate(m, M, b0):
     """Freeze timescale hbar * b0 / (G m M) for a gravitating probe-source pair (s).
 
     b0 is the closest-approach scale of the scattering trajectory; the
@@ -206,7 +205,7 @@ def zeno_time_estimate(m, M, b0, constants: PhysicalConstants = CONST):
     hold.  Elementwise over floats or broadcastable arrays.
     """
     require((m > 0) & (M > 0) & (b0 > 0), "m, M, b0 must all be > 0")
-    return constants.hbar * b0 / (constants.G * m * M)
+    return CONST.hbar * b0 / (CONST.G * m * M)
 
 
 def zeno_rate_bounds(tau_Z, t_total):
@@ -223,10 +222,8 @@ def zeno_rate_bounds(tau_Z, t_total):
 
 def survival_probability(tau: float, tau_Z: float, N: int) -> tuple[float, float]:
     """Survival after N measurements: ((1-(tau/tau_Z)^2)^N, 1 - N (tau/tau_Z)^2)."""
-    if tau <= 0 or tau_Z <= 0:
-        raise InvalidParameterError("tau and tau_Z must be > 0")
-    if N < 0:
-        raise InvalidParameterError(f"N must be >= 0, got {N}")
+    require((tau > 0) & (tau_Z > 0), "tau and tau_Z must be > 0")
+    require(N >= 0, "N must be >= 0, got {}", N)
     if tau >= tau_Z:
         warnings.warn("tau >= tau_Z: outside the freeze regime, the quadratic "
                       "survival model is unreliable here", stacklevel=2)
@@ -269,8 +266,7 @@ def system_from_json(text: str) -> BipartiteSystem:
     )
 
 
-def spin_pair_model(g: float, probe_splitting: float = 0.0,
-                    constants: PhysicalConstants = CONST) -> BipartiteSystem:
+def spin_pair_model(g: float, probe_splitting: float = 0.0) -> BipartiteSystem:
     """Minimal 2x2 test model: H_int = g sx x sx, source target state |0>.
 
     The freeze-variance operator is g^2 * identity, so the freeze

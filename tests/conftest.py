@@ -6,7 +6,6 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from zenograv.constants import CONST
 from zenograv.errors import IntegratorFailureError
 from zenograv.scatter import (ProbeTrajectory, ScatterConfig,
                               _acceleration_terms, _launch, _outgoing,
@@ -57,7 +56,7 @@ def anomaly_crossing_elapsed(traj, phi_target):
     return t_post - t_pre
 
 
-def scipy_trajectory(dist, cfg, constants=CONST):
+def scipy_trajectory(dist, cfg):
     """One probe through scipy's ``solve_ivp`` (RK45), the oracle of the
     toolkit's own Dormand-Prince steppers.
 
@@ -66,7 +65,7 @@ def scipy_trajectory(dist, cfg, constants=CONST):
     segment, and the same errors.  ``n_rhs`` is scipy's ``nfev``; the
     step counters stay 0.
     """
-    terms = _acceleration_terms(dist, constants)
+    terms = _acceleration_terms(dist)
 
     def rhs(t, y):
         x, yy, z, vx, vy, vz = y

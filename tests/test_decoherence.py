@@ -5,11 +5,11 @@ import pytest
 
 from zenograv.constants import CONST
 from zenograv.decoherence import (BB_ABEM_COEFF, BB_SC_COEFF, GAS_COEFF,
-                                  Environment, blackbody_rates,
-                                  gamma_distance, mean_free_path,
-                                  momentum_floor, rest_gas_rate,
-                                  total_decoherence, wavepacket_spread,
-                                  wavepacket_spread_min)
+                                  DecoherenceBreakdown, Environment,
+                                  blackbody_rates, gamma_distance,
+                                  mean_free_path, momentum_floor,
+                                  rest_gas_rate, total_decoherence,
+                                  wavepacket_spread, wavepacket_spread_min)
 from zenograv.errors import InvalidParameterError, RateOverflowError
 
 REF_ENV = Environment(pressure=1e-15, T_env=1.0, T_int=1.0)
@@ -176,6 +176,15 @@ class TestTotal:
         bb_large = large.gamma_bb_abs + large.gamma_bb_em + large.gamma_bb_sc
         assert small.gamma_gas > bb_small      # gas dominates small spheres
         assert bb_large > large.gamma_gas      # blackbody dominates large ones
+
+    def test_total_is_the_channel_sum_not_an_argument(self):
+        b = DecoherenceBreakdown(1.0, 2.0, 3.0, 4.0)
+        assert b.gamma_total == 10.0
+        with pytest.raises(TypeError):
+            DecoherenceBreakdown(1.0, 2.0, 3.0, 4.0, gamma_total=10.0)
+        # a NaN rate still fails, so its feasibility cell is indeterminate
+        with pytest.raises(InvalidParameterError, match="gamma_gas"):
+            DecoherenceBreakdown(math.nan, 2.0, 3.0, 4.0)
 
     def test_regime_flags(self):
         b = total_decoherence(REF_ENV, R)

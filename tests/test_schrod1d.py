@@ -114,6 +114,16 @@ class TestTripleWellSpectrum:
         with pytest.raises(InvalidParameterError):
             solve_eigen(TRIPLE_WELL, n_states=2, grid=(-4.0, 4.0, 500))
 
+    @pytest.mark.parametrize("grid, message", [
+        ((-4.0, math.nan, 4000), "grid bounds must be finite"),
+        ((math.nan, 4.0, 4000), "grid bounds must be finite"),
+        ((-4.0, math.inf, 4000), "grid bounds must be finite"),
+        ((-math.inf, 4.0, 4000), "grid bounds must be finite"),
+        ((4.0, -4.0, 4000), "x_max must exceed x_min")])
+    def test_bad_grid_bounds_rejected(self, grid, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            solve_eigen(TRIPLE_WELL, n_states=2, grid=grid)
+
 
 class TestGradient:
     def test_reference_value(self):

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +133,14 @@ class TestZenoVariance:
 
 
 class TestStroboEvolve:
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
+    def test_tau_must_be_finite_and_positive(self, tau):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError,
+                               match="tau must be finite and > 0"):
+                strobo_evolve(xx_model(), tau, 10, PLUS)
+
     def test_commuting_freeze_survives_exactly(self):
         res = strobo_evolve(zz_model(), 0.3, 50, PLUS)
         assert res.survival_prob == pytest.approx(1.0, abs=1e-12)
@@ -257,6 +267,14 @@ class TestRateEstimates:
     def test_out_of_regime_warns(self):
         with pytest.warns(UserWarning, match="regime"):
             survival_probability(2.0, 1.0, 3)
+
+    @pytest.mark.parametrize("tau, tau_Z", [(math.nan, 1.0), (0.1, math.nan),
+                                            (0.0, 1.0), (0.1, -1.0)])
+    def test_survival_probability_rejects_nan_and_nonpositive(self, tau,
+                                                              tau_Z):
+        with pytest.raises(InvalidParameterError,
+                           match="tau and tau_Z must be > 0"):
+            survival_probability(tau, tau_Z, 10)
 
 
 class TestSerialization:
