@@ -7,7 +7,8 @@ runs ``python -m zenograv.cli`` in a new interpreter, so a case times
 what a user waits for: start-up and imports as well as the command's
 work, which for these commands is a few milliseconds (``scatter``, one
 trajectory, takes about 30 ms).  ``feasibility`` runs its default 16x16
-grid, ``pattern`` a 1x1 grid.
+grid, ``pattern`` a 1x1 grid.  ``zeno`` and ``eigen`` run their defaults;
+``eigen`` is the one command that imports scipy (``eigh_tridiagonal``).
 """
 
 import os
@@ -25,6 +26,8 @@ CASES = {
     "decoherence": ["decoherence"],
     "scatter": ["scatter"],
     "pattern_1x1": ["pattern", "--n_b", "1", "--n_l", "1"],
+    "zeno": ["zeno"],
+    "eigen": ["eigen"],
     "help": ["--help"],
 }
 

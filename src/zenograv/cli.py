@@ -31,8 +31,8 @@ from .constants import CONST
 from .elementwise import csv_text
 from .errors import InvalidParameterError, ZenogravError
 from .massdist import make_superposed_source
-from .schrod1d import (PotentialSpec1D, classify_ground_state,
-                       potential_gradient, solve_eigen)
+from .schrod1d import (MAX_GRID_POINTS, PotentialSpec1D,
+                       classify_ground_state, potential_gradient, solve_eigen)
 
 T_R_FIGURE = 10 ** 1.1   # s, the two-lobe pattern preset
 
@@ -86,7 +86,7 @@ PARAM_SCHEMAS = {
         "d": (float, 1e-5, "m, length unit", _POS),
         "n_states": (int, 2, "eigenstates to solve", _POS),
         "x_max": (float, 4.0, "half-width of the grid, units of d", _POS),
-        "n_points": (int, 4000, "grid points", _POS),
+        "n_points": (int, 4000, f"grid points, at most {MAX_GRID_POINTS}", _POS),
     },
     "zeno": {
         "g_over_hbar": (float, 1.0, "1/s, coupling over hbar (freeze time 1/g)", _POS),

@@ -7,9 +7,12 @@ the source and steers the probe toward unitary evolution under the
 effective Hamiltonian Tr_S[(1 x P_phi) H]; the survival probability of the
 phi branch and its scaling in tau are the quantitative content.
 
-Matrix exponentials use scipy's Pade scaling-and-squaring expm; system
-dimensions are small (toy models up to ~16 x 16 per factor), so the exact
-propagator is both the engine and the brute-force oracle.
+The propagator exp(-iHt/hbar) comes from numpy's Hermitian
+eigendecomposition H = V diag(lam) V^dagger; the tests check it against
+scipy's expm.  The phi branch of n cycles is one matrix power, O(log n)
+products, so the cost barely grows with n; the rounding of the one-step
+block compounds over the power to a relative error of about n x 1e-16.
+System dimensions are small (toy models up to ~16 x 16 per factor).
 """
 
 from __future__ import annotations
@@ -125,15 +128,32 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
 
 
+def _phi_block(sys: BipartiteSystem, A: np.ndarray) -> np.ndarray:
+    """<phi|A|phi>: the probe operator of A (on the product space) between
+    source states phi, so that (1 x P_phi) A (1 x P_phi) = <phi|A|phi> x P_phi."""
+    A4 = A.reshape(sys.dim_P, sys.dim_S, sys.dim_P, sys.dim_S)
+    return np.einsum("s,psqt,t->pq", sys.phi.conj(), A4, sys.phi)
+
+
+def _propagator(H: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt/hbar) for Hermitian H: 1 + V diag(expm1(-i lam t/hbar)) V^dagger.
+
+    The identity is added exactly, so a step with tiny phases is exactly
+    the identity, as scipy's expm gives, and not V V^dagger, which is one
+    only to rounding: a rounding of 1e-16 per step is 1e-7 after 1e9 steps.
+    """
+    lam, V = np.linalg.eigh(H)
+    step = (V * np.expm1(-1j * lam * t / CONST.hbar)) @ V.conj().T
+    return np.eye(len(H)) + step
+
+
 def effective_hamiltonian(sys: BipartiteSystem) -> np.ndarray:
     """H_phi = Tr_S[(1 x P_phi) H]: the probe generator once S is frozen.
 
     Equals the partial matrix element <phi|H|phi>, i.e.
     H_P + <phi|H_S|phi> + <phi|H_int|phi>.
     """
-    H = sys.total_hamiltonian()
-    H4 = H.reshape(sys.dim_P, sys.dim_S, sys.dim_P, sys.dim_S)
-    return np.einsum("s,psqt,t->pq", sys.phi.conj(), H4, sys.phi)
+    return _phi_block(sys, sys.total_hamiltonian())
 
 
 def zeno_variance(sys: BipartiteSystem) -> np.ndarray:
@@ -144,8 +164,7 @@ def zeno_variance(sys: BipartiteSystem) -> np.ndarray:
     second order.
     """
     H = sys.total_hamiltonian()
-    H2 = (H @ H).reshape(sys.dim_P, sys.dim_S, sys.dim_P, sys.dim_S)
-    mom2 = np.einsum("s,psqt,t->pq", sys.phi.conj(), H2, sys.phi)
+    mom2 = _phi_block(sys, H @ H)
     Hphi = effective_hamiltonian(sys)
     return mom2 - Hphi @ Hphi
 
@@ -160,37 +179,39 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
     state at the end, ``effective_H_error`` its trace distance from plain
     unitary evolution under the effective Hamiltonian for the same total
     time n*tau.
+
+    With P = 1 x P_phi and rho_0 = alpha_0 x P_phi, P rho_0 P = rho_0, so
+    the branch after k steps is W^k rho_0 (W^k)^dagger with W = P U P =
+    w x P_phi, w = <phi|U|phi>: that is (w^k alpha_0 (w^k)^dagger) x P_phi.
+    w^(n-1) is one matrix power (O(log n) products); one more product
+    gives w^n.
     """
     # written as x > 0, not as not x <= 0, so that NaN fails
     require(0 < tau < math.inf, "tau must be finite and > 0, got {}", tau)
     require(n >= 0, "n must be >= 0, got {}", n)
     alpha0 = _check_density_matrix(initial_probe, sys.dim_P)
-    from scipy.linalg import expm   # here: no scipy at start-up
 
-    hbar = CONST.hbar
-    H = sys.total_hamiltonian()
-    U = expm(-1j * H * tau / hbar)
-    P = sys.projector_phi()
-    Pphi = np.outer(sys.phi, sys.phi.conj())
+    def branch(wk):   # the probe factor of the branch, and its trace
+        alpha = wk @ alpha0 @ wk.conj().T
+        return alpha, float(np.trace(alpha).real)
 
-    rho = np.kron(alpha0, Pphi)      # unnormalized phi branch
-    survival = before = float(np.trace(rho).real)
-    for _ in range(n):
-        rho = P @ (U @ rho @ U.conj().T) @ P
-        before, survival = survival, float(np.trace(rho).real)
-    # U is unitary, so the last step's pre-measurement trace is tr rho_{n-1}
-    frozen_fidelity = 1.0 if n == 0 else survival / before if before > 0 else 0.0
+    if n == 0:
+        alpha, survival = alpha0, float(np.trace(alpha0).real)
+        frozen_fidelity = 1.0
+    else:
+        w = _phi_block(sys, _propagator(sys.total_hamiltonian(), tau))
+        w_prev = np.linalg.matrix_power(w, n - 1)
+        # U is unitary, so the last step's pre-measurement trace is tr rho_{n-1}
+        before = branch(w_prev)[1]
+        alpha, survival = branch(w @ w_prev)
+        frozen_fidelity = survival / before if before > 0 else 0.0
     if survival > 0:
-        probe = np.einsum("psqs->pq",
-                          rho.reshape(sys.dim_P, sys.dim_S,
-                                      sys.dim_P, sys.dim_S)) / survival
+        probe = alpha / survival
+        Uphi = _propagator(effective_hamiltonian(sys), n * tau)
+        err = trace_distance(probe, Uphi @ alpha0 @ Uphi.conj().T)
     else:
         probe = np.full((sys.dim_P, sys.dim_P), np.nan, dtype=complex)
-
-    Hphi = effective_hamiltonian(sys)
-    Uphi = expm(-1j * Hphi * (n * tau) / hbar)
-    target = Uphi @ alpha0 @ Uphi.conj().T
-    err = trace_distance(probe, target) if survival > 0 else float("nan")
+        err = float("nan")
 
     return StroboscopicResult(n_steps=n, tau=tau, survival_prob=survival,
                               probe_state=probe, frozen_fidelity=frozen_fidelity,

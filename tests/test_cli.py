@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from zenograv import cli
 from zenograv import decoherence as deco
 from zenograv import feasibility
 from zenograv.errors import InvalidParameterError
+from zenograv.schrod1d import MAX_GRID_POINTS
 
 
 def run_cli(args):
@@ -129,6 +131,19 @@ class TestEigen:
         assert lines[1] == "x,V_of_x,psi0,psi1"
         assert len(lines) == 2 + 4000
 
+    def test_oversized_grid_exits_2_without_allocating(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+        monkeypatch.setattr(np, "linspace", no_grid)
+        for n in (MAX_GRID_POINTS + 1, 10**11):
+            assert run_cli(["eigen", "--n_points", n,
+                            "--output-dir", tmp_path]) == 2
+            assert capsys.readouterr().err == (
+                f"zenograv: validation error: n_points must be <= "
+                f"{MAX_GRID_POINTS} (the grid budget), got {n}\n")
+        assert not list(tmp_path.iterdir())
+
 
 class TestPattern:
     def test_emits_csv_and_svg(self, tmp_path):
@@ -236,6 +251,34 @@ class TestSweeps:
         assert int(row[1]) == 20
         assert 0.0 <= float(row[2]) <= 1.0
 
+    # sha256 of the default run's zeno_scan.csv, as emitted by the matrix-
+    # power strobo_evolve (x86-64 Linux, numpy 2.4.6): a change that moves
+    # one byte of it fails here
+    ZENO_DEFAULT_SHA256 = (
+        "dedeba9fa0fc5172d191bafd8cc751c97dc089a02188dd6d77fb72b7d3163bfc")
+
+    def test_zeno_default_digest(self, tmp_path):
+        assert run_cli(["zeno", "--output-dir", tmp_path]) == 0
+        data = (tmp_path / "zeno_scan.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.ZENO_DEFAULT_SHA256
+
+    def test_zeno_billion_measurements(self, tmp_path):
+        # O(log N) products per tau: 1e9 measurements take milliseconds
+        start = time.perf_counter()
+        assert run_cli(["zeno", "--N", 10**9, "--n_tau", 3,
+                        "--output-dir", tmp_path]) == 0
+        assert time.perf_counter() - start < 5.0
+        lines = (tmp_path / "zeno_scan.csv").read_text().strip().split("\n")
+        rows = [dict(zip(lines[1].split(","), line.split(",")))
+                for line in lines[2:]]
+        assert [row["N"] for row in rows] == ["1000000000"] * 3
+        # tau = 1e-4 freeze times: about exp(-10); the rest underflow to 0
+        assert float(rows[0]["survival_formula"]) == pytest.approx(
+            math.exp(-10), rel=1e-6)
+        for row in rows:
+            assert float(row["survival_sim"]) == pytest.approx(
+                float(row["survival_formula"]), rel=1e-6, abs=1e-300)
+
     def test_decoherence_sweep_matches_scalar_rates(self, tmp_path):
         # one elementwise call over the R grid writes what per-R scalar
         # calls would
@@ -302,9 +345,10 @@ def test_integer_beyond_float_range_rejected(tmp_path, capsys):
 
 
 # Every grid size is always set, at most to these caps, so that one
-# example runs in milliseconds.
+# example runs in milliseconds.  N, the zeno measurement count, costs
+# O(log N) products, so its cap can be large.
 _GRID_CAPS = {"n_b": 2, "n_l": 2, "n1": 4, "n2": 4, "n_R": 4,
-              "n_points": 400, "N": 20, "n_tau": 3}
+              "n_points": 400, "N": 10**12, "n_tau": 3}
 _SPECIAL = ["nan", "inf", "-inf", "0", "-0.0", "-1", "-1e-5", "5e-324",
             "1e-300"]
 _CHOICES = {"collapsed": ["none", "left", "right", "random"],
@@ -477,7 +521,7 @@ PARAM_SCHEMAS = {
         "d": (float, 1e-5, "m, length unit", "pos"),
         "n_states": (int, 2, "eigenstates to solve", "pos"),
         "x_max": (float, 4.0, "half-width of the grid, units of d", "pos"),
-        "n_points": (int, 4000, "grid points", "pos"),
+        "n_points": (int, 4000, "grid points, at most 1000000", "pos"),
     },
     "zeno": {
         "g_over_hbar": (float, 1.0, "1/s, coupling over hbar (freeze time 1/g)",

@@ -43,7 +43,7 @@ def test_command_line_loads_no_scipy(tmp_path):
 import sys
 from zenograv import cli
 for argv in (["report"], ["feasibility"], ["decoherence"], ["scatter"],
-             ["pattern", "--n_b", "1", "--n_l", "1"]):
+             ["pattern", "--n_b", "1", "--n_l", "1"], ["zeno"]):
     assert cli.main(argv + ["--output-dir", {str(tmp_path)!r}]) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
@@ -55,3 +55,4 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "pattern.csv").exists()
+    assert (tmp_path / "zeno_scan.csv").exists()

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from zenograv import zeno
 from zenograv.constants import CONST
 from zenograv.errors import InvalidParameterError
 from zenograv.zeno import (BipartiteSystem, effective_hamiltonian,
@@ -35,15 +36,35 @@ def zz_model():
                            phi=np.array([1.0, 0.0]))
 
 
+def random_hermitian(rng, n):
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (A + A.conj().T) / 2
+
+
 def random_system(rng, dP=3, dS=3):
-    def herm(n):
-        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        return (A + A.conj().T) / 2
     phi = rng.normal(size=dS) + 1j * rng.normal(size=dS)
     phi /= np.linalg.norm(phi)
-    return BipartiteSystem(dim_P=dP, dim_S=dS, H_P=herm(dP) * HBAR,
-                           H_S=herm(dS) * HBAR, H_int=herm(dP * dS) * HBAR,
+    return BipartiteSystem(dim_P=dP, dim_S=dS,
+                           H_P=random_hermitian(rng, dP) * HBAR,
+                           H_S=random_hermitian(rng, dS) * HBAR,
+                           H_int=random_hermitian(rng, dP * dS) * HBAR,
                            phi=phi)
+
+
+def loop_reference(sys_m, tau, n, alpha0):
+    """(survival, frozen fidelity, probe state) from one (evolve, project)
+    step per measurement with scipy's expm: the loop that strobo_evolve's
+    matrix power replaced, kept as its oracle."""
+    U = expm(-1j * sys_m.total_hamiltonian() * tau / HBAR)
+    P = sys_m.projector_phi()
+    rho = np.kron(alpha0, np.outer(sys_m.phi, sys_m.phi.conj()))
+    survival = before = float(np.trace(rho).real)
+    for _ in range(n):
+        rho = P @ (U @ rho @ U.conj().T) @ P
+        before, survival = survival, float(np.trace(rho).real)
+    dP, dS = sys_m.dim_P, sys_m.dim_S
+    probe = np.einsum("psqs->pq", rho.reshape(dP, dS, dP, dS)) / survival
+    return survival, 1.0 if n == 0 else survival / before, probe
 
 
 class TestValidation:
@@ -130,6 +151,71 @@ class TestZenoVariance:
         var = zeno_variance(sys_m)
         expected = float(np.trace(PLUS @ var).real) * tau**2 / HBAR**2
         assert (1 - res.survival_prob) == pytest.approx(expected, rel=0.01)
+
+
+class TestPropagator:
+    """The eigh propagator against scipy's expm, the oracle it replaced."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 30.0])
+    def test_random_hermitian_joule_scale(self, seed, t):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed
+        H = random_hermitian(rng, n) * HBAR      # ~1e-34 J
+        assert_allclose(zeno._propagator(H, t), expm(-1j * H * t / HBAR),
+                        rtol=0, atol=1e-13 * max(1.0, t))
+
+    def test_degenerate_spectrum(self):
+        rng = np.random.default_rng(4)
+        V, _ = np.linalg.qr(random_hermitian(rng, 5))
+        H = (V * np.array([1.0, 1.0, 1.0, -2.0, -2.0])) @ V.conj().T * HBAR
+        for t in (0.01, 0.7, 5.0):
+            assert_allclose(zeno._propagator(H, t), expm(-1j * H * t / HBAR),
+                            rtol=0, atol=1e-13)
+
+    def test_spin_pair(self):
+        H = xx_model(probe_splitting=0.7 * G_COUPLING).total_hamiltonian()
+        for t in (1e-4, 1e-2, 1.0, 1e3):
+            assert_allclose(zeno._propagator(H, t), expm(-1j * H * t / HBAR),
+                            rtol=0, atol=1e-13 * max(1.0, t))
+
+    def test_tiny_phase_is_exactly_the_identity(self):
+        # as with expm: no rounding of V V^dagger to compound over 1e9 steps
+        H = xx_model(probe_splitting=0.7 * G_COUPLING).total_hamiltonian()
+        assert (zeno._propagator(H, 1e-300) == np.eye(4)).all()
+
+
+class TestMatrixPowerAgainstLoop:
+    """strobo_evolve's matrix power against the per-step expm loop."""
+
+    MODELS = {
+        "xx": (lambda: xx_model(probe_splitting=0.7 * G_COUPLING), 0.01),
+        "zz": (zz_model, 0.3),
+        "random-3x3": (lambda: random_system(np.random.default_rng(21)),
+                       0.01),
+    }
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 1000])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_reference_loop(self, model, n):
+        make, tau = self.MODELS[model]
+        sys_m = make()
+        alpha0 = PLUS if sys_m.dim_P == 2 else np.eye(3) / 3
+        survival, fidelity, probe = loop_reference(sys_m, tau, n, alpha0)
+        res = strobo_evolve(sys_m, tau, n, alpha0)
+        assert res.survival_prob == pytest.approx(survival, rel=1e-12)
+        assert res.frozen_fidelity == pytest.approx(fidelity, rel=1e-13)
+        assert_allclose(res.probe_state, probe, rtol=0, atol=1e-12)
+
+    def test_1e9_measurements(self):
+        # splitting 0: w = cos(g tau/hbar) 1, so the survival is exactly
+        # cos(x)^(2N) = exp(2N (-x^2/2 - x^4/12 - ...)); the rounding of w
+        # can compound to about N * 2.2e-16
+        N, x = 10**9, 1e-4
+        res = strobo_evolve(xx_model(), x * TAU_Z, N, PLUS)
+        exact = math.exp(2 * N * (-x**2 / 2 - x**4 / 12))
+        assert res.survival_prob == pytest.approx(exact, rel=N * 2.2e-16)
+        assert res.frozen_fidelity == pytest.approx(math.cos(x)**2, rel=1e-15)
 
 
 class TestStroboEvolve:
