@@ -5,7 +5,9 @@
 pytest-benchmark cases, outside the tier-1 ``testpaths``.  They time the
 layers between the array kernels and the files: evaluating a 32x32
 ``sweep_region`` grid into columns, ``region_to_csv`` on it, and the
-``eigen.csv`` text of a 4000-point grid.
+``eigen.csv`` text of a 4000-point grid.  Two 64x64 grids past the
+parabolic limit time the failed-cell path: every cell's duration fails,
+as not hyperbolic (t_R 1e100..1e120) or as 0 or 0/0 (t_R 1e40..1e60).
 """
 
 import io
@@ -30,6 +32,16 @@ def test_sweep_region_32x32(benchmark):
     grid = benchmark(feasibility.sweep_region, *AXES,
                      feasibility.reference_point())
     assert grid.passed.shape == (N * N,)
+
+
+@pytest.mark.parametrize("t_R_range", [(1e100, 1e120), (1e40, 1e60)],
+                         ids=["not-hyperbolic", "zero-duration"])
+def test_sweep_region_64x64_degenerate(benchmark, t_R_range):
+    axes = (("R", np.logspace(-6, -4, 64)),
+            ("t_R", np.logspace(*np.log10(t_R_range), 64)))
+    grid = benchmark(feasibility.sweep_region, *axes,
+                     feasibility.reference_point())
+    assert np.isnan(grid.t_total).all() and not grid.passed.any()
 
 
 def test_region_to_csv_32x32(benchmark, grid):

@@ -132,7 +132,8 @@ def rest_gas_rate(env: Environment, R) -> ChannelRate:
     if not np.all(np.isfinite(gamma_sat)):
         # the prefactor times p overflows; times an underflowed R^2 it is NaN
         raise RateOverflowError("rest-gas rate (lambda_th/hbar)(16 pi/3) "
-                                "p R^2 overflows the float range")
+                                "p R^2 overflows the float range",
+                                cells=~np.isfinite(gamma_sat))
     rounded = result(GAS_COEFF * env.pressure * R**2 / np.sqrt(env.T_env))
     Lambda = gamma_sat / lam**2
     return ChannelRate(Lambda=Lambda, lambda_th=lam, gamma=gamma_sat,

@@ -23,9 +23,9 @@ def require(ok, message: str, value=None) -> None:
     """Raise InvalidParameterError(message) unless ``ok`` holds everywhere.
 
     ``ok`` is a bool or a bool array.  Write it as ``x > 0``, never as
-    ``not x <= 0``, so that a NaN fails.  With ``value``, ``{}`` in the
-    message is filled with it: for an array, its first element where
-    ``ok`` fails.
+    ``not x <= 0``, so that a NaN fails; the error's ``cells`` are ~ok.
+    With ``value``, ``{}`` in the message is filled with it: for an
+    array, its first element where ``ok`` fails.
     """
     if ok is True or (ok is not False and np.all(ok)):
         return
@@ -33,7 +33,8 @@ def require(ok, message: str, value=None) -> None:
         ok = np.broadcast_to(ok, np.broadcast_shapes(np.shape(ok),
                                                      np.shape(value)))
         value = float(np.broadcast_to(value, ok.shape)[~ok].flat[0])
-    raise InvalidParameterError(message.format(value))
+    raise InvalidParameterError(message.format(value),
+                                cells=np.logical_not(ok))
 
 
 def require_finite(obj) -> None:

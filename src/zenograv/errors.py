@@ -2,7 +2,12 @@
 
 
 class ZenogravError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.  ``cells``, a bool array, marks
+    the elements of an elementwise evaluation that failed (None: all)."""
+
+    def __init__(self, *args, cells=None):
+        super().__init__(*args)
+        self.cells = cells
 
 
 class InvalidParameterError(ZenogravError, ValueError):

@@ -24,10 +24,11 @@ zeno, decoherence) are elementwise, so a point whose R, t_R, m_probe and
 environment pressure and temperatures are broadcastable arrays stands
 for a grid of cells, and the kernel evaluates every cell in one pass.
 :func:`sweep_region` builds such a point from two sweep axes;
-:func:`evaluate_point` is the kernel's one-cell case.  The kernel runs
-with numpy's overflow and divide-by-zero errors raised, so a grid cell
-fails as float arithmetic does (an ArithmeticError) rather than
-becoming an inf or NaN row.
+:func:`evaluate_point` is the kernel's one-cell case.  A step that fails
+in some cells names them and reruns as arrays on the rest (:func:`_by_cell`).
+The kernel runs with numpy's overflow and divide-by-zero errors raised,
+so a grid cell fails as float arithmetic does (an ArithmeticError)
+rather than becoming an inf or NaN row.
 """
 
 from __future__ import annotations
@@ -155,36 +156,31 @@ class ConstraintReport:
         raise KeyError(name)
 
 
-def _cell(pt: ExperimentPoint, shape, index) -> ExperimentPoint:
-    """The one-cell point at ``index`` of a grid point of ``shape``."""
-    def at(x):
-        return float(np.broadcast_to(x, shape)[index])
-    env = replace(pt.env, pressure=at(pt.env.pressure),
-                  T_env=at(pt.env.T_env), T_int=at(pt.env.T_int))
-    return replace(pt, R=at(pt.R), t_R=at(pt.t_R), m_probe=at(pt.m_probe),
-                   env=env)
+def _by_cell(sub, pt: ExperimentPoint):
+    """(values, failed, note) of the sub-evaluation ``sub(pt)``.
 
-
-def _cell_by_cell(sub, pt: ExperimentPoint):
-    """(values, failed) of a sub-evaluation that raised over the grid.
-
-    ``sub(cell)`` runs on each cell alone: a cell where it raises a
-    ZenogravError is NaN and flagged, the others keep their values.  A
-    one-cell point has already failed: (NaN, True).
+    The cells a ZenogravError names in its ``cells`` fail (NaN), ``note``
+    is its text, and ``sub`` reruns as arrays on the cells left: one pass
+    per distinct failing check.  A one-cell point, or an error naming no
+    cells, fails whole: (NaN, True, note).
     """
-    shape = np.broadcast_shapes(*map(np.shape, (
-        pt.R, pt.t_R, pt.m_probe, pt.env.pressure, pt.env.T_env,
-        pt.env.T_int)))
-    if not shape:
-        return math.nan, True
-    values = np.full(shape, math.nan)
-    failed = np.zeros(shape, dtype=bool)
-    for index in np.ndindex(shape):
-        try:
-            values[index] = sub(_cell(pt, shape, index))
-        except ZenogravError:
-            failed[index] = True
-    return values, failed
+    try:
+        return sub(pt), False, None
+    except ZenogravError as exc:
+        note = f"{type(exc).__name__}: {exc}"
+        env = pt.env
+        grid = (pt.R, pt.t_R, pt.m_probe, env.pressure, env.T_env, env.T_int)
+        shape = np.broadcast_shapes(*map(np.shape, grid))
+        if exc.cells is None or not shape:
+            return math.nan, True, note
+        failed = np.broadcast_to(exc.cells, shape).copy()
+        R, t_R, m_probe, p, T_env, T_int = (np.broadcast_to(x, shape)[~failed]
+                                            for x in grid)
+        left = replace(pt, R=R, t_R=t_R, m_probe=m_probe, env=replace(
+            env, pressure=p, T_env=T_env, T_int=T_int))
+        values = np.full(shape, math.nan)
+        values[~failed], failed[~failed], _ = _by_cell(sub, left)
+        return values, failed, note
 
 
 def _evaluate(pt: ExperimentPoint):
@@ -192,9 +188,9 @@ def _evaluate(pt: ExperimentPoint):
 
     Returns (quantities, checks).  quantities maps ConstraintReport field
     names to values; checks holds one (name, value, threshold, margin,
-    failed, note) per constraint, where ``failed`` marks the cells whose
-    sub-evaluation raised a ZenogravError and ``note`` is then that
-    error's text.  A failed sub-evaluation marks only the constraints
+    failed, note) per constraint, where ``failed`` marks the cells named
+    by a ZenogravError of its sub-evaluation and ``note`` is then the first
+    such error's text.  A failed sub-evaluation marks only the constraints
     that depend on it.  Values broadcast over the grid fields of ``pt``.
     """
     v, M, b0 = pt.v, pt.M, pt.b0
@@ -210,26 +206,20 @@ def _evaluate(pt: ExperimentPoint):
                 "scattering duration not finite and > 0: {} s", t)
         return t
 
-    try:
-        t_total, time_failed, time_note = duration(pt), False, None
-    except ZenogravError as exc:
-        t_total, time_failed = _cell_by_cell(duration, pt)
-        time_note = f"{type(exc).__name__}: {exc}"
-    t_used = np.where(np.isfinite(t_total),
-                      np.minimum(t_total, pt.t_total_cap), pt.t_total_cap)
+    t_total, time_failed, time_note = _by_cell(duration, pt)
+    t_used = np.fmin(t_total, pt.t_total_cap)    # the cap where t_total is NaN
 
     tau_Z = zeno.zeno_time_estimate(pt.m_probe, M, b0)
     rate_dyn, rate_surv = zeno.zeno_rate_bounds(tau_Z, t_used)
     gamma_dyn_required = np.maximum(pt.strictness * rate_dyn, rate_surv)
 
-    try:
-        breakdown = deco.total_decoherence(pt.env, pt.R)
-        gamma_deco, deco_failed, deco_note = breakdown.gamma_total, False, None
-    except ZenogravError as exc:
-        breakdown = None
-        gamma_deco, deco_failed = _cell_by_cell(
-            lambda p: deco.total_decoherence(p.env, p.R).gamma_total, pt)
-        deco_note = f"{type(exc).__name__}: {exc}"
+    breakdowns = []     # one per decoherence pass that succeeds
+
+    def decoherence(p):
+        breakdowns.append(deco.total_decoherence(p.env, p.R))
+        return breakdowns[-1].gamma_total
+
+    gamma_deco, deco_failed, deco_note = _by_cell(decoherence, pt)
     gamma_required = np.where(np.isfinite(gamma_deco),
                               np.maximum(gamma_deco, gamma_dyn_required),
                               gamma_dyn_required)
@@ -244,7 +234,8 @@ def _evaluate(pt: ExperimentPoint):
 
     quantities = {
         "theta_max": theta_max, "t_total": t_total, "t_used": t_used,
-        "tau_Z": tau_Z, "breakdown": breakdown,
+        "tau_Z": tau_Z,
+        "breakdown": None if np.any(deco_failed) else breakdowns[0],
         "gamma_dyn_required": gamma_dyn_required,
         "gamma_zeno_required": gamma_required, "sigma_ratio": sigma_ratio,
         "dp_ratio": dp_ratio, "mfp": mfp, "kinetic_energy_eV": ke_eV}
@@ -374,8 +365,8 @@ def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
     evaluated in one pass of the array kernel (see
     :func:`evaluate_point`, its one-cell case).  A cell whose duration
     or decoherence evaluation fails, or whose duration is not finite and
-    > 0, is indeterminate and does not pass; an overflow or division by
-    zero anywhere raises FloatingPointError.
+    > 0, is indeterminate and does not pass, and the others run on as
+    arrays; an overflow or division by zero raises FloatingPointError.
     """
     name1, vals1 = axis1
     name2, vals2 = axis2

@@ -406,7 +406,8 @@ def hyperbolic_time_from_anomaly(e, phi, h, GM, e2m1=None):
         series = 1.0 + F2 / ((2 * k) * (2 * k + 1)) * series
     series = F * F2 / 6.0 * series
     sinh_F_minus_F = np.where(F < 0.5, series, sinh_F - F)
-    return result((h**3 / GM**2) * (em1 * sinh_F + sinh_F_minus_F)
+    # np.divide: underflowed float h^3 and GM^2 give NaN, not ZeroDivisionError
+    return result(np.divide(h**3, GM**2) * (em1 * sinh_F + sinh_F_minus_F)
                   / e2m1**1.5)
 
 

@@ -346,9 +346,11 @@ def test_integer_beyond_float_range_rejected(tmp_path, capsys):
 
 # Every grid size is always set, at most to these caps, so that one
 # example runs in milliseconds.  N, the zeno measurement count, costs
-# O(log N) products, so its cap can be large.
+# O(log N) products, so its cap can be large.  solve_eigen needs at
+# least 1000 points: with a cap of 2000 about half the drawn eigen runs
+# reach the solver, at a few ms each.
 _GRID_CAPS = {"n_b": 2, "n_l": 2, "n1": 4, "n2": 4, "n_R": 4,
-              "n_points": 400, "N": 10**12, "n_tau": 3}
+              "n_points": 2000, "N": 10**12, "n_tau": 3}
 _SPECIAL = ["nan", "inf", "-inf", "0", "-0.0", "-1", "-1e-5", "5e-324",
             "1e-300"]
 _CHOICES = {"collapsed": ["none", "left", "right", "random"],

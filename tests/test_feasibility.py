@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import time
 from dataclasses import replace
 from operator import attrgetter
 
@@ -267,14 +268,19 @@ COLUMNS = ("axis1", "axis2", "theta_max", "t_total", "gamma_required",
 def _reference_cell(pt):
     """One cell as the per-cell loop evaluated it: scalar closed forms and
     Python branches, with a failed duration or decoherence evaluation
-    leaving the cell indeterminate (not passed)."""
+    leaving the cell indeterminate (not passed).  A duration that is not
+    finite and > 0 (0, or 0/0 past the parabolic limit) fails as a raised
+    one does."""
     theta = scatter.rutherford_angle(pt.M, pt.v, pt.b0)
     try:
-        t_total = scatter.kepler_scatter_time(pt.M, pt.density, pt.beta,
-                                              pt.zeta, pt.t_R)
-        time_ok = True
+        with np.errstate(invalid="ignore"):
+            t_total = scatter.kepler_scatter_time(pt.M, pt.density, pt.beta,
+                                                  pt.zeta, pt.t_R)
     except ZenogravError:
-        t_total, time_ok = math.nan, False
+        t_total = math.nan
+    time_ok = 0 < t_total < math.inf
+    if not time_ok:
+        t_total = math.nan
     t_used = min(t_total, pt.t_total_cap) if math.isfinite(t_total) \
         else pt.t_total_cap
     tau_Z = zeno.zeno_time_estimate(pt.m_probe, pt.M, pt.b0)
@@ -365,14 +371,38 @@ class TestGridKernelParity:
                               ("R", np.array([1e-5])))
         assert len(grid.passed) == 1 and grid.passed[0]
 
-    def test_indeterminate_cells(self):
-        # past t_R ~ 1e80 tan(theta/2) is so large that e^2 - 1 underflows:
-        # those cells' durations fail and only they are indeterminate
-        t_R = np.array([10.0, 1e100, 12.0, 3e120])
+    def test_indeterminate_cells(self, monkeypatch):
+        # past t_R ~ 1e80 tan(theta/2) is so large that e^2 - 1 underflows
+        # (1e100, 3e120: orbit not hyperbolic); at 1e40 the duration
+        # underflows to 0 and at 1e60 it is 0/0 (not finite and > 0).
+        # Two distinct checks fail, so two sets of cells are peeled off in
+        # three array passes, and only those cells are indeterminate
+        original, shapes = scatter.kepler_scatter_time, []
+
+        def spy(*args):
+            shapes.append(np.shape(args[4]))
+            return original(*args)
+
+        monkeypatch.setattr(scatter, "kepler_scatter_time", spy)
+        t_R = np.array([10.0, 12.0, 1e40, 1e60, 1e100, 3e120])
         grid = _assert_parity(("t_R", t_R), ("R", np.array([1e-5, 1.2e-5])))
+        # three grid passes, then the reference's twelve cells
+        assert shapes == [(6, 1), (8,), (4,)] + [()] * 12
         failed = [math.isnan(t) for t in grid.t_total]
-        assert failed == [False, False, True, True] * 2
-        assert grid.passed[0] and not any(grid.passed[2:4])
+        assert failed == [False] * 4 + [True] * 8
+        assert grid.passed[0] and not any(grid.passed[4:])
+
+    @pytest.mark.parametrize("t_R_range", [(1e100, 1e120), (1e40, 1e60)])
+    def test_degenerate_grid_is_one_array_pass(self, t_R_range):
+        # every cell's duration fails: the failed cells are peeled off in
+        # array passes, never evaluated one by one
+        axes = (("R", np.logspace(-6, -4, 64)),
+                ("t_R", np.logspace(*np.log10(t_R_range), 64)))
+        sweep_region(*axes, REF)   # warm-up
+        start = time.perf_counter()
+        grid = sweep_region(*axes, REF)
+        assert time.perf_counter() - start < 0.1
+        assert np.isnan(grid.t_total).all() and not grid.passed.any()
 
     @pytest.mark.parametrize("module,name,marked,cell_marked", [
         (scatter, "kepler_scatter_time", lambda args: args[4] == 12.0,
@@ -383,13 +413,15 @@ class TestGridKernelParity:
     def test_failed_sub_evaluation_marks_only_its_cells(
             self, monkeypatch, module, name, marked, cell_marked):
         # every cell of this grid passes; the sub-evaluation is made to
-        # fail in the marked cells, so the grid call raises and the kernel
-        # goes cell by cell: only the marked cells become indeterminate
+        # fail in the marked cells and names them in the error's cells, so
+        # the kernel peels them off and reruns the others as one array
+        # pass: only the marked cells become indeterminate
         original = getattr(module, name)
 
         def failing(*args):
-            if np.any(marked(args)):
-                raise InvalidParameterError("forced failure")
+            cells = marked(args)
+            if np.any(cells):
+                raise InvalidParameterError("forced failure", cells=cells)
             return original(*args)
 
         axis1, axis2 = ("t_R", np.array([10.0, 12.0])), \
@@ -401,20 +433,30 @@ class TestGridKernelParity:
             not cell_marked(t_R, p)
             for t_R, p in itertools.product(axis1[1], axis2[1])]
 
+    @pytest.mark.filterwarnings("error")
     def test_evaluate_point_is_a_cell_of_the_sweep(self):
-        axis1 = ("t_R", np.array([3.0, 10.0, 10 ** 1.3]))
-        axis2 = ("p", np.array([0.0, 1e-15, 1e-6]))
-        grid = sweep_region(axis1, axis2, REF)
-        cells = itertools.product(axis1[1], axis2[1])
-        for i, (t_R, p) in enumerate(cells):
-            rep = evaluate_point(_apply_axes(REF, {"t_R": t_R, "p": p}))
-            got = (rep.theta_max, rep.t_total, rep.gamma_zeno_required,
-                   rep.sigma_ratio, rep.mfp, rep.kinetic_energy_eV)
-            want = tuple(getattr(grid, name)[i] for name in (
-                "theta_max", "t_total", "gamma_required", "sigma_ratio",
-                "mfp", "KE_eV"))
-            assert all(_same(a, b) for a, b in zip(got, want)), (got, want)
-            assert rep.passed is grid.passed.tolist()[i]
+        # R = 2.25e-67 m: h^3 and (G M)^2 underflow to 0, so the duration
+        # is 0/0, in one cell as in the grid
+        for (name1, vals1), (name2, vals2) in [
+                (("t_R", [3.0, 10.0, 10 ** 1.3]), ("p", [0.0, 1e-15, 1e-6])),
+                (("R", [2.25e-67, 1e-5]), ("t_R", [1.0, 10.0]))]:
+            grid = sweep_region((name1, np.array(vals1)),
+                                (name2, np.array(vals2)), REF)
+            cells = itertools.product(vals1, vals2)
+            for i, (v1, v2) in enumerate(cells):
+                rep = evaluate_point(_apply_axes(REF, {name1: v1, name2: v2}))
+                got = (rep.theta_max, rep.t_total, rep.gamma_zeno_required,
+                       rep.sigma_ratio, rep.mfp, rep.kinetic_energy_eV)
+                want = tuple(getattr(grid, name)[i] for name in (
+                    "theta_max", "t_total", "gamma_required", "sigma_ratio",
+                    "mfp", "KE_eV"))
+                assert all(_same(a, b) for a, b in zip(got, want)), (got,
+                                                                     want)
+                assert rep.passed is grid.passed.tolist()[i]
+        check = evaluate_point(replace(REF, R=2.25e-67)).constraint("time")
+        assert check.passed is None and check.note == (
+            "InvalidParameterError: scattering duration not finite and > 0: "
+            "nan s")
 
     def test_one_cell_indeterminate_report(self):
         rep = evaluate_point(replace(REF, t_R=1e100))
