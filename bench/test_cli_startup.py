@@ -5,10 +5,12 @@
 pytest-benchmark cases, outside the tier-1 ``testpaths``.  Each round
 runs ``python -m zenograv.cli`` in a new interpreter, so a case times
 what a user waits for: start-up and imports as well as the command's
-work, which for these commands is a few milliseconds (``scatter``, one
-trajectory, takes about 30 ms).  ``feasibility`` runs its default 16x16
-grid, ``pattern`` a 1x1 grid.  ``zeno`` and ``eigen`` run their defaults;
-``eigen`` is the one command that imports scipy (``eigh_tridiagonal``).
+work, which for most of these commands is a few milliseconds
+(``scatter``, one trajectory, takes about 30 ms).  ``feasibility`` runs
+its default 16x16 grid, ``pattern`` a 1x1 grid and the 40x40 FIGURES
+preset, whose scan takes about half a second.  ``zeno`` and ``eigen`` run
+their defaults; ``eigen`` is the one command that imports scipy
+(``eigh_tridiagonal``).
 """
 
 import os
@@ -26,6 +28,7 @@ CASES = {
     "decoherence": ["decoherence"],
     "scatter": ["scatter"],
     "pattern_1x1": ["pattern", "--n_b", "1", "--n_l", "1"],
+    "pattern_40x40": ["pattern", "--n_b", "40", "--n_l", "40"],
     "zeno": ["zeno"],
     "eigen": ["eigen"],
     "help": ["--help"],

@@ -30,10 +30,17 @@ GRID = ((1.2, 2.0), (0.0, 2 * R), 12, 12, V, M_PROBE)
 
 
 @pytest.fixture(scope="module")
-def cfgs():
+def cfg():
+    """The launch table of every probe of the grid, in grid order."""
     pattern = scan_pattern(SRC, *GRID)
-    return [ScatterConfig.for_source(SRC, b=b, l=l, v=V)
-            for b, l in zip(pattern.b.tolist(), pattern.l.tolist())]
+    return ScatterConfig.for_source(SRC, b=pattern.b, l=pattern.l, v=V)
+
+
+@pytest.fixture(scope="module")
+def probe(cfg):
+    """The config of one probe of the grid."""
+    return ScatterConfig.for_source(SRC, b=float(cfg.b[13]),
+                                    l=float(cfg.l[13]), v=V)
 
 
 def test_scan_pattern_12x12_mirrored(benchmark):
@@ -41,13 +48,13 @@ def test_scan_pattern_12x12_mirrored(benchmark):
     assert len(pattern.hit) == 276 and pattern.n_failed == 0
 
 
-def test_integrate_batch_276(benchmark, cfgs):
-    y_end, _, errors = benchmark(_integrate_batch, SRC, cfgs)
+def test_integrate_batch_276(benchmark, cfg):
+    y_end, _, errors = benchmark(_integrate_batch, SRC, cfg)
     assert errors == [None] * 276 and np.isfinite(y_end).all()
 
 
-def test_integrate_batch_one_probe(benchmark, cfgs):
-    y_end, _, errors = benchmark(_integrate_batch, SRC, cfgs[13:14])
+def test_integrate_batch_one_probe(benchmark, probe):
+    y_end, _, errors = benchmark(_integrate_batch, SRC, probe)
     assert errors == [None] and np.isfinite(y_end).all()
 
 
@@ -57,6 +64,6 @@ def test_gravity_field(benchmark, n):
     assert np.isfinite(benchmark(gravity_field, SRC, x)).all()
 
 
-def test_integrate_trajectory(benchmark, cfgs):
-    traj = benchmark(integrate_trajectory, SRC, cfgs[13], M_PROBE)
+def test_integrate_trajectory(benchmark, probe):
+    traj = benchmark(integrate_trajectory, SRC, probe, M_PROBE)
     assert not traj.hit_source

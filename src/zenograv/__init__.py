@@ -22,10 +22,9 @@ from .massdist import (MassDistribution, SphereComponent, force_at,
                        gravity_field, gravity_potential,
                        make_superposed_source, potential_at)
 from .scatter import (ProbeTrajectory, ScatterConfig, ScatterPattern,
-                      collapsed_scatter, integrate_trajectory,
-                      kepler_scatter_time, rutherford_angle,
-                      rutherford_angle_density, scan_pattern,
-                      stereographic_project)
+                      integrate_trajectory, kepler_scatter_time,
+                      rutherford_angle, rutherford_angle_density,
+                      scan_pattern, stereographic_project)
 from .zeno import (BipartiteSystem, StroboscopicResult, effective_hamiltonian,
                    strobo_evolve, survival_probability, zeno_rate_bounds,
                    zeno_time_estimate, zeno_variance)

@@ -191,13 +191,11 @@ def _run_scatter(params, outdir, seed):
             f'--collapsed must be none|left|right|random, got {coin!r}')
     if coin == "random":
         coin = "left" if np.random.default_rng(seed).random() < 0.5 else "right"
-    if coin == "none":
-        traj = scatter.integrate_trajectory(src, cfg, params["m_probe"])
-    else:
-        left, right = scatter.make_collapsed_sources(
-            params["R"], params["density"], params["d"])
-        traj = scatter.collapsed_scatter(left, right, cfg,
-                                         params["m_probe"], coin)
+    if coin != "none":
+        # the launch stays the superposed source's
+        src = scatter.make_collapsed_sources(
+            params["R"], params["density"], params["d"])[coin == "right"]
+    traj = scatter.integrate_trajectory(src, cfg, params["m_probe"])
     path = os.path.join(outdir, "trajectory.csv")
     _atomic_write(path, csv_text("t,x,y,z,vx,vy,vz",
                                  [traj.t, *traj.x.T, *traj.v.T],

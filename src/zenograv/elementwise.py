@@ -19,21 +19,22 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
-def require(ok, message: str, value=None) -> None:
+def require(ok, message: str, *values) -> None:
     """Raise InvalidParameterError(message) unless ``ok`` holds everywhere.
 
     ``ok`` is a bool or a bool array.  Write it as ``x > 0``, never as
     ``not x <= 0``, so that a NaN fails; the error's ``cells`` are ~ok.
-    With ``value``, ``{}`` in the message is filled with it: for an
-    array, its first element where ``ok`` fails.
+    The ``{}`` in the message are filled with ``values``: for an array,
+    its element at the first place where ``ok`` fails.
     """
     if ok is True or (ok is not False and np.all(ok)):
         return
-    if value is not None and np.ndim(value):
-        ok = np.broadcast_to(ok, np.broadcast_shapes(np.shape(ok),
-                                                     np.shape(value)))
-        value = float(np.broadcast_to(value, ok.shape)[~ok].flat[0])
-    raise InvalidParameterError(message.format(value),
+    if any(map(np.ndim, values)):
+        ok = np.broadcast_to(ok, np.broadcast_shapes(
+            np.shape(ok), *map(np.shape, values)))
+        values = [float(np.broadcast_to(x, ok.shape)[~ok].flat[0])
+                  for x in values]
+    raise InvalidParameterError(message.format(*values),
                                 cells=np.logical_not(ok))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -20,8 +20,6 @@ import numpy as np
 from .constants import CONST
 from .elementwise import require
 from .errors import InvalidParameterError
-
-_TOTAL_MASS_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,18 +44,11 @@ class MassDistribution:
     """Weighted collection of uniform spheres; immutable after construction."""
 
     components: tuple[SphereComponent, ...]
-    total_mass: float = field(default=None)  # kg; defaults to sum of components
 
     def __post_init__(self):
         if not self.components:
             raise InvalidParameterError("need at least one sphere component")
         object.__setattr__(self, "components", tuple(self.components))
-        msum = sum(c.mass for c in self.components)
-        if self.total_mass is None:
-            object.__setattr__(self, "total_mass", msum)
-        elif not (abs(self.total_mass - msum) <= _TOTAL_MASS_RTOL * msum):
-            raise InvalidParameterError(
-                f"total_mass {self.total_mass} != sum of component masses {msum}")
         if any(sep < a.radius + b.radius for a, b, sep in self._pairs()):
             warnings.warn("sphere components overlap; fields still superpose "
                           "but the two-position source model assumes disjoint lobes",
@@ -69,6 +60,11 @@ class MassDistribution:
         comps = self.components
         return [(a, b, math.hypot(*(p - q for p, q in zip(a.center, b.center))))
                 for i, a in enumerate(comps) for b in comps[i + 1:]]
+
+    @property
+    def total_mass(self) -> float:
+        """Sum of the component masses (kg), in component order."""
+        return sum(c.mass for c in self.components)
 
     @cached_property
     def _field_stack(self):

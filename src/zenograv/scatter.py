@@ -30,8 +30,8 @@ from .elementwise import csv_text, require, result
 from .errors import (IntegratorFailureError, InvalidParameterError,
                      ProjectionSingularError, UnterminatedTrajectoryError)
 # potential_at is re-exported: the perfbench tracer wraps it under this name
-from .massdist import (MassDistribution, field_rows, gravity_potential,
-                       potential_at)  # noqa: F401
+from .massdist import (MassDistribution, SphereComponent, field_rows,
+                       gravity_potential, potential_at)  # noqa: F401
 
 DEFAULT_RTOL = 1e-9
 # atol = ATOL_FACTOR * rtol * characteristic scale, separately for position
@@ -48,11 +48,13 @@ _SVG_SIZE = 640    # pattern.svg width and height (px)
 
 @dataclass(frozen=True)
 class ScatterConfig:
-    """Launch and termination parameters for one probe.
+    """Launch and termination parameters for one probe, or a launch table.
 
     The probe starts at (l, b, z_start) with velocity (0, 0, v): b is the
     impact parameter (y offset), l the offset along the source's
-    delocalization axis (x).
+    delocalization axis (x).  Fields may be broadcastable arrays: the
+    config then describes one probe per element of their broadcast, and
+    a failed check names the values at its first failing element.
     """
 
     b: float                 # impact parameter (m)
@@ -66,42 +68,37 @@ class ScatterConfig:
 
     def __post_init__(self):
         # written as x > 0, not as not x <= 0, so that NaN fails
-        require(math.isfinite(self.b) and math.isfinite(self.l),
-                f"b and l must be finite, got b={self.b}, l={self.l}")
-        require(0 < self.v < CONST.c,
+        require(np.isfinite(self.b) & np.isfinite(self.l),
+                "b and l must be finite, got b={}, l={}", self.b, self.l)
+        require((self.v > 0) & (self.v < CONST.c),
                 "v must be in (0, c) m/s (Newtonian probe), got {}", self.v)
         require(self.z_start < 0, "z_start must be < 0, got {}", self.z_start)
         require(self.dt_max > 0, "dt_max must be > 0, got {}", self.dt_max)
         require(self.t_max > 0, "t_max must be > 0, got {}", self.t_max)
         require(self.r_stop > abs(self.z_start),
-                f"r_stop ({self.r_stop}) must exceed |z_start| ({-self.z_start})")
+                "r_stop ({}) must exceed |z_start| ({})", self.r_stop,
+                -self.z_start)
         require(self.rtol > 0, "rtol must be > 0, got {}", self.rtol)
 
     @classmethod
-    def for_source(cls, dist: MassDistribution, b: float, l: float, v: float,
-                   *, start_factor: float = 50.0, stop_factor: float = 100.0,
+    def for_source(cls, dist: MassDistribution, b, l, v, *,
+                   start_factor: float = 50.0, stop_factor: float = 100.0,
                    rtol: float = DEFAULT_RTOL) -> "ScatterConfig":
         """Config with termination scales set from the source geometry.
 
         z_start = -start_factor * scale and r_stop = stop_factor * scale,
-        where scale is the larger of the component radii and separations.
-        The defaults truncate the incoming/outgoing asymptotes at the
-        <~1e-3 relative level in the deflection angle; raise the factors
-        when comparing against asymptotic closed forms.
+        where scale is the larger of the component radii and separations;
+        r_stop is raised to 1.5 times the launch radius where that is
+        larger.  The defaults truncate the incoming/outgoing asymptotes at
+        the <~1e-3 relative level in the deflection angle; raise the
+        factors when comparing against asymptotic closed forms.  Elementwise
+        in b, l and v: float arguments give float fields, arrays a launch
+        table.
         """
-        return cls.for_scale(dist.length_scale(), b, l, v,
-                             start_factor=start_factor,
-                             stop_factor=stop_factor, rtol=rtol)
-
-    @classmethod
-    def for_scale(cls, scale: float, b: float, l: float, v: float, *,
-                  start_factor: float = 50.0, stop_factor: float = 100.0,
-                  rtol: float = DEFAULT_RTOL) -> "ScatterConfig":
-        """:meth:`for_source` given the source's ``length_scale()`` (m)."""
+        scale = dist.length_scale()
         z_start = -start_factor * scale
-        r_stop = stop_factor * scale
-        launch = math.sqrt(b * b + l * l + z_start * z_start)
-        r_stop = max(r_stop, 1.5 * launch)
+        launch = np.sqrt(b * b + l * l + z_start * z_start)
+        r_stop = result(np.maximum(stop_factor * scale, 1.5 * launch))
         return cls(b=b, l=l, v=v, z_start=z_start,
                    dt_max=scale / v,
                    t_max=50.0 * (abs(z_start) + r_stop) / v,
@@ -138,7 +135,6 @@ class ScatterPattern:
     proj_y: np.ndarray
     hit: np.ndarray
     error: tuple[str | None, ...]
-    projection_pole: str = "(0,0,-1), plane tangent at +z, scale 2"
 
     @property
     def clean(self) -> np.ndarray:
@@ -152,12 +148,6 @@ class ScatterPattern:
     @property
     def n_failed(self) -> int:
         return sum(e is not None for e in self.error)
-
-
-def _acceleration_terms(dist: MassDistribution):
-    """(cx, cy, cz, R, G*M) per component, for the tight RHS loop."""
-    return [(c.center[0], c.center[1], c.center[2], c.radius,
-             CONST.G * c.mass) for c in dist.components]
 
 
 def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
@@ -174,28 +164,29 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     The stepper is the lockstep engine of :func:`scan_pattern` written on
     plain floats: the same Dormand-Prince 5(4) step, controller, escape
     root and failure rules in the same operation order, so the final
-    state and hit flag equal ``_integrate_batch([cfg])`` bit for bit.
+    state and hit flag equal ``_integrate_batch(dist, cfg)`` bit for bit.
     scipy's ``solve_ivp`` (RK45) is the oracle both are tested against.
 
     The acceleration is independent of m_probe (equivalence principle);
     the probe mass only enters energy bookkeeping.
     """
-    terms = _acceleration_terms(dist)
+    centers, *columns = dist._field_stack
+    terms = np.hstack((centers[:, :, 0], *columns)).tolist()
     n_rhs = 0
 
     def rhs(y):
-        # gravity_field's arithmetic, one point at a time
+        # field_rows' arithmetic, one point at a time
         nonlocal n_rhs
         n_rhs += 1
         x, yy, z, vx, vy, vz = y
         ax = ay = az = 0.0
-        for (cx, cy, cz, R, GM) in terms:
+        for (cx, cy, cz, R, neg_gm, interior) in terms:
             dx = x - cx
             dy = yy - cy
             dz = z - cz
             s2 = dx * dx + dy * dy + dz * dz
             s = math.sqrt(s2)
-            f = -GM / (s2 * s) if s >= R else -GM / (R * R * R)
+            f = neg_gm / (s2 * s) if s >= R else interior
             ax += f * dx
             ay += f * dy
             az += f * dz
@@ -273,7 +264,7 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
         ts.append(t_new)
         ys.append(y_new)
         if t_new >= t_bound:
-            raise _unterminated(cfg, trajectory())
+            raise _unterminated(r_stop, t_bound, trajectory())
         t, y, f, g = t_new, y_new, K[-1], g_new
 
 
@@ -282,9 +273,10 @@ def _radius(y):
 
 
 def _launch(cfg: ScatterConfig):
-    """Initial state (x, y, z, vx, vy, vz) and per-component atol of a probe."""
+    """Initial state (x, y, z, vx, vy, vz) and per-component atol of a
+    probe, or of each probe of a launch table as broadcastable columns."""
     y0 = [cfg.l, cfg.b, cfg.z_start, 0.0, 0.0, cfg.v]
-    scale_pos = max(abs(cfg.z_start), abs(cfg.b) + abs(cfg.l))
+    scale_pos = result(np.maximum(abs(cfg.z_start), abs(cfg.b) + abs(cfg.l)))
     atol = [ATOL_FACTOR * cfg.rtol * scale_pos] * 3 \
         + [ATOL_FACTOR * cfg.rtol * cfg.v] * 3
     return y0, atol
@@ -312,9 +304,9 @@ def _deflection(v, v_out):
     return theta, v_out / np.sqrt(_dot3(v_out, v_out))[:, None]
 
 
-def _unterminated(cfg: ScatterConfig, traj=None) -> UnterminatedTrajectoryError:
+def _unterminated(r_stop, t_max, traj=None) -> UnterminatedTrajectoryError:
     return UnterminatedTrajectoryError(
-        f"probe did not escape r_stop={cfg.r_stop} within t_max={cfg.t_max}",
+        f"probe did not escape r_stop={r_stop} within t_max={t_max}",
         trajectory=traj)
 
 
@@ -446,8 +438,9 @@ def kepler_scatter_time(M, rho, beta, zeta, t_R):
 # Lockstep batch engine (pattern scans)
 # ---------------------------------------------------------------------------
 
-def _integrate_batch(dist: MassDistribution, cfgs):
-    """Integrate many probes in lockstep; per probe (final state, hit, error).
+def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
+    """Integrate the probes of a launch table in lockstep, in the flat
+    order of its broadcast fields; per probe (final state, hit, error).
 
     One Dormand-Prince 5(4) attempt per active probe per iteration, with
     scipy RK45's controller reproduced probe by probe: the initial step
@@ -470,11 +463,13 @@ def _integrate_batch(dist: MassDistribution, cfgs):
     (:func:`rk45.escape_roots`, solve_ivp's event root), and the partial
     segments up to them are checked for hits in one call.
     """
-    n = len(cfgs)
-    y, atol = np.array([_launch(c) for c in cfgs]).transpose(1, 2, 0).copy()
-    rtol, t_bound, max_step, r_stop = np.array([
-        (max(c.rtol, rk45.RTOL_FLOOR), c.t_max, c.dt_max, c.r_stop)
-        for c in cfgs]).T.copy()
+    y0, atol0 = _launch(cfg)
+    columns = np.reshape(np.broadcast_arrays(
+        *y0, *atol0, np.maximum(cfg.rtol, rk45.RTOL_FLOOR), cfg.t_max,
+        cfg.dt_max, cfg.r_stop), (16, -1))
+    y, atol = columns[:6], columns[6:12]
+    rtol, t_bound, max_step, r_stop = columns[12:]
+    n = y.shape[1]
 
     y_end = np.full((n, 6), np.nan)
     hit_end, hit = np.zeros((2, n), dtype=bool)  # hit: a checked segment hit
@@ -550,7 +545,8 @@ def _integrate_batch(dist: MassDistribution, cfgs):
             done = stuck | (accept & ~ok) | late
             if done.any():
                 for j in np.flatnonzero(done).tolist():
-                    errors[idx[j]] = _unterminated(cfgs[idx[j]]) if late[j] \
+                    errors[idx[j]] = _unterminated(
+                        float(r_stop[j]), float(t_bound[j])) if late[j] \
                         else IntegratorFailureError(_TOO_SMALL if stuck[j]
                                                     else _NON_FINITE)
             segments.append((idx, y, y_new, moved))
@@ -639,11 +635,10 @@ def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
 
     Impact parameters are b = beta * R with R the largest component
     radius; with ``mirror_l`` every offset l > 0 is also launched at -l.
-    Each probe gets the :meth:`ScatterConfig.for_source` launch and
-    termination (the source's length scale is computed once per scan),
-    and the grid is integrated at once by the lockstep batch engine,
-    whose escape crossings are solved together by one lockstep Brent
-    search after it finishes.  If the source is x-mirror symmetric (one
+    The probes form one :meth:`ScatterConfig.for_source` launch table,
+    which the lockstep batch engine integrates at once; their escape
+    crossings are solved together by one lockstep Brent search after it
+    finishes.  If the source is x-mirror symmetric (one
     sphere centered on x = 0, or two mirror-image spheres of equal radius
     and mass), a -l probe is not integrated: its final state is its +l
     partner's with x and vx negated, which is what integrating it gives
@@ -663,20 +658,18 @@ def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
     if b_lo <= 0 or b_hi < b_lo or l_lo < 0 or l_hi < l_lo:
         raise InvalidParameterError("invalid beta_range or l_range")
     R = max(c.radius for c in dist.components)
-    launches = [(float(beta), float(off), float(beta * R))
-                for beta in np.linspace(b_lo, b_hi, n_b)
-                for l in np.linspace(l_lo, l_hi, n_l)
-                for off in ((l, -l) if (mirror_l and l > 0) else (l,))]
+    offsets = np.linspace(l_lo, l_hi, n_l)
+    launched = np.column_stack((np.full(n_l, True), mirror_l & (offsets > 0)))
+    offsets = np.column_stack((offsets, -offsets))[launched]
+    beta = np.repeat(np.linspace(b_lo, b_hi, n_b), len(offsets))
+    l = np.tile(offsets, n_b)
+    b = beta * R
     # a -l launch follows its +l partner; for a symmetric source it takes
     # the partner's row, mirrored
-    mirrored = np.array([off < 0 for _, off, _ in launches]) \
-        & _x_symmetric(dist)
-    scale = dist.length_scale()
-    y_run, hit_run, err_run = _integrate_batch(dist, [
-        ScatterConfig.for_scale(scale, b=b, l=off, v=v,
-                                start_factor=start_factor,
-                                stop_factor=stop_factor, rtol=rtol)
-        for (_, off, b), m in zip(launches, mirrored) if not m])
+    mirrored = (l < 0) & _x_symmetric(dist)
+    y_run, hit_run, err_run = _integrate_batch(dist, ScatterConfig.for_source(
+        dist, b=b[~mirrored], l=l[~mirrored], v=v, start_factor=start_factor,
+        stop_factor=stop_factor, rtol=rtol))
     row = np.cumsum(~mirrored) - 1
     y_end, hits = y_run[row], hit_run[row]
     y_end[mirrored, 0] *= -1.0
@@ -691,33 +684,14 @@ def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
     failed = np.array([e is not None for e in errors], dtype=bool)
     theta[failed] = np.nan
     proj[failed] = np.nan
-    return ScatterPattern(*np.array(launches).T, theta, *proj.T,
-                          hits & ~failed, errors)
+    return ScatterPattern(beta, l, b, theta, *proj.T, hits & ~failed, errors)
 
 
 def make_collapsed_sources(R: float, density: float, d: float):
     """The two localized alternatives: one full-mass sphere at -d/2 or +d/2."""
     M = 4.0 / 3.0 * np.pi * density * R**3
-    left = MassDistribution.from_dict(
-        {"components": [{"center": [-d / 2, 0.0, 0.0], "radius": R, "mass": M}]})
-    right = MassDistribution.from_dict(
-        {"components": [{"center": [+d / 2, 0.0, 0.0], "radius": R, "mass": M}]})
-    return left, right
-
-
-def collapsed_scatter(dist_left: MassDistribution, dist_right: MassDistribution,
-                      cfg: ScatterConfig, m_probe: float,
-                      which: str) -> ProbeTrajectory:
-    """Scatter off one localized alternative selected by the coin ``which``.
-
-    Models the per-probe collapsed situation: each probe sees the full
-    mass at a single position, producing a bimodal trajectory set instead
-    of the single frozen-source pattern.
-    """
-    if which not in ("left", "right"):
-        raise InvalidParameterError(f'which must be "left" or "right", got {which!r}')
-    dist = dist_left if which == "left" else dist_right
-    return integrate_trajectory(dist, cfg, m_probe)
+    return tuple(MassDistribution((SphereComponent((x, 0.0, 0.0), R, M),))
+                 for x in (-d / 2, +d / 2))
 
 
 # ---------------------------------------------------------------------------

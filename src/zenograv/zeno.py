@@ -10,8 +10,11 @@ phi branch and its scaling in tau are the quantitative content.
 The propagator exp(-iHt/hbar) comes from numpy's Hermitian
 eigendecomposition H = V diag(lam) V^dagger; the tests check it against
 scipy's expm.  The phi branch of n cycles is one matrix power, O(log n)
-products, so the cost barely grows with n; the rounding of the one-step
-block compounds over the power to a relative error of about n x 1e-16.
+products, so the cost barely grows with n.  The power and the branch
+carry only their small parts, the one-step block minus the identity,
+so a per-step deficit far below the rounding of 1 is not lost; a branch
+that has decayed below 1/2 is formed as the plain power instead, whose
+relative error is about n x 1e-16.
 System dimensions are small (toy models up to ~16 x 16 per factor).
 """
 
@@ -135,16 +138,32 @@ def _phi_block(sys: BipartiteSystem, A: np.ndarray) -> np.ndarray:
     return np.einsum("s,psqt,t->pq", sys.phi.conj(), A4, sys.phi)
 
 
+def _expm1(H: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt/hbar) - 1 for Hermitian H: V diag(expm1(-i lam t/hbar)) V^dagger."""
+    lam, V = np.linalg.eigh(H)
+    return (V * np.expm1(-1j * lam * t / CONST.hbar)) @ V.conj().T
+
+
 def _propagator(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt/hbar) for Hermitian H: 1 + V diag(expm1(-i lam t/hbar)) V^dagger.
+    """exp(-iHt/hbar) for Hermitian H: 1 + :func:`_expm1`.
 
     The identity is added exactly, so a step with tiny phases is exactly
     the identity, as scipy's expm gives, and not V V^dagger, which is one
     only to rounding: a rounding of 1e-16 per step is 1e-7 after 1e9 steps.
     """
-    lam, V = np.linalg.eigh(H)
-    step = (V * np.expm1(-1j * lam * t / CONST.hbar)) @ V.conj().T
-    return np.eye(len(H)) + step
+    return np.eye(len(H)) + _expm1(H, t)
+
+
+def _power_minus_one(E: np.ndarray, n: int) -> np.ndarray:
+    """(1 + E)^n - 1 by repeated squaring, carrying only the small parts:
+    (1 + A)(1 + B) - 1 = A + B + AB."""
+    P = np.zeros_like(E)
+    while n:
+        if n & 1:
+            P = P + E + P @ E
+        E = E + E + E @ E
+        n >>= 1
+    return P
 
 
 def effective_hamiltonian(sys: BipartiteSystem) -> np.ndarray:
@@ -183,27 +202,38 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
     With P = 1 x P_phi and rho_0 = alpha_0 x P_phi, P rho_0 P = rho_0, so
     the branch after k steps is W^k rho_0 (W^k)^dagger with W = P U P =
     w x P_phi, w = <phi|U|phi>: that is (w^k alpha_0 (w^k)^dagger) x P_phi.
-    w^(n-1) is one matrix power (O(log n) products); one more product
-    gives w^n.
+    w is kept as 1 + E, E = <phi|U - 1|phi> straight from expm1, and w^k
+    as 1 + E_k: E_(n-1) is one power by squaring (O(log n) products), one
+    more product gives E_n, and the branch is alpha_0 + D with D = E_k
+    alpha_0 + alpha_0 E_k^dagger + E_k alpha_0 E_k^dagger, its trace
+    tr alpha_0 + tr D; below a trace of 1/2, from the plain power (1 + E)^k.
     """
     # written as x > 0, not as not x <= 0, so that NaN fails
     require(0 < tau < math.inf, "tau must be finite and > 0, got {}", tau)
     require(n >= 0, "n must be >= 0, got {}", n)
     alpha0 = _check_density_matrix(initial_probe, sys.dim_P)
 
-    def branch(wk):   # the probe factor of the branch, and its trace
+    trace0 = float(np.trace(alpha0).real)
+
+    def branch(Ek, k):   # w^k alpha_0 w^k^dagger for w^k = 1 + Ek, and its trace
+        D = Ek @ alpha0 + alpha0 @ Ek.conj().T + Ek @ alpha0 @ Ek.conj().T
+        trace = trace0 + float(np.trace(D).real)
+        if trace >= 0.5:
+            return alpha0 + D, trace
+        # decayed: tr D cancels tr alpha_0 to an absolute 1e-16, so form the
+        # plain power, whose relative error is about k x 1e-16
+        wk = np.linalg.matrix_power(np.eye(sys.dim_P) + E, k)
         alpha = wk @ alpha0 @ wk.conj().T
         return alpha, float(np.trace(alpha).real)
 
     if n == 0:
-        alpha, survival = alpha0, float(np.trace(alpha0).real)
-        frozen_fidelity = 1.0
+        alpha, survival, frozen_fidelity = alpha0, trace0, 1.0
     else:
-        w = _phi_block(sys, _propagator(sys.total_hamiltonian(), tau))
-        w_prev = np.linalg.matrix_power(w, n - 1)
+        E = _phi_block(sys, _expm1(sys.total_hamiltonian(), tau))
+        E_prev = _power_minus_one(E, n - 1)
         # U is unitary, so the last step's pre-measurement trace is tr rho_{n-1}
-        before = branch(w_prev)[1]
-        alpha, survival = branch(w @ w_prev)
+        before = branch(E_prev, n - 1)[1]
+        alpha, survival = branch(E + E_prev + E @ E_prev, n)
         frozen_fidelity = survival / before if before > 0 else 0.0
     if survival > 0:
         probe = alpha / survival

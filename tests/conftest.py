@@ -1,5 +1,6 @@
 """Shared test oracles: asymptotic launch configs, orbit timing and the
-scipy RK45 trajectory integrator; and the rows of a pattern scan."""
+scipy RK45 trajectory integrator; the rows of a pattern scan, and launch
+tables stacked from one-probe configs."""
 
 import math
 
@@ -7,9 +8,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from zenograv.errors import IntegratorFailureError
-from zenograv.scatter import (ProbeTrajectory, ScatterConfig,
-                              _acceleration_terms, _launch, _outgoing,
-                              _segment_hits, _unterminated)
+from zenograv.scatter import (ProbeTrajectory, ScatterConfig, _launch,
+                              _outgoing, _segment_hits, _unterminated)
 
 
 def oracle_config(dist, b, l, v, rtol=1e-10):
@@ -32,6 +32,12 @@ def launch_configs(dist, pattern, v, **factors):
     """The launch config of each probe of a scan, in grid order."""
     return [ScatterConfig.for_source(dist, b=b, l=l, v=v, **factors)
             for b, l in zip(pattern.b.tolist(), pattern.l.tolist())]
+
+
+def stack(cfgs):
+    """One launch table of the one-probe configs cfgs, in their order."""
+    return ScatterConfig(**{name: np.array([getattr(c, name) for c in cfgs])
+                            for name in ScatterConfig.__dataclass_fields__})
 
 
 def anomaly_crossing_elapsed(traj, phi_target):
@@ -65,18 +71,19 @@ def scipy_trajectory(dist, cfg):
     segment, and the same errors.  ``n_rhs`` is scipy's ``nfev``; the
     step counters stay 0.
     """
-    terms = _acceleration_terms(dist)
+    centers, *columns = dist._field_stack
+    terms = np.hstack((centers[:, :, 0], *columns)).tolist()
 
     def rhs(t, y):
         x, yy, z, vx, vy, vz = y
         ax = ay = az = 0.0
-        for (cx, cy, cz, R, GM) in terms:
+        for (cx, cy, cz, R, neg_gm, interior) in terms:
             dx = x - cx
             dy = yy - cy
             dz = z - cz
             s2 = dx * dx + dy * dy + dz * dz
             s = math.sqrt(s2)
-            f = -GM / (s2 * s) if s >= R else -GM / (R * R * R)
+            f = neg_gm / (s2 * s) if s >= R else interior
             ax += f * dx
             ay += f * dy
             az += f * dz
@@ -103,7 +110,7 @@ def scipy_trajectory(dist, cfg):
                            deflection_angle=theta, outgoing_dir=out_dir,
                            n_rhs=sol.nfev)
     if sol.status == 0:
-        raise _unterminated(cfg, traj)
+        raise _unterminated(cfg.r_stop, cfg.t_max, traj)
     if sol.status < 0:
         raise IntegratorFailureError(f"integrator failed: {sol.message}")
     return traj

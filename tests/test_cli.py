@@ -251,11 +251,11 @@ class TestSweeps:
         assert int(row[1]) == 20
         assert 0.0 <= float(row[2]) <= 1.0
 
-    # sha256 of the default run's zeno_scan.csv, as emitted by the matrix-
-    # power strobo_evolve (x86-64 Linux, numpy 2.4.6): a change that moves
-    # one byte of it fails here
+    # sha256 of the default run's zeno_scan.csv, as emitted by the
+    # strobo_evolve that powers the small part E = w - 1 (x86-64 Linux,
+    # numpy 2.4.6): a change that moves one byte of it fails here
     ZENO_DEFAULT_SHA256 = (
-        "dedeba9fa0fc5172d191bafd8cc751c97dc089a02188dd6d77fb72b7d3163bfc")
+        "5a8e119bd75832308b61ff6db2cab83546fb9d9480610ba5e95e50207ac8250e")
 
     def test_zeno_default_digest(self, tmp_path):
         assert run_cli(["zeno", "--output-dir", tmp_path]) == 0
@@ -278,6 +278,14 @@ class TestSweeps:
         for row in rows:
             assert float(row["survival_sim"]) == pytest.approx(
                 float(row["survival_formula"]), rel=1e-6, abs=1e-300)
+
+    def test_zeno_deficit_below_the_rounding_of_one(self, tmp_path):
+        # tau = 1e-9 freeze times: a per-step deficit of 1e-18, and
+        # 1 - 1e-9 after 1e9 measurements
+        assert run_cli(["zeno", "--N", 10**9, "--tau_min_ratio", "1e-9",
+                        "--n_tau", 3, "--output-dir", tmp_path]) == 0
+        lines = (tmp_path / "zeno_scan.csv").read_text().split("\n")
+        assert lines[2].split(",")[2] == "0.999999999"
 
     def test_decoherence_sweep_matches_scalar_rates(self, tmp_path):
         # one elementwise call over the R grid writes what per-R scalar
@@ -347,10 +355,12 @@ def test_integer_beyond_float_range_rejected(tmp_path, capsys):
 # Every grid size is always set, at most to these caps, so that one
 # example runs in milliseconds.  N, the zeno measurement count, costs
 # O(log N) products, so its cap can be large.  solve_eigen needs at
-# least 1000 points: with a cap of 2000 about half the drawn eigen runs
-# reach the solver, at a few ms each.
+# least 1000 points, so the base n_points is drawn from 1000 up to its
+# cap of 2000 (a solve takes a few ms); an override may still draw any
+# value up to the cap.
 _GRID_CAPS = {"n_b": 2, "n_l": 2, "n1": 4, "n2": 4, "n_R": 4,
               "n_points": 2000, "N": 10**12, "n_tau": 3}
+_GRID_FLOORS = {"n_points": 1000}
 _SPECIAL = ["nan", "inf", "-inf", "0", "-0.0", "-1", "-1e-5", "5e-324",
             "1e-300"]
 _CHOICES = {"collapsed": ["none", "left", "right", "random"],
@@ -365,7 +375,8 @@ def _value(command, key):
     default: a slow probe (large t_R or density, or a source length
     scale far beyond R) orbits for tens of crossing times before it is
     reported unterminated, which takes seconds per probe.  The closed-form
-    commands take any float.
+    commands take any float; eigen also draws near its defaults, where
+    most potentials pass validation and reach the solver.
     """
     typ, default, _, _ = cli.PARAM_SCHEMAS[command][key]
     if typ is str:
@@ -374,11 +385,13 @@ def _value(command, key):
     if typ is int:
         cap = _GRID_CAPS.get(key, 3)
         return special | st.integers(-1, cap).map(str)
+    scale = default or 1e-5
+    near_default = st.floats(0.5, 2.0).map(lambda f: repr(f * scale))
     if command in ("scatter", "pattern"):
-        scale = default or 1e-5
-        finite = st.floats(0.5, 2.0).map(lambda f: repr(f * scale))
-    else:
-        finite = st.floats().map(repr)
+        return special | near_default
+    finite = st.floats().map(repr)
+    if command == "eigen":
+        finite |= near_default
     return special | finite
 
 
@@ -386,7 +399,7 @@ def _value(command, key):
 def _command_line(draw):
     command = draw(st.sampled_from(sorted(cli.PARAM_SCHEMAS)))
     schema = cli.PARAM_SCHEMAS[command]
-    params = {key: str(draw(st.integers(1, cap)))
+    params = {key: str(draw(st.integers(_GRID_FLOORS.get(key, 1), cap)))
               for key, cap in _GRID_CAPS.items() if key in schema}
     for key in draw(st.lists(st.sampled_from(sorted(schema)), min_size=1,
                              max_size=3, unique=True)):

@@ -89,7 +89,7 @@ GOLDEN = [
     ("zeno",
      "freeze_time=1 s  N=100  tau points=9",
      {"zeno_scan.csv":
-      "dedeba9fa0fc5172d191bafd8cc751c97dc089a02188dd6d77fb72b7d3163bfc"}),
+      "5a8e119bd75832308b61ff6db2cab83546fb9d9480610ba5e95e50207ac8250e"}),
     ("feasibility --axis1 m_probe --a1_min 1e-19 --a1_max 1e-17 "
      "--axis2 R --a2_min 1e-6 --a2_max 1e-4",
      "grid=16x16 over (m_probe,R)  pass=64/256",

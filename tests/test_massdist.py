@@ -333,8 +333,3 @@ class TestSerialization:
         data = src.to_dict()
         assert set(data) == {"components"}
         assert set(data["components"][0]) == {"center", "radius", "mass"}
-
-    def test_total_mass_consistency_enforced(self):
-        comp = SphereComponent((0.0, 0.0, 0.0), R, 1e-12)
-        with pytest.raises(InvalidParameterError):
-            MassDistribution((comp,), total_mass=2e-12)

@@ -33,7 +33,7 @@ def test_no_function_takes_constants():
     # the walk reaches functions, methods, classmethods and cached properties
     for name in ("zenograv.scatter.integrate_trajectory",
                  "zenograv.schrod1d.PotentialSpec1D.V0",
-                 "zenograv.scatter.ScatterConfig.for_scale",
+                 "zenograv.scatter.ScatterConfig.for_source",
                  "zenograv.massdist.MassDistribution._field_stack"):
         assert name in found, name
     taking = [name for name, func in found.items()

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import launch_configs
+from conftest import launch_configs, stack
 from scipy.optimize import brentq
 
 from zenograv import rk45, scatter
@@ -203,13 +203,13 @@ class TestMirror:
         launched = []
         original = scatter._integrate_batch
         monkeypatch.setattr(scatter, "_integrate_batch",
-                            lambda dist, cfgs: launched.extend(cfgs)
-                            or original(dist, cfgs))
+                            lambda dist, cfg: launched.append(cfg)
+                            or original(dist, cfg))
         pattern = scan(d, HITS)
-        assert [c.l for c in launched] == [l for l in pattern.l.tolist()
-                                          if l >= 0]
+        (table,) = launched
+        assert table.l.tolist() == [l for l in pattern.l.tolist() if l >= 0]
         cfgs = launch_configs(src, pattern, V)
-        y_end, hits, errors = original(src, cfgs)
+        y_end, hits, errors = original(src, stack(cfgs))
         assert errors == [None] * len(cfgs)
         assert 0 < pattern.n_hit < len(cfgs)
         rows = zip(pattern.theta.tolist(), pattern.proj_x.tolist(),
@@ -225,7 +225,7 @@ class TestMirror:
         src = make_superposed_source(R, RHO, 2 * R)
         cfgs = [ScatterConfig.for_source(src, b=beta * R, l=l, v=V)
                 for beta in (0.5, 1.2) for l in (0.7 * R, -0.7 * R)]
-        y_end, hits, _ = _integrate_batch(src, cfgs)
+        y_end, hits, _ = _integrate_batch(src, stack(cfgs))
         assert np.array_equal(y_end[1::2] * [-1, 1, 1, -1, 1, 1], y_end[::2])
         assert np.array_equal(hits[1::2], hits[::2]) and hits.any()
 
@@ -239,12 +239,13 @@ class TestMirror:
         launched = []
         original = scatter._integrate_batch
         monkeypatch.setattr(scatter, "_integrate_batch",
-                            lambda d, cfgs: launched.extend(cfgs)
-                            or original(d, cfgs))
+                            lambda d, cfg: launched.append(cfg)
+                            or original(d, cfg))
         pattern = scan_pattern(dist, (1.2, 2.0), (0.0, 2 * R), 2, 3, V,
                                M_PROBE)
-        assert [c.l for c in launched] == pattern.l.tolist()
-        assert any(c.l < 0 for c in launched)
+        (table,) = launched
+        assert table.l.tolist() == pattern.l.tolist()
+        assert any(l < 0 for l in table.l.tolist())
 
     def test_which_sources_are_symmetric(self):
         def two(c1, c2, r1=R, r2=R, m1=1e-11, m2=1e-11):
@@ -262,6 +263,18 @@ class TestMirror:
             SphereComponent((x, 0, 0), R, 1e-11) for x in (-3 * R, 0, 3 * R))))
 
 
+class TestLaunchTable:
+    def test_one_config_per_scan(self, monkeypatch):
+        # the 3160 launches of the FIGURES preset are one launch table
+        made = []
+        original = ScatterConfig.__post_init__
+        monkeypatch.setattr(ScatterConfig, "__post_init__",
+                            lambda cfg: made.append(cfg) or original(cfg))
+        pattern = scan(0.0, PRESET)
+        assert len(pattern.hit) == 40 * 79 and pattern.n_failed == 0
+        assert len(made) == 1 and made[0].l.size == 40 * 40
+
+
 class TestTail:
     def test_records_from_rows(self, monkeypatch):
         # fake final states: a clean probe, a failed one and one flying
@@ -269,7 +282,7 @@ class TestTail:
         src = make_superposed_source(R, RHO, 0.0)
         failure = IntegratorFailureError("non-finite state during integration")
 
-        def fake(dist, cfgs):
+        def fake(dist, cfg):
             y = np.array([[0, 0, 1, 1e-9, -2e-9, V], [np.nan] * 6,
                           [0, 0, -1, 0, 0, -V]], dtype=float)
             return y, np.array([True, False, False]), [None, failure, None]

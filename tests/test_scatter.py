@@ -13,8 +13,8 @@ from zenograv.errors import (IntegratorFailureError, InvalidParameterError,
                              UnterminatedTrajectoryError, ZenogravError)
 from zenograv.massdist import MassDistribution, make_superposed_source
 from zenograv.scatter import (ScatterConfig, ScatterPattern,
-                              _integrate_batch, _outgoing, collapsed_scatter,
-                              energy_series, hyperbolic_time_from_anomaly,
+                              _integrate_batch, _outgoing, energy_series,
+                              hyperbolic_time_from_anomaly,
                               integrate_trajectory, kepler_scatter_time,
                               make_collapsed_sources, pattern_to_csv,
                               pattern_to_svg, rutherford_angle,
@@ -30,7 +30,7 @@ M_PROBE = 1e-18
 
 
 from conftest import (anomaly_crossing_elapsed, clean_rows, launch_configs,
-                      oracle_config, scipy_trajectory)
+                      oracle_config, scipy_trajectory, stack)
 
 
 def single_sphere(radius=R, rho=RHO):
@@ -61,6 +61,43 @@ class TestConfig:
         cfg = ScatterConfig.for_source(src, b=1.2 * R, l=0.0, v=V)
         assert cfg.z_start == pytest.approx(-50 * D)
         assert cfg.r_stop == pytest.approx(100 * D)
+
+    def test_for_source_floats_give_float_fields(self):
+        # the plain-float stepper runs at Python float speed
+        src = make_superposed_source(R, RHO, D)
+        cfg = ScatterConfig.for_source(src, b=1.2 * R, l=0.5 * R, v=V)
+        assert [type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)
+                ] == [float] * 8
+
+    def test_table_equals_one_probe_configs(self):
+        # the last launch is far enough out that r_stop is raised to 1.5
+        # times its launch radius
+        src = make_superposed_source(R, RHO, D)
+        b = np.array([0.5, 1.2, 1.9]) * R
+        l = np.array([-R, 0.0, 300 * R])
+        table = ScatterConfig.for_source(src, b=b, l=l, v=V)
+        assert table.r_stop[2] > 100 * D == table.r_stop[0]
+        for k in range(3):
+            one = ScatterConfig.for_source(src, b=float(b[k]), l=float(l[k]),
+                                           v=V)
+            for f in dataclasses.fields(one):
+                column = np.broadcast_to(getattr(table, f.name), 3)
+                assert column[k] == getattr(one, f.name), f.name
+
+    def test_table_message_names_first_failing_element(self):
+        src = make_superposed_source(R, RHO, D)
+        for b in (math.nan, np.array([R, math.nan, math.inf])):
+            with pytest.raises(InvalidParameterError) as exc:
+                ScatterConfig.for_source(src, b=b, l=0.0, v=V)
+            assert str(exc.value) == "b and l must be finite, got b=nan, l=0.0"
+        with pytest.raises(InvalidParameterError) as exc:
+            ScatterConfig.for_source(src, b=R, l=0.0,
+                                     v=np.array([V, -1.0, -2.0]))
+        assert str(exc.value).endswith("(Newtonian probe), got -1.0")
+        with pytest.raises(InvalidParameterError) as exc:
+            ScatterConfig(b=np.zeros(3), l=0.0, v=V, z_start=-1.0, dt_max=1.0,
+                          t_max=1.0, r_stop=np.array([2.0, 0.5, 0.25]))
+        assert str(exc.value) == "r_stop (0.5) must exceed |z_start| (1.0)"
 
 
 class TestIntegration:
@@ -444,7 +481,8 @@ class TestBatchEngineOracle:
         original = scatter._segment_hits
         monkeypatch.setattr(scatter, "_segment_hits", lambda p0, p1, dist:
                             checks.append(original(p0, p1, dist)) or checks[-1])
-        y_end, hits, errors = _integrate_batch(src, cfgs + [bound, fall])
+        y_end, hits, errors = _integrate_batch(src,
+                                               stack(cfgs + [bound, fall]))
         trajs = [integrate_trajectory(src, cfg, M_PROBE) for cfg in cfgs]
         assert sum(traj.n_accepted for traj in trajs) > 2 * scatter._HIT_ROWS
         assert len(checks) > 3
@@ -455,20 +493,22 @@ class TestBatchEngineOracle:
         assert hits[-2:].tolist() == [False, False]
         for cfg in (bound, fall):
             checks.clear()
-            _, (hit,), (error,) = _integrate_batch(src, [cfg])
+            _, (hit,), (error,) = _integrate_batch(src, stack([cfg]))
             assert error is not None and not hit
             assert any(check.any() for check in checks)
         # one probe's steps fit in the buffer: they are checked at the end
         first = hits.tolist().index(True)
-        assert _integrate_batch(src, [cfgs[first]])[1].tolist() == [True]
+        assert _integrate_batch(src, stack([cfgs[first]]))[1].tolist() == [
+            True]
 
     def test_launch_order_invariance(self):
         src = make_superposed_source(R, RHO, D)
         cfgs = [ScatterConfig.for_source(src, b=beta * R, l=l, v=V)
                 for beta in (0.5, 1.2, 1.9) for l in (-R, 0.0, 0.5 * R)]
-        y_ref, hit_ref, err_ref = _integrate_batch(src, cfgs)
+        y_ref, hit_ref, err_ref = _integrate_batch(src, stack(cfgs))
         order = np.random.default_rng(3).permutation(len(cfgs))
-        y_shuf, hit_shuf, err_shuf = _integrate_batch(src, [cfgs[i] for i in order])
+        y_shuf, hit_shuf, err_shuf = _integrate_batch(
+            src, stack([cfgs[i] for i in order]))
         assert np.array_equal(y_shuf, y_ref[order])
         assert np.array_equal(hit_shuf, hit_ref[order])
         assert hit_ref.any()
@@ -482,7 +522,7 @@ class TestBatchEngineOracle:
                             dt_max=D / V, t_max=200 * R / V, r_stop=2e-3)
         with pytest.raises(UnterminatedTrajectoryError) as scalar:
             scipy_trajectory(src, cfg)
-        _, _, (error,) = _integrate_batch(src, [cfg])
+        _, _, (error,) = _integrate_batch(src, stack([cfg]))
         assert isinstance(error, UnterminatedTrajectoryError)
         assert str(error) == str(scalar.value)
 
@@ -492,7 +532,7 @@ class TestBatchEngineOracle:
         # max(d1, d2) keeps d1 and integrates on
         src = make_superposed_source(R, RHO, D)
         cfg = ScatterConfig.for_source(src, b=1.2 * R, l=0.0, v=V, rtol=1e-300)
-        (y,), _, (error,) = _integrate_batch(src, [cfg])
+        (y,), _, (error,) = _integrate_batch(src, stack([cfg]))
         assert error is None
         with pytest.warns(UserWarning, match="rtol"), \
                 np.errstate(over="ignore", invalid="ignore"):
@@ -550,7 +590,7 @@ class TestScalarPathOracle:
         src = make_superposed_source(R, RHO, d)
         pattern = hit_grid(src)
         cfgs = launch_configs(src, pattern, V)
-        y_end, hits, errors = _integrate_batch(src, cfgs)
+        y_end, hits, errors = _integrate_batch(src, stack(cfgs))
         assert errors == [None] * len(cfgs)
         assert 0 < pattern.n_hit < len(cfgs)
         for i, (cfg, y, hit) in enumerate(zip(cfgs, y_end, hits)):
@@ -574,7 +614,7 @@ class TestScalarPathOracle:
         tiny_step = ScatterConfig(b=0.5 * R, l=0.0, v=1e-15, z_start=-1e3,
                                   dt_max=1e30, t_max=1e30, r_stop=2e3)
         cases = [(src, bound), (src, outside), (single_sphere(), tiny_step)]
-        batch_errors = [_integrate_batch(dist, [cfg])[2][0]
+        batch_errors = [_integrate_batch(dist, stack([cfg]))[2][0]
                         for dist, cfg in cases]
         assert [type(e) for e in batch_errors] == [
             UnterminatedTrajectoryError, UnterminatedTrajectoryError,
@@ -624,8 +664,8 @@ class TestCollapsed:
     def test_coins_give_distinct_angles_off_axis(self):
         left, right = make_collapsed_sources(R, RHO, D)
         cfg = ScatterConfig.for_source(left, b=1.2 * R, l=R, v=V)
-        th_l = collapsed_scatter(left, right, cfg, M_PROBE, "left")
-        th_r = collapsed_scatter(left, right, cfg, M_PROBE, "right")
+        th_l = integrate_trajectory(left, cfg, M_PROBE)
+        th_r = integrate_trajectory(right, cfg, M_PROBE)
         assert abs(th_l.deflection_angle - th_r.deflection_angle) \
             > 0.2 * th_r.deflection_angle
 
@@ -633,9 +673,9 @@ class TestCollapsed:
         left, right = make_collapsed_sources(R, RHO, D)
         cfg = ScatterConfig.for_source(left, b=1.2 * R, l=0.0, v=V)
         pl = stereographic_project(
-            collapsed_scatter(left, right, cfg, M_PROBE, "left").outgoing_dir)
+            integrate_trajectory(left, cfg, M_PROBE).outgoing_dir)
         pr = stereographic_project(
-            collapsed_scatter(left, right, cfg, M_PROBE, "right").outgoing_dir)
+            integrate_trajectory(right, cfg, M_PROBE).outgoing_dir)
         assert pl[0] == pytest.approx(-pr[0], rel=1e-9)
         assert pl[1] == pytest.approx(pr[1], rel=1e-9)
 
@@ -646,24 +686,18 @@ class TestCollapsed:
         left, right = make_collapsed_sources(R, RHO, D)
         cfg = ScatterConfig.for_source(frozen, b=1.2 * R, l=R, v=V)
         th_f = integrate_trajectory(frozen, cfg, M_PROBE).deflection_angle
-        th_l = collapsed_scatter(left, right, cfg, M_PROBE, "left").deflection_angle
-        th_r = collapsed_scatter(left, right, cfg, M_PROBE, "right").deflection_angle
+        th_l = integrate_trajectory(left, cfg, M_PROBE).deflection_angle
+        th_r = integrate_trajectory(right, cfg, M_PROBE).deflection_angle
         assert min(th_l, th_r) < th_f < max(th_l, th_r)
 
         cfg0 = ScatterConfig.for_source(frozen, b=1.2 * R, l=0.0, v=V)
         pf = stereographic_project(
             integrate_trajectory(frozen, cfg0, M_PROBE).outgoing_dir)
         pl = stereographic_project(
-            collapsed_scatter(left, right, cfg0, M_PROBE, "left").outgoing_dir)
+            integrate_trajectory(left, cfg0, M_PROBE).outgoing_dir)
         pr = stereographic_project(
-            collapsed_scatter(left, right, cfg0, M_PROBE, "right").outgoing_dir)
+            integrate_trajectory(right, cfg0, M_PROBE).outgoing_dir)
         assert min(pl[0], pr[0]) < pf[0] < max(pl[0], pr[0])
-
-    def test_invalid_coin(self):
-        left, right = make_collapsed_sources(R, RHO, D)
-        cfg = ScatterConfig.for_source(left, b=1.2 * R, l=0.0, v=V)
-        with pytest.raises(InvalidParameterError):
-            collapsed_scatter(left, right, cfg, M_PROBE, "maybe")
 
 
 class TestEmission:

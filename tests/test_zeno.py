@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -193,6 +194,9 @@ class TestMatrixPowerAgainstLoop:
         "zz": (zz_model, 0.3),
         "random-3x3": (lambda: random_system(np.random.default_rng(21)),
                        0.01),
+        # survival 1.8e-2 at n = 100 and 4e-18 at n = 1000: decayed far
+        # below the absolute rounding of tr alpha_0 + tr D
+        "xx-decayed": (lambda: xx_model(probe_splitting=0.7 * G_COUPLING), 0.2),
     }
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 1000])
@@ -203,8 +207,8 @@ class TestMatrixPowerAgainstLoop:
         alpha0 = PLUS if sys_m.dim_P == 2 else np.eye(3) / 3
         survival, fidelity, probe = loop_reference(sys_m, tau, n, alpha0)
         res = strobo_evolve(sys_m, tau, n, alpha0)
-        assert res.survival_prob == pytest.approx(survival, rel=1e-12)
-        assert res.frozen_fidelity == pytest.approx(fidelity, rel=1e-13)
+        assert res.survival_prob == pytest.approx(survival, rel=1e-12, abs=0)
+        assert res.frozen_fidelity == pytest.approx(fidelity, rel=1e-13, abs=0)
         assert_allclose(res.probe_state, probe, rtol=0, atol=1e-12)
 
     def test_1e9_measurements(self):
@@ -215,7 +219,45 @@ class TestMatrixPowerAgainstLoop:
         res = strobo_evolve(xx_model(), x * TAU_Z, N, PLUS)
         exact = math.exp(2 * N * (-x**2 / 2 - x**4 / 12))
         assert res.survival_prob == pytest.approx(exact, rel=N * 2.2e-16)
-        assert res.frozen_fidelity == pytest.approx(math.cos(x)**2, rel=1e-15)
+        assert res.frozen_fidelity == pytest.approx(math.cos(x)**2, rel=1e-15,
+                                                    abs=0)
+
+
+class TestPrecisionFloor:
+    """Per-step deficits far below the rounding of 1: the power carries
+    only the small part E = w - 1."""
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-6, 1e-4])
+    def test_deficit_at_1e9_measurements(self, x):
+        # splitting 0: w = cos(x) 1, so 1 - survival = 1 - cos(x)^(2N)
+        N = 10**9
+        res = strobo_evolve(xx_model(), x * TAU_Z, N, PLUS)
+        with mpmath.workdps(40):
+            exact = float(1 - mpmath.cos(mpmath.mpf(x)) ** (2 * N))
+        assert 1.0 - res.survival_prob == pytest.approx(exact, rel=1e-6, abs=0)
+
+    def test_default_scan_trace_distance(self):
+        # the zeno command's default run against the same chain at 50
+        # digits: w^N alpha_0 w^N^dagger normalized, against alpha_0
+        # evolved under the effective Hamiltonian
+        sys_m = xx_model(probe_splitting=0.7 * G_COUPLING)
+        H = sys_m.total_hamiltonian().tolist()
+        worst = 0.0
+        with mpmath.workdps(50):
+            alpha0 = mpmath.matrix(PLUS.tolist())
+            phase = -1j / mpmath.mpf(HBAR)
+            for tau in np.logspace(-4, -2, 9).tolist():
+                U = mpmath.expm(mpmath.matrix(H) * (phase * tau))
+                w = mpmath.matrix([[U[0, 0], U[0, 2]], [U[2, 0], U[2, 2]]])
+                alpha = w ** 100 * alpha0 * (w ** 100).H
+                Ue = mpmath.expm(mpmath.matrix(
+                    effective_hamiltonian(sys_m).tolist()) * (phase * 100 * tau))
+                diff = alpha / (alpha[0, 0] + alpha[1, 1]) - Ue * alpha0 * Ue.H
+                exact = mpmath.sqrt(mpmath.re(diff[0, 0]) ** 2
+                                    + abs(diff[0, 1]) ** 2)
+                err = strobo_evolve(sys_m, tau, 100, PLUS).effective_H_error
+                worst = max(worst, float(abs(err - exact) / exact))
+        assert worst < 1e-7
 
 
 class TestStroboEvolve:
