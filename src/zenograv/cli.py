@@ -1,9 +1,13 @@
 """Command-line front-end: reproducible figure and table generation.
 
-Each subcommand drives one module pipeline and emits CSV/JSON/SVG files
-whose first line embeds the fully resolved configuration, so any output
-file can be regenerated from its own header.  Writes are atomic
-(temp-file rename); identical config and seed give byte-identical output.
+Each subcommand runs in three stages in :func:`run`: resolve (validate
+the parameters), compute (the command's runner maps them to its files
+as text), write.  Every CSV/SVG file carries the fully resolved
+configuration in a header line and every JSON file under ``"config"``,
+so any output file can be regenerated from itself.  Files are written
+only after the computation has finished, each atomically (temp-file
+rename), so a failed run writes none; identical config and seed give
+byte-identical output.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (a toolkit
 error, or an overflow, division by zero or numpy/scipy domain error in
@@ -14,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -122,6 +125,9 @@ def resolve_params(command: str, raw: dict) -> dict:
 
     Unknown keys are rejected; every value is type-coerced and checked
     against its documented domain, with the unit in the error message.
+    A value from a config file is held to what its text would pass on
+    the command line: a bool is no value of any key, and a float is no
+    int (1500.9 would be cut to 1500).
     """
     schema = PARAM_SCHEMAS[command]
     unknown = set(raw) - set(schema)
@@ -133,8 +139,12 @@ def resolve_params(command: str, raw: dict) -> dict:
     for key, (typ, default, unit, domain) in schema.items():
         if key in raw and raw[key] is not None:
             try:
+                # bool is an int subclass, and int() truncates a float
+                if isinstance(raw[key], bool) or (
+                        typ is int and isinstance(raw[key], float)):
+                    raise TypeError
                 val = typ(raw[key])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise InvalidParameterError(
                     f"--{key} ({unit}): cannot parse {raw[key]!r} as {typ.__name__}")
         else:
@@ -170,16 +180,13 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _config_line(command: str, params: dict, seed: int) -> str:
-    payload = {"command": command, "params": params, "seed": seed}
-    return "zenograv config: " + json.dumps(payload, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
-# Subcommand pipelines
+# Subcommand pipelines: runner(params, seed, header) -> ({file name: text or
+# JSON payload}, summary).  ``header`` is the config line of CSV and SVG
+# files; a payload dict is written as JSON with the config under "config".
 # ---------------------------------------------------------------------------
 
-def _run_scatter(params, outdir, seed):
+def _run_scatter(params, seed, header):
     src = make_superposed_source(params["R"], params["density"], params["d"])
     v = params["R"] / params["t_R"]
     cfg = scatter.ScatterConfig.for_source(src, b=params["beta"] * params["R"],
@@ -196,75 +203,60 @@ def _run_scatter(params, outdir, seed):
         src = scatter.make_collapsed_sources(
             params["R"], params["density"], params["d"])[coin == "right"]
     traj = scatter.integrate_trajectory(src, cfg, params["m_probe"])
-    path = os.path.join(outdir, "trajectory.csv")
-    _atomic_write(path, csv_text("t,x,y,z,vx,vy,vz",
-                                 [traj.t, *traj.x.T, *traj.v.T],
-                                 _config_line("scatter", params, seed)))
-    return (f"theta={traj.deflection_angle:.6g} rad  hit={traj.hit_source}  "
-            f"samples={len(traj.t)}  steps={traj.n_accepted}  "
-            f"rejected={traj.n_rejected}  rhs_calls={traj.n_rhs}  "
-            f"source={coin}  -> {path}")
+    files = {"trajectory.csv": csv_text("t,x,y,z,vx,vy,vz",
+                                        [traj.t, *traj.x.T, *traj.v.T], header)}
+    return files, (f"theta={traj.deflection_angle:.6g} rad  "
+                   f"hit={traj.hit_source}  samples={len(traj.t)}  "
+                   f"steps={traj.n_accepted}  rejected={traj.n_rejected}  "
+                   f"rhs_calls={traj.n_rhs}  source={coin}")
 
 
-def _run_pattern(params, outdir, seed):
+def _run_pattern(params, seed, header):
     src = make_superposed_source(params["R"], params["density"], params["d"])
     v = params["R"] / params["t_R"]
     pattern = scatter.scan_pattern(
         src, (params["beta_min"], params["beta_max"]),
         (params["l_min"], params["l_max"]), params["n_b"], params["n_l"],
         v, params["m_probe"], mirror_l=bool(params["mirror"]))
-    header = _config_line("pattern", params, seed)
-    buf = io.StringIO()
-    scatter.pattern_to_csv(pattern, buf, header_comment=header)
-    csv_path = os.path.join(outdir, "pattern.csv")
-    _atomic_write(csv_path, buf.getvalue())
-    emitted = [csv_path]
     theta_ref = scatter.rutherford_angle(src.total_mass, v,
                                          params["beta_min"] * params["R"])
+    files = {"pattern.csv": scatter.pattern_to_csv(pattern, header)}
     if params["svg"]:
-        buf = io.StringIO()
-        scatter.pattern_to_svg(pattern, buf,
-                               dashed_radius=2 * math.tan(theta_ref / 2),
-                               header_comment=header)
-        svg_path = os.path.join(outdir, "pattern.svg")
-        _atomic_write(svg_path, buf.getvalue())
-        emitted.append(svg_path)
+        files["pattern.svg"] = scatter.pattern_to_svg(
+            pattern, dashed_radius=2 * math.tan(theta_ref / 2),
+            header_comment=header)
     clean = pattern.clean
     rmax = max(map(math.hypot, pattern.proj_x[clean].tolist(),
                    pattern.proj_y[clean].tolist()), default=float("nan"))
-    return (f"probes={pattern.hit.size}  hits={pattern.n_hit}  "
-            f"failed={pattern.n_failed}  max|proj|={rmax:.4g}  "
-            f"closed-form={2*math.tan(theta_ref/2):.4g}"
-            f"  -> {', '.join(emitted)}")
+    return files, (f"probes={pattern.hit.size}  hits={pattern.n_hit}  "
+                   f"failed={pattern.n_failed}  max|proj|={rmax:.4g}  "
+                   f"closed-form={2*math.tan(theta_ref/2):.4g}")
 
 
-def _run_eigen(params, outdir, seed):
+def _run_eigen(params, seed, header):
     spec = PotentialSpec1D(a=params["a"], b=params["b"], c=params["c"],
                            M=params["M"], d=params["d"])
     grid = (-params["x_max"], params["x_max"], params["n_points"])
     sol = solve_eigen(spec, n_states=max(2, params["n_states"]), grid=grid)
     cls = classify_ground_state(sol, spec)
-    csv_path = os.path.join(outdir, "eigen.csv")
-    _atomic_write(csv_path, csv_text(
-        "x,V_of_x,psi0,psi1",
-        [sol.x, spec.potential(sol.x), *sol.wavefunctions[:2]],
-        _config_line("eigen", params, seed)))
-    summary = {
-        "config": {"command": "eigen", "params": params, "seed": seed},
-        "E0_J": sol.energies[0], "E1_J": sol.energies[1],
-        "gap_J": sol.gap_01,
-        "gradient_J_per_m": potential_gradient(spec, 1.0),
-        "label": cls.label,
-        "relative_gap": cls.relative_gap,
-        "outside_fraction": cls.outside_fraction,
+    files = {
+        "eigen.csv": csv_text(
+            "x,V_of_x,psi0,psi1",
+            [sol.x, spec.potential(sol.x), *sol.wavefunctions[:2]], header),
+        "eigen_summary.json": {
+            "E0_J": sol.energies[0], "E1_J": sol.energies[1],
+            "gap_J": sol.gap_01,
+            "gradient_J_per_m": potential_gradient(spec, 1.0),
+            "label": cls.label,
+            "relative_gap": cls.relative_gap,
+            "outside_fraction": cls.outside_fraction,
+        },
     }
-    json_path = os.path.join(outdir, "eigen_summary.json")
-    _atomic_write(json_path, json.dumps(summary, indent=1, sort_keys=True) + "\n")
-    return (f"E0={sol.energies[0]:.4g} J  E1={sol.energies[1]:.4g} J  "
-            f"label={cls.label}  -> {csv_path}, {json_path}")
+    return files, (f"E0={sol.energies[0]:.4g} J  E1={sol.energies[1]:.4g} J  "
+                   f"label={cls.label}")
 
 
-def _run_zeno(params, outdir, seed):
+def _run_zeno(params, seed, header):
     g = params["g_over_hbar"] * CONST.hbar
     sys_model = zeno.spin_pair_model(g, probe_splitting=params[
         "probe_splitting_ratio"] * g)
@@ -275,68 +267,59 @@ def _run_zeno(params, outdir, seed):
                        params["n_tau"]) * tau_Z
     N = params["N"]
     runs = [zeno.strobo_evolve(sys_model, tau, N, alpha0) for tau in taus]
-    path = os.path.join(outdir, "zeno_scan.csv")
-    _atomic_write(path, csv_text(
+    files = {"zeno_scan.csv": csv_text(
         "tau,N,survival_sim,survival_formula,trace_dist",
         [taus, N, [r.survival_prob for r in runs],
          [zeno.survival_probability(tau, tau_Z, N)[0] for tau in taus],
-         [r.effective_H_error for r in runs]],
-        _config_line("zeno", params, seed)))
-    return f"freeze_time={tau_Z:.6g} s  N={N}  tau points={len(taus)}  -> {path}"
+         [r.effective_H_error for r in runs]], header)}
+    return files, f"freeze_time={tau_Z:.6g} s  N={N}  tau points={len(taus)}"
 
 
-def _run_decoherence(params, outdir, seed):
-    env = deco.Environment(pressure=params["pressure"], T_env=params["T_env"],
-                           T_int=params["T_int"])
+def _environment(params) -> deco.Environment:
+    return deco.Environment(pressure=params["pressure"], T_env=params["T_env"],
+                            T_int=params["T_int"])
+
+
+def _run_decoherence(params, seed, header):
+    env = _environment(params)
     Rs = np.logspace(math.log10(params["R_min"]), math.log10(params["R_max"]),
                      params["n_R"])
     with np.errstate(over="raise", divide="raise"):
         b = deco.total_decoherence(env, Rs)
-    path = os.path.join(outdir, "decoherence_sweep.csv")
-    _atomic_write(path, csv_text(
+    files = {"decoherence_sweep.csv": csv_text(
         "R,p,T_env,T_int,gamma_gas,gamma_bb_sc,gamma_bb_abs,gamma_bb_em,"
         "gamma_total",
         [Rs, env.pressure, env.T_env, env.T_int, b.gamma_gas, b.gamma_bb_sc,
-         b.gamma_bb_abs, b.gamma_bb_em, b.gamma_total],
-        _config_line("decoherence", params, seed)))
-    return f"R points={len(Rs)}  p={env.pressure} Pa  T={env.T_env} K  -> {path}"
+         b.gamma_bb_abs, b.gamma_bb_em, b.gamma_total], header)}
+    return files, f"R points={len(Rs)}  p={env.pressure} Pa  T={env.T_env} K"
 
 
 def _point_from_params(params) -> feasibility.ExperimentPoint:
-    env = deco.Environment(pressure=params["pressure"], T_env=params["T_env"],
-                           T_int=params["T_int"])
-    return feasibility.ExperimentPoint(env=env, **{
+    return feasibility.ExperimentPoint(env=_environment(params), **{
         f.name: params[f.name] for f in fields(feasibility.ExperimentPoint)
         if f.name != "env"})
 
 
-def _run_report(params, outdir, seed):
+def _run_report(params, seed, header):
     rep = feasibility.evaluate_point(_point_from_params(params))
-    payload = feasibility.report_to_dict(rep)
-    payload["config"] = {"command": "report", "params": params, "seed": seed}
-    path = os.path.join(outdir, "report.json")
-    _atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return (f"pass={rep.passed}  theta_max={rep.theta_max:.4g} rad  "
-            f"t_total={rep.t_total:.4g} s  "
-            f"gamma_required={rep.gamma_zeno_required:.4g} 1/s  "
-            f"KE={rep.kinetic_energy_eV:.4g} eV  -> {path}")
+    files = {"report.json": feasibility.report_to_dict(rep)}
+    return files, (f"pass={rep.passed}  theta_max={rep.theta_max:.4g} rad  "
+                   f"t_total={rep.t_total:.4g} s  "
+                   f"gamma_required={rep.gamma_zeno_required:.4g} 1/s  "
+                   f"KE={rep.kinetic_energy_eV:.4g} eV")
 
 
-def _run_feasibility(params, outdir, seed):
+def _run_feasibility(params, seed, header):
     base = _point_from_params(params)
     axes = [(params[f"axis{i}"], np.logspace(math.log10(params[f"a{i}_min"]),
                                              math.log10(params[f"a{i}_max"]),
                                              params[f"n{i}"])) for i in (1, 2)]
     grid = feasibility.sweep_region(*axes, base)
-    buf = io.StringIO()
-    feasibility.region_to_csv(
-        grid, buf, header_comment=_config_line("feasibility", params, seed))
-    path = os.path.join(outdir, "region.csv")
-    _atomic_write(path, buf.getvalue())
+    files = {"region.csv": feasibility.region_to_csv(grid, header)}
     n_pass = np.count_nonzero(grid.passed)
-    return (f"grid={params['n1']}x{params['n2']} over "
-            f"({params['axis1']},{params['axis2']})  pass={n_pass}/"
-            f"{grid.passed.size}  -> {path}")
+    return files, (f"grid={params['n1']}x{params['n2']} over "
+                   f"({params['axis1']},{params['axis2']})  pass={n_pass}/"
+                   f"{grid.passed.size}")
 
 
 _RUNNERS = {
@@ -375,10 +358,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(command: str, raw_params: dict, output_dir: str, seed: int) -> str:
-    """Resolve, validate and execute one subcommand; returns the summary line."""
+    """Resolve, compute and write one subcommand; returns the summary line.
+
+    The output directory is made before the computation, so that a bad
+    ``output_dir`` fails first; the files are written after it, so that
+    a failed computation writes none.
+    """
     params = resolve_params(command, raw_params)
     os.makedirs(output_dir, exist_ok=True)
-    return _RUNNERS[command](params, output_dir, seed)
+    config = {"command": command, "params": params, "seed": seed}
+    header = "zenograv config: " + json.dumps(config, sort_keys=True)
+    files, summary = _RUNNERS[command](params, seed, header)
+    paths = []
+    for name, content in files.items():
+        if isinstance(content, dict):   # a JSON payload
+            content = json.dumps({**content, "config": config}, indent=1,
+                                 sort_keys=True) + "\n"
+        paths.append(os.path.join(output_dir, name))
+        _atomic_write(paths[-1], content)
+    return f"{summary}  -> {', '.join(paths)}"
 
 
 _VALUE_FLAGS = {f"--{key}" for schema in PARAM_SCHEMAS.values()

@@ -390,9 +390,9 @@ def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
     return RegionGrid(*(c.ravel() for c in np.broadcast_arrays(*columns)))
 
 
-def region_to_csv(grid: RegionGrid, fh, header_comment: str | None = None):
-    """CSV: axis1,axis2,theta_max,t_total,gamma_required,sigma_ratio,mfp,KE_eV,pass."""
-    fh.write(csv_text("axis1,axis2,theta_max,t_total,gamma_required,"
-                      "sigma_ratio,mfp,KE_eV,pass",
-                      [getattr(grid, f.name) for f in fields(grid)],
-                      header_comment))
+def region_to_csv(grid: RegionGrid, header_comment: str | None = None) -> str:
+    """CSV text: axis1,axis2,theta_max,t_total,gamma_required,sigma_ratio,mfp,KE_eV,pass."""
+    return csv_text("axis1,axis2,theta_max,t_total,gamma_required,"
+                    "sigma_ratio,mfp,KE_eV,pass",
+                    [getattr(grid, f.name) for f in fields(grid)],
+                    header_comment)

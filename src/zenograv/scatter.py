@@ -698,17 +698,17 @@ def make_collapsed_sources(R: float, density: float, d: float):
 # Emission
 # ---------------------------------------------------------------------------
 
-def pattern_to_csv(pattern: ScatterPattern, fh, header_comment: str | None = None):
-    """CSV: beta,l,b,theta_rad,proj_x,proj_y,hit, one row per launched probe."""
-    fh.write(csv_text("beta,l,b,theta_rad,proj_x,proj_y,hit",
-                      (pattern.beta, pattern.l, pattern.b, pattern.theta,
-                       pattern.proj_x, pattern.proj_y, pattern.hit),
-                      header_comment))
+def pattern_to_csv(pattern: ScatterPattern, header_comment: str | None = None) -> str:
+    """CSV text: beta,l,b,theta_rad,proj_x,proj_y,hit, one row per launched probe."""
+    return csv_text("beta,l,b,theta_rad,proj_x,proj_y,hit",
+                    (pattern.beta, pattern.l, pattern.b, pattern.theta,
+                     pattern.proj_x, pattern.proj_y, pattern.hit),
+                    header_comment)
 
 
-def pattern_to_svg(pattern: ScatterPattern, fh, dashed_radius: float | None = None,
-                   header_comment: str | None = None):
-    """Static SVG of the projected pattern, colored by the sign of l.
+def pattern_to_svg(pattern: ScatterPattern, dashed_radius: float | None = None,
+                   header_comment: str | None = None) -> str:
+    """Static SVG text of the projected pattern, colored by the sign of l.
 
     A dashed circle (the closed-form maximum-deflection radius) can be
     overlaid for comparison with the simulated points.
@@ -723,23 +723,24 @@ def pattern_to_svg(pattern: ScatterPattern, fh, dashed_radius: float | None = No
     size = _SVG_SIZE
     scale = (size / 2.0) / (rmax * pad)
 
-    fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
+    out = ['<?xml version="1.0" encoding="UTF-8"?>\n']
     if header_comment:
-        fh.write(f"<!-- {header_comment} -->\n")
-    fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">\n')
-    fh.write(f'<rect width="{size}" height="{size}" fill="white"/>\n')
-    fh.write(f'<line x1="0" y1="{size/2}" x2="{size}" y2="{size/2}" '
-             'stroke="#cccccc" stroke-width="1"/>\n')
-    fh.write(f'<line x1="{size/2}" y1="0" x2="{size/2}" y2="{size}" '
-             'stroke="#cccccc" stroke-width="1"/>\n')
+        out.append(f"<!-- {header_comment} -->\n")
+    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+               f'height="{size}" viewBox="0 0 {size} {size}">\n')
+    out.append(f'<rect width="{size}" height="{size}" fill="white"/>\n')
+    out.append(f'<line x1="0" y1="{size/2}" x2="{size}" y2="{size/2}" '
+               'stroke="#cccccc" stroke-width="1"/>\n')
+    out.append(f'<line x1="{size/2}" y1="0" x2="{size/2}" y2="{size}" '
+               'stroke="#cccccc" stroke-width="1"/>\n')
     if dashed_radius:
-        fh.write(f'<circle cx="{size/2}" cy="{size/2}" r="{dashed_radius*scale:.2f}" '
-                 'fill="none" stroke="black" stroke-width="1" '
-                 'stroke-dasharray="6,4"/>\n')
+        out.append(f'<circle cx="{size/2}" cy="{size/2}" r="{dashed_radius*scale:.2f}" '
+                   'fill="none" stroke="black" stroke-width="1" '
+                   'stroke-dasharray="6,4"/>\n')
     for x, y, l in pts:
         color = "#d62728" if l > 0 else ("#1f77b4" if l < 0 else "#2ca02c")
-        fh.write(f'<circle cx="{size / 2.0 + x * scale:.2f}" '
-                 f'cy="{size / 2.0 - y * scale:.2f}" '
-                 f'r="2" fill="{color}" fill-opacity="0.7"/>\n')
-    fh.write("</svg>\n")
+        out.append(f'<circle cx="{size / 2.0 + x * scale:.2f}" '
+                   f'cy="{size / 2.0 - y * scale:.2f}" '
+                   f'r="2" fill="{color}" fill-opacity="0.7"/>\n')
+    out.append("</svg>\n")
+    return "".join(out)

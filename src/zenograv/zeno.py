@@ -20,7 +20,6 @@ System dimensions are small (toy models up to ~16 x 16 per factor).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -272,49 +271,19 @@ def zeno_rate_bounds(tau_Z, t_total):
 
 
 def survival_probability(tau: float, tau_Z: float, N: int) -> tuple[float, float]:
-    """Survival after N measurements: ((1-(tau/tau_Z)^2)^N, 1 - N (tau/tau_Z)^2)."""
+    """Survival after N measurements: ((1-(tau/tau_Z)^2)^N, 1 - N (tau/tau_Z)^2).
+
+    In the freeze regime the power is exp(N log1p(-x^2)), so a per-step
+    deficit x^2 below the rounding of 1 is kept.
+    """
     require((tau > 0) & (tau_Z > 0), "tau and tau_Z must be > 0")
     require(N >= 0, "N must be >= 0, got {}", N)
     if tau >= tau_Z:
         warnings.warn("tau >= tau_Z: outside the freeze regime, the quadratic "
                       "survival model is unreliable here", stacklevel=2)
     x2 = (tau / tau_Z) ** 2
-    return (1.0 - x2) ** N, 1.0 - N * x2
-
-
-# ---------------------------------------------------------------------------
-# Model serialization: dense complex matrices as [re, im] pairs, row-major
-# ---------------------------------------------------------------------------
-
-def _matrix_to_json(A: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(A, complex)]
-
-
-def _matrix_from_json(rows):
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
-def system_to_json(sys: BipartiteSystem) -> str:
-    data = {
-        "dim_P": sys.dim_P,
-        "dim_S": sys.dim_S,
-        "H_P": _matrix_to_json(sys.H_P),
-        "H_S": _matrix_to_json(sys.H_S),
-        "H_int": _matrix_to_json(sys.H_int),
-        "phi": [[float(z.real), float(z.imag)] for z in sys.phi],
-    }
-    return json.dumps(data, indent=1)
-
-
-def system_from_json(text: str) -> BipartiteSystem:
-    data = json.loads(text)
-    return BipartiteSystem(
-        dim_P=data["dim_P"], dim_S=data["dim_S"],
-        H_P=_matrix_from_json(data["H_P"]),
-        H_S=_matrix_from_json(data["H_S"]),
-        H_int=_matrix_from_json(data["H_int"]),
-        phi=np.array([complex(re, im) for re, im in data["phi"]]),
-    )
+    prod = math.exp(N * math.log1p(-x2)) if x2 < 1 else (1.0 - x2) ** N
+    return prod, 1.0 - N * x2
 
 
 def spin_pair_model(g: float, probe_splitting: float = 0.0) -> BipartiteSystem:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from zenograv import cli
 from zenograv import decoherence as deco
-from zenograv import feasibility
+from zenograv import feasibility, scatter
 from zenograv.errors import InvalidParameterError
 from zenograv.schrod1d import MAX_GRID_POINTS
 
@@ -74,6 +74,40 @@ class TestValidation:
         assert run_cli(["report", "--config", cfg,
                         "--output-dir", tmp_path]) == 2
 
+    # JSON numbers that no text on the command line would pass as: a
+    # float is not cut to an int, a bool is not 0 or 1, and an int
+    # beyond the float range is a validation error, not an overflow
+    @pytest.mark.parametrize("command,value,error", [
+        ("eigen", {"n_points": 1500.9}, "--n_points (grid points, at most "
+         "1000000): cannot parse 1500.9 as int"),
+        ("eigen", {"n_states": True}, "--n_states (eigenstates to solve): "
+         "cannot parse True as int"),
+        ("pattern", {"svg": 0.5}, "--svg (also emit SVG (0/1)): cannot "
+         "parse 0.5 as int"),
+        ("report", {"R": True}, "--R (m, source sphere radius): cannot "
+         "parse True as float"),
+        ("report", {"R": 10**400}, f"--R (m, source sphere radius): cannot "
+         f"parse {10**400} as float"),
+    ], ids=["float-for-int", "bool-for-int", "fraction-for-flag",
+            "bool-for-float", "int-beyond-float"])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, command,
+                                        value, error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(value))
+        assert run_cli([command, "--config", cfg,
+                        "--output-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"zenograv: validation error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,value", [
+        ("eigen", {"n_points": 1500}), ("report", {"density": 2600})],
+        ids=["eigen", "report"])
+    def test_config_int_values_run(self, tmp_path, command, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(value))
+        assert run_cli([command, "--config", cfg,
+                        "--output-dir", tmp_path]) == 0
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("args", [
@@ -115,6 +149,24 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert err.startswith(f"zenograv: numerical failure: {error}")
         assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+
+class TestFailedRunWritesNothing:
+    # a step after the first file's text is made fails: no file is written
+    @pytest.mark.parametrize("command,target", [
+        ("pattern", (scatter, "pattern_to_svg")),
+        ("eigen", (cli, "potential_gradient")),
+    ], ids=["pattern", "eigen"])
+    def test_output_dir_stays_empty(self, tmp_path, capsys, monkeypatch,
+                                    command, target):
+        def fail(*args, **kwargs):
+            raise FloatingPointError("injected")
+        monkeypatch.setattr(*target, fail)
+        args = ["--n_b", 2, "--n_l", 2] if command == "pattern" else []
+        assert run_cli([command, *args, "--output-dir", tmp_path]) == 3
+        assert capsys.readouterr().err == (
+            "zenograv: numerical failure: FloatingPointError: injected\n")
         assert not list(tmp_path.iterdir())
 
 
@@ -281,11 +333,13 @@ class TestSweeps:
 
     def test_zeno_deficit_below_the_rounding_of_one(self, tmp_path):
         # tau = 1e-9 freeze times: a per-step deficit of 1e-18, and
-        # 1 - 1e-9 after 1e9 measurements
+        # 1 - 1e-9 after 1e9 measurements; the closed form agrees
         assert run_cli(["zeno", "--N", 10**9, "--tau_min_ratio", "1e-9",
                         "--n_tau", 3, "--output-dir", tmp_path]) == 0
         lines = (tmp_path / "zeno_scan.csv").read_text().split("\n")
-        assert lines[2].split(",")[2] == "0.999999999"
+        assert lines[2].split(",")[2:4] == ["0.999999999", "0.999999999"]
+        # tau = 10^-5.5: exp(-0.01), 0.990049834 to 9 digits
+        assert lines[3].split(",")[2:4] == ["0.990049834", "0.990049834"]
 
     def test_decoherence_sweep_matches_scalar_rates(self, tmp_path):
         # one elementwise call over the R grid writes what per-R scalar

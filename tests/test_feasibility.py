@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 import time
@@ -229,19 +228,13 @@ class TestSweep:
         grid = sweep_region(("t_R", np.logspace(0.5, 1.5, 7)),
                             ("p", np.array([1e-15, 1e-12])), REF)
         assert {len(column) for column in vars(grid).values()} == {14}
-        buf = io.StringIO()
-        region_to_csv(grid, buf)
-        assert len(buf.getvalue().splitlines()) == 1 + 14
+        assert len(region_to_csv(grid).splitlines()) == 1 + 14
         assert sum(grid.passed.tolist()) == np.count_nonzero(grid.passed)
 
     def test_csv_deterministic(self):
         rows = sweep_region(("t_R", np.logspace(0.9, 1.3, 5)),
                             ("p", np.array([1e-15, 1e-12])), REF)
-        bufs = []
-        for _ in range(2):
-            buf = io.StringIO()
-            region_to_csv(rows, buf, header_comment="sweep")
-            bufs.append(buf.getvalue())
+        bufs = [region_to_csv(rows, header_comment="sweep") for _ in range(2)]
         assert bufs[0] == bufs[1]
         lines = bufs[0].strip().split("\n")
         assert lines[1] == ("axis1,axis2,theta_max,t_total,gamma_required,"

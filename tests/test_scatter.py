@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -434,9 +433,7 @@ def scalar_pattern(dist, pattern, v, **factors):
 
 
 def csv_lines(pattern):
-    buf = io.StringIO()
-    pattern_to_csv(pattern, buf)
-    return buf.getvalue().splitlines()[1:]
+    return pattern_to_csv(pattern).splitlines()[1:]
 
 
 def hit_grid(dist):
@@ -704,9 +701,7 @@ class TestEmission:
     def test_csv_format(self):
         src = single_sphere()
         pattern = scan_pattern(src, (1.2, 1.2), (0.0, 0.0), 1, 1, V, M_PROBE)
-        buf = io.StringIO()
-        pattern_to_csv(pattern, buf, header_comment="cfg")
-        lines = buf.getvalue().strip().split("\n")
+        lines = pattern_to_csv(pattern, header_comment="cfg").strip().split("\n")
         assert lines[0] == "# cfg"
         assert lines[1] == "beta,l,b,theta_rad,proj_x,proj_y,hit"
         assert len(lines) == 3
@@ -715,9 +710,7 @@ class TestEmission:
     def test_svg_is_static(self):
         src = single_sphere()
         pattern = scan_pattern(src, (1.2, 1.4), (0.0, R), 2, 2, V, M_PROBE)
-        buf = io.StringIO()
-        pattern_to_svg(pattern, buf, dashed_radius=2e-4)
-        svg = buf.getvalue()
+        svg = pattern_to_svg(pattern, dashed_radius=2e-4)
         assert svg.startswith("<?xml")
         assert "<script" not in svg
         assert "stroke-dasharray" in svg

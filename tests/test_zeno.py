@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -13,8 +12,7 @@ from zenograv.constants import CONST
 from zenograv.errors import InvalidParameterError
 from zenograv.zeno import (BipartiteSystem, effective_hamiltonian,
                            spin_pair_model, strobo_evolve,
-                           survival_probability, system_from_json,
-                           system_to_json, trace_distance,
+                           survival_probability, trace_distance,
                            zeno_rate_bounds, zeno_time_estimate, zeno_variance)
 
 HBAR = CONST.hbar
@@ -386,6 +384,15 @@ class TestRateEstimates:
         assert lin == pytest.approx(0.9, rel=1e-12)
         assert prod == pytest.approx(lin, rel=0.01)
 
+    @pytest.mark.parametrize("x", [1e-9, 1e-6, 1e-4])
+    def test_survival_formula_at_1e9_measurements(self, x):
+        # a per-step deficit x^2 down to 1e-18, below the rounding of 1
+        N = 10**9
+        prod, _ = survival_probability(x * TAU_Z, TAU_Z, N)
+        with mpmath.workdps(40):
+            exact = float((1 - mpmath.mpf(x) ** 2) ** N)
+        assert prod == pytest.approx(exact, rel=1e-12, abs=0)
+
     def test_survival_matches_simulation(self):
         for tau in (TAU_Z / 100, TAU_Z / 300):
             res = strobo_evolve(xx_model(), tau, 50, PLUS)
@@ -403,20 +410,3 @@ class TestRateEstimates:
         with pytest.raises(InvalidParameterError,
                            match="tau and tau_Z must be > 0"):
             survival_probability(tau, tau_Z, 10)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(8)
-        sys_m = random_system(rng, dP=2, dS=3)
-        clone = system_from_json(system_to_json(sys_m))
-        assert clone.dim_P == sys_m.dim_P and clone.dim_S == sys_m.dim_S
-        assert_allclose(clone.H_int, sys_m.H_int, atol=0)
-        assert_allclose(clone.phi, sys_m.phi, atol=0)
-
-    def test_re_im_pair_layout(self):
-        data = json.loads(system_to_json(xx_model()))
-        # row-major [re, im] pairs: kron(sx, sx) has g at (0, 3)
-        assert data["H_int"][0][3] == [G_COUPLING, 0.0]
-        assert data["H_int"][0][1] == [0.0, 0.0]
-        assert data["phi"][0] == [1.0, 0.0]
