@@ -5,9 +5,11 @@ the parameters), compute (the command's runner maps them to its files
 as text), write.  Every CSV/SVG file carries the fully resolved
 configuration in a header line and every JSON file under ``"config"``,
 so any output file can be regenerated from itself.  Files are written
-only after the computation has finished, each atomically (temp-file
-rename), so a failed run writes none; identical config and seed give
-byte-identical output.
+only after the computation has finished: each to a temp file beside it
+first, and these are renamed into place only once all are written and
+no target is a directory, so a failed run leaves none of its files
+(short of a failing rename) and no temp file.  Identical config and
+seed give byte-identical output.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (a toolkit
 error, or an overflow, division by zero or numpy/scipy domain error in
@@ -17,12 +19,12 @@ the arithmetic), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
 import os
 import sys
-import tempfile
 import warnings
 from dataclasses import fields
 
@@ -43,6 +45,7 @@ T_R_FIGURE = 10 ** 1.1   # s, the two-lobe pattern preset
 # derived from other parameters at resolve time.
 _POS = "pos"        # value must be > 0
 _NONNEG = "nonneg"  # value must be >= 0
+_FLAG = "flag"      # value must be 0 or 1
 _ANY = "any"
 
 # The feasibility point's parameters, read from the metadata of its
@@ -78,8 +81,8 @@ PARAM_SCHEMAS = {
         "n_l": (int, 40, "offset grid points", _POS),
         "t_R": (float, T_R_FIGURE, "s, R/v", _POS),
         "m_probe": _POINT_SCHEMA["m_probe"],
-        "svg": (int, 1, "also emit SVG (0/1)", _NONNEG),
-        "mirror": (int, 1, "mirror offsets to -l (0/1)", _NONNEG),
+        "svg": (int, 1, "also emit SVG (0/1)", _FLAG),
+        "mirror": (int, 1, "mirror offsets to -l (0/1)", _FLAG),
     },
     "eigen": {
         "a": (float, 1.0, "x^2 coefficient (dimensionless)", _ANY),
@@ -158,6 +161,8 @@ def resolve_params(command: str, raw: dict) -> dict:
                 raise InvalidParameterError(f"--{key} must be > 0 ({unit}), got {val}")
             if domain == _NONNEG and val < 0:
                 raise InvalidParameterError(f"--{key} must be >= 0 ({unit}), got {val}")
+            if domain == _FLAG and val not in (0, 1):
+                raise InvalidParameterError(f"--{key} must be 0 or 1 ({unit}), got {val}")
         params[key] = val
     # derived defaults
     if command in ("scatter", "pattern") and params.get("d") is None:
@@ -167,16 +172,31 @@ def resolve_params(command: str, raw: dict) -> dict:
     return params
 
 
-def _atomic_write(path: str, text: str):
-    dirname = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".zenograv-")
+def _write_files(texts: dict):
+    """Write each {path: text}: every text to a new temp file beside its
+    path, then, once all are written and no path is a directory, each
+    temp file renamed onto its path.  The temp files are opened as
+    ``open(path, "w")`` opens a new file (mode 0o666 less the umask), and
+    on any failure those not yet renamed are removed (a rename that fails
+    leaves the files renamed before it)."""
+    temps = {}
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            tmp = os.path.join(os.path.dirname(path),
+                               f".zenograv-{os.urandom(6).hex()}")
+            with open(tmp, "x") as fh:
+                temps[path] = tmp
+                fh.write(text)
+        for path in texts:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        path)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -369,14 +389,14 @@ def run(command: str, raw_params: dict, output_dir: str, seed: int) -> str:
     config = {"command": command, "params": params, "seed": seed}
     header = "zenograv config: " + json.dumps(config, sort_keys=True)
     files, summary = _RUNNERS[command](params, seed, header)
-    paths = []
+    texts = {}
     for name, content in files.items():
         if isinstance(content, dict):   # a JSON payload
             content = json.dumps({**content, "config": config}, indent=1,
                                  sort_keys=True) + "\n"
-        paths.append(os.path.join(output_dir, name))
-        _atomic_write(paths[-1], content)
-    return f"{summary}  -> {', '.join(paths)}"
+        texts[os.path.join(output_dir, name)] = content
+    _write_files(texts)
+    return f"{summary}  -> {', '.join(texts)}"
 
 
 _VALUE_FLAGS = {f"--{key}" for schema in PARAM_SCHEMAS.values()

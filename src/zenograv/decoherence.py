@@ -12,10 +12,12 @@ Every rate is elementwise: radius, separation and the environment's
 pressure and temperatures may be floats or broadcastable arrays (a grid
 of environments), and a scalar call returns floats.
 
-Each first-principles rate is paired with the rounded single-significant-
-figure coefficient form quoted in the reference tables these formulas are
-usually cited with; agreement within their rounding is a consistency
-check, not a second model.
+The rounded single-significant-figure coefficients quoted in the
+reference tables these formulas are usually cited with are kept as
+reference constants (GAS_COEFF, BB_SC_COEFF, BB_ABEM_COEFF, MFP_COEFF);
+the tests check the first-principles rates against them, and no rate is
+computed from them.  A channel is in the short-wavelength regime where
+x >= lambda_th, which callers read from its lambda_th.
 """
 
 from __future__ import annotations
@@ -73,9 +75,7 @@ class ChannelRate:
 
     Lambda: float            # m^-2 s^-1
     lambda_th: float         # m
-    gamma: float             # s^-1, rate actually used (exact saturating form)
-    gamma_rounded: float     # s^-1, from the rounded reference coefficient
-    regime: str              # "short" (x >= lambda_th) or "long"
+    gamma: float             # s^-1, exact saturating form
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,6 @@ class DecoherenceBreakdown:
     gamma_bb_abs: float
     gamma_bb_em: float
     gamma_total: float = field(init=False)   # the channel sum
-    regime_flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("gamma_gas", "gamma_bb_sc", "gamma_bb_abs", "gamma_bb_em"):
@@ -93,12 +92,6 @@ class DecoherenceBreakdown:
         object.__setattr__(self, "gamma_total",
                            self.gamma_gas + self.gamma_bb_sc
                            + self.gamma_bb_abs + self.gamma_bb_em)
-
-
-def _regime(x, lambda_th):
-    """"short" where x >= lambda_th, else "long" (a str or a str array)."""
-    flag = np.where(x >= lambda_th, "short", "long")
-    return str(flag) if flag.ndim == 0 else flag
 
 
 def gamma_distance(Lambda, lambda_th, x):
@@ -134,10 +127,8 @@ def rest_gas_rate(env: Environment, R) -> ChannelRate:
         raise RateOverflowError("rest-gas rate (lambda_th/hbar)(16 pi/3) "
                                 "p R^2 overflows the float range",
                                 cells=~np.isfinite(gamma_sat))
-    rounded = result(GAS_COEFF * env.pressure * R**2 / np.sqrt(env.T_env))
-    Lambda = gamma_sat / lam**2
-    return ChannelRate(Lambda=Lambda, lambda_th=lam, gamma=gamma_sat,
-                       gamma_rounded=rounded, regime=_regime(R, lam))
+    return ChannelRate(Lambda=gamma_sat / lam**2, lambda_th=lam,
+                       gamma=gamma_sat)
 
 
 def bb_thermal_wavelength(T):
@@ -169,16 +160,9 @@ def blackbody_rates(env: Environment, R, x
     L_abs = (1.0 / lam_e) ** 6 * (16 * np.pi**9 * c * R**3 / 189.0) * im_f
     L_em = (1.0 / lam_i) ** 6 * (16 * np.pi**9 * c * R**3 / 189.0) * im_f
 
-    def channel(L, lam, T, rounded_coeff, power):
-        rounded = rounded_coeff * R**(6 if power == 9 else 3) * T**power * x**2
-        return ChannelRate(Lambda=L, lambda_th=lam,
-                           gamma=gamma_distance(L, lam, x),
-                           gamma_rounded=rounded, regime=_regime(x, lam))
-
-    sc = channel(L_sc, lam_e, env.T_env, BB_SC_COEFF * re_f**2, 9)
-    ab = channel(L_abs, lam_e, env.T_env, BB_ABEM_COEFF * im_f, 6)
-    em = channel(L_em, lam_i, env.T_int, BB_ABEM_COEFF * im_f, 6)
-    return sc, ab, em
+    return tuple(ChannelRate(Lambda=L, lambda_th=lam,
+                             gamma=gamma_distance(L, lam, x))
+                 for L, lam in ((L_sc, lam_e), (L_abs, lam_e), (L_em, lam_i)))
 
 
 def total_decoherence(env: Environment, R) -> DecoherenceBreakdown:
@@ -192,9 +176,7 @@ def total_decoherence(env: Environment, R) -> DecoherenceBreakdown:
     sc, ab, em = blackbody_rates(env, R, R)
     return DecoherenceBreakdown(
         gamma_gas=gamma_gas, gamma_bb_sc=sc.gamma,
-        gamma_bb_abs=ab.gamma, gamma_bb_em=em.gamma,
-        regime_flags={"gas": gas.regime, "bb_sc": sc.regime,
-                      "bb_abs": ab.regime, "bb_em": em.regime})
+        gamma_bb_abs=ab.gamma, gamma_bb_em=em.gamma)
 
 
 def wavepacket_spread(m, t, delta_u):
@@ -220,24 +202,14 @@ def momentum_floor(m, t, v):
     return dp, dp / (m * v)
 
 
-@dataclass(frozen=True)
-class MeanFreePath:
-    value: float             # m, first-principles k_B T/(sqrt(2) A p)
-    rounded: float           # m, coefficient form MFP_COEFF * T/p
-    cross_section: float     # m^2, pi (d_H2/2 + R_probe)^2
-
-
-def mean_free_path(env: Environment, R_probe) -> MeanFreePath:
-    """Probe mean free path against the hydrogen rest gas.
-
-    First-principles value uses the geometric cross section of the probe
-    and a gas molecule; the rounded coefficient form folds an area
-    convention in and is carried for comparison only.  p = 0 gives an
-    infinite path.
+def mean_free_path(env: Environment, R_probe):
+    """Probe mean free path k_B T / (sqrt(2) A p) against the hydrogen
+    rest gas (m), with A = pi (d_H2/2 + R_probe)^2 the geometric cross
+    section of the probe and a gas molecule.  p = 0 gives an infinite
+    path.  (MFP_COEFF's rounded form folds an area convention in and is
+    a reference only.)
     """
     require(R_probe >= 0, "R_probe must be >= 0, got {}", R_probe)
     A = np.pi * (CONST.d_H2 / 2 + R_probe) ** 2
-    value = ratio_or_inf(CONST.k_B * env.T_env,
-                         math.sqrt(2) * A * env.pressure)
-    rounded = ratio_or_inf(MFP_COEFF * env.T_env, env.pressure)
-    return MeanFreePath(value=value, rounded=rounded, cross_section=A)
+    return ratio_or_inf(CONST.k_B * env.T_env,
+                        math.sqrt(2) * A * env.pressure)

@@ -227,7 +227,7 @@ def _evaluate(pt: ExperimentPoint):
     sigma_min, _ = deco.wavepacket_spread_min(pt.m_probe, t_used)
     sigma_ratio = sigma_min / pt.R
     _, dp_ratio = deco.momentum_floor(pt.m_probe, t_used, v)
-    mfp = deco.mean_free_path(pt.env, pt.R_probe).value
+    mfp = deco.mean_free_path(pt.env, pt.R_probe)
     ke_eV = joules_to_ev(0.5 * pt.m_probe * v**2)
     path = v * t_used
     achievable = pt.gamma_zeno_achievable

@@ -85,11 +85,6 @@ class MassDistribution:
         return max([c.radius for c in self.components]
                    + [sep for _, _, sep in self._pairs()])
 
-    def to_dict(self) -> dict:
-        return {"components": [{"center": list(c.center),
-                                "radius": c.radius,
-                                "mass": c.mass} for c in self.components]}
-
     @classmethod
     def from_dict(cls, data: dict) -> "MassDistribution":
         comps = [SphereComponent(tuple(c["center"]), c["radius"], c["mass"])

@@ -165,13 +165,10 @@ def find_wells(spec: PotentialSpec1D, x_max: float = 4.0) -> dict:
 
 @dataclass(frozen=True)
 class GroundStateClassification:
-    label: str                 # one of the three labels below
+    label: str                 # see classify_ground_state
     relative_gap: float        # (E1 - E0)/|E0|
     outside_fraction: float    # |psi0|^2 probability beyond the central barrier
     barrier_position: float | None   # +x barrier location (units of d) or None
-
-    LABELS = ("near-degenerate-double-well", "delocalized-triple-well",
-              "central-harmonic-like")
 
 
 def classify_ground_state(sol: EigenSolution, spec: PotentialSpec1D

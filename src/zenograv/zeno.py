@@ -31,7 +31,6 @@ from .elementwise import require
 from .errors import InvalidParameterError
 
 _HERM_TOL = 1e-12
-_EIGEN_TOL = 1e-10   # phi_is_eigenstate: residual relative to ||H_S||
 
 
 def _check_hermitian(A: np.ndarray, name: str):
@@ -88,15 +87,6 @@ class BipartiteSystem:
         """1 x P_phi on the product space."""
         P = np.outer(self.phi, self.phi.conj())
         return np.kron(np.eye(self.dim_P), P)
-
-    def phi_is_eigenstate(self) -> bool:
-        """Whether the source Hamiltonian leaves phi invariant (trapped source)."""
-        norm = np.linalg.norm(self.H_S, 2)
-        if norm == 0.0:
-            return True
-        r = self.H_S @ self.phi
-        E = np.vdot(self.phi, r)
-        return bool(np.linalg.norm(r - E * self.phi) <= _EIGEN_TOL * norm)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import stat
 import subprocess
 import sys
 import tempfile
@@ -42,6 +43,15 @@ class TestReport:
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["point"]["t_R_s"] == 10.0
         assert data["point"]["pressure_Pa"] == 1e-15
+
+    def test_file_mode_is_that_of_open(self, tmp_path):
+        # a written file gets the mode a new file opened by open() gets,
+        # 0o666 less the umask, not a temp file's owner-only 0o600
+        assert run_cli(["report", "--output-dir", tmp_path / "out"]) == 0
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert (stat.S_IMODE((tmp_path / "out" / "report.json").stat().st_mode)
+                == stat.S_IMODE((tmp_path / "plain").stat().st_mode))
 
 
 class TestValidation:
@@ -88,13 +98,30 @@ class TestValidation:
          "parse True as float"),
         ("report", {"R": 10**400}, f"--R (m, source sphere radius): cannot "
          f"parse {10**400} as float"),
+        ("pattern", {"svg": 7}, "--svg must be 0 or 1 (also emit SVG "
+         "(0/1)), got 7"),
+        ("pattern", {"mirror": 3}, "--mirror must be 0 or 1 (mirror offsets "
+         "to -l (0/1)), got 3"),
     ], ids=["float-for-int", "bool-for-int", "fraction-for-flag",
-            "bool-for-float", "int-beyond-float"])
+            "bool-for-float", "int-beyond-float", "svg-not-0-or-1",
+            "mirror-not-0-or-1"])
     def test_config_value_of_wrong_type(self, tmp_path, capsys, command,
                                         value, error):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(value))
         assert run_cli([command, "--config", cfg,
+                        "--output-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"zenograv: validation error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args,error", [
+        (["--svg", "7"], "--svg must be 0 or 1 (also emit SVG (0/1)), got 7"),
+        (["--mirror", "3"], "--mirror must be 0 or 1 (mirror offsets to -l "
+         "(0/1)), got 3"),
+        (["--svg", "-1"], "--svg must be 0 or 1 (also emit SVG (0/1)), got -1"),
+    ], ids=["svg-7", "mirror-3", "svg-minus-1"])
+    def test_flag_outside_0_or_1(self, tmp_path, capsys, args, error):
+        assert run_cli(["pattern", "--n_b", 1, "--n_l", 1, *args,
                         "--output-dir", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == f"zenograv: validation error: {error}\n"
         assert not (tmp_path / "out").exists()
@@ -168,6 +195,18 @@ class TestFailedRunWritesNothing:
         assert capsys.readouterr().err == (
             "zenograv: numerical failure: FloatingPointError: injected\n")
         assert not list(tmp_path.iterdir())
+
+    def test_directory_in_place_of_a_file(self, tmp_path, capsys):
+        # pattern.svg is a directory: the run fails before any rename, so
+        # it leaves neither pattern.csv nor a temp file
+        (tmp_path / "pattern.svg").mkdir()
+        assert run_cli(["pattern", "--n_b", 1, "--n_l", 1,
+                        "--output-dir", tmp_path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("zenograv: I/O error: ") and "pattern.svg" in err
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["pattern.svg"]
+        assert not list((tmp_path / "pattern.svg").iterdir())
 
 
 class TestEigen:
@@ -579,8 +618,8 @@ PARAM_SCHEMAS = {
         "n_l": (int, 40, "offset grid points", "pos"),
         "t_R": (float, FIGURE_T_R, "s, R/v", "pos"),
         "m_probe": (float, 1e-18, "kg, probe mass", "pos"),
-        "svg": (int, 1, "also emit SVG (0/1)", "nonneg"),
-        "mirror": (int, 1, "mirror offsets to -l (0/1)", "nonneg"),
+        "svg": (int, 1, "also emit SVG (0/1)", "flag"),
+        "mirror": (int, 1, "mirror offsets to -l (0/1)", "flag"),
     },
     "eigen": {
         "a": (float, 1.0, "x^2 coefficient (dimensionless)", "any"),

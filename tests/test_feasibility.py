@@ -286,7 +286,7 @@ def _reference_cell(pt):
         gamma_deco, deco_ok = math.nan, False
     sigma_ratio = deco.wavepacket_spread_min(pt.m_probe, t_used)[0] / pt.R
     dp_ratio = deco.momentum_floor(pt.m_probe, t_used, pt.v)[1]
-    mfp = deco.mean_free_path(pt.env, pt.R_probe).value
+    mfp = deco.mean_free_path(pt.env, pt.R_probe)
     path = pt.v * t_used
     margins = (
         theta / pt.theta_min,

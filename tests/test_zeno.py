@@ -85,12 +85,6 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             strobo_evolve(sys_m, -0.1, 5, PLUS)
 
-    def test_eigenstate_flag(self):
-        assert xx_model().phi_is_eigenstate()
-        sys_m = BipartiteSystem(2, 2, np.zeros((2, 2)), G_COUPLING * SX,
-                                np.zeros((4, 4)), np.array([1.0, 0.0]))
-        assert not sys_m.phi_is_eigenstate()
-
 
 class TestEffectiveHamiltonian:
     def test_decoupled_is_probe_plus_energy(self):
