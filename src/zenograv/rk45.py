@@ -252,7 +252,7 @@ def brentq(f, xa, xb):
     return root
 
 
-def initial_step(fun, y, f, atol, rtol, t_bound, max_step):
+def initial_step(fun, y, f, atol, rtol, t_bound):
     """scipy's ``select_initial_step`` for each probe, from t0 = 0.
 
     Takes rows: y and f are (n, 6), atol and rtol broadcast against
@@ -267,4 +267,4 @@ def initial_step(fun, y, f, atol, rtol, t_bound, max_step):
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                   np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.where(d2 > d1, d2, d1)) ** (-ERROR_EXPONENT))
-    return np.minimum(np.minimum(100 * h0, h1), np.minimum(t_bound, max_step))
+    return np.minimum(np.minimum(100 * h0, h1), t_bound)

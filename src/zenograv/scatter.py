@@ -61,7 +61,6 @@ class ScatterConfig:
     l: float                 # offset along x (m)
     v: float                 # launch speed along +z (m/s)
     z_start: float           # launch z, negative (m)
-    dt_max: float            # max integrator step (s)
     t_max: float             # integration cutoff (s)
     r_stop: float            # escape radius (m)
     rtol: float = DEFAULT_RTOL
@@ -73,11 +72,16 @@ class ScatterConfig:
         require((self.v > 0) & (self.v < CONST.c),
                 "v must be in (0, c) m/s (Newtonian probe), got {}", self.v)
         require(self.z_start < 0, "z_start must be < 0, got {}", self.z_start)
-        require(self.dt_max > 0, "dt_max must be > 0, got {}", self.dt_max)
-        require(self.t_max > 0, "t_max must be > 0, got {}", self.t_max)
         require(self.r_stop > abs(self.z_start),
                 "r_stop ({}) must exceed |z_start| ({})", self.r_stop,
                 -self.z_start)
+        # an infinite r_stop**2 (the escape test squares radii) or t_max
+        # would never end a run
+        with np.errstate(over="ignore"):
+            require(np.isfinite(self.r_stop * self.r_stop),
+                    "r_stop**2 must be finite, got r_stop={}", self.r_stop)
+        require((self.t_max > 0) & np.isfinite(self.t_max),
+                "t_max must be finite and > 0, got {}", self.t_max)
         require(self.rtol > 0, "rtol must be > 0, got {}", self.rtol)
 
     @classmethod
@@ -100,7 +104,6 @@ class ScatterConfig:
         launch = np.sqrt(b * b + l * l + z_start * z_start)
         r_stop = result(np.maximum(stop_factor * scale, 1.5 * launch))
         return cls(b=b, l=l, v=v, z_start=z_start,
-                   dt_max=scale / v,
                    t_max=50.0 * (abs(z_start) + r_stop) / v,
                    r_stop=r_stop, rtol=rtol)
 
@@ -196,13 +199,12 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     if not all(map(math.isfinite, y)):
         raise IntegratorFailureError(_NON_FINITE)
     rtol = max(cfg.rtol, rk45.RTOL_FLOOR)
-    t_bound, max_step, r_stop = cfg.t_max, cfg.dt_max, cfg.r_stop
+    t_bound, r_stop = cfg.t_max, cfg.r_stop
     f = rhs(y)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h_abs = float(rk45.initial_step(lambda rows: np.array([rhs(rows[0])]),
                                     np.array([y]), np.array([f]),
-                                    np.array(atol), rtol, t_bound,
-                                    max_step)[0])
+                                    np.array(atol), rtol, t_bound)[0])
     t = 0.0
     g = _radius(y) - r_stop
     retry = False
@@ -221,11 +223,8 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
 
     while True:
         min_step = 10 * math.ulp(t)
-        if not retry:
-            if h_abs > max_step:
-                h_abs = max_step
-            elif h_abs < min_step:
-                h_abs = min_step
+        if not retry and h_abs < min_step:
+            h_abs = min_step
         if not (h_abs >= min_step):
             raise IntegratorFailureError(_TOO_SMALL)
         t_new = min(t + h_abs, t_bound)
@@ -446,8 +445,8 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
     scipy RK45's controller reproduced probe by probe: the initial step
     of ``select_initial_step``, the RMS error norm with scale
     atol + max(|y|, |y_new|) rtol, safety 0.9, step factors clamped to
-    [0.2, 10] and no growth right after a rejection, min_step = 10 ulp(t),
-    max_step = dt_max and clipping at t_max.  A probe retires at its
+    [0.2, 10] and no growth right after a rejection, min_step = 10 ulp(t)
+    and clipping at t_max; no cap on the step.  A probe retires at its
     outward r_stop crossing, at t_max (UnterminatedTrajectoryError), on a
     non-finite accepted state or when its step underflows
     (IntegratorFailureError); the error slot then holds the exception, the
@@ -466,9 +465,9 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
     y0, atol0 = _launch(cfg)
     columns = np.reshape(np.broadcast_arrays(
         *y0, *atol0, np.maximum(cfg.rtol, rk45.RTOL_FLOOR), cfg.t_max,
-        cfg.dt_max, cfg.r_stop), (16, -1))
+        cfg.r_stop), (15, -1))
     y, atol = columns[:6], columns[6:12]
-    rtol, t_bound, max_step, r_stop = columns[12:]
+    rtol, t_bound, r_stop = columns[12:]
     n = y.shape[1]
 
     y_end = np.full((n, 6), np.nan)
@@ -496,7 +495,7 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = fun(y)
         h_abs = rk45.initial_step(lambda rows: fun(rows.T).T, y.T, f.T,
-                                  atol.T, rtol[:, None], t_bound, max_step)
+                                  atol.T, rtol[:, None], t_bound)
         t = np.zeros(n)
         g = radius(y) - r_stop           # escape event value
         retry = np.zeros(n, dtype=bool)  # last attempt was rejected
@@ -504,18 +503,15 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
         while True:
             if done.any():
                 keep = ~done
-                (idx, t, h_abs, retry, g, rtol, t_bound, max_step,
-                 r_stop) = (a[keep] for a in (idx, t, h_abs, retry, g, rtol,
-                                              t_bound, max_step, r_stop))
+                idx, t, h_abs, retry, g, rtol, t_bound, r_stop = (
+                    a[keep] for a in (idx, t, h_abs, retry, g, rtol, t_bound,
+                                      r_stop))
                 y, f, atol = y[:, keep], f[:, keep], atol[:, keep]
             m = len(idx)
             if m == 0:
                 break
             min_step = 10 * np.spacing(t)
-            fresh = ~retry
-            h_abs = np.where(fresh & (h_abs > max_step), max_step,
-                             np.where(fresh & (h_abs < min_step), min_step,
-                                      h_abs))
+            h_abs = np.where(~retry & (h_abs < min_step), min_step, h_abs)
             stuck = ~(h_abs >= min_step)
             t_new = np.minimum(t + h_abs, t_bound)
             h = t_new - t

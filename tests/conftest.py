@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from zenograv.errors import IntegratorFailureError
 from zenograv.scatter import (ProbeTrajectory, ScatterConfig, _launch,
@@ -40,26 +41,41 @@ def stack(cfgs):
                             for name in ScatterConfig.__dataclass_fields__})
 
 
-def anomaly_crossing_elapsed(traj, phi_target):
-    """Elapsed time between the +-phi_target true-anomaly crossings.
+def anomaly_crossing_elapsed(traj, phi_target, GM):
+    """Elapsed time between the +-phi_target true-anomaly crossings of a
+    trajectory about a point mass GM at the origin.
 
-    Independent timing oracle: reads the crossing times straight off the
-    integrated samples (linear interpolation), with the periapsis
-    direction taken from the closest-approach sample.
+    Independent timing oracle: the periapsis direction is that of the
+    eccentricity (Laplace-Runge-Lenz) vector v x (x x v)/GM - x/|x| of the
+    closest-approach sample, and each crossing is the root of the anomaly
+    on the cubic Hermite interpolant of the positions and velocities of
+    the two samples that bracket it.
     """
     rn = np.linalg.norm(traj.x, axis=1)
     ip = int(np.argmin(rn))
-    peri = traj.x[ip] / rn[ip]
-    phi = np.arccos(np.clip(traj.x @ peri / rn, -1.0, 1.0))
-    pre = np.nonzero(phi[:ip] >= phi_target)[0]
-    i0 = pre[-1]
-    t_pre = np.interp(phi_target, [phi[i0 + 1], phi[i0]],
-                      [traj.t[i0 + 1], traj.t[i0]])
-    post = np.nonzero(phi[ip:] >= phi_target)[0] + ip
-    i1 = post[0]
-    t_post = np.interp(phi_target, [phi[i1 - 1], phi[i1]],
-                       [traj.t[i1 - 1], traj.t[i1]])
-    return t_post - t_pre
+    x, v = traj.x[ip], traj.v[ip]
+    ecc = np.cross(v, np.cross(x, v)) / GM - x / rn[ip]
+    peri = ecc / np.linalg.norm(ecc)
+    cos_target = math.cos(phi_target)
+    cos_phi = traj.x @ peri / rn
+
+    def crossing(i):
+        # samples i and i + 1 bracket the crossing
+        (t0, t1), (p0, p1), (v0, v1) = (traj.t[i:i + 2], traj.x[i:i + 2],
+                                        traj.v[i:i + 2])
+        h = t1 - t0
+
+        def excess(s):
+            p = ((2 * s**3 - 3 * s**2 + 1) * p0
+                 + (s**3 - 2 * s**2 + s) * h * v0
+                 + (-2 * s**3 + 3 * s**2) * p1 + (s**3 - s**2) * h * v1)
+            return p @ peri / np.linalg.norm(p) - cos_target
+
+        return t0 + h * brentq(excess, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
+
+    before = np.nonzero(cos_phi[:ip] <= cos_target)[0][-1]
+    after = np.nonzero(cos_phi[ip:] <= cos_target)[0][0] + ip - 1
+    return crossing(after) - crossing(before)
 
 
 def scipy_trajectory(dist, cfg):
@@ -96,8 +112,8 @@ def scipy_trajectory(dist, cfg):
 
     y0, atol = _launch(cfg)
     sol = solve_ivp(rhs, (0.0, cfg.t_max), y0, method="RK45",
-                    rtol=cfg.rtol, atol=atol, max_step=cfg.dt_max,
-                    events=escape, dense_output=False)
+                    rtol=cfg.rtol, atol=atol, events=escape,
+                    dense_output=False)
 
     pos = sol.y[:3].T.copy()
     vel = sol.y[3:].T.copy()

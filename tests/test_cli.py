@@ -70,6 +70,21 @@ class TestValidation:
     def test_unparseable_value(self, tmp_path, capsys):
         assert run_cli(["report", "--R", "tiny", "--output-dir", tmp_path]) == 2
 
+    # a launch whose r_stop**2 or t_max overflows would never end, and a
+    # far one must end within its few error-controlled steps; each runs
+    # in its own process, so that a hang fails on the timeout
+    @pytest.mark.parametrize("args,code,err", [
+        (["pattern", "--d", "1e300", "--n_b", "1", "--n_l", "1", "--svg", "0"],
+         2, "zenograv: validation error: r_stop**2 must be finite, got "
+         "r_stop=inf\n"),
+        (["scatter", "--beta", "4e16"], 0, ""),
+    ], ids=["d-1e300", "beta-4e16"])
+    def test_far_launch_ends(self, tmp_path, args, code, err):
+        proc = subprocess.run([sys.executable, "-m", "zenograv.cli", *args,
+                               "--output-dir", str(tmp_path)],
+                              capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stderr) == (code, err)
+
     def test_bad_coin(self, tmp_path):
         assert run_cli(["scatter", "--collapsed", "sideways",
                         "--output-dir", tmp_path]) == 2
@@ -261,25 +276,25 @@ class TestPattern:
         assert (d1 / "pattern.csv").read_bytes() == (d2 / "pattern.csv").read_bytes()
         assert (d1 / "pattern.svg").read_bytes() == (d2 / "pattern.svg").read_bytes()
 
-    # sha256 of pattern.csv and pattern.svg, as emitted before the lockstep
-    # engine went coordinate-major (x86-64 Linux, numpy 2.4): an engine
+    # sha256 of pattern.csv and pattern.svg, as emitted once the step was
+    # set by the error control alone (x86-64 Linux, numpy 2.4): an engine
     # change that moves one byte of these fails here.  The grids are the
     # benchmark-shaped 12x12 and the 6x5 one of which some probes hit the
     # source, each on the two-lobe source and with --d 0.
     GOLDEN = {
         ("--n_b", "12", "--n_l", "12"): (
-            "1860d526bcb2513ad74d4740062ef0254867c531a3afee68422e0091ea4f8077",
+            "e90f5e7df2cc24820da7c493c7f119ba2d183c0d471b9dec1eb7d36330a1ad8c",
             "d0ffe54bd22607a20e2624712f373dc1aaa7a721721cb2066544abdd41ef0562"),
         ("--n_b", "12", "--n_l", "12", "--d", "0"): (
-            "1f49564e5a33973f285837e9622832fd5aa1df99d5fc05e34dfce4bc9cb59e08",
+            "386f8b6dcc79aa96418938806c6917c20082eed664e66cb17e22c2a904c2388f",
             "e814446b0d2a2560a64199e4c82153de15eb8438cd866e3927f5e659c641526f"),
         ("--n_b", "6", "--n_l", "5", "--beta_min", "0.3", "--beta_max",
          "1.6"): (
-            "7edd6f44bebc816a55173ccda174e3d6f26596c035fa32a729e4dc28f16fa060",
+            "304004b961e77471ff6c9c342f7fcad7054ce11f743251b72b981b12ab2d2a64",
             "8aa3729360c1e38295a2473d9f7560b5bf6f4b09b08ede5de78dc23117aa8021"),
         ("--n_b", "6", "--n_l", "5", "--beta_min", "0.3", "--beta_max",
          "1.6", "--d", "0"): (
-            "08786eb5739c612ac3607f7c2af4084f502c7623a906546b7b9015cc4a786ed1",
+            "c1b6db6d5a470eac2f4a12f8072a5ae84f96e174fbbae6698d2c718c52af9b01",
             "a21df26916908f546b97dde20e7b8aa357a5ac27d8c9eb8eb23182308af08382"),
     }
 

@@ -10,7 +10,7 @@ from conftest import anomaly_crossing_elapsed, oracle_config
 
 from zenograv import decoherence as deco
 from zenograv import scatter, zeno
-from zenograv.constants import joules_to_ev
+from zenograv.constants import CONST, joules_to_ev
 from zenograv.decoherence import Environment
 from zenograv.errors import InvalidParameterError, ZenogravError
 from zenograv.feasibility import (SWEEP_AXES, ExperimentPoint, _apply_axes,
@@ -157,7 +157,8 @@ class TestAgainstSimulation:
             assert rep.theta_max == pytest.approx(traj.deflection_angle,
                                                   rel=0.05)
             phi_target = pt.zeta * 0.5 * (np.pi + rep.theta_max)
-            elapsed = anomaly_crossing_elapsed(traj, phi_target)
+            elapsed = anomaly_crossing_elapsed(traj, phi_target,
+                                               CONST.G * src.total_mass)
             assert rep.t_total == pytest.approx(elapsed, rel=0.05)
 
 

@@ -28,36 +28,36 @@ GOLDEN = [
      "probes=3160  hits=0  failed=0  max|proj|=0.0001288  "
      "closed-form=0.000192",
      {"pattern.csv":
-      "733d1707139dcf7f9d59ff8c9a6a2a847e89052fb1d5e9af578ea332b1e6bde1",
+      "2866ff55230b2f82a309926486359a4df21bff49b36ec8161e7901beb73489f4",
       "pattern.svg":
       "9a2663efc70a369261084049a1e06dc79c13bfcc3269aa10586665ac7f1c0519"}),
     ("pattern --d 0",
      "probes=3160  hits=0  failed=0  max|proj|=0.000192  "
      "closed-form=0.000192",
      {"pattern.csv":
-      "27eb44e0d30997208e24d7c1072879e72f79262a03c0d8b6ddf5eb380a3ed5c9",
+      "4e28deecef868991f62645c6fb8f6f25eeb08905430c43db718a47ece17ebd00",
       "pattern.svg":
       "82726b0c3f09c96345a74928ba606665fbc0a7b6a35c0a18f19d694c2586ce0d"}),
     ("scatter --l 1e-5",
-     "theta=0.000128577 rad  hit=False  samples=198  steps=197  "
-     "rejected=18  rhs_calls=1292  source=none",
+     "theta=0.000128577 rad  hit=False  samples=87  steps=86  "
+     "rejected=29  rhs_calls=692  source=none",
      {"trajectory.csv":
-      "5dafbef05e9f2badfda8b9dbf99a97afd5fa5d76eb137902cf13859739492f50"}),
+      "e70af32ceb5771cda7dffcb6bf8c5750eb5a5dff9417f9e8408a3d1a4079828f"}),
     ("scatter --collapsed left",
-     "theta=0.000147493 rad  hit=False  samples=197  steps=196  "
-     "rejected=17  rhs_calls=1280  source=left",
+     "theta=0.000147493 rad  hit=False  samples=87  steps=86  "
+     "rejected=28  rhs_calls=686  source=left",
      {"trajectory.csv":
-      "915d52de8e3f4535d8c7af96473113b97ab2379661ea3384dd81b9b843bc1fa6"}),
+      "f5916054bf19b546c21c7b621945f3b0beb0188a9531affe1cc6014ab80fa4ad"}),
     ("scatter --collapsed right",
-     "theta=0.000147493 rad  hit=False  samples=197  steps=196  "
-     "rejected=17  rhs_calls=1280  source=right",
+     "theta=0.000147493 rad  hit=False  samples=87  steps=86  "
+     "rejected=28  rhs_calls=686  source=right",
      {"trajectory.csv":
-      "c85635949d8c9bf91b441dbc95ca1b93b4dfc9294ecb8054183acca1195bd146"}),
+      "f3442e0b8ae2c8beba6ee4c281ffb48688df0ca0ef477141a5d2dfe0aa7b3060"}),
     ("scatter --collapsed random",
-     "theta=0.000147493 rad  hit=False  samples=197  steps=196  "
-     "rejected=17  rhs_calls=1280  source=right",
+     "theta=0.000147493 rad  hit=False  samples=87  steps=86  "
+     "rejected=28  rhs_calls=686  source=right",
      {"trajectory.csv":
-      "2ddbbbeca2cab83cb8e019b986497ea45e300a4856063ef33f9031265d880e7b"}),
+      "7e41f3e66df600553000b7084a751e9454ba8e09180f9aa6d676f0f84d336af9"}),
     ("eigen",
      "E0=-1e-47 J  E1=-8.864e-48 J  label=delocalized-triple-well",
      {"eigen.csv":

@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
 from zenograv import rk45, scatter
 from zenograv.constants import CONST
@@ -28,6 +30,7 @@ V = R / T_R
 M_PROBE = 1e-18
 
 
+import conftest
 from conftest import (anomaly_crossing_elapsed, clean_rows, launch_configs,
                       oracle_config, scipy_trajectory, stack)
 
@@ -39,18 +42,24 @@ def single_sphere(radius=R, rho=RHO):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            ScatterConfig(b=R, l=0, v=-1, z_start=-1e-3, dt_max=1, t_max=1,
-                          r_stop=1e-2)
+            ScatterConfig(b=R, l=0, v=-1, z_start=-1e-3, t_max=1, r_stop=1e-2)
         with pytest.raises(InvalidParameterError):
-            ScatterConfig(b=R, l=0, v=V, z_start=1e-3, dt_max=1, t_max=1,
-                          r_stop=1e-2)
+            ScatterConfig(b=R, l=0, v=V, z_start=1e-3, t_max=1, r_stop=1e-2)
         with pytest.raises(InvalidParameterError):
-            ScatterConfig(b=R, l=0, v=V, z_start=-1e-3, dt_max=1, t_max=1,
+            ScatterConfig(b=R, l=0, v=V, z_start=-1e-3, t_max=1,
                           r_stop=0.5e-3)
+        # a run that nothing would end: the escape test squares r_stop
+        with pytest.raises(InvalidParameterError, match=r"r_stop\*\*2 must "
+                           r"be finite, got r_stop=1e\+200"):
+            ScatterConfig(b=R, l=0, v=V, z_start=-1e-3, t_max=1, r_stop=1e200)
+        with pytest.raises(InvalidParameterError,
+                           match="t_max must be finite and > 0, got inf"):
+            ScatterConfig(b=R, l=0, v=V, z_start=-1e-3, t_max=math.inf,
+                          r_stop=1e-2)
 
     def test_nan_launch_rejected(self):
-        ok = dict(b=R, l=0.0, v=V, z_start=-1e-3, dt_max=1.0, t_max=1.0,
-                  r_stop=1e-2, rtol=1e-9)
+        ok = dict(b=R, l=0.0, v=V, z_start=-1e-3, t_max=1.0, r_stop=1e-2,
+                  rtol=1e-9)
         for key in ok:
             with pytest.raises(InvalidParameterError):
                 ScatterConfig(**{**ok, key: float("nan")})
@@ -66,7 +75,7 @@ class TestConfig:
         src = make_superposed_source(R, RHO, D)
         cfg = ScatterConfig.for_source(src, b=1.2 * R, l=0.5 * R, v=V)
         assert [type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)
-                ] == [float] * 8
+                ] == [float] * 7
 
     def test_table_equals_one_probe_configs(self):
         # the last launch is far enough out that r_stop is raised to 1.5
@@ -94,8 +103,8 @@ class TestConfig:
                                      v=np.array([V, -1.0, -2.0]))
         assert str(exc.value).endswith("(Newtonian probe), got -1.0")
         with pytest.raises(InvalidParameterError) as exc:
-            ScatterConfig(b=np.zeros(3), l=0.0, v=V, z_start=-1.0, dt_max=1.0,
-                          t_max=1.0, r_stop=np.array([2.0, 0.5, 0.25]))
+            ScatterConfig(b=np.zeros(3), l=0.0, v=V, z_start=-1.0, t_max=1.0,
+                          r_stop=np.array([2.0, 0.5, 0.25]))
         assert str(exc.value) == "r_stop (0.5) must exceed |z_start| (1.0)"
 
 
@@ -172,7 +181,7 @@ class TestIntegration:
     def test_unterminated_carries_partial_trajectory(self):
         src = single_sphere()
         cfg = ScatterConfig(b=1.2 * R, l=0.0, v=V, z_start=-50 * R,
-                            dt_max=R / V, t_max=10.0, r_stop=100 * R)
+                            t_max=10.0, r_stop=100 * R)
         with pytest.raises(UnterminatedTrajectoryError) as exc_info:
             integrate_trajectory(src, cfg, M_PROBE)
         partial = exc_info.value.trajectory
@@ -242,9 +251,9 @@ class TestKeplerTime:
         traj = integrate_trajectory(src, oracle_config(src, b0, 0.0, V), M_PROBE)
         theta = rutherford_angle(M, V, b0)
         phi_target = zeta * 0.5 * (np.pi + theta)
-        elapsed = anomaly_crossing_elapsed(traj, phi_target)
+        elapsed = anomaly_crossing_elapsed(traj, phi_target, CONST.G * M)
         t_formula = kepler_scatter_time(M, RHO, 1.2, zeta, T_R)
-        assert elapsed == pytest.approx(t_formula, rel=1e-3)
+        assert elapsed == pytest.approx(t_formula, rel=1e-5)
 
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -473,11 +482,13 @@ class TestBatchEngineOracle:
                                          rtol=1e-6)
         bound = dataclasses.replace(bound, t_max=bound.t_max / 10)
         fall = ScatterConfig(b=0.0, l=0.0, v=1e-15, z_start=-1e3,
-                             dt_max=1e30, t_max=1e30, r_stop=2e3)
+                             t_max=1e30, r_stop=2e3)
         checks = []
         original = scatter._segment_hits
         monkeypatch.setattr(scatter, "_segment_hits", lambda p0, p1, dist:
                             checks.append(original(p0, p1, dist)) or checks[-1])
+        # a buffer smaller than the grid's steps, larger than one probe's
+        monkeypatch.setattr(scatter, "_HIT_ROWS", 512)
         y_end, hits, errors = _integrate_batch(src,
                                                stack(cfgs + [bound, fall]))
         trajs = [integrate_trajectory(src, cfg, M_PROBE) for cfg in cfgs]
@@ -495,6 +506,8 @@ class TestBatchEngineOracle:
             assert any(check.any() for check in checks)
         # one probe's steps fit in the buffer: they are checked at the end
         first = hits.tolist().index(True)
+        assert trajs[first].n_accepted + trajs[first].n_rejected \
+            < scatter._HIT_ROWS
         assert _integrate_batch(src, stack([cfgs[first]]))[1].tolist() == [
             True]
 
@@ -516,7 +529,7 @@ class TestBatchEngineOracle:
         # launched outside it runs to t_max on both paths
         src = make_superposed_source(R, RHO, D)
         cfg = ScatterConfig(b=3e-3, l=0.0, v=V, z_start=-1e-3,
-                            dt_max=D / V, t_max=200 * R / V, r_stop=2e-3)
+                            t_max=200 * R / V, r_stop=2e-3)
         with pytest.raises(UnterminatedTrajectoryError) as scalar:
             scipy_trajectory(src, cfg)
         _, _, (error,) = _integrate_batch(src, stack([cfg]))
@@ -605,11 +618,11 @@ class TestScalarPathOracle:
                                          rtol=1e-6)
         bound = dataclasses.replace(bound, t_max=bound.t_max / 10)
         outside = ScatterConfig(b=3e-3, l=0.0, v=V, z_start=-1e-3,
-                                dt_max=D / V, t_max=200 * R / V, r_stop=2e-3)
+                                t_max=200 * R / V, r_stop=2e-3)
         # a fall from rest at 1e8 R: at the source, 10 ulp of the elapsed
         # time exceed the step the tolerance asks for
         tiny_step = ScatterConfig(b=0.5 * R, l=0.0, v=1e-15, z_start=-1e3,
-                                  dt_max=1e30, t_max=1e30, r_stop=2e3)
+                                  t_max=1e30, r_stop=2e3)
         cases = [(src, bound), (src, outside), (single_sphere(), tiny_step)]
         batch_errors = [_integrate_batch(dist, stack([cfg]))[2][0]
                         for dist, cfg in cases]
@@ -624,6 +637,56 @@ class TestScalarPathOracle:
                 scipy_trajectory(dist, cfg)
             assert type(ours.value) is type(ref.value) is type(batch_error)
             assert str(ours.value) == str(ref.value) == str(batch_error)
+
+
+class TestHitEdgeOracle:
+    """Hit flags at the hit edge against scipy RK45 with its step capped
+    at a twentieth of the source scale over v.  With no cap, the
+    steppers' chords near the source are up to about 0.17 R long: near
+    the edge a long chord could cut into a sphere the path misses."""
+
+    @staticmethod
+    def check(monkeypatch, src, pattern, v, rows):
+        # at t_R = 300 the oracle's chords sag off the path by under
+        # 5e-5 R, the steppers' by up to about 2.3e-4 R
+        monkeypatch.setattr(conftest, "solve_ivp", functools.partial(
+            solve_ivp, max_step=src.length_scale() / (20 * v)))
+        cfgs = launch_configs(src, pattern, v)
+        for i in rows:
+            traj = integrate_trajectory(src, cfgs[i], M_PROBE)
+            assert traj.hit_source == pattern.hit[i]
+            assert scipy_trajectory(src, cfgs[i]).hit_source == pattern.hit[i]
+
+    @pytest.mark.parametrize("t_R", [10.0, 100.0, 300.0])
+    def test_one_sphere_at_closed_form_edge(self, monkeypatch, t_R):
+        # outside the sphere the field is a point mass's: the periapsis is
+        # R at b_crit^2 = R^2 (1 + 2GM/(R v^2) - 2GM/(r0 v^2)), with the
+        # launch energy taken at r0 = |z_start|; the launch radius exceeds
+        # it by under 1e-3 relative
+        src = single_sphere()
+        v = R / t_R
+        two_gm = 2 * CONST.G * src.total_mass / (v * v)
+        r0 = -ScatterConfig.for_source(src, b=R, l=0.0, v=v).z_start
+        beta = math.sqrt(1 + two_gm / R - two_gm / r0)
+        pattern = scan_pattern(src, (beta * (1 - 1e-3), beta * (1 + 1e-3)),
+                               (0.0, 0.0), 2, 1, v, M_PROBE)
+        assert pattern.hit.tolist() == [True, False]
+        self.check(monkeypatch, src, pattern, v, [0, 1])
+
+    @pytest.mark.parametrize("t_R,l", [(10.0, -R), (100.0, 0.5 * R),
+                                       (300.0, R)])
+    def test_two_lobes_at_scanned_edge(self, monkeypatch, t_R, l):
+        # the edge is where the scan's flag flips on a beta grid in steps
+        # of 0.002; the probes on its two sides go to the oracle
+        src = make_superposed_source(R, RHO, D)
+        v = R / t_R
+        pattern = scan_pattern(src, (0.6, 1.2), (abs(l), abs(l)), 301, 1, v,
+                               M_PROBE)
+        rows = np.flatnonzero(pattern.l == l)
+        hit = pattern.hit[rows]
+        (edge,) = np.flatnonzero(hit[:-1] != hit[1:])
+        assert hit[edge]
+        self.check(monkeypatch, src, pattern, v, rows[edge:edge + 2])
 
 
 class TestStageSums:
