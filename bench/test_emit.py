@@ -58,7 +58,7 @@ def pattern():
     R = 1e-5
     src = make_superposed_source(R, 2600.0, 2 * R)
     return scatter.scan_pattern(src, (1.2, 2.0), (0.0, 2 * R), 40, 40,
-                                R / T_R_FIGURE, 1e-18)
+                                R / T_R_FIGURE)
 
 
 def test_pattern_csv_and_svg_40x40(benchmark, pattern):

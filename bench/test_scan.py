@@ -26,7 +26,7 @@ R = 1e-5
 V = R / 10 ** 1.1
 M_PROBE = 1e-18
 SRC = make_superposed_source(R, 2600.0, 2 * R)
-GRID = ((1.2, 2.0), (0.0, 2 * R), 12, 12, V, M_PROBE)
+GRID = ((1.2, 2.0), (0.0, 2 * R), 12, 12, V)
 
 
 @pytest.fixture(scope="module")

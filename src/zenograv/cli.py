@@ -8,8 +8,9 @@ so any output file can be regenerated from itself.  Files are written
 only after the computation has finished: each to a temp file beside it
 first, and these are renamed into place only once all are written and
 no target is a directory, so a failed run leaves none of its files
-(short of a failing rename) and no temp file.  Identical config and
-seed give byte-identical output.
+(short of a failing rename) and no temp file.  Identical parameters
+give byte-identical output: the one random draw, ``scatter
+--collapsed random``, takes its ``--seed`` from them.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (a toolkit
 error, or an overflow, division by zero or numpy/scipy domain error in
@@ -65,8 +66,8 @@ PARAM_SCHEMAS = {
         "beta": (float, 1.2, "impact parameter in units of R", _POS),
         "l": (float, 0.0, "m, launch offset along x", _ANY),
         "t_R": (float, T_R_FIGURE, "s, R/v", _POS),
-        "m_probe": _POINT_SCHEMA["m_probe"],
         "collapsed": (str, "none", "none|left|right|random source coin", _ANY),
+        "seed": (int, 0, "seed of the --collapsed random coin", _NONNEG),
         "rtol": (float, scatter.DEFAULT_RTOL, "integrator tolerance", _POS),
     },
     "pattern": {
@@ -80,7 +81,6 @@ PARAM_SCHEMAS = {
         "n_b": (int, 40, "beta grid points", _POS),
         "n_l": (int, 40, "offset grid points", _POS),
         "t_R": (float, T_R_FIGURE, "s, R/v", _POS),
-        "m_probe": _POINT_SCHEMA["m_probe"],
         "svg": (int, 1, "also emit SVG (0/1)", _FLAG),
         "mirror": (int, 1, "mirror offsets to -l (0/1)", _FLAG),
     },
@@ -90,7 +90,6 @@ PARAM_SCHEMAS = {
         "c": (float, 1.0, "x^6 coefficient (dimensionless)", _POS),
         "M": (float, 1e-11, "kg, source mass", _POS),
         "d": (float, 1e-5, "m, length unit", _POS),
-        "n_states": (int, 2, "eigenstates to solve", _POS),
         "x_max": (float, 4.0, "half-width of the grid, units of d", _POS),
         "n_points": (int, 4000, f"grid points, at most {MAX_GRID_POINTS}", _POS),
     },
@@ -201,12 +200,12 @@ def _write_files(texts: dict):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand pipelines: runner(params, seed, header) -> ({file name: text or
+# Subcommand pipelines: runner(params, header) -> ({file name: text or
 # JSON payload}, summary).  ``header`` is the config line of CSV and SVG
 # files; a payload dict is written as JSON with the config under "config".
 # ---------------------------------------------------------------------------
 
-def _run_scatter(params, seed, header):
+def _run_scatter(params, header):
     src = make_superposed_source(params["R"], params["density"], params["d"])
     v = params["R"] / params["t_R"]
     cfg = scatter.ScatterConfig.for_source(src, b=params["beta"] * params["R"],
@@ -217,12 +216,13 @@ def _run_scatter(params, seed, header):
         raise InvalidParameterError(
             f'--collapsed must be none|left|right|random, got {coin!r}')
     if coin == "random":
-        coin = "left" if np.random.default_rng(seed).random() < 0.5 else "right"
+        coin = ("left" if np.random.default_rng(params["seed"]).random() < 0.5
+                else "right")
     if coin != "none":
         # the launch stays the superposed source's
         src = scatter.make_collapsed_sources(
             params["R"], params["density"], params["d"])[coin == "right"]
-    traj = scatter.integrate_trajectory(src, cfg, params["m_probe"])
+    traj = scatter.integrate_trajectory(src, cfg)
     files = {"trajectory.csv": csv_text("t,x,y,z,vx,vy,vz",
                                         [traj.t, *traj.x.T, *traj.v.T], header)}
     return files, (f"theta={traj.deflection_angle:.6g} rad  "
@@ -231,13 +231,13 @@ def _run_scatter(params, seed, header):
                    f"rhs_calls={traj.n_rhs}  source={coin}")
 
 
-def _run_pattern(params, seed, header):
+def _run_pattern(params, header):
     src = make_superposed_source(params["R"], params["density"], params["d"])
     v = params["R"] / params["t_R"]
     pattern = scatter.scan_pattern(
         src, (params["beta_min"], params["beta_max"]),
         (params["l_min"], params["l_max"]), params["n_b"], params["n_l"],
-        v, params["m_probe"], mirror_l=bool(params["mirror"]))
+        v, mirror_l=bool(params["mirror"]))
     theta_ref = scatter.rutherford_angle(src.total_mass, v,
                                          params["beta_min"] * params["R"])
     files = {"pattern.csv": scatter.pattern_to_csv(pattern, header)}
@@ -253,11 +253,11 @@ def _run_pattern(params, seed, header):
                    f"closed-form={2*math.tan(theta_ref/2):.4g}")
 
 
-def _run_eigen(params, seed, header):
+def _run_eigen(params, header):
     spec = PotentialSpec1D(a=params["a"], b=params["b"], c=params["c"],
                            M=params["M"], d=params["d"])
     grid = (-params["x_max"], params["x_max"], params["n_points"])
-    sol = solve_eigen(spec, n_states=max(2, params["n_states"]), grid=grid)
+    sol = solve_eigen(spec, grid=grid)
     cls = classify_ground_state(sol, spec)
     files = {
         "eigen.csv": csv_text(
@@ -276,7 +276,7 @@ def _run_eigen(params, seed, header):
                    f"label={cls.label}")
 
 
-def _run_zeno(params, seed, header):
+def _run_zeno(params, header):
     g = params["g_over_hbar"] * CONST.hbar
     sys_model = zeno.spin_pair_model(g, probe_splitting=params[
         "probe_splitting_ratio"] * g)
@@ -300,7 +300,7 @@ def _environment(params) -> deco.Environment:
                             T_int=params["T_int"])
 
 
-def _run_decoherence(params, seed, header):
+def _run_decoherence(params, header):
     env = _environment(params)
     Rs = np.logspace(math.log10(params["R_min"]), math.log10(params["R_max"]),
                      params["n_R"])
@@ -320,7 +320,7 @@ def _point_from_params(params) -> feasibility.ExperimentPoint:
         if f.name != "env"})
 
 
-def _run_report(params, seed, header):
+def _run_report(params, header):
     rep = feasibility.evaluate_point(_point_from_params(params))
     files = {"report.json": feasibility.report_to_dict(rep)}
     return files, (f"pass={rep.passed}  theta_max={rep.theta_max:.4g} rad  "
@@ -329,7 +329,7 @@ def _run_report(params, seed, header):
                    f"KE={rep.kinetic_energy_eV:.4g} eV")
 
 
-def _run_feasibility(params, seed, header):
+def _run_feasibility(params, header):
     base = _point_from_params(params)
     axes = [(params[f"axis{i}"], np.logspace(math.log10(params[f"a{i}_min"]),
                                              math.log10(params[f"a{i}_max"]),
@@ -369,15 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--config", help="JSON file of parameters")
         p.add_argument("--output-dir", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for stochastic sampling")
         for key, (typ, default, unit, _) in schema.items():
             p.add_argument(f"--{key}", type=str, default=None,
                            help=f"{unit} (default {default})")
     return parser
 
 
-def run(command: str, raw_params: dict, output_dir: str, seed: int) -> str:
+def run(command: str, raw_params: dict, output_dir: str) -> str:
     """Resolve, compute and write one subcommand; returns the summary line.
 
     The output directory is made before the computation, so that a bad
@@ -386,9 +384,9 @@ def run(command: str, raw_params: dict, output_dir: str, seed: int) -> str:
     """
     params = resolve_params(command, raw_params)
     os.makedirs(output_dir, exist_ok=True)
-    config = {"command": command, "params": params, "seed": seed}
+    config = {"command": command, "params": params}
     header = "zenograv config: " + json.dumps(config, sort_keys=True)
-    files, summary = _RUNNERS[command](params, seed, header)
+    files, summary = _RUNNERS[command](params, header)
     texts = {}
     for name, content in files.items():
         if isinstance(content, dict):   # a JSON payload
@@ -435,7 +433,7 @@ def main(argv=None) -> int:
                if getattr(args, key) is not None)
     try:
         with warnings.catch_warnings(record=True) as caught:
-            summary = run(args.command, raw, args.output_dir, args.seed)
+            summary = run(args.command, raw, args.output_dir)
     except InvalidParameterError as exc:
         print(f"zenograv: validation error: {exc}", file=sys.stderr)
         return 2

@@ -154,7 +154,7 @@ class ScatterPattern:
 
 
 def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
-                         m_probe: float) -> ProbeTrajectory:
+                         m_probe=None) -> ProbeTrajectory:
     """Integrate one probe through the source field until escape.
 
     Integration runs until |x| crosses r_stop moving outward, or t_max is
@@ -170,8 +170,10 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     state and hit flag equal ``_integrate_batch(dist, cfg)`` bit for bit.
     scipy's ``solve_ivp`` (RK45) is the oracle both are tested against.
 
-    The acceleration is independent of m_probe (equivalence principle);
-    the probe mass only enters energy bookkeeping.
+    The acceleration does not depend on the probe's mass (equivalence
+    principle), so ``m_probe`` is not read: it is accepted only for
+    callers that still pass it, such as perfbench's ``trajectories``
+    workload.  The mass enters :func:`energy_series` alone.
     """
     centers, *columns = dist._field_stack
     terms = np.hstack((centers[:, :, 0], *columns)).tolist()
@@ -623,15 +625,13 @@ def _x_symmetric(dist: MassDistribution) -> bool:
 
 
 def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
-                 n_l: int, v: float, m_probe: float, *,
-                 mirror_l: bool = True,
-                 start_factor: float = 50.0, stop_factor: float = 100.0,
-                 rtol: float = DEFAULT_RTOL) -> ScatterPattern:
+                 n_l: int, v: float, *, mirror_l: bool = True) -> ScatterPattern:
     """Launch a (beta, l) grid of probes and collect projected outgoing angles.
 
     Impact parameters are b = beta * R with R the largest component
     radius; with ``mirror_l`` every offset l > 0 is also launched at -l.
-    The probes form one :meth:`ScatterConfig.for_source` launch table,
+    The probes form one :meth:`ScatterConfig.for_source` launch table
+    with its default launch distance, stop radius and tolerance,
     which the lockstep batch engine integrates at once; their escape
     crossings are solved together by one lockstep Brent search after it
     finishes.  If the source is x-mirror symmetric (one
@@ -664,8 +664,7 @@ def scan_pattern(dist: MassDistribution, beta_range, l_range, n_b: int,
     # the partner's row, mirrored
     mirrored = (l < 0) & _x_symmetric(dist)
     y_run, hit_run, err_run = _integrate_batch(dist, ScatterConfig.for_source(
-        dist, b=b[~mirrored], l=l[~mirrored], v=v, start_factor=start_factor,
-        stop_factor=stop_factor, rtol=rtol))
+        dist, b=b[~mirrored], l=l[~mirrored], v=v))
     row = np.cumsum(~mirrored) - 1
     y_end, hits = y_run[row], hit_run[row]
     y_end[mirrored, 0] *= -1.0

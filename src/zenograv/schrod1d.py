@@ -98,7 +98,8 @@ def solve_eigen(spec: PotentialSpec1D, n_states: int = 2,
     require(n <= MAX_GRID_POINTS,
             f"n_points must be <= {MAX_GRID_POINTS} (the grid budget), got {{}}",
             n)
-    require(n_states >= 1, "n_states must be >= 1")
+    require(1 <= n_states <= n,
+            f"n_states must be in [1, n_points = {n}], got {{}}", n_states)
     require(math.isfinite(x_min) and math.isfinite(x_max),
             f"grid bounds must be finite, got [{x_min}, {x_max}]")
     require(x_max > x_min, "x_max must exceed x_min")

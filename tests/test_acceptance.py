@@ -103,11 +103,11 @@ def test_criterion_4_scattering_pattern():
     dashed = 2 * math.tan(rutherford_angle(M_total, v, 1.2 * R) / 2)
 
     two = scan_pattern(make_superposed_source(R, RHO, 2 * R), (1.2, 2.0),
-                       (0.0, 2 * R), 40, 40, v, M_PROBE)
+                       (0.0, 2 * R), 40, 40, v)
     # the collapsed-source pattern is mirror symmetric by construction, so
     # the comparison annulus needs no sign-mirrored offsets
     one = scan_pattern(make_superposed_source(R, RHO, 0.0), (1.2, 2.0),
-                       (0.0, 2 * R), 40, 40, v, M_PROBE, mirror_l=False)
+                       (0.0, 2 * R), 40, 40, v, mirror_l=False)
     elapsed = time.perf_counter() - t0
 
     # two-sphere pattern: two disjoint clusters paired by x-reflection
@@ -278,7 +278,7 @@ def test_criterion_8_property_suites():
                  < 1e-6 * lam**2 * Lam for x in xs if x > 10 * lam)
 
     # CSV determinism
-    pattern = scan_pattern(single, (1.2, 1.5), (0.0, R), 2, 2, v, M_PROBE)
+    pattern = scan_pattern(single, (1.2, 1.5), (0.0, R), 2, 2, v)
     outs = [pattern_to_csv(pattern, header_comment="determinism")
             for _ in range(2)]
     det_ok = outs[0] == outs[1]

@@ -105,8 +105,8 @@ class TestValidation:
     @pytest.mark.parametrize("command,value,error", [
         ("eigen", {"n_points": 1500.9}, "--n_points (grid points, at most "
          "1000000): cannot parse 1500.9 as int"),
-        ("eigen", {"n_states": True}, "--n_states (eigenstates to solve): "
-         "cannot parse True as int"),
+        ("eigen", {"n_points": True}, "--n_points (grid points, at most "
+         "1000000): cannot parse True as int"),
         ("pattern", {"svg": 0.5}, "--svg (also emit SVG (0/1)): cannot "
          "parse 0.5 as int"),
         ("report", {"R": True}, "--R (m, source sphere radius): cannot "
@@ -271,7 +271,7 @@ class TestPattern:
     def test_byte_identical_reruns(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):
-            assert run_cli(["pattern", "--n_b", 2, "--n_l", 2, "--seed", 7,
+            assert run_cli(["pattern", "--n_b", 2, "--n_l", 2,
                             "--output-dir", d]) == 0
         assert (d1 / "pattern.csv").read_bytes() == (d2 / "pattern.csv").read_bytes()
         assert (d1 / "pattern.svg").read_bytes() == (d2 / "pattern.svg").read_bytes()
@@ -283,19 +283,19 @@ class TestPattern:
     # source, each on the two-lobe source and with --d 0.
     GOLDEN = {
         ("--n_b", "12", "--n_l", "12"): (
-            "e90f5e7df2cc24820da7c493c7f119ba2d183c0d471b9dec1eb7d36330a1ad8c",
-            "d0ffe54bd22607a20e2624712f373dc1aaa7a721721cb2066544abdd41ef0562"),
+            "2130e304cc11481da3b61ea6d175795af0e67eff88ecc660bbf7778d7d0d787b",
+            "1097b0e19b3fd169f6f49d7e3d4cb4d61e11da7b3135d619551a11c46b57b770"),
         ("--n_b", "12", "--n_l", "12", "--d", "0"): (
-            "386f8b6dcc79aa96418938806c6917c20082eed664e66cb17e22c2a904c2388f",
-            "e814446b0d2a2560a64199e4c82153de15eb8438cd866e3927f5e659c641526f"),
+            "61851dc32ced02feaccb5cecbcf72023f8555d6af598b2a2026d6e164ee53232",
+            "ef9825f6e0394b3d6b88dcd109dabc731ac908452543296e9ac64184d7f57ce7"),
         ("--n_b", "6", "--n_l", "5", "--beta_min", "0.3", "--beta_max",
          "1.6"): (
-            "304004b961e77471ff6c9c342f7fcad7054ce11f743251b72b981b12ab2d2a64",
-            "8aa3729360c1e38295a2473d9f7560b5bf6f4b09b08ede5de78dc23117aa8021"),
+            "c1f784b2270b2122e7a8b56f8090c10d54b3f83badc53f3c4083398c1b7a964e",
+            "b3e57c5391b52d0f7e35a6ec21965fcef4efc7e9505e0f4430ecce14a2213ed6"),
         ("--n_b", "6", "--n_l", "5", "--beta_min", "0.3", "--beta_max",
          "1.6", "--d", "0"): (
-            "c1b6db6d5a470eac2f4a12f8072a5ae84f96e174fbbae6698d2c718c52af9b01",
-            "a21df26916908f546b97dde20e7b8aa357a5ac27d8c9eb8eb23182308af08382"),
+            "3dcc5bcf602f4954bdabf2a8e6eb5cd191666cf39deeb9eb57b7392f04a354b9",
+            "7f18bffc6e806ebbd6ce8053e63ea26b02ee757322a5685d5a26eced652c8808"),
     }
 
     @pytest.mark.parametrize("grid", GOLDEN, ids=["12x12", "12x12-d0",
@@ -330,14 +330,26 @@ class TestScatter:
         assert rhs_calls == 2 + 6 * (steps + rejected)
 
     def test_random_coin_deterministic_by_seed(self, tmp_path, capsys):
+        # the seed is a parameter, so a config file sets it as --seed does
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}))
         outs = []
-        for d in ("a", "b"):
-            assert run_cli(["scatter", "--collapsed", "random", "--seed", 3,
+        for d, seed in (("a", ["--seed", 3]), ("b", ["--seed", 3]),
+                        ("c", ["--config", cfg])):
+            assert run_cli(["scatter", "--collapsed", "random", *seed,
                             "--output-dir", tmp_path / d]) == 0
             outs.append(capsys.readouterr().out)
-        assert ("source=left" in outs[0]) == ("source=left" in outs[1])
-        assert (tmp_path / "a/trajectory.csv").read_bytes() \
-            == (tmp_path / "b/trajectory.csv").read_bytes()
+        assert len({"source=left" in out for out in outs}) == 1
+        assert len({(tmp_path / d / "trajectory.csv").read_bytes()
+                    for d in "abc"}) == 1
+
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        assert run_cli(["scatter", "--collapsed", "random", "--seed", -1,
+                        "--output-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            "zenograv: validation error: --seed must be >= 0 (seed of the "
+            "--collapsed random coin), got -1\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweeps:
@@ -361,7 +373,7 @@ class TestSweeps:
     # strobo_evolve that powers the small part E = w - 1 (x86-64 Linux,
     # numpy 2.4.6): a change that moves one byte of it fails here
     ZENO_DEFAULT_SHA256 = (
-        "5a8e119bd75832308b61ff6db2cab83546fb9d9480610ba5e95e50207ac8250e")
+        "9b80e36d82c7efa7ee77a6d8383b6d58e7a6d927c352f2a3e3673204f680369b")
 
     def test_zeno_default_digest(self, tmp_path):
         assert run_cli(["zeno", "--output-dir", tmp_path]) == 0
@@ -545,6 +557,23 @@ def test_malformed_command_line_is_one_line(capsys):
     assert err.count("\n") == 1
 
 
+# options that no computation reads are not options: each is an
+# unrecognized argument
+@pytest.mark.parametrize("argv", [
+    ["pattern", "--m_probe", "1e-18"], ["pattern", "--seed", "7"],
+    ["report", "--seed", "0"], ["eigen", "--n_states", "3"]],
+    ids=["pattern-m_probe", "pattern-seed", "report-seed", "eigen-n_states"])
+def test_unread_option_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--output-dir", tmp_path / "out"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zenograv: validation error: unrecognized "
+                          f"arguments: {' '.join(argv[1:])}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 class TestValueStartingWithDash:
     # argparse alone reads "-1e-5" or "-inf" as a flag, not as a value
     def test_binds_to_its_flag(self, tmp_path):
@@ -616,9 +645,9 @@ PARAM_SCHEMAS = {
         "beta": (float, 1.2, "impact parameter in units of R", "pos"),
         "l": (float, 0.0, "m, launch offset along x", "any"),
         "t_R": (float, FIGURE_T_R, "s, R/v", "pos"),
-        "m_probe": (float, 1e-18, "kg, probe mass", "pos"),
         "collapsed": (str, "none", "none|left|right|random source coin",
                       "any"),
+        "seed": (int, 0, "seed of the --collapsed random coin", "nonneg"),
         "rtol": (float, 1e-9, "integrator tolerance", "pos"),
     },
     "pattern": {
@@ -632,7 +661,6 @@ PARAM_SCHEMAS = {
         "n_b": (int, 40, "beta grid points", "pos"),
         "n_l": (int, 40, "offset grid points", "pos"),
         "t_R": (float, FIGURE_T_R, "s, R/v", "pos"),
-        "m_probe": (float, 1e-18, "kg, probe mass", "pos"),
         "svg": (int, 1, "also emit SVG (0/1)", "flag"),
         "mirror": (int, 1, "mirror offsets to -l (0/1)", "flag"),
     },
@@ -642,7 +670,6 @@ PARAM_SCHEMAS = {
         "c": (float, 1.0, "x^6 coefficient (dimensionless)", "pos"),
         "M": (float, 1e-11, "kg, source mass", "pos"),
         "d": (float, 1e-5, "m, length unit", "pos"),
-        "n_states": (int, 2, "eigenstates to solve", "pos"),
         "x_max": (float, 4.0, "half-width of the grid, units of d", "pos"),
         "n_points": (int, 4000, "grid points, at most 1000000", "pos"),
     },

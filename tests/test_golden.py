@@ -28,98 +28,98 @@ GOLDEN = [
      "probes=3160  hits=0  failed=0  max|proj|=0.0001288  "
      "closed-form=0.000192",
      {"pattern.csv":
-      "2866ff55230b2f82a309926486359a4df21bff49b36ec8161e7901beb73489f4",
+      "45ca72d63f9ddbccd922b66f6c4e62dd2e5b07408ac502c88a19075ac54da813",
       "pattern.svg":
-      "9a2663efc70a369261084049a1e06dc79c13bfcc3269aa10586665ac7f1c0519"}),
+      "35990b790ad916f439fa86c00b9873fb23eb632e89406daa2c54117fe362abdf"}),
     ("pattern --d 0",
      "probes=3160  hits=0  failed=0  max|proj|=0.000192  "
      "closed-form=0.000192",
      {"pattern.csv":
-      "4e28deecef868991f62645c6fb8f6f25eeb08905430c43db718a47ece17ebd00",
+      "51b1f41d88c2b560d123da0150534fd3f3a2091049ebdb4ebb933a0e2ca066d1",
       "pattern.svg":
-      "82726b0c3f09c96345a74928ba606665fbc0a7b6a35c0a18f19d694c2586ce0d"}),
+      "bf535d34c9e84db7fea4a94add07f3982e9dde1655a5ec09b8e9491812f0c1d2"}),
     ("scatter --l 1e-5",
      "theta=0.000128577 rad  hit=False  samples=87  steps=86  "
      "rejected=29  rhs_calls=692  source=none",
      {"trajectory.csv":
-      "e70af32ceb5771cda7dffcb6bf8c5750eb5a5dff9417f9e8408a3d1a4079828f"}),
+      "f80ff912df10c2205644dc67a0dd5657a3bcf33af0da7c52d4498921c1af77bf"}),
     ("scatter --collapsed left",
      "theta=0.000147493 rad  hit=False  samples=87  steps=86  "
      "rejected=28  rhs_calls=686  source=left",
      {"trajectory.csv":
-      "f5916054bf19b546c21c7b621945f3b0beb0188a9531affe1cc6014ab80fa4ad"}),
+      "d80d5497031e6df9c0e6da53c9622caea0e841d2fa106fc9408cbd9a95183266"}),
     ("scatter --collapsed right",
      "theta=0.000147493 rad  hit=False  samples=87  steps=86  "
      "rejected=28  rhs_calls=686  source=right",
      {"trajectory.csv":
-      "f3442e0b8ae2c8beba6ee4c281ffb48688df0ca0ef477141a5d2dfe0aa7b3060"}),
+      "2640b3ad0a8693f6a0aecc19f75162e5b53855dfad1a2cbff3558a21f89f6eb7"}),
     ("scatter --collapsed random",
      "theta=0.000147493 rad  hit=False  samples=87  steps=86  "
      "rejected=28  rhs_calls=686  source=right",
      {"trajectory.csv":
-      "7e41f3e66df600553000b7084a751e9454ba8e09180f9aa6d676f0f84d336af9"}),
+      "84808ab212e96a5f160b85766059488bf8b797239e64339ae32a04a05ea73ff1"}),
     ("eigen",
      "E0=-1e-47 J  E1=-8.864e-48 J  label=delocalized-triple-well",
      {"eigen.csv":
-      "fff69aca50453f76da3417e7af50e99a7a5d28c21225dfa0e7dfeab0a9fa2eae",
+      "b3abc46c9a6098af518e5b0fcbde96c7c50de2d6fefd83835108e1297ac0b8a5",
       "eigen_summary.json":
-      "f221761c36ced26d573f90eb1d060225a0a4ee4416b18e40898cad43591fa744"}),
+      "9885a9e95c673c8b8ab5bb5e6f41943d971f536b343538c2aa08059026969ad3"}),
     ("feasibility --axis1 t_R --a1_min 1 --a1_max 100 --axis2 R "
      "--a2_min 1e-5 --a2_max 1e-5 --n2 1",
      "grid=16x1 over (t_R,R)  pass=2/16",
      {"region.csv":
-      "c4c2c8072d0ecfb76b9670d13f966ffecf3cd01afcfcf94cb1915ae05209183e"}),
+      "436e376ba929094715b613e3fb4fc4b248ad53a8fca2846362cfe090c7dd181e"}),
     ("feasibility --axis1 R --axis2 v --a2_min 1e-7 --a2_max 1e-5",
      "grid=16x16 over (R,v)  pass=0/256",
      {"region.csv":
-      "44cc0b68c1bc02d3b9435e92ac8f512fc160e7199ccdb440d98bf89c2e1af724"}),
+      "22a37dd8a346a6413a53c876533eb3f163c9a8d1fd2c9bda843e189e84f45b14"}),
     ("decoherence --pressure 1e-12",
      "R points=25  p=1e-12 Pa  T=1.0 K",
      {"decoherence_sweep.csv":
-      "ad7625a2f314abf4a4783b2a19957efa1945a625d57f7b725a5d508586a74205"}),
+      "72a830761897aebe30ffe60b2dfe5c38dcf35ad8a67feac91a79825b6bcc70fa"}),
     ("decoherence --pressure 1e-15",
      "R points=25  p=1e-15 Pa  T=1.0 K",
      {"decoherence_sweep.csv":
-      "96ad177e0f3d4b499a0fb0846c50b219511340e431257b686d431c4ffce46b22"}),
+      "41d2e25aa83bdad74d3ed1a3c5987e7ac211527918b36eb99449bf4906cbb447"}),
     ("report",
      "pass=True  theta_max=0.0001211 rad  t_total=57.94 s  "
      "gamma_required=60.57 1/s  KE=3.121e-12 eV",
      {"report.json":
-      "61194c3fff7ba7f4c1b892c02cca09d18b8f43cedf8beeedbf0feff1fb5b9957"}),
+      "8b9790ec4ba60dbbcb83537adce8c57b4d893cd9fc435f75eddb94734b64d790"}),
     ("zeno",
      "freeze_time=1 s  N=100  tau points=9",
      {"zeno_scan.csv":
-      "5a8e119bd75832308b61ff6db2cab83546fb9d9480610ba5e95e50207ac8250e"}),
+      "9b80e36d82c7efa7ee77a6d8383b6d58e7a6d927c352f2a3e3673204f680369b"}),
     ("feasibility --axis1 m_probe --a1_min 1e-19 --a1_max 1e-17 "
      "--axis2 R --a2_min 1e-6 --a2_max 1e-4",
      "grid=16x16 over (m_probe,R)  pass=64/256",
      {"region.csv":
-      "e03d7264392b8823ca26e678df98403f2b4aaf9d11cdb1ad015f46df1573a5bd"}),
+      "3a500de262787bc450ae1ebdd8832c71ba12d3d9dc5a26af385abaa93cbb8818"}),
     ("feasibility --axis1 p --a1_min 1e-15 --a1_max 1e-9 --axis2 R "
      "--n2 1 --a2_min 1e-5 --a2_max 1e-5",
      "grid=16x1 over (p,R)  pass=5/16",
      {"region.csv":
-      "2f7d7d49fc560908f0a137aeeeb1ae227a77b2d37db864efee63382c7d85e86b"}),
+      "bca9803673883cc895cdb711d5ab9357a0f7824644c92395e3ff5c58f2b91108"}),
     ("report --t_R 1e100",
      "pass=False  theta_max=3.142 rad  t_total=nan s  "
      "gamma_required=60.57 1/s  KE=3.121e-210 eV",
      {"report.json":
-      "a126c9c224f0aab468fefb32f8a2e5f8042a6bccf5c6988959c880169415b7f6"}),
+      "e69e331f6830a830c72f2ca48f08a5000024bea508d11db02eba76e99f459b9b"}),
     ("report --t_R 1e40",
      "pass=False  theta_max=3.142 rad  t_total=nan s  "
      "gamma_required=60.57 1/s  KE=3.121e-90 eV",
      {"report.json":
-      "85c2f6f53370bf2900a7369b7160213c8a71132de6399b50c33c1c43c8888844"}),
+      "d0101f2b645ce9adb74a3616b46b7075970a50e61ea91b8511e1bc869d25933d"}),
     ("report --t_R 1e60",
      "pass=False  theta_max=3.142 rad  t_total=nan s  "
      "gamma_required=60.57 1/s  KE=3.121e-130 eV",
      {"report.json":
-      "fb3d0fb0de45b6ece9bda5e1322112d4745346bcd952472226da9661c6c0e838"}),
+      "d393a80c38b0af715b31bea5249d6dace8d7d59fa2aa183733a0379b86b6c04a"}),
     ("report --pressure 1e300",
      "pass=False  theta_max=0.0001211 rad  t_total=57.94 s  "
      "gamma_required=60.57 1/s  KE=3.121e-12 eV",
      {"report.json":
-      "361613eeee39fe21e35f09208e2ae04b3e97ca5308b1f38b947f2a20807491d2"}),
+      "0111e80af2a2126d70136704369bb388215fd7e3bc3c47164fa313531224ec99"}),
 ]
 
 

@@ -30,7 +30,6 @@ R = 1e-5
 RHO = 2600.0
 T_R = 10 ** 1.1
 V = R / T_R
-M_PROBE = 1e-18
 TOL = 4 * np.finfo(float).eps
 
 # (beta range, n_b, n_l): the benchmark-shaped grid, the grid of which
@@ -43,7 +42,7 @@ PRESET = ((1.2, 2.0), 40, 40)
 def scan(d, grid):
     betas, n_b, n_l = grid
     return scan_pattern(make_superposed_source(R, RHO, d), betas, (0.0, 2 * R),
-                        n_b, n_l, V, M_PROBE)
+                        n_b, n_l, V)
 
 
 def dense_escape(K, t_old, h, y_old, r_stop):
@@ -241,8 +240,7 @@ class TestMirror:
         monkeypatch.setattr(scatter, "_integrate_batch",
                             lambda d, cfg: launched.append(cfg)
                             or original(d, cfg))
-        pattern = scan_pattern(dist, (1.2, 2.0), (0.0, 2 * R), 2, 3, V,
-                               M_PROBE)
+        pattern = scan_pattern(dist, (1.2, 2.0), (0.0, 2 * R), 2, 3, V)
         (table,) = launched
         assert table.l.tolist() == pattern.l.tolist()
         assert any(l < 0 for l in table.l.tolist())
@@ -288,7 +286,7 @@ class TestTail:
             return y, np.array([True, False, False]), [None, failure, None]
 
         monkeypatch.setattr(scatter, "_integrate_batch", fake)
-        pattern = scan_pattern(src, (1.0, 3.0), (0.0, 0.0), 3, 1, V, M_PROBE,
+        pattern = scan_pattern(src, (1.0, 3.0), (0.0, 0.0), 3, 1, V,
                                mirror_l=False)
         clean, failed, pole = zip(
             pattern.theta.tolist(), pattern.proj_x.tolist(),

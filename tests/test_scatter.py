@@ -372,7 +372,7 @@ class TestScanPattern:
         # central potential: |proj| depends only on the total impact
         # parameter sqrt(b^2 + l^2), matching the closed form
         src = single_sphere()
-        pattern = scan_pattern(src, (1.2, 2.0), (0.0, 2 * R), 3, 3, V, M_PROBE)
+        pattern = scan_pattern(src, (1.2, 2.0), (0.0, 2 * R), 3, 3, V)
         assert pattern.n_hit == 0
         for b, l, x, y in clean_rows(pattern, "b", "l", "proj_x", "proj_y"):
             b_tot = math.hypot(b, l)
@@ -386,12 +386,12 @@ class TestScanPattern:
         original = MassDistribution.length_scale
         monkeypatch.setattr(MassDistribution, "length_scale",
                             lambda self: calls.append(1) or original(self))
-        pattern = scan_pattern(src, (1.2, 1.6), (0.0, 2 * R), 2, 2, V, M_PROBE)
+        pattern = scan_pattern(src, (1.2, 1.6), (0.0, 2 * R), 2, 2, V)
         assert len(pattern.hit) == 6 and len(calls) == 1
 
     def test_mirror_antisymmetry(self):
         src = make_superposed_source(R, RHO, D)
-        pattern = scan_pattern(src, (1.2, 1.6), (0.0, 2 * R), 2, 3, V, M_PROBE)
+        pattern = scan_pattern(src, (1.2, 1.6), (0.0, 2 * R), 2, 3, V)
         pts = {(beta, l): (x, y, theta) for beta, l, x, y, theta in
                clean_rows(pattern, "beta", "l", "proj_x", "proj_y", "theta")}
         for (beta, l), (x, y, theta) in pts.items():
@@ -403,15 +403,14 @@ class TestScanPattern:
 
     def test_two_lobe_sign_separation(self):
         src = make_superposed_source(R, RHO, D)
-        pattern = scan_pattern(src, (1.2, 1.6), (0.5 * R, 2 * R), 2, 3, V,
-                               M_PROBE)
+        pattern = scan_pattern(src, (1.2, 1.6), (0.5 * R, 2 * R), 2, 3, V)
         for x, l in clean_rows(pattern, "proj_x", "l"):
             assert x * l < 0  # deflection tilts away from the near lobe
 
     def test_hits_counted_but_excluded(self):
         src = single_sphere()
         # beta below 1 guarantees the probe enters the sphere
-        pattern = scan_pattern(src, (0.5, 1.5), (0.0, 0.0), 3, 1, V, M_PROBE)
+        pattern = scan_pattern(src, (0.5, 1.5), (0.0, 0.0), 3, 1, V)
         assert pattern.n_hit >= 1
         assert np.count_nonzero(pattern.clean) == \
             len(pattern.hit) - pattern.n_hit
@@ -420,7 +419,7 @@ class TestScanPattern:
     def test_grid_validation(self):
         src = single_sphere()
         with pytest.raises(InvalidParameterError):
-            scan_pattern(src, (1.2, 2.0), (0.0, R), 0, 3, V, M_PROBE)
+            scan_pattern(src, (1.2, 2.0), (0.0, R), 0, 3, V)
 
 
 def scalar_pattern(dist, pattern, v, **factors):
@@ -447,7 +446,7 @@ def csv_lines(pattern):
 
 def hit_grid(dist):
     """A mirrored (beta, l) probe grid of which some probes hit the source."""
-    return scan_pattern(dist, (0.3, 1.6), (0.0, 2 * R), 4, 3, V, M_PROBE)
+    return scan_pattern(dist, (0.3, 1.6), (0.0, 2 * R), 4, 3, V)
 
 
 class TestBatchEngineOracle:
@@ -552,15 +551,20 @@ class TestBatchEngineOracle:
         traj = integrate_trajectory(src, cfg, M_PROBE)
         assert np.array_equal(np.concatenate([traj.x[-1], traj.v[-1]]), y)
 
-    def test_bound_orbits_fail_like_scalar_path(self):
+    def test_bound_orbits_fail_like_scalar_path(self, monkeypatch):
         # below escape speed the probes never reach r_stop: every probe
-        # carries the scipy path's error, and the scan still returns
+        # carries the scipy path's error, and the scan still returns.  A
+        # near launch and a loose tolerance, for the scan and the oracle
+        # alike, keep the bound orbits short.
         src = make_superposed_source(R, RHO, D)
         v_bound = 1.8e-9
-        factors = {"start_factor": 5.0, "stop_factor": 12.0}
-        batch = scan_pattern(src, (8.0, 10.0), (0.0, R), 2, 2, v_bound, M_PROBE,
-                             rtol=1e-6, **factors)
-        scalar = scalar_pattern(src, batch, v_bound, rtol=1e-6, **factors)
+        for_source = ScatterConfig.for_source
+        monkeypatch.setattr(ScatterConfig, "for_source", staticmethod(
+            lambda dist, **launch: for_source(
+                dist, **launch, start_factor=5.0, stop_factor=12.0,
+                rtol=1e-6)))
+        batch = scan_pattern(src, (8.0, 10.0), (0.0, R), 2, 2, v_bound)
+        scalar = scalar_pattern(src, batch, v_bound)
         assert batch.n_failed == len(batch.error) == 6
         assert all(error.startswith("UnterminatedTrajectoryError: ")
                    for error in batch.error)
@@ -669,7 +673,7 @@ class TestHitEdgeOracle:
         r0 = -ScatterConfig.for_source(src, b=R, l=0.0, v=v).z_start
         beta = math.sqrt(1 + two_gm / R - two_gm / r0)
         pattern = scan_pattern(src, (beta * (1 - 1e-3), beta * (1 + 1e-3)),
-                               (0.0, 0.0), 2, 1, v, M_PROBE)
+                               (0.0, 0.0), 2, 1, v)
         assert pattern.hit.tolist() == [True, False]
         self.check(monkeypatch, src, pattern, v, [0, 1])
 
@@ -680,8 +684,7 @@ class TestHitEdgeOracle:
         # of 0.002; the probes on its two sides go to the oracle
         src = make_superposed_source(R, RHO, D)
         v = R / t_R
-        pattern = scan_pattern(src, (0.6, 1.2), (abs(l), abs(l)), 301, 1, v,
-                               M_PROBE)
+        pattern = scan_pattern(src, (0.6, 1.2), (abs(l), abs(l)), 301, 1, v)
         rows = np.flatnonzero(pattern.l == l)
         hit = pattern.hit[rows]
         (edge,) = np.flatnonzero(hit[:-1] != hit[1:])
@@ -763,7 +766,7 @@ class TestCollapsed:
 class TestEmission:
     def test_csv_format(self):
         src = single_sphere()
-        pattern = scan_pattern(src, (1.2, 1.2), (0.0, 0.0), 1, 1, V, M_PROBE)
+        pattern = scan_pattern(src, (1.2, 1.2), (0.0, 0.0), 1, 1, V)
         lines = pattern_to_csv(pattern, header_comment="cfg").strip().split("\n")
         assert lines[0] == "# cfg"
         assert lines[1] == "beta,l,b,theta_rad,proj_x,proj_y,hit"
@@ -772,7 +775,7 @@ class TestEmission:
 
     def test_svg_is_static(self):
         src = single_sphere()
-        pattern = scan_pattern(src, (1.2, 1.4), (0.0, R), 2, 2, V, M_PROBE)
+        pattern = scan_pattern(src, (1.2, 1.4), (0.0, R), 2, 2, V)
         svg = pattern_to_svg(pattern, dashed_radius=2e-4)
         assert svg.startswith("<?xml")
         assert "<script" not in svg

@@ -114,6 +114,13 @@ class TestTripleWellSpectrum:
         with pytest.raises(InvalidParameterError):
             solve_eigen(TRIPLE_WELL, n_states=2, grid=(-4.0, 4.0, 500))
 
+    @pytest.mark.parametrize("n_states", [0, 1001, 100000])
+    def test_n_states_outside_grid_rejected(self, n_states):
+        # more states than grid points used to reach scipy's select_range
+        with pytest.raises(InvalidParameterError,
+                           match=r"n_states must be in \[1, n_points = 1000\]"):
+            solve_eigen(TRIPLE_WELL, n_states=n_states, grid=(-4.0, 4.0, 1000))
+
     @pytest.mark.parametrize("grid, message", [
         ((-4.0, math.nan, 4000), "grid bounds must be finite"),
         ((math.nan, 4.0, 4000), "grid bounds must be finite"),
