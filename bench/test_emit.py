@@ -5,7 +5,9 @@ as text.
 
 pytest-benchmark cases, outside the tier-1 ``testpaths``.  They time the
 layers between the array kernels and the files: evaluating a 32x32
-``sweep_region`` grid into columns, ``region_to_csv`` on it, the CSV and
+``sweep_region`` grid into columns, ``region_to_csv`` on it and on a
+64x64 t_R x R grid with R pinned at 1e-5 m (the shape of the FIGURES
+duration and mean-free-path rows, whose columns mostly repeat), the CSV and
 SVG text of the 40x40 preset pattern (3160 probes, mirrored, on the
 two-lobe source), and the ``eigen.csv`` text of a 4000-point grid.  Two
 64x64 grids past the parabolic limit time the failed-cell path: every
@@ -50,6 +52,14 @@ def test_sweep_region_64x64_degenerate(benchmark, t_R_range):
 def test_region_to_csv_32x32(benchmark, grid):
     text = benchmark(feasibility.region_to_csv, grid, "bench")
     assert text.count("\n") == 2 + N * N
+
+
+def test_region_to_csv_64x64_pinned(benchmark):
+    grid = feasibility.sweep_region(("t_R", np.logspace(0, 2, 64)),
+                                    ("R", np.full(64, 1e-5)),
+                                    feasibility.reference_point())
+    text = benchmark(feasibility.region_to_csv, grid, "bench")
+    assert text.count("\n") == 2 + 64 * 64
 
 
 @pytest.fixture(scope="module")

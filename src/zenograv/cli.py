@@ -34,7 +34,7 @@ import numpy as np
 from . import decoherence as deco
 from . import feasibility, scatter, zeno
 from .constants import CONST
-from .elementwise import csv_text
+from .elementwise import csv_text, require
 from .errors import InvalidParameterError, ZenogravError
 from .massdist import make_superposed_source
 from .schrod1d import (MAX_GRID_POINTS, PotentialSpec1D,
@@ -78,8 +78,10 @@ PARAM_SCHEMAS = {
         "beta_max": (float, 2.0, "grid upper beta", _POS),
         "l_min": (float, 0.0, "m, grid lower offset", _NONNEG),
         "l_max": (float, None, "m, grid upper offset (default 2R)", _NONNEG),
-        "n_b": (int, 40, "beta grid points", _POS),
-        "n_l": (int, 40, "offset grid points", _POS),
+        "n_b": (int, 40, f"beta grid points; n_b*n_l, doubled if mirrored, "
+                f"at most {MAX_GRID_POINTS}", _POS),
+        "n_l": (int, 40, f"offset grid points; n_b*n_l, doubled if mirrored, "
+                f"at most {MAX_GRID_POINTS}", _POS),
         "t_R": (float, T_R_FIGURE, "s, R/v", _POS),
         "svg": (int, 1, "also emit SVG (0/1)", _FLAG),
         "mirror": (int, 1, "mirror offsets to -l (0/1)", _FLAG),
@@ -99,12 +101,14 @@ PARAM_SCHEMAS = {
         "N": (int, 100, "measurements per run", _POS),
         "tau_min_ratio": (float, 1e-4, "smallest tau over freeze time", _POS),
         "tau_max_ratio": (float, 1e-2, "largest tau over freeze time", _POS),
-        "n_tau": (int, 9, "tau grid points (log)", _POS),
+        "n_tau": (int, 9, f"tau grid points (log), at most {MAX_GRID_POINTS}",
+                  _POS),
     },
     "decoherence": {
         "R_min": (float, 1e-7, "m, sweep lower radius", _POS),
         "R_max": (float, 1e-4, "m, sweep upper radius", _POS),
-        "n_R": (int, 25, "radius grid points (log)", _POS),
+        "n_R": (int, 25, f"radius grid points (log), at most {MAX_GRID_POINTS}",
+                _POS),
         **{key: _POINT_SCHEMA[key] for key in ("pressure", "T_env", "T_int")},
     },
     "report": _POINT_SCHEMA,
@@ -113,11 +117,13 @@ PARAM_SCHEMAS = {
         "axis1": (str, "t_R", f"first axis, one of {feasibility.SWEEP_AXES}", _ANY),
         "a1_min": (float, 1.0, "axis1 lower bound", _POS),
         "a1_max": (float, 100.0, "axis1 upper bound", _POS),
-        "n1": (int, 16, "axis1 grid points (log)", _POS),
+        "n1": (int, 16, f"axis1 grid points (log); n1*n2 at most "
+               f"{MAX_GRID_POINTS} (~0.7 GB)", _POS),
         "axis2": (str, "R", f"second axis, one of {feasibility.SWEEP_AXES}", _ANY),
         "a2_min": (float, 1e-6, "axis2 lower bound", _POS),
         "a2_max": (float, 1e-4, "axis2 upper bound", _POS),
-        "n2": (int, 16, "axis2 grid points (log)", _POS),
+        "n2": (int, 16, f"axis2 grid points (log); n1*n2 at most "
+               f"{MAX_GRID_POINTS} (~0.7 GB)", _POS),
     },
 }
 
@@ -199,6 +205,15 @@ def _write_files(texts: dict):
         raise
 
 
+def _within_budget(size_name: str, size: int) -> None:
+    """Reject, before any array is made, a command whose arrays would hold
+    more than MAX_GRID_POINTS elements, the eigen grid's budget (a
+    300x300 feasibility grid peaks at 84 MB, so 10**6 cells take about
+    0.7 GB)."""
+    require(size <= MAX_GRID_POINTS, f"{size_name} must be <= "
+            f"{MAX_GRID_POINTS} (the grid budget), got {{}}", size)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand pipelines: runner(params, header) -> ({file name: text or
 # JSON payload}, summary).  ``header`` is the config line of CSV and SVG
@@ -232,6 +247,8 @@ def _run_scatter(params, header):
 
 
 def _run_pattern(params, header):
+    _within_budget("n_b*n_l*(1+mirror)",
+                   params["n_b"] * params["n_l"] * (1 + params["mirror"]))
     src = make_superposed_source(params["R"], params["density"], params["d"])
     v = params["R"] / params["t_R"]
     pattern = scatter.scan_pattern(
@@ -277,6 +294,7 @@ def _run_eigen(params, header):
 
 
 def _run_zeno(params, header):
+    _within_budget("n_tau", params["n_tau"])
     g = params["g_over_hbar"] * CONST.hbar
     sys_model = zeno.spin_pair_model(g, probe_splitting=params[
         "probe_splitting_ratio"] * g)
@@ -301,6 +319,7 @@ def _environment(params) -> deco.Environment:
 
 
 def _run_decoherence(params, header):
+    _within_budget("n_R", params["n_R"])
     env = _environment(params)
     Rs = np.logspace(math.log10(params["R_min"]), math.log10(params["R_max"]),
                      params["n_R"])
@@ -330,6 +349,7 @@ def _run_report(params, header):
 
 
 def _run_feasibility(params, header):
+    _within_budget("n1*n2", params["n1"] * params["n2"])
     base = _point_from_params(params)
     axes = [(params[f"axis{i}"], np.logspace(math.log10(params[f"a{i}_min"]),
                                              math.log10(params[f"a{i}_max"]),

@@ -4,8 +4,10 @@ A closed form written with Python operators and numpy ufuncs works on
 both; these helpers keep the two cases alike at the edges: validation
 that holds for every element (NaN fails it), a float result for scalar
 input, and the ``den = 0 -> inf`` ratios the formulas use.  The results
-leave the toolkit as CSV columns through :func:`csv_text`; the inputs
-enter as dataclass fields made by :func:`parameter`.
+leave the toolkit as CSV columns through :func:`csv_text`, which formats
+each distinct value of a mostly repeated float column once (a grid's
+axis and constant columns repeat); the inputs enter as dataclass fields
+made by :func:`parameter`.
 """
 
 from __future__ import annotations
@@ -77,10 +79,31 @@ def csv_text(names: str, columns, comment: str | None = None) -> str:
     column) and are read in C order.  Integer and bool columns are written
     as ``%d``, others as ``%.9g`` (the text of ``f"{x:.9g}"``, NaN, inf and
     -0 included), all rows by one formatting call on a repeated template.
+    A float64 column with at most half its cells distinct, by bit pattern,
+    has each distinct value formatted once and its cells filled in as
+    ``%s``: the same bits give the same text, so the bytes do not change.
+    The rule follows the column alone: formatting value by value costs
+    more per value than the template, so only a repeated column gains.
     """
     arrays = np.broadcast_arrays(*map(np.asarray, columns))
-    row = ",".join("%d" if a.dtype.kind in "biu" else "%.9g"
-                   for a in arrays) + "\n"
-    values = chain.from_iterable(zip(*(a.ravel().tolist() for a in arrays)))
+    formats, cells = [], []
+    for a in arrays:
+        flat = a.ravel()
+        fmt = "%d" if a.dtype.kind in "biu" else "%.9g"
+        if a.dtype == np.float64:
+            bits = flat.view(np.int64)
+            keys = np.sort(bits)
+            first = np.ones(keys.size, dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            distinct = keys[first]
+            if 2 * distinct.size <= keys.size:
+                texts = np.array(["%.9g" % x for x in
+                                  distinct.view(np.float64).tolist()],
+                                 dtype=object)
+                flat, fmt = texts[np.searchsorted(distinct, bits)], "%s"
+        formats.append(fmt)
+        cells.append(flat.tolist())
+    row = ",".join(formats) + "\n"
+    values = chain.from_iterable(zip(*cells))
     head = f"# {comment}\n" if comment else ""
     return f"{head}{names}\n" + row * arrays[0].size % tuple(values)

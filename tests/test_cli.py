@@ -251,6 +251,33 @@ class TestEigen:
         assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, size_name, size", [
+    (["feasibility", "--n1", 1001, "--n2", 1000], "n1*n2", 1_001_000),
+    (["feasibility", "--n1", 10**10, "--n2", 10**10], "n1*n2", 10**20),
+    (["decoherence", "--n_R", MAX_GRID_POINTS + 1], "n_R",
+     MAX_GRID_POINTS + 1),
+    (["decoherence", "--n_R", 10**11], "n_R", 10**11),
+    (["zeno", "--n_tau", MAX_GRID_POINTS + 1], "n_tau", MAX_GRID_POINTS + 1),
+    (["zeno", "--n_tau", 10**11], "n_tau", 10**11),
+    (["pattern", "--n_b", 500_000, "--n_l", 2], "n_b*n_l*(1+mirror)",
+     2_000_000),
+    (["pattern", "--n_b", 10**7, "--n_l", 10**7, "--mirror", 0],
+     "n_b*n_l*(1+mirror)", 10**14),
+])
+def test_oversized_sweep_exits_2_without_allocating(tmp_path, capsys,
+                                                    monkeypatch, argv,
+                                                    size_name, size):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+    monkeypatch.setattr(np, "linspace", no_grid)
+    monkeypatch.setattr(np, "logspace", no_grid)
+    assert run_cli([*argv, "--output-dir", tmp_path]) == 2
+    assert capsys.readouterr().err == (
+        f"zenograv: validation error: {size_name} must be <= "
+        f"{MAX_GRID_POINTS} (the grid budget), got {size}\n")
+    assert not list(tmp_path.iterdir())
+
+
 class TestPattern:
     def test_emits_csv_and_svg(self, tmp_path):
         assert run_cli(["pattern", "--n_b", 2, "--n_l", 2,
@@ -658,8 +685,10 @@ PARAM_SCHEMAS = {
         "beta_max": (float, 2.0, "grid upper beta", "pos"),
         "l_min": (float, 0.0, "m, grid lower offset", "nonneg"),
         "l_max": (float, None, "m, grid upper offset (default 2R)", "nonneg"),
-        "n_b": (int, 40, "beta grid points", "pos"),
-        "n_l": (int, 40, "offset grid points", "pos"),
+        "n_b": (int, 40, "beta grid points; n_b*n_l, doubled if mirrored, "
+                "at most 1000000", "pos"),
+        "n_l": (int, 40, "offset grid points; n_b*n_l, doubled if mirrored, "
+                "at most 1000000", "pos"),
         "t_R": (float, FIGURE_T_R, "s, R/v", "pos"),
         "svg": (int, 1, "also emit SVG (0/1)", "flag"),
         "mirror": (int, 1, "mirror offsets to -l (0/1)", "flag"),
@@ -681,12 +710,12 @@ PARAM_SCHEMAS = {
         "N": (int, 100, "measurements per run", "pos"),
         "tau_min_ratio": (float, 1e-4, "smallest tau over freeze time", "pos"),
         "tau_max_ratio": (float, 1e-2, "largest tau over freeze time", "pos"),
-        "n_tau": (int, 9, "tau grid points (log)", "pos"),
+        "n_tau": (int, 9, "tau grid points (log), at most 1000000", "pos"),
     },
     "decoherence": {
         "R_min": (float, 1e-7, "m, sweep lower radius", "pos"),
         "R_max": (float, 1e-4, "m, sweep upper radius", "pos"),
-        "n_R": (int, 25, "radius grid points (log)", "pos"),
+        "n_R": (int, 25, "radius grid points (log), at most 1000000", "pos"),
         "pressure": (float, 1e-15, "Pa", "nonneg"),
         "T_env": (float, 1.0, "K, environment temperature", "pos"),
         "T_int": (float, 1.0, "K, internal temperature", "pos"),
@@ -697,11 +726,13 @@ PARAM_SCHEMAS = {
         "axis1": (str, "t_R", f"first axis, one of {SWEEP_AXES}", "any"),
         "a1_min": (float, 1.0, "axis1 lower bound", "pos"),
         "a1_max": (float, 100.0, "axis1 upper bound", "pos"),
-        "n1": (int, 16, "axis1 grid points (log)", "pos"),
+        "n1": (int, 16, "axis1 grid points (log); n1*n2 at most 1000000 "
+               "(~0.7 GB)", "pos"),
         "axis2": (str, "R", f"second axis, one of {SWEEP_AXES}", "any"),
         "a2_min": (float, 1e-6, "axis2 lower bound", "pos"),
         "a2_max": (float, 1e-4, "axis2 upper bound", "pos"),
-        "n2": (int, 16, "axis2 grid points (log)", "pos"),
+        "n2": (int, 16, "axis2 grid points (log); n1*n2 at most 1000000 "
+               "(~0.7 GB)", "pos"),
     },
 }
 

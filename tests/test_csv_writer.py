@@ -69,8 +69,53 @@ def test_any_columns_match_reference(rows):
     assert csv_text("a,b,c,d", columns) == want
 
 
+# Bit patterns that format alike but must stay apart when a repeated
+# column has each distinct value formatted once: NaNs of both signs and
+# several payloads (quiet and signalling), 0.0 beside -0.0, subnormals.
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+                dtype=np.uint64).view(np.float64).tolist()
+POOL = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+        2.2250738585072009e-308, 1.0, 1 / 3, 1e300, *NANS]
+
+
+def test_repeated_columns_on_both_sides_of_the_half_rule():
+    a, b, c = 0.0, -0.0, math.nan
+    columns = [np.array([a, b, a, b]),                  # 2 of 4 distinct
+               np.array([a, b, c, a]),                  # 3 of 4 distinct
+               np.array(NANS[:2] * 2), np.array([math.inf, 5e-324] * 2)]
+    want = reference_csv("h,m,n,s", [col.tolist() for col in columns])
+    assert csv_text("h,m,n,s", columns) == want
+    assert want.splitlines()[1:] == [
+        "0,0,nan,inf", "-0,-0,nan,4.94065646e-324", "0,nan,nan,inf",
+        "-0,0,nan,4.94065646e-324"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 12), m=st.integers(1, 6), data=st.data())
+def test_pooled_columns_match_reference(n, m, data):
+    """Repeats are common: floats come from a small pool, broadcast from
+    (n, 1) and (1, m), or fill the grid mixed with arbitrary floats, so
+    columns fall on both sides of the at-most-half-distinct rule."""
+    pooled = st.sampled_from(POOL)
+
+    def column(size, elements=pooled):
+        return np.array(data.draw(st.lists(elements, min_size=size,
+                                           max_size=size)), dtype=float)
+
+    rows, cols = column(n).reshape(n, 1), column(m).reshape(1, m)
+    mixed = column(n * m, st.one_of(pooled, st.floats())).reshape(n, m)
+    columns = [rows, cols, mixed, data.draw(pooled),
+               np.arange(n * m).reshape(n, m) % 3 - 1, rows > cols, rows]
+    want = reference_csv("r,c,x,s,i,b,r", [
+        np.broadcast_to(col, (n, m)).ravel().tolist()
+        for col in map(np.asarray, columns)], "pool")
+    assert csv_text("r,c,x,s,i,b,r", columns, "pool") == want
+
+
 @pytest.mark.parametrize("axes", [
     ("t_R", 1.0, 100.0, "R", 1e-5, 1e-5),
+    ("p", 1e-15, 1e-9, "R", 1e-5, 1e-5),
     ("m_probe", 1e-19, 1e-17, "R", 1e-6, 1e-4),
     ("R", 1.0, 100.0, "v", 1e-7, 1e-5),
 ])
