@@ -9,6 +9,9 @@ it about as much as the cases.  The host has a fast and a slow mode that
 differ by more than most changes, so compare two records by each case's
 time divided by its record's reference, not by raw times; or else run
 the parent and the change alternately on the same host.
+
+A record keeps each case's summary stats (median, IQR, rounds, ...) but
+not the list of every round's time, which would make it megabytes.
 """
 
 import statistics
@@ -48,3 +51,9 @@ def pytest_benchmark_update_machine_info(config, machine_info):
     machine_info["scipy_version"] = scipy.__version__
     machine_info["host_speed_s"] = {"start": config.stash[_START],
                                     "end": host_speed_s()}
+
+
+def pytest_benchmark_update_json(config, benchmarks, output_json):
+    """Drop each case's raw per-round samples from the JSON record."""
+    for bench in output_json["benchmarks"]:
+        bench["stats"].pop("data", None)

@@ -13,7 +13,7 @@ feasibility   constraint intersection over experiment parameters
 cli           command-line front-end (``zenograv <command>``)
 """
 
-from .constants import CONST, PhysicalConstants, ev_to_joules, joules_to_ev
+from .constants import CONST, PhysicalConstants, joules_to_ev
 from .errors import (GridInsufficientError, IntegratorFailureError,
                      InvalidParameterError, ProjectionSingularError,
                      RateOverflowError, UnterminatedTrajectoryError,

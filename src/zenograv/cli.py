@@ -304,11 +304,12 @@ def _run_zeno(params, header):
                        math.log10(params["tau_max_ratio"]),
                        params["n_tau"]) * tau_Z
     N = params["N"]
-    runs = [zeno.strobo_evolve(sys_model, tau, N, alpha0) for tau in taus]
+    with np.errstate(over="raise"):
+        runs = [zeno.strobo_evolve(sys_model, tau, N, alpha0) for tau in taus]
+        formula = [zeno.survival_probability(tau, tau_Z, N)[0] for tau in taus]
     files = {"zeno_scan.csv": csv_text(
         "tau,N,survival_sim,survival_formula,trace_dist",
-        [taus, N, [r.survival_prob for r in runs],
-         [zeno.survival_probability(tau, tau_Z, N)[0] for tau in taus],
+        [taus, N, [r.survival_prob for r in runs], formula,
          [r.effective_H_error for r in runs]], header)}
     return files, f"freeze_time={tau_Z:.6g} s  N={N}  tau points={len(taus)}"
 
@@ -442,12 +443,16 @@ def main(argv=None) -> int:
     if args.config:
         try:
             with open(args.config) as fh:
-                raw.update(json.load(fh))
+                raw = json.load(fh)
         except OSError as exc:
             print(f"zenograv: cannot read config: {exc}", file=sys.stderr)
             return 4
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             print(f"zenograv: config is not valid JSON: {exc}", file=sys.stderr)
+            return 2
+        if not isinstance(raw, dict):
+            print("zenograv: validation error: config must be a JSON object, "
+                  f"got {type(raw).__name__}", file=sys.stderr)
             return 2
     raw.update((key, getattr(args, key)) for key in PARAM_SCHEMAS[args.command]
                if getattr(args, key) is not None)

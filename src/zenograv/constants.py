@@ -48,8 +48,3 @@ HBAR_CODATA = 1.054571817e-34
 def joules_to_ev(energy_J: float) -> float:
     """Convert an energy in joules to electron-volts."""
     return energy_J / CONST.eV
-
-
-def ev_to_joules(energy_eV: float) -> float:
-    """Convert an energy in electron-volts to joules."""
-    return energy_eV * CONST.eV

@@ -15,14 +15,7 @@ class InvalidParameterError(ZenogravError, ValueError):
 
 
 class UnterminatedTrajectoryError(ZenogravError):
-    """Integration hit the time cutoff before the probe escaped.
-
-    Carries the partial trajectory on ``.trajectory`` for inspection.
-    """
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
+    """Integration hit the time cutoff before the probe escaped."""
 
 
 class IntegratorFailureError(ZenogravError):

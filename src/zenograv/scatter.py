@@ -158,11 +158,11 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     """Integrate one probe through the source field until escape.
 
     Integration runs until |x| crosses r_stop moving outward, or t_max is
-    exceeded (UnterminatedTrajectoryError, carrying the partial
-    trajectory).  A probe that enters a sphere component keeps evolving in
-    the interior field but is flagged ``hit_source``; entry is detected on
-    every accepted-step segment, not just at the sample points.  One
-    sample is kept per accepted step, the last at the escape crossing.
+    exceeded (UnterminatedTrajectoryError).  A probe that enters a sphere
+    component keeps evolving in the interior field but is flagged
+    ``hit_source``; entry is detected on every accepted-step segment, not
+    just at the sample points.  One sample is kept per accepted step, the
+    last at the escape crossing.
 
     The stepper is the lockstep engine of :func:`scan_pattern` written on
     plain floats: the same Dormand-Prince 5(4) step, controller, escape
@@ -177,12 +177,9 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     """
     centers, *columns = dist._field_stack
     terms = np.hstack((centers[:, :, 0], *columns)).tolist()
-    n_rhs = 0
 
     def rhs(y):
         # field_rows' arithmetic, one point at a time
-        nonlocal n_rhs
-        n_rhs += 1
         x, yy, z, vx, vy, vz = y
         ax = ay = az = 0.0
         for (cx, cy, cz, R, neg_gm, interior) in terms:
@@ -212,17 +209,6 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     retry = False
     ts, ys = [t], [y]
     n_accepted = n_rejected = 0
-
-    def trajectory():
-        states = np.array(ys)
-        pos, vel = states[:, :3].copy(), states[:, 3:].copy()
-        theta, out_dir = _outgoing(cfg, vel[-1])
-        return ProbeTrajectory(
-            t=np.array(ts), x=pos, v=vel,
-            hit_source=bool(_segment_hits(pos[:-1], pos[1:], dist).any()),
-            deflection_angle=theta, outgoing_dir=out_dir,
-            n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs)
-
     while True:
         min_step = 10 * math.ulp(t)
         if not retry and h_abs < min_step:
@@ -261,12 +247,24 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
                 raise IntegratorFailureError(_NON_FINITE)
             ts.append(float(t_e))
             ys.append(y_e)
-            return trajectory()
+            break
+        if t_new >= t_bound:
+            raise _unterminated(r_stop, t_bound)
         ts.append(t_new)
         ys.append(y_new)
-        if t_new >= t_bound:
-            raise _unterminated(r_stop, t_bound, trajectory())
         t, y, f, g = t_new, y_new, K[-1], g_new
+
+    states = np.array(ys)
+    pos, vel = states[:, :3].copy(), states[:, 3:].copy()
+    theta, out_dir = _outgoing(cfg, vel[-1])
+    # one slope at the launch, one in the initial step's probe, and six
+    # per Dormand-Prince attempt (the first stage reuses the last slope)
+    return ProbeTrajectory(
+        t=np.array(ts), x=pos, v=vel,
+        hit_source=bool(_segment_hits(pos[:-1], pos[1:], dist).any()),
+        deflection_angle=theta, outgoing_dir=out_dir,
+        n_accepted=n_accepted, n_rejected=n_rejected,
+        n_rhs=2 + 6 * (n_accepted + n_rejected))
 
 
 def _radius(y):
@@ -305,10 +303,9 @@ def _deflection(v, v_out):
     return theta, v_out / np.sqrt(_dot3(v_out, v_out))[:, None]
 
 
-def _unterminated(r_stop, t_max, traj=None) -> UnterminatedTrajectoryError:
+def _unterminated(r_stop, t_max) -> UnterminatedTrajectoryError:
     return UnterminatedTrajectoryError(
-        f"probe did not escape r_stop={r_stop} within t_max={t_max}",
-        trajectory=traj)
+        f"probe did not escape r_stop={r_stop} within t_max={t_max}")
 
 
 def _dot3(u, w):

@@ -169,7 +169,6 @@ class GroundStateClassification:
     label: str                 # see classify_ground_state
     relative_gap: float        # (E1 - E0)/|E0|
     outside_fraction: float    # |psi0|^2 probability beyond the central barrier
-    barrier_position: float | None   # +x barrier location (units of d) or None
 
 
 def classify_ground_state(sol: EigenSolution, spec: PotentialSpec1D
@@ -212,5 +211,4 @@ def classify_ground_state(sol: EigenSolution, spec: PotentialSpec1D
     else:
         label = "delocalized-triple-well"
     return GroundStateClassification(label=label, relative_gap=float(rel_gap),
-                                     outside_fraction=outside,
-                                     barrier_position=x_b)
+                                     outside_fraction=outside)

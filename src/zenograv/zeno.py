@@ -91,11 +91,10 @@ class BipartiteSystem:
 
 @dataclass(frozen=True)
 class StroboscopicResult:
-    n_steps: int
-    tau: float                    # s
+    """The phi branch after the cycles of :func:`strobo_evolve`."""
+
     survival_prob: float          # cumulative phi-branch probability
     probe_state: np.ndarray       # conditional probe density matrix
-    frozen_fidelity: float        # last pre-measurement source overlap with phi
     effective_H_error: float      # trace distance to effective-Hamiltonian evolution
 
     def __post_init__(self):
@@ -191,39 +190,32 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
     With P = 1 x P_phi and rho_0 = alpha_0 x P_phi, P rho_0 P = rho_0, so
     the branch after k steps is W^k rho_0 (W^k)^dagger with W = P U P =
     w x P_phi, w = <phi|U|phi>: that is (w^k alpha_0 (w^k)^dagger) x P_phi.
-    w is kept as 1 + E, E = <phi|U - 1|phi> straight from expm1, and w^k
-    as 1 + E_k: E_(n-1) is one power by squaring (O(log n) products), one
-    more product gives E_n, and the branch is alpha_0 + D with D = E_k
-    alpha_0 + alpha_0 E_k^dagger + E_k alpha_0 E_k^dagger, its trace
-    tr alpha_0 + tr D; below a trace of 1/2, from the plain power (1 + E)^k.
+    w is kept as 1 + E, E = <phi|U - 1|phi> straight from expm1, and w^n
+    as 1 + E_n: E_(n-1) is one power by squaring (O(log n) products), one
+    more product gives E_n (a rounding that ``zeno_scan.csv`` pins), and
+    the branch is alpha_0 + D with D = E_n alpha_0 + alpha_0 E_n^dagger +
+    E_n alpha_0 E_n^dagger, its trace tr alpha_0 + tr D; below a trace of
+    1/2, it is formed from the plain power (1 + E)^n.
     """
     # written as x > 0, not as not x <= 0, so that NaN fails
     require(0 < tau < math.inf, "tau must be finite and > 0, got {}", tau)
     require(n >= 0, "n must be >= 0, got {}", n)
-    alpha0 = _check_density_matrix(initial_probe, sys.dim_P)
-
-    trace0 = float(np.trace(alpha0).real)
-
-    def branch(Ek, k):   # w^k alpha_0 w^k^dagger for w^k = 1 + Ek, and its trace
-        D = Ek @ alpha0 + alpha0 @ Ek.conj().T + Ek @ alpha0 @ Ek.conj().T
-        trace = trace0 + float(np.trace(D).real)
-        if trace >= 0.5:
-            return alpha0 + D, trace
-        # decayed: tr D cancels tr alpha_0 to an absolute 1e-16, so form the
-        # plain power, whose relative error is about k x 1e-16
-        wk = np.linalg.matrix_power(np.eye(sys.dim_P) + E, k)
-        alpha = wk @ alpha0 @ wk.conj().T
-        return alpha, float(np.trace(alpha).real)
-
-    if n == 0:
-        alpha, survival, frozen_fidelity = alpha0, trace0, 1.0
-    else:
+    alpha = alpha0 = _check_density_matrix(initial_probe, sys.dim_P)
+    survival = float(np.trace(alpha0).real)
+    if n > 0:
         E = _phi_block(sys, _expm1(sys.total_hamiltonian(), tau))
         E_prev = _power_minus_one(E, n - 1)
-        # U is unitary, so the last step's pre-measurement trace is tr rho_{n-1}
-        before = branch(E_prev, n - 1)[1]
-        alpha, survival = branch(E + E_prev + E @ E_prev, n)
-        frozen_fidelity = survival / before if before > 0 else 0.0
+        E_n = E + E_prev + E @ E_prev
+        D = E_n @ alpha0 + alpha0 @ E_n.conj().T + E_n @ alpha0 @ E_n.conj().T
+        trace = survival + float(np.trace(D).real)
+        if trace >= 0.5:
+            alpha, survival = alpha0 + D, trace
+        else:
+            # decayed: tr D cancels tr alpha_0 to an absolute 1e-16, so form
+            # the plain power, whose relative error is about n x 1e-16
+            w_n = np.linalg.matrix_power(np.eye(sys.dim_P) + E, n)
+            alpha = w_n @ alpha0 @ w_n.conj().T
+            survival = float(np.trace(alpha).real)
     if survival > 0:
         probe = alpha / survival
         Uphi = _propagator(effective_hamiltonian(sys), n * tau)
@@ -232,8 +224,7 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
         probe = np.full((sys.dim_P, sys.dim_P), np.nan, dtype=complex)
         err = float("nan")
 
-    return StroboscopicResult(n_steps=n, tau=tau, survival_prob=survival,
-                              probe_state=probe, frozen_fidelity=frozen_fidelity,
+    return StroboscopicResult(survival_prob=survival, probe_state=probe,
                               effective_H_error=err)
 
 

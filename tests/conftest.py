@@ -126,7 +126,7 @@ def scipy_trajectory(dist, cfg):
                            deflection_angle=theta, outgoing_dir=out_dir,
                            n_rhs=sol.nfev)
     if sol.status == 0:
-        raise _unterminated(cfg.r_stop, cfg.t_max, traj)
+        raise _unterminated(cfg.r_stop, cfg.t_max)
     if sol.status < 0:
         raise IntegratorFailureError(f"integrator failed: {sol.message}")
     return traj

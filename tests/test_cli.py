@@ -93,11 +93,31 @@ class TestValidation:
         assert run_cli(["report", "--config", tmp_path / "nope.json",
                         "--output-dir", tmp_path]) == 4
 
-    def test_malformed_config_file(self, tmp_path):
+    # not JSON (or not UTF-8 text), or JSON whose top level is not an
+    # object: one line, exit 2
+    @pytest.mark.parametrize("text,error", [
+        ("{not json", "config is not valid JSON: "),
+        ("\xff{}", "config is not valid JSON: "),
+        ("[1, 2]", "validation error: config must be a JSON object, got list"),
+        ('[["R", 1e-5]]', "validation error: config must be a JSON object, "
+         "got list"),
+        ('"abc"', "validation error: config must be a JSON object, got str"),
+        ("3", "validation error: config must be a JSON object, got int"),
+        ("null", "validation error: config must be a JSON object, got "
+         "NoneType"),
+        ("true", "validation error: config must be a JSON object, got bool"),
+    ], ids=["not-json", "not-utf8", "array", "pairs", "string", "number",
+            "null", "true"])
+    def test_malformed_config_file(self, tmp_path, capsys, text, error):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        assert run_cli(["report", "--config", cfg,
-                        "--output-dir", tmp_path]) == 2
+        cfg.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "out"
+        assert run_cli(["pattern", "--n_b", 1, "--n_l", 1, "--svg", 0,
+                        "--config", cfg, "--output-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"zenograv: {error}")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     # JSON numbers that no text on the command line would pass as: a
     # float is not cut to an int, a bool is not 0 or 1, and an int
@@ -185,6 +205,8 @@ class TestNumericalFailure:
           "1e300", "--n1", "2", "--axis2", "R", "--a2_min", "1e-5",
           "--a2_max", "1e-5", "--n2", "1"],
          "FloatingPointError: overflow encountered in multiply"),
+        # (1 - (tau/tau_Z)^2)^N overflows far outside the freeze regime
+        (["zeno", "--tau_max_ratio", "1e300"], "FloatingPointError"),
     ])
     def test_arithmetic_failure_exits_3(self, tmp_path, capsys, args, error):
         assert run_cli(args + ["--output-dir", tmp_path]) == 3
