@@ -30,12 +30,12 @@ AXES = (("m_probe", np.logspace(-19, -17, N)), ("R", np.logspace(-6, -4, N)))
 
 @pytest.fixture(scope="module")
 def grid():
-    return feasibility.sweep_region(*AXES, feasibility.reference_point())
+    return feasibility.sweep_region(*AXES, feasibility.ExperimentPoint())
 
 
 def test_sweep_region_32x32(benchmark):
     grid = benchmark(feasibility.sweep_region, *AXES,
-                     feasibility.reference_point())
+                     feasibility.ExperimentPoint())
     assert grid.passed.shape == (N * N,)
 
 
@@ -45,7 +45,7 @@ def test_sweep_region_64x64_degenerate(benchmark, t_R_range):
     axes = (("R", np.logspace(-6, -4, 64)),
             ("t_R", np.logspace(*np.log10(t_R_range), 64)))
     grid = benchmark(feasibility.sweep_region, *axes,
-                     feasibility.reference_point())
+                     feasibility.ExperimentPoint())
     assert np.isnan(grid.t_total).all() and not grid.passed.any()
 
 
@@ -57,7 +57,7 @@ def test_region_to_csv_32x32(benchmark, grid):
 def test_region_to_csv_64x64_pinned(benchmark):
     grid = feasibility.sweep_region(("t_R", np.logspace(0, 2, 64)),
                                     ("R", np.full(64, 1e-5)),
-                                    feasibility.reference_point())
+                                    feasibility.ExperimentPoint())
     text = benchmark(feasibility.region_to_csv, grid, "bench")
     assert text.count("\n") == 2 + 64 * 64
 

@@ -5,7 +5,7 @@ the well finder and the stroboscopic freeze.
 
 pytest-benchmark cases, outside the tier-1 ``testpaths``.  They time the
 layers that the CLI's ``report``, ``eigen`` and ``zeno`` commands run:
-``evaluate_point`` at the reference point, ``solve_eigen`` and
+``evaluate_point`` at the default ``ExperimentPoint``, ``solve_eigen`` and
 ``find_wells`` on the triple well at 4000 grid points, and
 ``strobo_evolve`` on the spin pair of the ``zeno`` command's defaults
 (freeze time 1 s, probe splitting 0.7 g, N = 100 measurements) at its
@@ -26,7 +26,7 @@ PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 def test_evaluate_point_reference(benchmark):
     report = benchmark(feasibility.evaluate_point,
-                       feasibility.reference_point())
+                       feasibility.ExperimentPoint())
     assert len(report.constraints) == 6
 
 

@@ -10,15 +10,16 @@ t_R = 10^1.1 s.  ``scan_pattern`` integrates its 144 l >= 0 probes and
 mirrors the rest; the ``_integrate_batch`` case integrates all 276
 launches of the same grid, with no mirror, and a second case one probe
 of it; the trajectory case is that probe through the plain-float
-stepper.  The field kernel ``gravity_field`` is timed on 144 and 1600
+stepper.  The field kernel ``field_rows`` is timed on 144 and 1600
 positions around the two-lobe source (the engine's batch sizes for the
-benchmark grid and a 40x40 preset).
+benchmark grid and a 40x40 preset), as the engine holds them: one
+contiguous row per coordinate.
 """
 
 import numpy as np
 import pytest
 
-from zenograv.massdist import gravity_field, make_superposed_source
+from zenograv.massdist import field_rows, make_superposed_source
 from zenograv.scatter import (ScatterConfig, _integrate_batch,
                               integrate_trajectory, scan_pattern)
 
@@ -59,9 +60,10 @@ def test_integrate_batch_one_probe(benchmark, probe):
 
 
 @pytest.mark.parametrize("n", [144, 1600])
-def test_gravity_field(benchmark, n):
+def test_field_rows(benchmark, n):
     x = np.random.default_rng(n).uniform(-3 * R, 3 * R, (n, 3))
-    assert np.isfinite(benchmark(gravity_field, SRC, x)).all()
+    assert np.isfinite(benchmark(field_rows, SRC,
+                                 np.ascontiguousarray(x.T))).all()
 
 
 def test_integrate_trajectory(benchmark, probe):

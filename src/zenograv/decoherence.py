@@ -179,14 +179,6 @@ def total_decoherence(env: Environment, R) -> DecoherenceBreakdown:
         gamma_bb_abs=ab.gamma, gamma_bb_em=em.gamma)
 
 
-def wavepacket_spread(m, t, delta_u):
-    """Free Gaussian wavepacket width sqrt(2 du^2 + (hbar t / (m du))^2 / 2) (m)."""
-    require((m > 0) & (delta_u > 0) & (t >= 0),
-            "m and delta_u must be > 0, t >= 0")
-    return result(np.sqrt(2 * delta_u**2
-                          + 0.5 * (CONST.hbar * t / (m * delta_u)) ** 2))
-
-
 def wavepacket_spread_min(m, t):
     """(sigma_min, du_min): the optimum sqrt(2 hbar t/m) at du = sqrt(hbar t/(2m))."""
     require((m > 0) & (t >= 0), "m must be > 0 and t >= 0")

@@ -56,6 +56,9 @@ class ExperimentPoint:
     be broadcastable arrays; such a point is a grid of cells (see
     :func:`sweep_region`).  Each field's default, unit, CLI sign rule and
     ``report.json`` key are in its metadata (see ``elementwise.parameter``).
+    The defaults are the summary configuration: a 10 um silica sphere
+    (mass ~1e-11 kg), a probe of 1e-18 kg at 1 um/s (t_R = 10 s), and a
+    cryogenic ultra-high vacuum (1e-15 Pa, 1 K).
     """
 
     R: float = parameter(1e-5, "m, source sphere radius", "pos", "R_m")
@@ -110,15 +113,6 @@ class ExperimentPoint:
         return self.beta * self.R
 
 
-def reference_point() -> ExperimentPoint:
-    """The summary feasibility configuration: every field at its default.
-
-    10 um silica sphere (mass ~1e-11 kg), probe of 1e-18 kg at 1 um/s
-    (t_R = 10 s), cryogenic ultra-high vacuum (1e-15 Pa, 1 K).
-    """
-    return ExperimentPoint()
-
-
 @dataclass(frozen=True)
 class ConstraintCheck:
     name: str
@@ -148,12 +142,6 @@ class ConstraintReport:
     @property
     def passed(self) -> bool:
         return all(c.passed is True for c in self.constraints)
-
-    def constraint(self, name: str) -> ConstraintCheck:
-        for c in self.constraints:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def _by_cell(sub, pt: ExperimentPoint):

@@ -129,7 +129,7 @@ def gravity_potential(dist: MassDistribution, x, m_probe: float) -> np.ndarray:
     component the sphere acts as a point mass, -G m M/s; in the interior
     the exact uniform-sphere form -G m M (3R^2 - s^2)/(2R^3) keeps
     grazing/penetrating trajectories well defined.  The distance s is
-    formed as in :func:`gravity_field`, and the exterior divide is masked
+    formed as in :func:`field_rows`, and the exterior divide is masked
     to the exterior, so a point at a component center gives no
     floating-point warning.
     """
@@ -145,24 +145,6 @@ def gravity_potential(dist: MassDistribution, x, m_probe: float) -> np.ndarray:
         np.divide(GmM, s, out=term, where=s >= R)
         V -= term
     return V
-
-
-def gravity_field(dist: MassDistribution, x) -> np.ndarray:
-    """Gravitational acceleration (m/s^2) at each row of x, shape (n, 3).
-
-    Per component, -G M (x-c)/s^3 outside the sphere and -G M (x-c)/R^3
-    inside (linear restoring field), evaluated in the same operation order
-    as the scalar integrator right-hand side.  This is :func:`field_rows`
-    on the coordinate rows x.T.  The exterior branch is also computed
-    where the interior one is taken, so its divide by zero at a component
-    center (and overflow next to one) is silenced: such a point gets the
-    interior value, zero at the center, without a floating-point warning.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 3:
-        raise InvalidParameterError(f"x must have shape (n, 3), got {x.shape}")
-    with np.errstate(divide="ignore", over="ignore"):
-        return field_rows(dist, np.ascontiguousarray(x.T)).T
 
 
 def field_rows(dist: MassDistribution, x) -> np.ndarray:
@@ -185,12 +167,3 @@ def field_rows(dist: MassDistribution, x) -> np.ndarray:
     s = np.sqrt(s2)
     f = np.where(s >= radius, neg_gm / (s2 * s), interior)
     return np.add.reduce(f[:, None] * d, axis=0, initial=0.0)
-
-
-def force_at(dist: MassDistribution, x, m_probe: float) -> np.ndarray:
-    """Gravitational force (N, 3-vector) on a point probe at position x.
-
-    Analytic gradient of :func:`potential_at`: m_probe times
-    :func:`gravity_field` at the single point x.
-    """
-    return m_probe * gravity_field(dist, np.reshape(x, (1, 3)))[0]

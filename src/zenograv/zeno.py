@@ -83,11 +83,6 @@ class BipartiteSystem:
         IS = np.eye(self.dim_S)
         return (np.kron(self.H_P, IS) + np.kron(IP, self.H_S) + self.H_int)
 
-    def projector_phi(self) -> np.ndarray:
-        """1 x P_phi on the product space."""
-        P = np.outer(self.phi, self.phi.conj())
-        return np.kron(np.eye(self.dim_P), P)
-
 
 @dataclass(frozen=True)
 class StroboscopicResult:
@@ -161,19 +156,6 @@ def effective_hamiltonian(sys: BipartiteSystem) -> np.ndarray:
     H_P + <phi|H_S|phi> + <phi|H_int|phi>.
     """
     return _phi_block(sys, sys.total_hamiltonian())
-
-
-def zeno_variance(sys: BipartiteSystem) -> np.ndarray:
-    """DeltaH^2_phi = Tr_S[(1 x P_phi) H^2] - H_phi^2 (positive semidefinite).
-
-    Its operator norm sets the freeze timescale hbar/sqrt(||DeltaH^2_phi||):
-    the per-step survival deficit is Tr[alpha DeltaH^2_phi] (tau/hbar)^2 at
-    second order.
-    """
-    H = sys.total_hamiltonian()
-    mom2 = _phi_block(sys, H @ H)
-    Hphi = effective_hamiltonian(sys)
-    return mom2 - Hphi @ Hphi
 
 
 def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,

@@ -1,6 +1,8 @@
 """Shared test oracles: asymptotic launch configs, orbit timing and the
 scipy RK45 trajectory integrator; the rows of a pattern scan, and launch
-tables stacked from one-probe configs."""
+tables stacked from one-probe configs; the field and force at rows of
+points, the freeze projector and variance, the free wavepacket width,
+and a report's constraint by name."""
 
 import math
 
@@ -8,9 +10,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from zenograv.constants import CONST
 from zenograv.errors import IntegratorFailureError
+from zenograv.massdist import field_rows
 from zenograv.scatter import (ProbeTrajectory, ScatterConfig, _launch,
                               _outgoing, _segment_hits, _unterminated)
+from zenograv.zeno import _phi_block, effective_hamiltonian
 
 
 def oracle_config(dist, b, l, v, rtol=1e-10):
@@ -130,3 +135,37 @@ def scipy_trajectory(dist, cfg):
     if sol.status < 0:
         raise IntegratorFailureError(f"integrator failed: {sol.message}")
     return traj
+
+
+def gravity_field(dist, x):
+    """Oracle kept out of the package: the field at each row of x (n, 3)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return field_rows(dist, np.ascontiguousarray(np.asarray(x, float).T)).T
+
+
+def force_at(dist, x, m_probe):
+    """Oracle kept out of the package: the force (N) on a probe at x."""
+    return m_probe * gravity_field(dist, np.reshape(x, (1, 3)))[0]
+
+
+def projector_phi(sys):
+    """Oracle kept out of the package: 1 x P_phi on the product space."""
+    return np.kron(np.eye(sys.dim_P), np.outer(sys.phi, sys.phi.conj()))
+
+
+def zeno_variance(sys):
+    """Oracle kept out of the package: <phi|H^2|phi> - H_phi^2."""
+    H = sys.total_hamiltonian()
+    H_phi = effective_hamiltonian(sys)
+    return _phi_block(sys, H @ H) - H_phi @ H_phi
+
+
+def wavepacket_spread(m, t, delta_u):
+    """Oracle kept out of the package: the free Gaussian packet width (m)."""
+    return math.sqrt(2 * delta_u**2
+                     + 0.5 * (CONST.hbar * t / (m * delta_u)) ** 2)
+
+
+def constraint(rep, name):
+    """Oracle kept out of the package: the check of ``rep`` called ``name``."""
+    return next(c for c in rep.constraints if c.name == name)

@@ -10,14 +10,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import clean_rows, oracle_config
+from conftest import clean_rows, force_at, oracle_config
 
 from zenograv.constants import CONST
 from zenograv.decoherence import (Environment, blackbody_rates,
                                   gamma_distance, rest_gas_rate,
                                   total_decoherence)
-from zenograv.feasibility import evaluate_point, reference_point
-from zenograv.massdist import force_at, make_superposed_source, potential_at
+from zenograv.feasibility import ExperimentPoint, evaluate_point
+from zenograv.massdist import make_superposed_source, potential_at
 from zenograv.scatter import (ScatterConfig, energy_series,
                               integrate_trajectory, kepler_scatter_time,
                               pattern_to_csv, rutherford_angle,
@@ -201,7 +201,7 @@ def test_criterion_6_decoherence_coefficients():
 
 
 def test_criterion_7_reference_feasibility_report():
-    rep = evaluate_point(reference_point())
+    rep = evaluate_point(ExperimentPoint())
     ke_ok = abs(rep.kinetic_energy_eV - 3e-12) <= 0.1 * 3e-12
     gamma_ok = 100.0 / 3 <= rep.gamma_zeno_required <= 100.0 * 3
     sigma_ok = rep.sigma_ratio <= 2e-2
@@ -210,7 +210,7 @@ def test_criterion_7_reference_feasibility_report():
 
     # the two-lobe-figure probe speed (t_R = 10^1.1 s) also satisfies
     # every constraint; its kinetic energy is lower by (10/10^1.1)^2
-    rep_fig = evaluate_point(replace(reference_point(), t_R=10 ** 1.1))
+    rep_fig = evaluate_point(replace(ExperimentPoint(), t_R=10 ** 1.1))
 
     _line(7, "summary feasibility report", ok and rep_fig.passed,
           f"pass={rep.passed}, KE={rep.kinetic_energy_eV:.3e} eV, "

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from zenograv import cli
 from zenograv.elementwise import csv_text
-from zenograv.feasibility import reference_point, sweep_region
+from zenograv.feasibility import ExperimentPoint, sweep_region
 from zenograv.schrod1d import PotentialSpec1D, solve_eigen
 
 
@@ -130,7 +130,7 @@ def test_region_csv_from_cli_matches_rows(tmp_path, axes):
     grid = sweep_region((ax1, np.logspace(math.log10(lo1), math.log10(hi1),
                                           5)),
                         (ax2, np.logspace(math.log10(lo2), math.log10(hi2),
-                                          3)), reference_point())
+                                          3)), ExperimentPoint())
     want = [f"# {comment}", "axis1,axis2,theta_max,t_total,gamma_required,"
             "sigma_ratio,mfp,KE_eV,pass"]
     for *values, passed in zip(*(c.tolist() for c in vars(grid).values())):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import wavepacket_spread
 
 from zenograv.constants import CONST
 from zenograv.decoherence import (BB_ABEM_COEFF, BB_SC_COEFF, GAS_COEFF,
@@ -9,7 +10,7 @@ from zenograv.decoherence import (BB_ABEM_COEFF, BB_SC_COEFF, GAS_COEFF,
                                   blackbody_rates, gamma_distance,
                                   mean_free_path, momentum_floor,
                                   rest_gas_rate, total_decoherence,
-                                  wavepacket_spread, wavepacket_spread_min)
+                                  wavepacket_spread_min)
 from zenograv.errors import InvalidParameterError, RateOverflowError
 
 REF_ENV = Environment(pressure=1e-15, T_env=1.0, T_int=1.0)

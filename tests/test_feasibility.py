@@ -6,20 +6,20 @@ from operator import attrgetter
 
 import numpy as np
 import pytest
-from conftest import anomaly_crossing_elapsed, oracle_config
+from conftest import anomaly_crossing_elapsed, constraint, oracle_config
 
 from zenograv import decoherence as deco
-from zenograv import scatter, zeno
+from zenograv import cli, scatter, zeno
 from zenograv.constants import CONST, joules_to_ev
 from zenograv.decoherence import Environment
 from zenograv.errors import InvalidParameterError, ZenogravError
 from zenograv.feasibility import (SWEEP_AXES, ExperimentPoint, _apply_axes,
-                                  evaluate_point, reference_point,
-                                  region_to_csv, report_to_dict, sweep_region)
+                                  evaluate_point, region_to_csv,
+                                  report_to_dict, sweep_region)
 from zenograv.massdist import make_superposed_source
 from zenograv.scatter import integrate_trajectory
 
-REF = reference_point()
+REF = ExperimentPoint()
 
 
 class TestExperimentPoint:
@@ -60,15 +60,16 @@ class TestExperimentPoint:
             replace(REF, sigma_ratio_max=value)
 
     def test_defaults_are_the_summary_configuration(self):
-        # the literals reference_point() spelled out before the field
-        # defaults took them over
+        # the summary configuration, spelled out
         assert ExperimentPoint() == ExperimentPoint(
             R=1e-5, density=2600.0, beta=1.2, zeta=0.75, t_R=10.0,
             m_probe=1e-18, R_probe=1e-6,
             env=Environment(pressure=1e-15, T_env=1.0, T_int=1.0),
             t_total_cap=100.0, theta_min=1e-4, strictness=100.0,
             sigma_ratio_max=0.02, gamma_zeno_achievable=1e3)
-        assert reference_point() == ExperimentPoint()
+        # and the report command evaluates it when given no option
+        assert cli._point_from_params(
+            cli.resolve_params("report", {})) == ExperimentPoint()
 
     def test_grid_fields_validated_whole(self):
         # an array field is checked in every cell, NaN included, with the
@@ -106,13 +107,13 @@ class TestReferenceReport:
     def test_slow_probe_fails_deflection(self):
         rep = evaluate_point(replace(REF, t_R=1.0))
         assert not rep.passed
-        assert rep.constraint("deflection").passed is False
+        assert constraint(rep, "deflection").passed is False
         assert rep.theta_max < 1e-4
 
     def test_poor_vacuum_fails_decoherence(self):
         rep = evaluate_point(replace(REF, env=Environment(1e-6, 1.0, 1.0)))
         assert not rep.passed
-        assert rep.constraint("decoherence").passed is False
+        assert constraint(rep, "decoherence").passed is False
         # gas channel scales linearly: 1e9 times the reference pressure
         ref_gas = evaluate_point(REF).breakdown.gamma_gas
         assert rep.breakdown.gamma_gas == pytest.approx(1e9 * ref_gas, rel=1e-9)
@@ -121,7 +122,7 @@ class TestReferenceReport:
         rep = evaluate_point(replace(REF, t_R=10 ** 1.3))
         assert rep.t_total > 100.0
         assert rep.t_used == 100.0
-        assert rep.constraint("time").passed is False
+        assert constraint(rep, "time").passed is False
 
     def test_pressure_monotonicity(self):
         # raising the pressure never turns a fail back into a pass
@@ -170,8 +171,8 @@ class TestDurationWindow:
         passes = []
         for lt in logs:
             rep = evaluate_point(replace(REF, t_R=10 ** lt))
-            ok = (rep.constraint("deflection").passed
-                  and rep.constraint("time").passed)
+            ok = (constraint(rep, "deflection").passed
+                  and constraint(rep, "time").passed)
             passes.append(ok)
         idx = np.nonzero(passes)[0]
         assert len(idx) > 0
@@ -447,17 +448,17 @@ class TestGridKernelParity:
                 assert all(_same(a, b) for a, b in zip(got, want)), (got,
                                                                      want)
                 assert rep.passed is grid.passed.tolist()[i]
-        check = evaluate_point(replace(REF, R=2.25e-67)).constraint("time")
+        check = constraint(evaluate_point(replace(REF, R=2.25e-67)), "time")
         assert check.passed is None and check.note == (
             "InvalidParameterError: scattering duration not finite and > 0: "
             "nan s")
 
     def test_one_cell_indeterminate_report(self):
         rep = evaluate_point(replace(REF, t_R=1e100))
-        time = rep.constraint("time")
+        time = constraint(rep, "time")
         assert time.passed is None and math.isnan(time.margin)
         assert time.note.startswith("InvalidParameterError: orbit not hyperbolic")
-        assert rep.constraint("deflection").passed is True
+        assert constraint(rep, "deflection").passed is True
         assert not rep.passed
 
     def test_degenerate_duration_is_indeterminate(self):
@@ -466,7 +467,7 @@ class TestGridKernelParity:
         # indeterminate, and the run budget stands in for it
         for t_R, t_total in ((1e40, "0.0"), (1e60, "nan")):
             rep = evaluate_point(replace(REF, t_R=t_R))
-            time = rep.constraint("time")
+            time = constraint(rep, "time")
             assert time.passed is None and math.isnan(time.margin)
             assert time.note == ("InvalidParameterError: scattering duration "
                                  f"not finite and > 0: {t_total} s")

@@ -17,6 +17,7 @@ CHANGES.md which digest changed and why.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -135,3 +136,30 @@ def test_golden_digest(tmp_path, command, summary, digests):
     assert out.getvalue() == f"zenograv {subcommand}: {summary}  -> {paths}\n"
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(tmp_path.iterdir())} == digests
+
+
+def _config(path):
+    """The config an output file carries: under ``"config"`` in JSON,
+    else on its ``zenograv config:`` header line."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)["config"]
+    line = next(line for line in text.splitlines()
+                if "zenograv config: " in line)
+    return json.JSONDecoder().raw_decode(
+        line.split("zenograv config: ", 1)[1])[0]
+
+
+@pytest.mark.parametrize("command", [row[0] for row in GOLDEN])
+def test_output_regenerates_from_its_config(tmp_path, command):
+    # the cli promise: any output file can be regenerated from itself
+    first, again = tmp_path / "first", tmp_path / "again"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(command.split() + ["--output-dir", str(first)]) == 0
+        config = _config(sorted(first.iterdir())[0])
+        (tmp_path / "params.json").write_text(json.dumps(config["params"]))
+        assert cli.main([config["command"], "--config",
+                         str(tmp_path / "params.json"),
+                         "--output-dir", str(again)]) == 0
+    assert {p.name: p.read_bytes() for p in again.iterdir()} == \
+        {p.name: p.read_bytes() for p in first.iterdir()}

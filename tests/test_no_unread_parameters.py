@@ -1,12 +1,15 @@
-"""Every parameter of every function in the package is read.
+"""Every parameter of every function in the package is read, and every
+public function is called.
 
 A parameter that its function's body never names is a setting that
-changes no result; it is deleted, not kept.  The few kept on purpose
-are listed, each with its reason.
+changes no result, and a public function that no code of the package
+names is API that no program path uses; both are deleted, not kept.
+The few kept on purpose are listed, each with its reason.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import zenograv
 
@@ -21,6 +24,25 @@ ALLOWED = {
     "cli._run_report.header",
 }
 
+# Public functions named only outside the package: perfbench, which
+# may not change with the package, traces or calls each by name.
+UNCALLED = {
+    # the per-probe dict round trip that massdist.from_dict.calls counts
+    "massdist.MassDistribution.from_dict",
+    # traced through its scatter re-export as massdist.potential_at
+    "massdist.potential_at",
+    # traced, and read by the scatter.fail_count counters
+    "scatter.stereographic_project",
+    # the trajectories workload calls it after each integration
+    "scatter.energy_series",
+}
+
+
+def _modules():
+    """(module name, syntax tree) of every module of the package."""
+    return [(path.stem, ast.parse(path.read_text(), filename=str(path)))
+            for path in sorted(PACKAGE.glob("*.py"))]
+
 
 def _parameters(args):
     return [a.arg for a in (*args.posonlyargs, *args.args, args.vararg,
@@ -32,8 +54,7 @@ def unread_parameters():
     """``module.function.parameter`` for every function parameter (a
     lambda's too, under ``<lambda>``) that no name in the body reads."""
     unread = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for module, tree in _modules():
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.Lambda)):
@@ -42,10 +63,45 @@ def unread_parameters():
             named = {n.id for stmt in body for n in ast.walk(stmt)
                      if isinstance(n, ast.Name)}
             name = getattr(node, "name", "<lambda>")
-            unread |= {f"{path.stem}.{name}.{arg}"
+            unread |= {f"{module}.{name}.{arg}"
                        for arg in _parameters(node.args) if arg not in named}
     return unread
 
 
 def test_every_parameter_is_read():
     assert unread_parameters() == ALLOWED
+
+
+def _public_functions(module, tree):
+    """(``module.function`` or ``module.Class.method``, definition) of
+    every public module-level function and public method."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{module}.{node.name}.{m.name}", m)
+                        for m in node.body if isinstance(m, functions)
+                        and not m.name.startswith("_"))
+        elif isinstance(node, functions) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+
+
+def _names(node):
+    """How often each name is named by a Name or Attribute under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def uncalled_functions(modules):
+    """Each public function or method of ``modules`` that no Name or
+    Attribute of theirs refers to outside its own definition.  A
+    re-export in ``__init__`` is an import, which names no Name, so it
+    is no call; nor is a docstring."""
+    named = sum((_names(tree) for _, tree in modules), Counter())
+    return {key for module, tree in modules
+            for key, node in _public_functions(module, tree)
+            if named[node.name] == _names(node)[node.name]}
+
+
+def test_every_public_function_is_called():
+    assert uncalled_functions(_modules()) == UNCALLED

@@ -4,6 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from conftest import projector_phi, zeno_variance
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -13,7 +14,7 @@ from zenograv.errors import InvalidParameterError
 from zenograv.zeno import (BipartiteSystem, effective_hamiltonian,
                            spin_pair_model, strobo_evolve,
                            survival_probability, trace_distance,
-                           zeno_rate_bounds, zeno_time_estimate, zeno_variance)
+                           zeno_rate_bounds, zeno_time_estimate)
 
 HBAR = CONST.hbar
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -55,7 +56,7 @@ def loop_reference(sys_m, tau, n, alpha0):
     step per measurement with scipy's expm: the loop that strobo_evolve's
     matrix power replaced, kept as its oracle."""
     U = expm(-1j * sys_m.total_hamiltonian() * tau / HBAR)
-    P = sys_m.projector_phi()
+    P = projector_phi(sys_m)
     rho = np.kron(alpha0, np.outer(sys_m.phi, sys_m.phi.conj()))
     for _ in range(n):
         rho = P @ (U @ rho @ U.conj().T) @ P
@@ -302,7 +303,7 @@ class TestStroboEvolve:
         tau = 0.05 * TAU_Z
         H = sys_m.total_hamiltonian()
         U = expm(-1j * H * tau / HBAR)
-        P = sys_m.projector_phi()
+        P = projector_phi(sys_m)
         rho = np.kron(PLUS, np.outer(sys_m.phi, sys_m.phi.conj()))
         rejected = 0.0
         for _ in range(30):
