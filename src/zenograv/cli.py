@@ -37,7 +37,7 @@ from .constants import CONST
 from .elementwise import csv_text, require
 from .errors import InvalidParameterError, ZenogravError
 from .massdist import make_superposed_source
-from .schrod1d import (MAX_GRID_POINTS, PotentialSpec1D,
+from .schrod1d import (DEFAULT_GRID, MAX_GRID_POINTS, PotentialSpec1D,
                        classify_ground_state, potential_gradient, solve_eigen)
 
 T_R_FIGURE = 10 ** 1.1   # s, the two-lobe pattern preset
@@ -92,8 +92,9 @@ PARAM_SCHEMAS = {
         "c": (float, 1.0, "x^6 coefficient (dimensionless)", _POS),
         "M": (float, 1e-11, "kg, source mass", _POS),
         "d": (float, 1e-5, "m, length unit", _POS),
-        "x_max": (float, 4.0, "half-width of the grid, units of d", _POS),
-        "n_points": (int, 4000, f"grid points, at most {MAX_GRID_POINTS}", _POS),
+        "x_max": (float, DEFAULT_GRID[1], "half-width of the grid, units of d", _POS),
+        "n_points": (int, DEFAULT_GRID[2], f"grid points, at most {MAX_GRID_POINTS}",
+                     _POS),
     },
     "zeno": {
         "g_over_hbar": (float, 1.0, "1/s, coupling over hbar (freeze time 1/g)", _POS),

@@ -41,9 +41,6 @@ class PhysicalConstants:
 
 CONST = PhysicalConstants()
 
-# CODATA-2018 hbar; the tests check that CONST.hbar is within 6% of it.
-HBAR_CODATA = 1.054571817e-34
-
 
 def joules_to_ev(energy_J: float) -> float:
     """Convert an energy in joules to electron-volts."""

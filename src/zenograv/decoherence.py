@@ -10,14 +10,9 @@ blackbody photon scattering / absorption / emission.
 
 Every rate is elementwise: radius, separation and the environment's
 pressure and temperatures may be floats or broadcastable arrays (a grid
-of environments), and a scalar call returns floats.
-
-The rounded single-significant-figure coefficients quoted in the
-reference tables these formulas are usually cited with are kept as
-reference constants (GAS_COEFF, BB_SC_COEFF, BB_ABEM_COEFF, MFP_COEFF);
-the tests check the first-principles rates against them, and no rate is
-computed from them.  A channel is in the short-wavelength regime where
-x >= lambda_th, which callers read from its lambda_th.
+of environments), and a scalar call returns floats.  A channel is in
+the short-wavelength regime where x >= lambda_th, which callers read
+from its lambda_th.
 """
 
 from __future__ import annotations
@@ -32,11 +27,6 @@ from .elementwise import (parameter, ratio_or_inf, require, require_finite,
                           result)
 from .errors import RateOverflowError
 
-# rounded reference coefficients (1 significant figure except the gas one)
-GAS_COEFF = 1.96e26       # Gamma_gas ~ GAS_COEFF * p R^2 / sqrt(T_e)
-BB_SC_COEFF = 5e36        # Lambda_bb_sc ~ BB_SC_COEFF * R^6 T_e^9
-BB_ABEM_COEFF = 5e25      # Lambda_bb_ab/em ~ BB_ABEM_COEFF * R^3 T^6
-MFP_COEFF = 3.6e-15       # l_mfp ~ MFP_COEFF * T_e / p (area-convention bound)
 # Riemann zeta(9): scipy.special.zeta(9) as a literal, so that importing the
 # toolkit does not import scipy.  A numpy float like scipy's, so that an
 # overflow in a product with it still raises under np.errstate.
@@ -198,8 +188,7 @@ def mean_free_path(env: Environment, R_probe):
     """Probe mean free path k_B T / (sqrt(2) A p) against the hydrogen
     rest gas (m), with A = pi (d_H2/2 + R_probe)^2 the geometric cross
     section of the probe and a gas molecule.  p = 0 gives an infinite
-    path.  (MFP_COEFF's rounded form folds an area convention in and is
-    a reference only.)
+    path.
     """
     require(R_probe >= 0, "R_probe must be >= 0, got {}", R_probe)
     A = np.pi * (CONST.d_H2 / 2 + R_probe) ** 2

@@ -117,7 +117,6 @@ class ProbeTrajectory:
     v: np.ndarray            # (n, 3) velocities (m/s)
     hit_source: bool
     deflection_angle: float  # rad, in [0, pi]
-    outgoing_dir: np.ndarray  # unit 3-vector
     n_accepted: int = 0      # accepted integrator steps
     n_rejected: int = 0      # rejected step attempts
     n_rhs: int = 0           # right-hand-side evaluations
@@ -256,13 +255,12 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
 
     states = np.array(ys)
     pos, vel = states[:, :3].copy(), states[:, 3:].copy()
-    theta, out_dir = _outgoing(cfg, vel[-1])
     # one slope at the launch, one in the initial step's probe, and six
     # per Dormand-Prince attempt (the first stage reuses the last slope)
     return ProbeTrajectory(
         t=np.array(ts), x=pos, v=vel,
         hit_source=bool(_segment_hits(pos[:-1], pos[1:], dist).any()),
-        deflection_angle=theta, outgoing_dir=out_dir,
+        deflection_angle=_outgoing(cfg, vel[-1])[0],
         n_accepted=n_accepted, n_rejected=n_rejected,
         n_rhs=2 + 6 * (n_accepted + n_rejected))
 

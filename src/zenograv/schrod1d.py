@@ -140,7 +140,7 @@ def potential_gradient(spec: PotentialSpec1D, x: float) -> float:
     return spec.V0() / spec.d * abs(float(spec.potential_derivative(x)))
 
 
-def find_wells(spec: PotentialSpec1D, x_max: float = 4.0) -> dict:
+def find_wells(spec: PotentialSpec1D, x_max: float = DEFAULT_GRID[1]) -> dict:
     """Nonzero sign-changing critical points of V with |x| <= x_max.
 
     V'(x) = x (2a - 4b u + 6c u^2) with u = x^2, so the critical points

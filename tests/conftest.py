@@ -126,9 +126,8 @@ def scipy_trajectory(dist, cfg):
         raise IntegratorFailureError("non-finite state during integration")
 
     hit = bool(_segment_hits(pos[:-1], pos[1:], dist).any())
-    theta, out_dir = _outgoing(cfg, vel[-1])
     traj = ProbeTrajectory(t=sol.t, x=pos, v=vel, hit_source=hit,
-                           deflection_angle=theta, outgoing_dir=out_dir,
+                           deflection_angle=_outgoing(cfg, vel[-1])[0],
                            n_rhs=sol.nfev)
     if sol.status == 0:
         raise _unterminated(cfg.r_stop, cfg.t_max)

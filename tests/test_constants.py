@@ -1,7 +1,10 @@
 import pytest
 
-from zenograv.constants import CONST, HBAR_CODATA, joules_to_ev
+from zenograv.constants import CONST, joules_to_ev
 from zenograv.errors import InvalidParameterError
+
+# CODATA-2018 hbar; CONST.hbar is pinned to the rounded 1.0e-34 instead.
+HBAR_CODATA = 1.054571817e-34
 
 
 def test_pinned_values():

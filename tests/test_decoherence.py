@@ -5,13 +5,22 @@ import pytest
 from conftest import wavepacket_spread
 
 from zenograv.constants import CONST
-from zenograv.decoherence import (BB_ABEM_COEFF, BB_SC_COEFF, GAS_COEFF,
-                                  MFP_COEFF, DecoherenceBreakdown, Environment,
+from zenograv.decoherence import (DecoherenceBreakdown, Environment,
                                   blackbody_rates, gamma_distance,
                                   mean_free_path, momentum_floor,
                                   rest_gas_rate, total_decoherence,
                                   wavepacket_spread_min)
 from zenograv.errors import InvalidParameterError, RateOverflowError
+
+# The rounded coefficients quoted in the reference tables these formulas
+# are usually cited with (1 significant figure except the gas one); the
+# first-principles rates are checked against them here, and no rate is
+# computed from them.
+GAS_COEFF = 1.96e26       # Gamma_gas ~ GAS_COEFF * p R^2 / sqrt(T_e)
+BB_SC_COEFF = 5e36        # Lambda_bb_sc ~ BB_SC_COEFF * R^6 T_e^9
+BB_ABEM_COEFF = 5e25      # Lambda_bb_ab/em ~ BB_ABEM_COEFF * R^3 T^6
+# l_mfp ~ MFP_COEFF * T_e / p: its rounded form folds an area convention in
+MFP_COEFF = 3.6e-15
 
 REF_ENV = Environment(pressure=1e-15, T_env=1.0, T_int=1.0)
 R = 1e-5

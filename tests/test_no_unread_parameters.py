@@ -1,10 +1,13 @@
-"""Every parameter of every function in the package is read, and every
-public function is called.
+"""Every parameter of every function in the package is read, every
+public function is called, every public constant is read, and every
+import is used.
 
 A parameter that its function's body never names is a setting that
-changes no result, and a public function that no code of the package
-names is API that no program path uses; both are deleted, not kept.
-The few kept on purpose are listed, each with its reason.
+changes no result; a public function or constant that no code of the
+package names is API that no program path uses; an import that its
+module never reads is a second path to a name that has one already.
+All are deleted, not kept.  The few kept on purpose are listed, each
+with its reason.
 """
 
 import ast
@@ -35,6 +38,12 @@ UNCALLED = {
     "scatter.stereographic_project",
     # the trajectories workload calls it after each integration
     "scatter.energy_series",
+}
+
+# Imports their module never reads: perfbench's tracer test checks that
+# it wraps this alias of massdist.potential_at.
+UNUSED_IMPORTS = {
+    "scatter.potential_at",
 }
 
 
@@ -105,3 +114,61 @@ def uncalled_functions(modules):
 
 def test_every_public_function_is_called():
     assert uncalled_functions(_modules()) == UNCALLED
+
+
+def _loads(tree):
+    """Every name read in tree: a loaded Name's id or Attribute's attr."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def _public_constants(module, tree):
+    """``module.NAME`` and NAME of every public name that a module-level
+    assignment binds (``__version__``, underscored, is not public)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for n in ast.walk(target):
+                if isinstance(n, ast.Name) and not n.id.startswith("_"):
+                    yield f"{module}.{n.id}", n.id
+
+
+def unread_constants(modules):
+    """Each public module-level constant of ``modules`` that no code of
+    theirs reads."""
+    read = set().union(*(_loads(tree) for _, tree in modules))
+    return {key for module, tree in modules
+            for key, name in _public_constants(module, tree)
+            if name not in read}
+
+
+def test_every_public_constant_is_read():
+    assert unread_constants(_modules()) == set()
+
+
+def unused_imports(modules):
+    """``module.name`` for each name that an import of the module binds
+    (a ``__future__`` feature aside) and the module itself never reads."""
+    unused = set()
+    for module, tree in modules:
+        read = _loads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = {(a.asname or a.name).split(".")[0]
+                         for a in node.names}
+                unused |= {f"{module}.{name}" for name in bound
+                           if name not in read}
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports(_modules()) == UNUSED_IMPORTS

@@ -420,13 +420,18 @@ class TestScanPattern:
             scan_pattern(src, (1.2, 2.0), (0.0, R), 0, 3, V)
 
 
+def projection(cfg, traj):
+    """Stereographic projection of the trajectory's outgoing direction."""
+    return stereographic_project(_outgoing(cfg, traj.v[-1])[1])
+
+
 def scalar_pattern(dist, pattern, v, **factors):
     """The scan's probes one by one through the scipy RK45 oracle."""
     rows = []
     for cfg in launch_configs(dist, pattern, v, **factors):
         try:
             traj = scipy_trajectory(dist, cfg)
-            proj = stereographic_project(traj.outgoing_dir)
+            proj = projection(cfg, traj)
             rows.append((traj.deflection_angle, float(proj[0]),
                          float(proj[1]), traj.hit_source, None))
         except UnterminatedTrajectoryError as exc:
@@ -610,7 +615,7 @@ class TestScalarPathOracle:
             assert np.array_equal(np.concatenate([traj.x[-1], traj.v[-1]]), y)
             assert traj.hit_source == hit == pattern.hit[i]
             assert traj.deflection_angle == pattern.theta[i]
-            assert tuple(stereographic_project(traj.outgoing_dir)) == (
+            assert tuple(projection(cfg, traj)) == (
                 pattern.proj_x[i], pattern.proj_y[i])
 
     def test_same_errors_as_batch_and_scipy(self):
@@ -733,10 +738,8 @@ class TestCollapsed:
     def test_symmetric_launch_mirror_projections(self):
         left, right = make_collapsed_sources(R, RHO, D)
         cfg = ScatterConfig.for_source(left, b=1.2 * R, l=0.0, v=V)
-        pl = stereographic_project(
-            integrate_trajectory(left, cfg, M_PROBE).outgoing_dir)
-        pr = stereographic_project(
-            integrate_trajectory(right, cfg, M_PROBE).outgoing_dir)
+        pl = projection(cfg, integrate_trajectory(left, cfg, M_PROBE))
+        pr = projection(cfg, integrate_trajectory(right, cfg, M_PROBE))
         assert pl[0] == pytest.approx(-pr[0], rel=1e-9)
         assert pl[1] == pytest.approx(pr[1], rel=1e-9)
 
@@ -752,12 +755,9 @@ class TestCollapsed:
         assert min(th_l, th_r) < th_f < max(th_l, th_r)
 
         cfg0 = ScatterConfig.for_source(frozen, b=1.2 * R, l=0.0, v=V)
-        pf = stereographic_project(
-            integrate_trajectory(frozen, cfg0, M_PROBE).outgoing_dir)
-        pl = stereographic_project(
-            integrate_trajectory(left, cfg0, M_PROBE).outgoing_dir)
-        pr = stereographic_project(
-            integrate_trajectory(right, cfg0, M_PROBE).outgoing_dir)
+        pf = projection(cfg0, integrate_trajectory(frozen, cfg0, M_PROBE))
+        pl = projection(cfg0, integrate_trajectory(left, cfg0, M_PROBE))
+        pr = projection(cfg0, integrate_trajectory(right, cfg0, M_PROBE))
         assert min(pl[0], pr[0]) < pf[0] < max(pl[0], pr[0])
 
 

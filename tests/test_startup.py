@@ -1,5 +1,6 @@
 """The toolkit starts without scipy: the values it copies from scipy
-equal scipy's bit for bit, and a command line loads no scipy module."""
+equal scipy's bit for bit, and a command line loads no scipy module.
+Importing a module loads only the modules it uses."""
 
 import os
 import subprocess
@@ -38,6 +39,34 @@ def test_zeta_9_literal():
     assert same_bits(decoherence.ZETA_9, zeta(9))
 
 
+def run_python(code):
+    """stdout lines of ``python -c code`` in a fresh interpreter that
+    imports the package from this checkout; asserts it exits 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_import_loads_only_what_it_uses():
+    code = """
+import sys
+def loaded():
+    print(sorted(m for m in sys.modules if m.startswith("zenograv.")))
+import zenograv
+loaded()
+import zenograv.scatter
+loaded()
+"""
+    package, scatter = run_python(code)
+    assert package == "[]"
+    assert scatter == str([f"zenograv.{m}" for m in (
+        "constants", "elementwise", "errors", "massdist", "rk45", "scatter")])
+
+
 def test_command_line_loads_no_scipy(tmp_path):
     code = f"""
 import sys
@@ -47,12 +76,6 @@ for argv in (["report"], ["feasibility"], ["decoherence"], ["scatter"],
     assert cli.main(argv + ["--output-dir", {str(tmp_path)!r}]) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert run_python(code)[-1] == "[]"
     assert (tmp_path / "pattern.csv").exists()
     assert (tmp_path / "zeno_scan.csv").exists()
