@@ -307,7 +307,7 @@ def _run_zeno(params, header):
     N = params["N"]
     with np.errstate(over="raise"):
         runs = [zeno.strobo_evolve(sys_model, tau, N, alpha0) for tau in taus]
-        formula = [zeno.survival_probability(tau, tau_Z, N)[0] for tau in taus]
+        formula = [zeno.survival_probability(tau, tau_Z, N) for tau in taus]
     files = {"zeno_scan.csv": csv_text(
         "tau,N,survival_sim,survival_formula,trace_dist",
         [taus, N, [r.survival_prob for r in runs], formula,

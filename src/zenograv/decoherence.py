@@ -6,7 +6,9 @@ lambda_th (m); the decoherence rate at separation x is the saturating
 Gamma(x) = lambda_th^2 Lambda (1 - exp(-x^2/lambda_th^2)), which reduces
 to Lambda x^2 for x << lambda_th and to lambda_th^2 Lambda for
 x >> lambda_th.  Channels: rest-gas collisions (hydrogen background) and
-blackbody photon scattering / absorption / emission.
+blackbody photon scattering / absorption / emission, the latter for the
+dielectric worst case Re f = Im f = 1 of f = (eps-1)/(eps+2), which is
+fixed.
 
 Every rate is elementwise: radius, separation and the environment's
 pressure and temperatures may be floats or broadcastable arrays (a grid
@@ -37,25 +39,21 @@ ZETA_9 = np.float64(1.0020083928260821)
 class Environment:
     """Vacuum and thermal environment of the source.
 
-    epsilon_factor holds (Re, Im) of (eps-1)/(eps+2), each clipped to the
-    dielectric worst case [0, 1]; the default (1, 1) is maximal dispersion
-    and absorption.  pressure, T_env and T_int may be broadcastable
-    arrays, one environment per element.
+    The source's dielectric response is fixed at the worst case,
+    Re f = Im f = 1 of f = (eps-1)/(eps+2): maximal dispersion and
+    absorption.  pressure, T_env and T_int may be broadcastable arrays,
+    one environment per element.
     """
 
     pressure: float = parameter(1e-15, "Pa", "nonneg", "pressure_Pa")
     T_env: float = parameter(1.0, "K, environment temperature", "pos", "T_env_K")
     T_int: float = parameter(1.0, "K, internal temperature", "pos", "T_int_K")
-    epsilon_factor: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         # written as x > 0, not as not x <= 0, so that NaN fails
         require(self.pressure >= 0, "pressure must be >= 0, got {}",
                 self.pressure)
         require((self.T_env > 0) & (self.T_int > 0), "temperatures must be > 0")
-        re, im = self.epsilon_factor
-        require(0 <= re <= 1 and 0 <= im <= 1,
-                "epsilon_factor components must lie in [0, 1]")
         require_finite(self)
 
 
@@ -134,21 +132,22 @@ def blackbody_rates(env: Environment, R, x
       scattering  (1/lambda_e)^9 * (8! 8 zeta(9) pi^5 c R^6 / 9) * Re(f)^2
       absorption  (1/lambda_e)^6 * (16 pi^9 c R^3 / 189) * Im(f)
       emission    same as absorption with the internal temperature
-    with f = (eps-1)/(eps+2).  Rates use the exact saturating distance
-    form, which reproduces Lambda x^2 in the usual long-wavelength regime
-    and caps the rate if x outruns the thermal wavelength.
+    with f = (eps-1)/(eps+2) fixed at the dielectric worst case
+    Re f = Im f = 1, so both factors are 1.  Rates use the exact
+    saturating distance form, which reproduces Lambda x^2 in the usual
+    long-wavelength regime and caps the rate if x outruns the thermal
+    wavelength.
     """
     require(R > 0, "R must be > 0, got {}", R)
     require(x >= 0, "x must be >= 0, got {}", x)
-    re_f, im_f = env.epsilon_factor
     c = CONST.c
     lam_e = bb_thermal_wavelength(env.T_env)
     lam_i = bb_thermal_wavelength(env.T_int)
 
     L_sc = result((1.0 / lam_e) ** 9 * (math.factorial(8) * 8 * ZETA_9
-                                        * np.pi**5 * c * R**6 / 9.0) * re_f**2)
-    L_abs = (1.0 / lam_e) ** 6 * (16 * np.pi**9 * c * R**3 / 189.0) * im_f
-    L_em = (1.0 / lam_i) ** 6 * (16 * np.pi**9 * c * R**3 / 189.0) * im_f
+                                        * np.pi**5 * c * R**6 / 9.0))
+    L_abs = (1.0 / lam_e) ** 6 * (16 * np.pi**9 * c * R**3 / 189.0)
+    L_em = (1.0 / lam_i) ** 6 * (16 * np.pi**9 * c * R**3 / 189.0)
 
     return tuple(ChannelRate(Lambda=L, lambda_th=lam,
                              gamma=gamma_distance(L, lam, x))
@@ -170,18 +169,18 @@ def total_decoherence(env: Environment, R) -> DecoherenceBreakdown:
 
 
 def wavepacket_spread_min(m, t):
-    """(sigma_min, du_min): the optimum sqrt(2 hbar t/m) at du = sqrt(hbar t/(2m))."""
+    """sigma_min = sqrt(2 hbar t/m): the smallest width a wavepacket of
+    mass m reaches after time t, which it does from the initial width
+    sqrt(hbar t/(2m))."""
     require((m > 0) & (t >= 0), "m must be > 0 and t >= 0")
-    return (result(np.sqrt(2 * CONST.hbar * t / m)),
-            result(np.sqrt(CONST.hbar * t / (2 * m))))
+    return result(np.sqrt(2 * CONST.hbar * t / m))
 
 
 def momentum_floor(m, t, v):
-    """(dp_min, dp_min/(m v)): momentum width sqrt(hbar m / (2 t)) of the
-    minimally spreading wavepacket, and its ratio to the mean momentum."""
+    """dp_min/(m v): the momentum width sqrt(hbar m / (2 t)) of the
+    minimally spreading wavepacket over its mean momentum m v."""
     require((m > 0) & (t > 0) & (v > 0), "m, t, v must all be > 0")
-    dp = result(np.sqrt(CONST.hbar * m / (2 * t)))
-    return dp, dp / (m * v)
+    return result(np.sqrt(CONST.hbar * m / (2 * t))) / (m * v)
 
 
 def mean_free_path(env: Environment, R_probe):

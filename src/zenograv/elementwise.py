@@ -72,7 +72,7 @@ def ratio_or_inf(num, den):
     return np.divide(num, den, out=out, where=den > 0)
 
 
-def csv_text(names: str, columns, comment: str | None = None) -> str:
+def csv_text(names: str, columns, comment: str) -> str:
     """CSV text: ``# comment``, the ``names`` line, one row per element.
 
     The columns broadcast against each other (a scalar is a constant
@@ -105,5 +105,4 @@ def csv_text(names: str, columns, comment: str | None = None) -> str:
         cells.append(flat.tolist())
     row = ",".join(formats) + "\n"
     values = chain.from_iterable(zip(*cells))
-    head = f"# {comment}\n" if comment else ""
-    return f"{head}{names}\n" + row * arrays[0].size % tuple(values)
+    return f"# {comment}\n{names}\n" + row * arrays[0].size % tuple(values)

@@ -212,9 +212,8 @@ def _evaluate(pt: ExperimentPoint):
                               np.maximum(gamma_deco, gamma_dyn_required),
                               gamma_dyn_required)
 
-    sigma_min, _ = deco.wavepacket_spread_min(pt.m_probe, t_used)
-    sigma_ratio = sigma_min / pt.R
-    _, dp_ratio = deco.momentum_floor(pt.m_probe, t_used, v)
+    sigma_ratio = deco.wavepacket_spread_min(pt.m_probe, t_used) / pt.R
+    dp_ratio = deco.momentum_floor(pt.m_probe, t_used, v)
     mfp = deco.mean_free_path(pt.env, pt.R_probe)
     ke_eV = joules_to_ev(0.5 * pt.m_probe * v**2)
     path = v * t_used
@@ -378,7 +377,7 @@ def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
     return RegionGrid(*(c.ravel() for c in np.broadcast_arrays(*columns)))
 
 
-def region_to_csv(grid: RegionGrid, header_comment: str | None = None) -> str:
+def region_to_csv(grid: RegionGrid, header_comment: str) -> str:
     """CSV text: axis1,axis2,theta_max,t_total,gamma_required,sigma_ratio,mfp,KE_eV,pass."""
     return csv_text("axis1,axis2,theta_max,t_total,gamma_required,"
                     "sigma_ratio,mfp,KE_eV,pass",

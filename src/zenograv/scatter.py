@@ -43,6 +43,10 @@ _NON_FINITE = "non-finite state during integration"
 _TOO_SMALL = f"integrator failed: {rk45.TOO_SMALL_STEP}"
 _HIT_ROWS = 1024   # batch engine: segments buffered per hit check
 _POLE = "direction at the projection pole (0,0,-1)"
+# a launch fails as bound only with its energy this far, relative, below
+# the escape bound, so that a probe whose integration could still cross
+# r_stop within its energy error is integrated as before
+_BOUND_MARGIN = 1e-3
 _SVG_SIZE = 640    # pattern.svg width and height (px)
 
 
@@ -157,11 +161,12 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     """Integrate one probe through the source field until escape.
 
     Integration runs until |x| crosses r_stop moving outward, or t_max is
-    exceeded (UnterminatedTrajectoryError).  A probe that enters a sphere
-    component keeps evolving in the interior field but is flagged
-    ``hit_source``; entry is detected on every accepted-step segment, not
-    just at the sample points.  One sample is kept per accepted step, the
-    last at the escape crossing.
+    exceeded (UnterminatedTrajectoryError); a probe that :func:`_bound`
+    shows can never reach r_stop raises that error at launch.  A probe
+    that enters a sphere component keeps evolving in the interior field
+    but is flagged ``hit_source``; entry is detected on every
+    accepted-step segment, not just at the sample points.  One sample is
+    kept per accepted step, the last at the escape crossing.
 
     The stepper is the lockstep engine of :func:`scan_pattern` written on
     plain floats: the same Dormand-Prince 5(4) step, controller, escape
@@ -196,6 +201,8 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     y, atol = _launch(cfg)
     if not all(map(math.isfinite, y)):
         raise IntegratorFailureError(_NON_FINITE)
+    if _bound(dist, y, cfg.r_stop):
+        raise _unterminated(cfg.r_stop, cfg.t_max)
     rtol = max(cfg.rtol, rk45.RTOL_FLOOR)
     t_bound, r_stop = cfg.t_max, cfg.r_stop
     f = rhs(y)
@@ -260,7 +267,7 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     return ProbeTrajectory(
         t=np.array(ts), x=pos, v=vel,
         hit_source=bool(_segment_hits(pos[:-1], pos[1:], dist).any()),
-        deflection_angle=_outgoing(cfg, vel[-1])[0],
+        deflection_angle=_outgoing(cfg, vel[-1]),
         n_accepted=n_accepted, n_rejected=n_rejected,
         n_rhs=2 + 6 * (n_accepted + n_rejected))
 
@@ -279,11 +286,41 @@ def _launch(cfg: ScatterConfig):
     return y0, atol
 
 
-def _outgoing(cfg: ScatterConfig, v_out):
-    """Deflection angle from the launch velocity and the outgoing unit
-    vector: :func:`_deflection` on one row."""
-    (theta,), (u,) = _deflection(cfg.v, np.reshape(v_out, (1, 3)))
-    return float(theta), u
+def _bound(dist: MassDistribution, y, r_stop):
+    """Can a probe launched along +z from state y = (x, y, z, vx, vy, vz)
+    never reach r_stop?  Elementwise: y may be rows of launch columns.
+
+    A probe whose launch line passes outside every component starts
+    outside them all, so its energy per unit mass is exactly
+    E = v^2/2 - sum G M_i/|x0 - c_i|.  The potential is nowhere below
+    that of the point masses (a uniform sphere's interior potential lies
+    above -G M/s), so at |x| = r_stop it is at least
+    -sum G M_i/(r_stop - |c_i|); a probe whose E is below that bound, by
+    the relative _BOUND_MARGIN, never gets there.  A probe aimed into a
+    component is left to the integrator: it enters the source on its
+    first approach, where the integrator's own failures arise first (a
+    fall from rest at 1e8 R stops there on a step below 10 ulp of its
+    clock).
+    """
+    x, yy, z, vx, vy, vz = y
+    energy, floor, missed = 0.5 * (vx * vx + vy * vy + vz * vz), 0.0, True
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for comp in dist.components:
+            cx, cy, cz = comp.center
+            gm = CONST.G * comp.mass
+            off2 = (x - cx) ** 2 + (yy - cy) ** 2
+            missed = missed & (off2 >= comp.radius ** 2)
+            energy = energy - gm / np.sqrt(off2 + (z - cz) ** 2)
+            # an r_stop within |c_i| bounds nothing: the floor is -inf
+            floor = floor - gm / np.fmax(r_stop - math.hypot(cx, cy, cz), 0.0)
+        return missed & (energy < (1.0 + _BOUND_MARGIN) * floor)
+
+
+def _outgoing(cfg: ScatterConfig, v_out) -> float:
+    """Deflection angle of the outgoing velocity v_out from the launch
+    velocity: the angle of :func:`_deflection` on one row."""
+    (theta,), _ = _deflection(cfg.v, np.reshape(v_out, (1, 3)))
+    return float(theta)
 
 
 def _deflection(v, v_out):
@@ -361,14 +398,14 @@ def rutherford_angle_density(rho, beta, t_R, approx: bool = False):
     return 2.0 * x if approx else result(2.0 * np.arctan(x))
 
 
-def hyperbolic_time_from_anomaly(e, phi, h, GM, e2m1=None):
+def hyperbolic_time_from_anomaly(e, phi, h, GM, e2m1):
     """Time (s) from periapsis to true anomaly phi on a hyperbolic orbit.
 
     h is the angular momentum per unit mass (m^2/s), GM the gravitational
     parameter (m^3/s^2).  Valid for 0 <= phi < phi_inf = acos(-1/e).
-    ``e2m1`` is e^2 - 1 where the caller knows it more precisely than
-    e itself carries it (near a parabola e rounds to 1); by default it is
-    (e - 1)(e + 1).  Elementwise.
+    ``e2m1`` is e^2 - 1, which the caller knows more precisely than e
+    itself carries it: near a parabola e rounds to 1, and (e - 1)(e + 1)
+    loses every digit.  Elementwise.
 
     The form avoids the cancellation of the textbook difference near
     e = 1: with the hyperbolic anomaly F = 2 atanh(sqrt((e-1)/(e+1))
@@ -376,8 +413,6 @@ def hyperbolic_time_from_anomaly(e, phi, h, GM, e2m1=None):
     / (e^2-1)^(3/2), with e - 1 = (e^2-1)/(e+1) and sinh F - F from its
     series below F = 0.5.
     """
-    if e2m1 is None:
-        e2m1 = (e - 1.0) * (e + 1.0)
     require((e >= 1.0) & (e2m1 > 0), "orbit not hyperbolic: e = {} <= 1", e)
     require(phi >= 0, "phi must be >= 0, got {}", phi)
     em1 = e2m1 / (e + 1.0)
@@ -444,14 +479,15 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
     atol + max(|y|, |y_new|) rtol, safety 0.9, step factors clamped to
     [0.2, 10] and no growth right after a rejection, min_step = 10 ulp(t)
     and clipping at t_max; no cap on the step.  A probe retires at its
-    outward r_stop crossing, at t_max (UnterminatedTrajectoryError), on a
-    non-finite accepted state or when its step underflows
-    (IntegratorFailureError); the error slot then holds the exception, the
-    final state is NaN and the hit flag False.  The state is
-    coordinate-major, one column per active probe: y, its slope and atol
-    are (6, m), the stages (7, 6, m), per-probe scalars (m,); rows are
-    transposed only for :func:`rk45.initial_step`, :func:`rk45.escape_roots`
-    and :func:`_segment_hits`.  Source hits are checked on every
+    outward r_stop crossing, at t_max or, if :func:`_bound`, before its
+    first step (UnterminatedTrajectoryError), on a non-finite accepted
+    state or when its step underflows (IntegratorFailureError); the error
+    slot then holds the exception, the final state is NaN and the hit
+    flag False.  The state is coordinate-major, one column per active
+    probe: y, its slope and atol are (6, m), the stages (7, 6, m),
+    per-probe scalars (m,); rows are transposed only for
+    :func:`rk45.initial_step`, :func:`rk45.escape_roots` and
+    :func:`_segment_hits`.  Source hits are checked on every
     accepted-step segment, buffered: one call per _HIT_ROWS / n
     iterations of n probes, and one at the end.  A crossing probe's last
     step is only recorded: once every probe has retired, all crossings
@@ -469,9 +505,14 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
 
     y_end = np.full((n, 6), np.nan)
     hit_end, hit = np.zeros((2, n), dtype=bool)  # hit: a checked segment hit
-    done = ~np.isfinite(y).all(axis=0)
-    errors = [IntegratorFailureError(_NON_FINITE) if bad else None
-              for bad in done.tolist()]
+    bad = ~np.isfinite(y).all(axis=0)
+    bound = _bound(dist, y, r_stop)
+    errors = [IntegratorFailureError(_NON_FINITE) if nonfinite else
+              _unterminated(r, t) if stays else None
+              for nonfinite, stays, r, t in zip(bad.tolist(), bound.tolist(),
+                                                r_stop.tolist(),
+                                                t_bound.tolist())]
+    done = bad | bound
     idx = np.arange(n)           # original index of each active probe
     crossings = []               # per iteration: the crossing probes' steps
     segments = []                # per iteration: steps not yet hit-checked
@@ -688,7 +729,7 @@ def make_collapsed_sources(R: float, density: float, d: float):
 # Emission
 # ---------------------------------------------------------------------------
 
-def pattern_to_csv(pattern: ScatterPattern, header_comment: str | None = None) -> str:
+def pattern_to_csv(pattern: ScatterPattern, header_comment: str) -> str:
     """CSV text: beta,l,b,theta_rad,proj_x,proj_y,hit, one row per launched probe."""
     return csv_text("beta,l,b,theta_rad,proj_x,proj_y,hit",
                     (pattern.beta, pattern.l, pattern.b, pattern.theta,
@@ -696,26 +737,27 @@ def pattern_to_csv(pattern: ScatterPattern, header_comment: str | None = None) -
                     header_comment)
 
 
-def pattern_to_svg(pattern: ScatterPattern, dashed_radius: float | None = None,
-                   header_comment: str | None = None) -> str:
-    """Static SVG text of the projected pattern, colored by the sign of l.
+def pattern_to_svg(pattern: ScatterPattern, dashed_radius: float,
+                   header_comment: str) -> str:
+    """Static SVG text of the projected pattern, colored by the sign of l,
+    with ``header_comment`` as its first comment.
 
-    A dashed circle (the closed-form maximum-deflection radius) can be
-    overlaid for comparison with the simulated points.
+    A dashed circle of ``dashed_radius`` (the closed-form
+    maximum-deflection radius) is overlaid for comparison with the
+    simulated points.
     """
     clean = pattern.clean
     pts = list(zip(pattern.proj_x[clean].tolist(),
                    pattern.proj_y[clean].tolist(), pattern.l[clean].tolist()))
-    rmax = max([math.hypot(x, y) for x, y, _ in pts] + [dashed_radius or 0.0])
+    rmax = max([math.hypot(x, y) for x, y, _ in pts] + [dashed_radius])
     if rmax <= 0:
         rmax = 1.0
     pad = 1.15
     size = _SVG_SIZE
     scale = (size / 2.0) / (rmax * pad)
 
-    out = ['<?xml version="1.0" encoding="UTF-8"?>\n']
-    if header_comment:
-        out.append(f"<!-- {header_comment} -->\n")
+    out = ['<?xml version="1.0" encoding="UTF-8"?>\n',
+           f"<!-- {header_comment} -->\n"]
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
                f'height="{size}" viewBox="0 0 {size} {size}">\n')
     out.append(f'<rect width="{size}" height="{size}" fill="white"/>\n')
@@ -723,10 +765,9 @@ def pattern_to_svg(pattern: ScatterPattern, dashed_radius: float | None = None,
                'stroke="#cccccc" stroke-width="1"/>\n')
     out.append(f'<line x1="{size/2}" y1="0" x2="{size/2}" y2="{size}" '
                'stroke="#cccccc" stroke-width="1"/>\n')
-    if dashed_radius:
-        out.append(f'<circle cx="{size/2}" cy="{size/2}" r="{dashed_radius*scale:.2f}" '
-                   'fill="none" stroke="black" stroke-width="1" '
-                   'stroke-dasharray="6,4"/>\n')
+    out.append(f'<circle cx="{size/2}" cy="{size/2}" r="{dashed_radius*scale:.2f}" '
+               'fill="none" stroke="black" stroke-width="1" '
+               'stroke-dasharray="6,4"/>\n')
     for x, y, l in pts:
         color = "#d62728" if l > 0 else ("#1f77b4" if l < 0 else "#2ca02c")
         out.append(f'<circle cx="{size / 2.0 + x * scale:.2f}" '

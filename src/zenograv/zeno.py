@@ -45,16 +45,16 @@ def _check_hermitian(A: np.ndarray, name: str):
 class BipartiteSystem:
     """Probe-source Hamiltonian triple plus the source state to freeze.
 
-    H_int lives on the product space with the probe factor first:
-    kron(probe, source) ordering throughout.
+    The probe dimension dP is ``len(H_P)`` and the source dimension dS
+    is ``len(H_S)``; both must be square.  H_int lives on the product
+    space with the probe factor first: kron(probe, source) ordering
+    throughout.
     """
 
-    dim_P: int
-    dim_S: int
-    H_P: np.ndarray          # (dim_P, dim_P), J
-    H_S: np.ndarray          # (dim_S, dim_S), J
-    H_int: np.ndarray        # (dim_P*dim_S, dim_P*dim_S), J
-    phi: np.ndarray          # (dim_S,), unit vector
+    H_P: np.ndarray          # (dP, dP), J
+    H_S: np.ndarray          # (dS, dS), J
+    H_int: np.ndarray        # (dP*dS, dP*dS), J
+    phi: np.ndarray          # (dS,), unit vector
 
     def __post_init__(self):
         H_P = np.asarray(self.H_P, dtype=complex)
@@ -65,13 +65,14 @@ class BipartiteSystem:
         object.__setattr__(self, "H_S", H_S)
         object.__setattr__(self, "H_int", H_int)
         object.__setattr__(self, "phi", phi)
-        dP, dS = self.dim_P, self.dim_S
-        if H_P.shape != (dP, dP) or H_S.shape != (dS, dS):
-            raise InvalidParameterError("H_P/H_S shapes inconsistent with dims")
+        if not all(A.ndim == 2 and A.shape[0] == A.shape[1]
+                   for A in (H_P, H_S)):
+            raise InvalidParameterError("H_P and H_S must be square matrices")
+        dP, dS = len(H_P), len(H_S)
         if H_int.shape != (dP * dS, dP * dS):
             raise InvalidParameterError("H_int must act on the product space")
         if phi.shape != (dS,):
-            raise InvalidParameterError("phi dimension inconsistent with dim_S")
+            raise InvalidParameterError("phi dimension inconsistent with H_S")
         _check_hermitian(H_P, "H_P")
         _check_hermitian(H_S, "H_S")
         _check_hermitian(H_int, "H_int")
@@ -79,8 +80,8 @@ class BipartiteSystem:
             raise InvalidParameterError("phi must be a unit vector")
 
     def total_hamiltonian(self) -> np.ndarray:
-        IP = np.eye(self.dim_P)
-        IS = np.eye(self.dim_S)
+        IP = np.eye(len(self.H_P))
+        IS = np.eye(len(self.H_S))
         return (np.kron(self.H_P, IS) + np.kron(IP, self.H_S) + self.H_int)
 
 
@@ -117,7 +118,8 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 def _phi_block(sys: BipartiteSystem, A: np.ndarray) -> np.ndarray:
     """<phi|A|phi>: the probe operator of A (on the product space) between
     source states phi, so that (1 x P_phi) A (1 x P_phi) = <phi|A|phi> x P_phi."""
-    A4 = A.reshape(sys.dim_P, sys.dim_S, sys.dim_P, sys.dim_S)
+    dP, dS = len(sys.H_P), len(sys.H_S)
+    A4 = A.reshape(dP, dS, dP, dS)
     return np.einsum("s,psqt,t->pq", sys.phi.conj(), A4, sys.phi)
 
 
@@ -182,7 +184,8 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
     # written as x > 0, not as not x <= 0, so that NaN fails
     require(0 < tau < math.inf, "tau must be finite and > 0, got {}", tau)
     require(n >= 0, "n must be >= 0, got {}", n)
-    alpha = alpha0 = _check_density_matrix(initial_probe, sys.dim_P)
+    dP = len(sys.H_P)
+    alpha = alpha0 = _check_density_matrix(initial_probe, dP)
     survival = float(np.trace(alpha0).real)
     if n > 0:
         E = _phi_block(sys, _expm1(sys.total_hamiltonian(), tau))
@@ -195,7 +198,7 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
         else:
             # decayed: tr D cancels tr alpha_0 to an absolute 1e-16, so form
             # the plain power, whose relative error is about n x 1e-16
-            w_n = np.linalg.matrix_power(np.eye(sys.dim_P) + E, n)
+            w_n = np.linalg.matrix_power(np.eye(dP) + E, n)
             alpha = w_n @ alpha0 @ w_n.conj().T
             survival = float(np.trace(alpha).real)
     if survival > 0:
@@ -206,7 +209,7 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
         Uphi = _propagator(effective_hamiltonian(sys), n * tau)
         err = trace_distance(probe, Uphi @ alpha0 @ Uphi.conj().T)
     else:
-        probe = np.full((sys.dim_P, sys.dim_P), np.nan, dtype=complex)
+        probe = np.full((dP, dP), np.nan, dtype=complex)
         err = float("nan")
 
     return StroboscopicResult(survival_prob=survival, probe_state=probe,
@@ -236,8 +239,8 @@ def zeno_rate_bounds(tau_Z, t_total):
     return 1.0 / tau_Z, t_total / tau_Z**2
 
 
-def survival_probability(tau: float, tau_Z: float, N: int) -> tuple[float, float]:
-    """Survival after N measurements: ((1-(tau/tau_Z)^2)^N, 1 - N (tau/tau_Z)^2).
+def survival_probability(tau: float, tau_Z: float, N: int) -> float:
+    """Survival after N measurements: (1 - x^2)^N with x = tau/tau_Z.
 
     In the freeze regime the power is exp(N log1p(-x^2)), so a per-step
     deficit x^2 below the rounding of 1 is kept.
@@ -248,8 +251,7 @@ def survival_probability(tau: float, tau_Z: float, N: int) -> tuple[float, float
         warnings.warn("tau >= tau_Z: outside the freeze regime, the quadratic "
                       "survival model is unreliable here", stacklevel=2)
     x2 = (tau / tau_Z) ** 2
-    prod = math.exp(N * math.log1p(-x2)) if x2 < 1 else (1.0 - x2) ** N
-    return prod, 1.0 - N * x2
+    return math.exp(N * math.log1p(-x2)) if x2 < 1 else (1.0 - x2) ** N
 
 
 def spin_pair_model(g: float, probe_splitting: float = 0.0) -> BipartiteSystem:
@@ -262,7 +264,6 @@ def spin_pair_model(g: float, probe_splitting: float = 0.0) -> BipartiteSystem:
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
     return BipartiteSystem(
-        dim_P=2, dim_S=2,
         H_P=probe_splitting * sz,
         H_S=np.zeros((2, 2), dtype=complex),
         H_int=g * np.kron(sx, sx),

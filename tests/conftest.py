@@ -1,8 +1,8 @@
 """Shared test oracles: asymptotic launch configs, orbit timing and the
-scipy RK45 trajectory integrator; the rows of a pattern scan, and launch
-tables stacked from one-probe configs; the field and force at rows of
-points, the freeze projector and variance, the free wavepacket width,
-and a report's constraint by name."""
+scipy RK45 trajectory integrator; a probe's outgoing direction, the rows
+of a pattern scan, and launch tables stacked from one-probe configs; the
+field and force at rows of points, the freeze projector and variance,
+the free wavepacket width, and a report's constraint by name."""
 
 import math
 
@@ -13,8 +13,9 @@ from scipy.optimize import brentq
 from zenograv.constants import CONST
 from zenograv.errors import IntegratorFailureError
 from zenograv.massdist import field_rows
-from zenograv.scatter import (ProbeTrajectory, ScatterConfig, _launch,
-                              _outgoing, _segment_hits, _unterminated)
+from zenograv.scatter import (ProbeTrajectory, ScatterConfig, _deflection,
+                              _launch, _outgoing, _segment_hits,
+                              _unterminated)
 from zenograv.zeno import _phi_block, effective_hamiltonian
 
 
@@ -24,6 +25,12 @@ def oracle_config(dist, b, l, v, rtol=1e-10):
     return ScatterConfig.for_source(dist, b=b, l=l, v=v,
                                     start_factor=200 * b / scale,
                                     stop_factor=400 * b / scale, rtol=rtol)
+
+
+def outgoing_dir(cfg, v_out):
+    """The unit vector of the outgoing velocity v_out, as the scan takes
+    it from ``_deflection``."""
+    return _deflection(cfg.v, np.reshape(v_out, (1, 3)))[1][0]
 
 
 def clean_rows(pattern, *names):
@@ -127,7 +134,7 @@ def scipy_trajectory(dist, cfg):
 
     hit = bool(_segment_hits(pos[:-1], pos[1:], dist).any())
     traj = ProbeTrajectory(t=sol.t, x=pos, v=vel, hit_source=hit,
-                           deflection_angle=_outgoing(cfg, vel[-1])[0],
+                           deflection_angle=_outgoing(cfg, vel[-1]),
                            n_rhs=sol.nfev)
     if sol.status == 0:
         raise _unterminated(cfg.r_stop, cfg.t_max)
@@ -149,7 +156,7 @@ def force_at(dist, x, m_probe):
 
 def projector_phi(sys):
     """Oracle kept out of the package: 1 x P_phi on the product space."""
-    return np.kron(np.eye(sys.dim_P), np.outer(sys.phi, sys.phi.conj()))
+    return np.kron(np.eye(len(sys.H_P)), np.outer(sys.phi, sys.phi.conj()))
 
 
 def zeno_variance(sys):

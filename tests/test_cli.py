@@ -216,6 +216,29 @@ class TestNumericalFailure:
         assert not list(tmp_path.iterdir())
 
 
+class TestBoundProbes:
+    """A probe below escape speed fails at launch: integrated until
+    t_max, each of these runs took from 7.6 s (pattern) to minutes."""
+
+    @pytest.mark.parametrize("flag", ["--density", "--t_R"])
+    def test_scatter_exits_3(self, tmp_path, capsys, flag):
+        start = time.perf_counter()
+        assert run_cli(["scatter", flag, "1e300", "--output-dir", tmp_path]) == 3
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert err.startswith("zenograv: numerical failure: "
+                              "UnterminatedTrajectoryError: probe did not "
+                              "escape r_stop=")
+        assert err.count("\n") == 1
+
+    def test_pattern_counts_them_failed(self, tmp_path, capsys):
+        start = time.perf_counter()
+        assert run_cli(["pattern", "--n_b", 2, "--n_l", 1, "--t_R", "3e4",
+                        "--svg", 0, "--output-dir", tmp_path]) == 0
+        assert time.perf_counter() - start < 5
+        assert "  hits=0  failed=2  " in capsys.readouterr().out
+
+
 class TestFailedRunWritesNothing:
     # a step after the first file's text is made fails: no file is written
     @pytest.mark.parametrize("command,target", [

@@ -230,7 +230,7 @@ class TestSweep:
         grid = sweep_region(("t_R", np.logspace(0.5, 1.5, 7)),
                             ("p", np.array([1e-15, 1e-12])), REF)
         assert {len(column) for column in vars(grid).values()} == {14}
-        assert len(region_to_csv(grid).splitlines()) == 1 + 14
+        assert len(region_to_csv(grid, "cfg").splitlines()) == 2 + 14
         assert sum(grid.passed.tolist()) == np.count_nonzero(grid.passed)
 
     def test_csv_deterministic(self):
@@ -286,8 +286,8 @@ def _reference_cell(pt):
         deco_ok = True
     except ZenogravError:
         gamma_deco, deco_ok = math.nan, False
-    sigma_ratio = deco.wavepacket_spread_min(pt.m_probe, t_used)[0] / pt.R
-    dp_ratio = deco.momentum_floor(pt.m_probe, t_used, pt.v)[1]
+    sigma_ratio = deco.wavepacket_spread_min(pt.m_probe, t_used) / pt.R
+    dp_ratio = deco.momentum_floor(pt.m_probe, t_used, pt.v)
     mfp = deco.mean_free_path(pt.env, pt.R_probe)
     path = pt.v * t_used
     margins = (

@@ -1,13 +1,14 @@
 """Every parameter of every function in the package is read, every
-public function is called, every public constant is read, and every
-import is used.
+public function is called, every public constant is read, every import
+is used, and every element of a returned tuple is read by some caller.
 
 A parameter that its function's body never names is a setting that
 changes no result; a public function or constant that no code of the
 package names is API that no program path uses; an import that its
-module never reads is a second path to a name that has one already.
-All are deleted, not kept.  The few kept on purpose are listed, each
-with its reason.
+module never reads is a second path to a name that has one already; a
+tuple element that every caller discards is a result computed for no
+reader.  All are deleted, not kept.  The few kept on purpose are listed,
+each with its reason.
 """
 
 import ast
@@ -172,3 +173,66 @@ def unused_imports(modules):
 
 def test_every_import_is_used():
     assert unused_imports(_modules()) == UNUSED_IMPORTS
+
+
+def _tuple_returns(modules):
+    """{name: n} for every function or method of ``modules`` whose own
+    returns (not those of a function nested in it) are all tuple
+    displays of length n."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = {}
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if not isinstance(node, functions):
+                continue
+            returns, todo = [], list(node.body)
+            while todo:
+                n = todo.pop()
+                if isinstance(n, ast.Return):
+                    returns.append(n.value)
+                if not isinstance(n, (*functions, ast.Lambda, ast.ClassDef)):
+                    todo.extend(ast.iter_child_nodes(n))
+            lengths = {len(r.elts) if isinstance(r, ast.Tuple) else None
+                       for r in returns}
+            if len(lengths) == 1 and None not in lengths:
+                found[node.name] = lengths.pop()
+    return found
+
+
+def _positions_read(call, parent, n):
+    """The positions of an n-tuple result that ``call`` reads: all of
+    them, but for a ``_`` in a tuple it is unpacked into, or the one
+    constant index it is subscripted with."""
+    if isinstance(parent, ast.Subscript) and parent.value is call:
+        if isinstance(parent.slice, ast.Constant):
+            return {parent.slice.value}
+    if (isinstance(parent, ast.Assign) and len(parent.targets) == 1
+            and isinstance(parent.targets[0], ast.Tuple)):
+        return {i for i, t in enumerate(parent.targets[0].elts)
+                if not (isinstance(t, ast.Name) and t.id == "_")}
+    return set(range(n))
+
+
+def unread_returned_values(modules):
+    """``name[i]`` for each position i of a tuple-returning function
+    (see :func:`_tuple_returns`) that no direct call in ``modules``
+    reads; functions that ``modules`` never call directly are skipped."""
+    lengths = _tuple_returns(modules)
+    read = {}
+    for _, tree in modules:
+        for parent in ast.walk(tree):
+            for call in ast.iter_child_nodes(parent):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                if name in lengths:
+                    read.setdefault(name, set()).update(
+                        _positions_read(call, parent, lengths[name]))
+    return {f"{name}[{i}]" for name, positions in read.items()
+            for i in range(lengths[name]) if i not in positions}
+
+
+def test_every_returned_value_is_read():
+    assert unread_returned_values(_modules()) == set()

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import launch_configs, stack
+from conftest import launch_configs, outgoing_dir, stack
 from scipy.optimize import brentq
 
 from zenograv import rk45, scatter
@@ -216,9 +216,10 @@ class TestMirror:
                    pattern.error)
         for (theta_p, x, y_p, hit_p, error), cfg, y, hit in zip(
                 rows, cfgs, y_end, hits):
-            theta, u = _outgoing(cfg, y[3:])
+            u = outgoing_dir(cfg, y[3:])
             assert (theta_p, (x, y_p), hit_p, error) == (
-                theta, tuple(stereographic_project(u)), hit, None)
+                _outgoing(cfg, y[3:]), tuple(stereographic_project(u)), hit,
+                None)
 
     def test_final_state_is_the_mirror_image(self):
         src = make_superposed_source(R, RHO, 2 * R)
@@ -292,8 +293,10 @@ class TestTail:
             pattern.theta.tolist(), pattern.proj_x.tolist(),
             pattern.proj_y.tolist(), pattern.hit.tolist(), pattern.error)
         cfg = ScatterConfig.for_source(src, b=R, l=0.0, v=V)
-        theta, u = _outgoing(cfg, np.array([1e-9, -2e-9, V]))
-        assert clean == (theta, *stereographic_project(u), True, None)
+        v_out = np.array([1e-9, -2e-9, V])
+        assert clean == (_outgoing(cfg, v_out),
+                         *stereographic_project(outgoing_dir(cfg, v_out)),
+                         True, None)
         assert pattern.theta.dtype == float and pattern.hit.dtype == bool
         assert failed[4] == ("IntegratorFailureError: non-finite state "
                              "during integration")

@@ -32,7 +32,7 @@ M_PROBE = 1e-18
 
 import conftest
 from conftest import (anomaly_crossing_elapsed, clean_rows, launch_configs,
-                      oracle_config, scipy_trajectory, stack)
+                      oracle_config, outgoing_dir, scipy_trajectory, stack)
 
 
 def single_sphere(radius=R, rho=RHO):
@@ -255,14 +255,14 @@ class TestKeplerTime:
 
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(InvalidParameterError):
-            hyperbolic_time_from_anomaly(0.99, 0.3, 1.0, 1.0)
+            hyperbolic_time_from_anomaly(0.99, 0.3, 1.0, 1.0, 0.99**2 - 1)
 
     def test_anomaly_beyond_asymptote_rejected(self):
         # phi_inf = acos(-1/1.5) = 2.30; at 7 rad tan(phi/2) wraps back
         # below the asymptotic bound
         for phi in (3.0, 7.0):
             with pytest.raises(InvalidParameterError):
-                hyperbolic_time_from_anomaly(1.5, phi, 1.0, 1.0)
+                hyperbolic_time_from_anomaly(1.5, phi, 1.0, 1.0, 1.25)
 
     def test_parameter_validation(self):
         M = 4.0 / 3.0 * np.pi * RHO * R**3
@@ -334,8 +334,8 @@ class TestKeplerTime:
     def test_elementwise_validation_names_first_bad_value(self):
         with pytest.raises(InvalidParameterError,
                            match=r"orbit not hyperbolic: e = 0\.5 <= 1"):
-            hyperbolic_time_from_anomaly(np.array([1.5, 0.5, 0.2]), 0.3,
-                                         1.0, 1.0)
+            e = np.array([1.5, 0.5, 0.2])
+            hyperbolic_time_from_anomaly(e, 0.3, 1.0, 1.0, e * e - 1)
         with pytest.raises(InvalidParameterError, match="M, v, b0"):
             rutherford_angle(np.array([1.0, math.nan]), 1.0, 1.0)
 
@@ -422,7 +422,7 @@ class TestScanPattern:
 
 def projection(cfg, traj):
     """Stereographic projection of the trajectory's outgoing direction."""
-    return stereographic_project(_outgoing(cfg, traj.v[-1])[1])
+    return stereographic_project(outgoing_dir(cfg, traj.v[-1]))
 
 
 def scalar_pattern(dist, pattern, v, **factors):
@@ -444,7 +444,7 @@ def scalar_pattern(dist, pattern, v, **factors):
 
 
 def csv_lines(pattern):
-    return pattern_to_csv(pattern).splitlines()[1:]
+    return pattern_to_csv(pattern, "cfg").splitlines()[2:]
 
 
 def hit_grid(dist):
@@ -549,7 +549,7 @@ class TestBatchEngineOracle:
         with pytest.warns(UserWarning, match="rtol"), \
                 np.errstate(over="ignore", invalid="ignore"):
             ref = scipy_trajectory(src, cfg)
-        theta, _ = _outgoing(cfg, y[3:])
+        theta = _outgoing(cfg, y[3:])
         assert theta == pytest.approx(ref.deflection_angle, rel=1e-12)
         traj = integrate_trajectory(src, cfg, M_PROBE)
         assert np.array_equal(np.concatenate([traj.x[-1], traj.v[-1]]), y)
@@ -774,8 +774,10 @@ class TestEmission:
     def test_svg_is_static(self):
         src = single_sphere()
         pattern = scan_pattern(src, (1.2, 1.4), (0.0, R), 2, 2, V)
-        svg = pattern_to_svg(pattern, dashed_radius=2e-4)
+        svg = pattern_to_svg(pattern, dashed_radius=2e-4,
+                             header_comment="cfg")
         assert svg.startswith("<?xml")
+        assert svg.splitlines()[1] == "<!-- cfg -->"
         assert "<script" not in svg
         assert "stroke-dasharray" in svg
         assert svg.count("<circle") == np.count_nonzero(pattern.clean) + 1
