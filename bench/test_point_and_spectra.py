@@ -9,8 +9,10 @@ layers that the CLI's ``report``, ``eigen`` and ``zeno`` commands run:
 ``find_wells`` on the triple well at 4000 grid points, and
 ``strobo_evolve`` on the spin pair of the ``zeno`` command's defaults
 (freeze time 1 s, probe splitting 0.7 g, N = 100 measurements) at its
-largest default tau, freeze time / 100, and at N = 1e9 measurements of
-tau = freeze time / 1e4 (a matrix power: the cost grows with log N).
+largest default tau, freeze time / 100, at N = 1e9 measurements of
+tau = freeze time / 1e4 (a matrix power: the cost grows with log N), and
+over a 1000-point log tau grid from freeze time / 1e4 to / 100, the
+default range, as the one stacked call that ``zeno --n_tau 1000`` makes.
 """
 
 import numpy as np
@@ -50,3 +52,11 @@ def test_strobo_evolve_spin_pair_1e9(benchmark):
     model = zeno.spin_pair_model(G, probe_splitting=0.7 * G)
     res = benchmark(zeno.strobo_evolve, model, 1e-4, 10**9, PLUS)
     assert 4.5e-5 < res.survival_prob < 4.6e-5     # about exp(-10)
+
+
+def test_strobo_evolve_sweep_1000(benchmark):
+    model = zeno.spin_pair_model(G, probe_splitting=0.7 * G)
+    taus = np.logspace(-4, -2, 1000)
+    res = benchmark(zeno.strobo_evolve, model, taus, 100, PLUS)
+    assert res.survival_prob.shape == (1000,)
+    assert ((0.99 < res.survival_prob) & (res.survival_prob <= 1.0)).all()

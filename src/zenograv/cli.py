@@ -280,7 +280,7 @@ def _run_eigen(params, header):
     files = {
         "eigen.csv": csv_text(
             "x,V_of_x,psi0,psi1",
-            [sol.x, spec.potential(sol.x), *sol.wavefunctions[:2]], header),
+            [sol.x, sol.potential, *sol.wavefunctions[:2]], header),
         "eigen_summary.json": {
             "E0_J": sol.energies[0], "E1_J": sol.energies[1],
             "gap_J": sol.gap_01,
@@ -306,12 +306,11 @@ def _run_zeno(params, header):
                        params["n_tau"]) * tau_Z
     N = params["N"]
     with np.errstate(over="raise"):
-        runs = [zeno.strobo_evolve(sys_model, tau, N, alpha0) for tau in taus]
+        run = zeno.strobo_evolve(sys_model, taus, N, alpha0)
         formula = [zeno.survival_probability(tau, tau_Z, N) for tau in taus]
     files = {"zeno_scan.csv": csv_text(
         "tau,N,survival_sim,survival_formula,trace_dist",
-        [taus, N, [r.survival_prob for r in runs], formula,
-         [r.effective_H_error for r in runs]], header)}
+        [taus, N, run.survival_prob, formula, run.effective_H_error], header)}
     return files, f"freeze_time={tau_Z:.6g} s  N={N}  tau points={len(taus)}"
 
 

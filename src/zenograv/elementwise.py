@@ -29,7 +29,7 @@ def require(ok, message: str, *values) -> None:
     The ``{}`` in the message are filled with ``values``: for an array,
     its element at the first place where ``ok`` fails.
     """
-    if ok is True or (ok is not False and np.all(ok)):
+    if ok is True or ok is np.True_ or (ok is not False and np.all(ok)):
         return
     if any(map(np.ndim, values)):
         ok = np.broadcast_to(ok, np.broadcast_shapes(

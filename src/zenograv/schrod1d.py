@@ -77,6 +77,7 @@ class EigenSolution:
     wavefunctions: np.ndarray     # (k, n) real, trapezoid-orthonormal
     grid: tuple[float, float, int]  # (x_min, x_max, n_points), units of d
     gap_01: float                 # E1 - E0 (J)
+    potential: np.ndarray         # (n,) dimensionless V on the grid :attr:`x`
 
     @property
     def x(self) -> np.ndarray:
@@ -132,7 +133,8 @@ def solve_eigen(spec: PotentialSpec1D, n_states: int = 2,
     energies_J = energies * V0
     gap = energies_J[1] - energies_J[0] if n_states >= 2 else float("nan")
     return EigenSolution(energies=energies_J, energies_V0=energies,
-                         wavefunctions=psi, grid=(x_min, x_max, n), gap_01=gap)
+                         wavefunctions=psi, grid=(x_min, x_max, n), gap_01=gap,
+                         potential=V)
 
 
 def potential_gradient(spec: PotentialSpec1D, x: float) -> float:

@@ -15,6 +15,10 @@ carry only their small parts, the one-step block minus the identity,
 so a per-step deficit far below the rounding of 1 is not lost; a branch
 that has decayed below 1/2 is formed as the plain power instead, whose
 relative error is about n x 1e-16.
+A grid of measurement intervals tau is one stacked computation: H is
+diagonalised once, every tau's one-step block is one row of a
+(k, dP, dP) stack, and the power, the branch and the trace distance run
+on the whole stack, each row with the bits of a call with its tau alone.
 System dimensions are small (toy models up to ~16 x 16 per factor).
 """
 
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONST
-from .elementwise import require
+from .elementwise import require, result
 from .errors import InvalidParameterError
 
 _HERM_TOL = 1e-12
@@ -87,15 +91,17 @@ class BipartiteSystem:
 
 @dataclass(frozen=True)
 class StroboscopicResult:
-    """The phi branch after the cycles of :func:`strobo_evolve`."""
+    """The phi branch after the cycles of :func:`strobo_evolve`: floats and
+    one probe state for one tau, arrays stacked over the taus of a grid."""
 
-    survival_prob: float          # cumulative phi-branch probability
-    probe_state: np.ndarray       # conditional probe density matrix
-    effective_H_error: float      # trace distance to effective-Hamiltonian evolution
+    survival_prob: float | np.ndarray      # cumulative phi-branch probability
+    probe_state: np.ndarray                # conditional probe density matrix
+    effective_H_error: float | np.ndarray  # trace distance to effective-Hamiltonian evolution
 
     def __post_init__(self):
-        if not -1e-10 <= self.survival_prob <= 1.0 + 1e-10:
-            raise InvalidParameterError("survival probability out of [0, 1]")
+        s = self.survival_prob
+        require((s >= -1e-10) & (s <= 1.0 + 1e-10),
+                "survival probability out of [0, 1]")
 
 
 def _check_density_matrix(rho: np.ndarray, dim: int):
@@ -110,27 +116,32 @@ def _check_density_matrix(rho: np.ndarray, dim: int):
     return rho
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """(1/2)||rho - sigma||_1 for Hermitian matrices."""
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
+    """(1/2)||rho - sigma||_1 for Hermitian matrices; a float for one pair,
+    an array for stacks of them."""
+    return result(0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1))
 
 
 def _phi_block(sys: BipartiteSystem, A: np.ndarray) -> np.ndarray:
     """<phi|A|phi>: the probe operator of A (on the product space) between
-    source states phi, so that (1 x P_phi) A (1 x P_phi) = <phi|A|phi> x P_phi."""
+    source states phi, so that (1 x P_phi) A (1 x P_phi) = <phi|A|phi> x P_phi.
+    Stacked over the leading axes of A."""
     dP, dS = len(sys.H_P), len(sys.H_S)
-    A4 = A.reshape(dP, dS, dP, dS)
-    return np.einsum("s,psqt,t->pq", sys.phi.conj(), A4, sys.phi)
+    A4 = A.reshape(A.shape[:-2] + (dP, dS, dP, dS))
+    return np.einsum("s,...psqt,t->...pq", sys.phi.conj(), A4, sys.phi)
 
 
-def _expm1(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt/hbar) - 1 for Hermitian H: V diag(expm1(-i lam t/hbar)) V^dagger."""
+def _expm1(H: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """exp(-iHt/hbar) - 1 for Hermitian H: V diag(expm1(-i lam t/hbar)) V^dagger.
+
+    Stacked over the elements of t (one eigendecomposition of H for all)."""
     lam, V = np.linalg.eigh(H)
-    return (V * np.expm1(-1j * lam * t / CONST.hbar)) @ V.conj().T
+    phases = np.expm1(-1j * lam * np.asarray(t)[..., None] / CONST.hbar)
+    return (V * phases[..., None, :]) @ V.conj().T
 
 
-def _propagator(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt/hbar) for Hermitian H: 1 + :func:`_expm1`.
+def _propagator(H: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """exp(-iHt/hbar) for Hermitian H: 1 + :func:`_expm1`, stacked over t.
 
     The identity is added exactly, so a step with tiny phases is exactly
     the identity, as scipy's expm gives, and not V V^dagger, which is one
@@ -139,9 +150,19 @@ def _propagator(H: np.ndarray, t: float) -> np.ndarray:
     return np.eye(len(H)) + _expm1(H, t)
 
 
+def _dagger(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return A.conj().swapaxes(-1, -2)
+
+
+def _trace(A: np.ndarray) -> np.ndarray:
+    """Real part of the trace of each matrix of a stack."""
+    return np.trace(A, axis1=-2, axis2=-1).real
+
+
 def _power_minus_one(E: np.ndarray, n: int) -> np.ndarray:
     """(1 + E)^n - 1 by repeated squaring, carrying only the small parts:
-    (1 + A)(1 + B) - 1 = A + B + AB."""
+    (1 + A)(1 + B) - 1 = A + B + AB.  Stacked over the leading axes of E."""
     P = np.zeros_like(E)
     while n:
         if n & 1:
@@ -160,7 +181,7 @@ def effective_hamiltonian(sys: BipartiteSystem) -> np.ndarray:
     return _phi_block(sys, sys.total_hamiltonian())
 
 
-def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
+def strobo_evolve(sys: BipartiteSystem, tau: float | np.ndarray, n: int,
                   initial_probe: np.ndarray) -> StroboscopicResult:
     """n cycles of (evolve tau, project source onto phi), selectively.
 
@@ -171,6 +192,12 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
     unitary evolution under the effective Hamiltonian for the same total
     time n*tau.
 
+    Elementwise over tau: a float gives a float survival and error and a
+    (dP, dP) probe state; an array of taus gives them stacked over its
+    shape, from one computation over the whole grid.  H and the effective
+    Hamiltonian are diagonalised once per call, and each row gets the
+    bits that a call with its tau alone gives.
+
     With P = 1 x P_phi and rho_0 = alpha_0 x P_phi, P rho_0 P = rho_0, so
     the branch after k steps is W^k rho_0 (W^k)^dagger with W = P U P =
     w x P_phi, w = <phi|U|phi>: that is (w^k alpha_0 (w^k)^dagger) x P_phi.
@@ -179,41 +206,46 @@ def strobo_evolve(sys: BipartiteSystem, tau: float, n: int,
     more product gives E_n (a rounding that ``zeno_scan.csv`` pins), and
     the branch is alpha_0 + D with D = E_n alpha_0 + alpha_0 E_n^dagger +
     E_n alpha_0 E_n^dagger, its trace tr alpha_0 + tr D; below a trace of
-    1/2, it is formed from the plain power (1 + E)^n.
+    1/2, it is formed from the plain power (1 + E)^n.  A row whose
+    survival is 0 has a NaN probe state and error.
     """
     # written as x > 0, not as not x <= 0, so that NaN fails
-    require(0 < tau < math.inf, "tau must be finite and > 0, got {}", tau)
+    require((tau > 0) & (tau < math.inf),
+            "tau must be finite and > 0, got {}", tau)
     require(n >= 0, "n must be >= 0, got {}", n)
     dP = len(sys.H_P)
-    alpha = alpha0 = _check_density_matrix(initial_probe, dP)
-    survival = float(np.trace(alpha0).real)
+    alpha0 = _check_density_matrix(initial_probe, dP)
+    shape = np.shape(tau)
+    t = np.ravel(tau).astype(float)
+    alpha = np.broadcast_to(alpha0, t.shape + alpha0.shape)
+    survival = np.full(t.shape, float(np.trace(alpha0).real))
     if n > 0:
-        E = _phi_block(sys, _expm1(sys.total_hamiltonian(), tau))
+        E = _phi_block(sys, _expm1(sys.total_hamiltonian(), t))
         E_prev = _power_minus_one(E, n - 1)
         E_n = E + E_prev + E @ E_prev
-        D = E_n @ alpha0 + alpha0 @ E_n.conj().T + E_n @ alpha0 @ E_n.conj().T
-        trace = survival + float(np.trace(D).real)
-        if trace >= 0.5:
-            alpha, survival = alpha0 + D, trace
-        else:
-            # decayed: tr D cancels tr alpha_0 to an absolute 1e-16, so form
-            # the plain power, whose relative error is about n x 1e-16
-            w_n = np.linalg.matrix_power(np.eye(dP) + E, n)
-            alpha = w_n @ alpha0 @ w_n.conj().T
-            survival = float(np.trace(alpha).real)
-    if survival > 0:
-        # numpy's complex division takes the divisor's reciprocal, which
-        # overflows for a subnormal survival; a power-of-two scale is exact
-        # and leaves every quotient of a normal survival bit for bit
-        probe = (alpha * 2.0**64) / (survival * 2.0**64)
-        Uphi = _propagator(effective_hamiltonian(sys), n * tau)
-        err = trace_distance(probe, Uphi @ alpha0 @ Uphi.conj().T)
-    else:
-        probe = np.full((dP, dP), np.nan, dtype=complex)
-        err = float("nan")
-
-    return StroboscopicResult(survival_prob=survival, probe_state=probe,
-                              effective_H_error=err)
+        E_n_dagger = _dagger(E_n)
+        D = E_n @ alpha0 + alpha0 @ E_n_dagger + E_n @ alpha0 @ E_n_dagger
+        alpha, survival = alpha0 + D, survival + _trace(D)
+        decayed = ~(survival >= 0.5)
+        if decayed.any():
+            # tr D cancels tr alpha_0 to an absolute 1e-16, so form the
+            # plain power, whose relative error is about n x 1e-16
+            w_n = np.linalg.matrix_power(np.eye(dP) + E[decayed], n)
+            alpha[decayed] = w_n @ alpha0 @ _dagger(w_n)
+            survival[decayed] = _trace(alpha[decayed])
+    probe = np.full(alpha.shape, np.nan, dtype=complex)
+    err = np.full(t.shape, np.nan)
+    live = survival > 0
+    # numpy's complex division takes the divisor's reciprocal, which
+    # overflows for a subnormal survival; a power-of-two scale is exact
+    # and leaves every quotient of a normal survival bit for bit
+    probe[live] = ((alpha[live] * 2.0**64)
+                   / (survival[live, None, None] * 2.0**64))
+    Uphi = _propagator(effective_hamiltonian(sys), n * t[live])
+    err[live] = trace_distance(probe[live], Uphi @ alpha0 @ _dagger(Uphi))
+    return StroboscopicResult(survival_prob=result(survival.reshape(shape)),
+                              probe_state=probe.reshape(shape + (dP, dP)),
+                              effective_H_error=result(err.reshape(shape)))
 
 
 def zeno_time_estimate(m, M, b0):

@@ -469,6 +469,20 @@ class TestSweeps:
             assert float(row["survival_sim"]) == pytest.approx(
                 float(row["survival_formula"]), rel=1e-6, abs=1e-300)
 
+    def test_zeno_hundred_thousand_taus(self, tmp_path):
+        # the whole tau grid is one stacked strobo_evolve call: 1e5 points
+        # take about 1.5 s in a fresh process (one call per tau: 25-55 s)
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "zenograv.cli", "zeno",
+                               "--n_tau", "100000", "--output-dir",
+                               str(tmp_path)],
+                              capture_output=True, text=True, timeout=10)
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = (tmp_path / "zeno_scan.csv").read_text().strip().split("\n")
+        assert len(lines) == 2 + 100000
+        assert elapsed < 5.0
+
     def test_zeno_deficit_below_the_rounding_of_one(self, tmp_path):
         # tau = 1e-9 freeze times: a per-step deficit of 1e-18, and
         # 1 - 1e-9 after 1e9 measurements; the closed form agrees

@@ -349,6 +349,68 @@ class TestStroboEvolve:
         assert res.effective_H_error < 1e-12
 
 
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+class TestStackedTau:
+    """A tau array is one computation; each row must be the scalar call."""
+
+    def assert_rows_are_scalar_calls(self, sys_m, taus, n, alpha0):
+        stacked = strobo_evolve(sys_m, taus, n, alpha0)
+        scalars = [strobo_evolve(sys_m, tau, n, alpha0) for tau in taus]
+        assert_same_bits(stacked.survival_prob,
+                         [r.survival_prob for r in scalars])
+        assert_same_bits(stacked.effective_H_error,
+                         [r.effective_H_error for r in scalars])
+        assert_same_bits(stacked.probe_state,
+                         [r.probe_state for r in scalars])
+        return stacked
+
+    def test_mixed_grid_bit_for_bit(self):
+        # 1e9 measurements up to the freeze time: undecayed rows, decayed
+        # rows (the plain matrix power) and rows whose survival is 0
+        sys_m = xx_model(probe_splitting=0.7 * G_COUPLING)
+        taus = np.logspace(-7, 0, 15) * TAU_Z
+        res = self.assert_rows_are_scalar_calls(sys_m, taus, 10**9, PLUS)
+        s = res.survival_prob
+        assert (s >= 0.5).any() and ((0 < s) & (s < 0.5)).any()
+        zero = s == 0
+        assert zero.any()
+        assert np.isnan(res.probe_state[zero]).all()
+        assert np.isnan(res.effective_H_error[zero]).all()
+        assert not np.isnan(res.effective_H_error[~zero]).any()
+
+    @pytest.mark.parametrize("n", [0, 1, 100])
+    def test_random_system_against_loop(self, n):
+        sys_m = random_system(np.random.default_rng(21))
+        alpha0 = np.eye(3) / 3
+        taus = np.logspace(-3, -0.5, 5)
+        res = self.assert_rows_are_scalar_calls(sys_m, taus, n, alpha0)
+        for i, tau in enumerate(taus):
+            survival, probe = loop_reference(sys_m, tau, n, alpha0)
+            assert res.survival_prob[i] == pytest.approx(survival, rel=1e-12,
+                                                         abs=0)
+            assert_allclose(res.probe_state[i], probe, rtol=0, atol=1e-12)
+
+    def test_scalar_gives_scalars(self):
+        res = strobo_evolve(xx_model(), 0.01, 10, PLUS)
+        assert type(res.survival_prob) is float
+        assert type(res.effective_H_error) is float
+        assert res.probe_state.shape == (2, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+    def test_each_tau_validated(self, bad):
+        taus = np.array([1e-3, 1e-2, bad, 1e-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError,
+                               match="tau must be finite and > 0"):
+                strobo_evolve(xx_model(), taus, 10, PLUS)
+
+
 class TestRateEstimates:
     def test_zeno_time_reference_values(self):
         # m = 1e-18 kg, M = 1e-11 kg, b0 = 1.2e-5 m
