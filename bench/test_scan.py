@@ -1,5 +1,6 @@
 """Scatter-layer benchmarks: a mirrored pattern scan, the engine alone (on
-the grid and on one probe), one trajectory, and the field kernel.
+the grid and on one probe), one trajectory, its escape root, and the
+field kernel.
 
     PYTHONPATH=src python -m pytest bench/test_scan.py
 
@@ -10,7 +11,8 @@ t_R = 10^1.1 s.  ``scan_pattern`` integrates its 144 l >= 0 probes and
 mirrors the rest; the ``_integrate_batch`` case integrates all 276
 launches of the same grid, with no mirror, and a second case one probe
 of it; the trajectory case is that probe through the plain-float
-stepper.  The field kernel ``field_rows`` is timed on 144 and 1600
+stepper, and the escape-root case the one-lane root search on that
+probe's last step.  The field kernel ``field_rows`` is timed on 144 and 1600
 positions around the two-lobe source (the engine's batch sizes for the
 benchmark grid and a 40x40 preset), as the engine holds them: one
 contiguous row per coordinate.
@@ -19,6 +21,7 @@ contiguous row per coordinate.
 import numpy as np
 import pytest
 
+from zenograv import rk45
 from zenograv.massdist import field_rows, make_superposed_source
 from zenograv.scatter import (ScatterConfig, _integrate_batch,
                               integrate_trajectory, scan_pattern)
@@ -69,3 +72,22 @@ def test_field_rows(benchmark, n):
 def test_integrate_trajectory(benchmark, probe):
     traj = benchmark(integrate_trajectory, SRC, probe, M_PROBE)
     assert not traj.hit_source
+
+
+@pytest.fixture(scope="module")
+def escape_step(probe):
+    """The arguments of the probe's one-lane escape-root search."""
+    steps = []
+    original = rk45.escape_root
+    rk45.escape_root = lambda *args: steps.append(args) or original(*args)
+    try:
+        integrate_trajectory(SRC, probe)
+    finally:
+        rk45.escape_root = original
+    (args,) = steps
+    return args
+
+
+def test_escape_root(benchmark, escape_step):
+    t_e, _ = benchmark(rk45.escape_root, *escape_step)
+    assert escape_step[1] <= t_e <= escape_step[5]

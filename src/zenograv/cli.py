@@ -307,7 +307,7 @@ def _run_zeno(params, header):
     N = params["N"]
     with np.errstate(over="raise"):
         run = zeno.strobo_evolve(sys_model, taus, N, alpha0)
-        formula = [zeno.survival_probability(tau, tau_Z, N) for tau in taus]
+        formula = zeno.survival_probability(taus, tau_Z, N)
     files = {"zeno_scan.csv": csv_text(
         "tau,N,survival_sim,survival_formula,trace_dist",
         [taus, N, run.survival_prob, formula, run.effective_H_error], header)}

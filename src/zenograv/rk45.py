@@ -2,12 +2,15 @@
 
 The numerics both probe integrators of :mod:`zenograv.scatter` share: the
 Dormand-Prince 5(4) tableau, RK45's step-size controller and initial
-step, one step on plain floats, and the root on a step's dense output at
-which solve_ivp locates a terminal event, found by a lockstep port of
-scipy's ``brentq``.  The values are scipy's, copied as literals (a test
-checks each against scipy bit for bit) so that importing the toolkit
-does not import scipy, and every sum runs in a fixed order, so that a
-probe's arithmetic does not depend on its batch.
+step, one step on plain floats with its six coordinates written out, and
+the root on a step's dense output at which solve_ivp locates a terminal
+event, found by a port of scipy's ``brentq``: in lockstep over numpy
+lanes for a scan (:func:`escape_roots`), and on plain floats for one
+probe (:func:`escape_root`), with the same operations in each lane.  The
+values are scipy's, copied as literals (a test checks each against scipy
+bit for bit) so that importing the toolkit does not import scipy, and
+every sum runs in a fixed order, so that a probe's arithmetic does not
+depend on its batch, and its one-probe path gives the same bits.
 """
 
 from __future__ import annotations
@@ -49,47 +52,75 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / (ERROR_ESTIMATOR_ORDER + 1)
-# solve_ivp's event-root tolerance (xtol = rtol = 4 eps)
-EVENT_TOL = 4 * np.finfo(float).eps
-# scipy RK45's floor on rtol
-RTOL_FLOOR = 100 * np.finfo(float).eps
+# solve_ivp's event-root tolerance (xtol = rtol = 4 eps) and scipy RK45's
+# floor on rtol, as Python floats so that the one-probe path stays on them
+EVENT_TOL = 4 * float(np.finfo(float).eps)
+RTOL_FLOOR = 100 * float(np.finfo(float).eps)
+# scipy brentq's failures
+_NAN_VALUE = "The function value at x={} is NaN; solver cannot continue."
+_NO_SIGN_CHANGE = "f(a) and f(b) must have different signs"
+_NO_CONVERGENCE = "Failed to converge after 100 iterations."
 
 
 def dormand_prince(rhs, y, k1, h):
     """One Dormand-Prince 5(4) attempt on 6 floats from y with slope k1.
 
     Returns the 5th-order state, the seven stage slopes and the error
-    estimate sum_j E[j] k_j (not yet times h).  Every stage sum runs in
-    stage order and skips the zero coefficients B[1] and E[1], as
-    :func:`combine` does, so each value equals the batch engine's.
+    estimate sum_j E[j] k_j (not yet times h), each a tuple of 6 floats.
+    Every stage sum runs in stage order and skips the zero coefficients
+    B[1] and E[1], as :func:`combine` does, so each value equals the
+    batch engine's.  The six coordinates are written out: one expression
+    each, no per-coordinate loop.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = A_ROWS
     b1, _, b3, b4, b5, b6 = B
     e1, _, e3, e4, e5, e6, e7 = E
-    k2 = rhs([yi + p1 * a21 * h for yi, p1 in zip(y, k1)])
-    k3 = rhs([yi + (p1 * a31 + p2 * a32) * h
-              for yi, p1, p2 in zip(y, k1, k2)])
-    k4 = rhs([yi + (p1 * a41 + p2 * a42 + p3 * a43) * h
-              for yi, p1, p2, p3 in zip(y, k1, k2, k3)])
-    k5 = rhs([yi + (p1 * a51 + p2 * a52 + p3 * a53 + p4 * a54) * h
-              for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-    k6 = rhs([yi + (p1 * a61 + p2 * a62 + p3 * a63 + p4 * a64 + p5 * a65) * h
-              for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [yi + h * (p1 * b1 + p3 * b3 + p4 * b4 + p5 * b5 + p6 * b6)
-             for yi, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+    y0, y1, y2, y3, y4, y5 = y
+    p0, p1, p2, p3, p4, p5 = k1
+    k2 = rhs((y0 + p0 * a21 * h, y1 + p1 * a21 * h, y2 + p2 * a21 * h,
+              y3 + p3 * a21 * h, y4 + p4 * a21 * h, y5 + p5 * a21 * h))
+    q0, q1, q2, q3, q4, q5 = k2
+    k3 = rhs((y0 + (p0 * a31 + q0 * a32) * h, y1 + (p1 * a31 + q1 * a32) * h,
+              y2 + (p2 * a31 + q2 * a32) * h, y3 + (p3 * a31 + q3 * a32) * h,
+              y4 + (p4 * a31 + q4 * a32) * h, y5 + (p5 * a31 + q5 * a32) * h))
+    r0, r1, r2, r3, r4, r5 = k3
+    k4 = rhs((y0 + (p0 * a41 + q0 * a42 + r0 * a43) * h,
+              y1 + (p1 * a41 + q1 * a42 + r1 * a43) * h,
+              y2 + (p2 * a41 + q2 * a42 + r2 * a43) * h,
+              y3 + (p3 * a41 + q3 * a42 + r3 * a43) * h,
+              y4 + (p4 * a41 + q4 * a42 + r4 * a43) * h,
+              y5 + (p5 * a41 + q5 * a42 + r5 * a43) * h))
+    s0, s1, s2, s3, s4, s5 = k4
+    k5 = rhs((y0 + (p0 * a51 + q0 * a52 + r0 * a53 + s0 * a54) * h,
+              y1 + (p1 * a51 + q1 * a52 + r1 * a53 + s1 * a54) * h,
+              y2 + (p2 * a51 + q2 * a52 + r2 * a53 + s2 * a54) * h,
+              y3 + (p3 * a51 + q3 * a52 + r3 * a53 + s3 * a54) * h,
+              y4 + (p4 * a51 + q4 * a52 + r4 * a53 + s4 * a54) * h,
+              y5 + (p5 * a51 + q5 * a52 + r5 * a53 + s5 * a54) * h))
+    u0, u1, u2, u3, u4, u5 = k5
+    k6 = rhs((y0 + (p0 * a61 + q0 * a62 + r0 * a63 + s0 * a64 + u0 * a65) * h,
+              y1 + (p1 * a61 + q1 * a62 + r1 * a63 + s1 * a64 + u1 * a65) * h,
+              y2 + (p2 * a61 + q2 * a62 + r2 * a63 + s2 * a64 + u2 * a65) * h,
+              y3 + (p3 * a61 + q3 * a62 + r3 * a63 + s3 * a64 + u3 * a65) * h,
+              y4 + (p4 * a61 + q4 * a62 + r4 * a63 + s4 * a64 + u4 * a65) * h,
+              y5 + (p5 * a61 + q5 * a62 + r5 * a63 + s5 * a64 + u5 * a65) * h))
+    w0, w1, w2, w3, w4, w5 = k6
+    y_new = (y0 + h * (p0 * b1 + r0 * b3 + s0 * b4 + u0 * b5 + w0 * b6),
+             y1 + h * (p1 * b1 + r1 * b3 + s1 * b4 + u1 * b5 + w1 * b6),
+             y2 + h * (p2 * b1 + r2 * b3 + s2 * b4 + u2 * b5 + w2 * b6),
+             y3 + h * (p3 * b1 + r3 * b3 + s3 * b4 + u3 * b5 + w3 * b6),
+             y4 + h * (p4 * b1 + r4 * b3 + s4 * b4 + u4 * b5 + w4 * b6),
+             y5 + h * (p5 * b1 + r5 * b3 + s5 * b4 + u5 * b5 + w5 * b6))
     k7 = rhs(y_new)
-    error = [p1 * e1 + p3 * e3 + p4 * e4 + p5 * e5 + p6 * e6 + p7 * e7
-             for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
+    z0, z1, z2, z3, z4, z5 = k7
+    error = (p0 * e1 + r0 * e3 + s0 * e4 + u0 * e5 + w0 * e6 + z0 * e7,
+             p1 * e1 + r1 * e3 + s1 * e4 + u1 * e5 + w1 * e6 + z1 * e7,
+             p2 * e1 + r2 * e3 + s2 * e4 + u2 * e5 + w2 * e6 + z2 * e7,
+             p3 * e1 + r3 * e3 + s3 * e4 + u3 * e5 + w3 * e6 + z3 * e7,
+             p4 * e1 + r4 * e3 + s4 * e4 + u4 * e5 + w4 * e6 + z4 * e7,
+             p5 * e1 + r5 * e3 + s5 * e4 + u5 * e5 + w5 * e6 + z5 * e7)
     return y_new, (k1, k2, k3, k4, k5, k6, k7), error
-
-
-def rms_floats(x):
-    """:func:`rms` of one row of floats."""
-    total = x[0] * x[0]
-    for v in x[1:]:
-        total = total + v * v
-    return math.sqrt(total) / len(x) ** 0.5
 
 
 def error_power(err):
@@ -149,8 +180,7 @@ def escape_roots(K, t_old, h, y_old, r_stop, t_new):
     x = (t - t_old)/h) is summed elementwise in a fixed order, not by a
     BLAS product, so a probe's value does not depend on the batch; every
     probe's root is then searched by :func:`brentq` at solve_ivp's event
-    tolerances.  Returns the times (m,) and the states (m, 6) of the
-    crossings.
+    tolerances.  Returns the states (m, 6) at the crossings.
     """
     Q = np.stack([combine(K, column) for column in zip(*P)], axis=1)
 
@@ -169,8 +199,7 @@ def escape_roots(K, t_old, h, y_old, r_stop, t_new):
         return np.sqrt(pos[:, 0] * pos[:, 0] + pos[:, 1] * pos[:, 1]
                        + pos[:, 2] * pos[:, 2]) - r_stop[lanes]
 
-    t_root = brentq(escape, t_old, t_new)
-    return t_root, state(t_root, slice(None), slice(None))
+    return state(brentq(escape, t_old, t_new), slice(None), slice(None))
 
 
 def brentq(f, xa, xb):
@@ -188,8 +217,7 @@ def brentq(f, xa, xb):
         fx = f(x, lanes)
         nan = np.isnan(fx)
         if nan.any():
-            raise ValueError(f"The function value at x={float(x[nan][0])} "
-                             "is NaN; solver cannot continue.")
+            raise ValueError(_NAN_VALUE.format(float(x[nan][0])))
         return fx
 
     lanes = np.arange(len(xa))
@@ -199,7 +227,7 @@ def brentq(f, xa, xb):
     root[fpre == 0] = xpre[fpre == 0]
     live = (fpre != 0) & (fcur != 0)
     if (np.signbit(fpre) == np.signbit(fcur))[live].any():
-        raise ValueError("f(a) and f(b) must have different signs")
+        raise ValueError(_NO_SIGN_CHANGE)
     lanes, xpre, xcur, fpre, fcur = (a[live] for a in
                                      (lanes, xpre, xcur, fpre, fcur))
     xblk, fblk, spre, scur = (np.zeros(len(lanes)) for _ in range(4))
@@ -248,8 +276,111 @@ def brentq(f, xa, xb):
                                np.where(sbis > 0, delta, -delta))
         fcur = value(xcur, lanes)
     if len(lanes):
-        raise RuntimeError("Failed to converge after 100 iterations.")
+        raise RuntimeError(_NO_CONVERGENCE)
     return root
+
+
+def escape_root(K, t_old, h, y_old, r_stop, t_new):
+    """:func:`escape_roots` of one probe on plain floats: its crossing
+    time and state (a tuple of 6 floats).
+
+    K is the step's seven stage slopes of 6 floats each.  Q = K^T P is
+    summed in stage order with the zero coefficients skipped, as
+    :func:`combine` sums it, the dense output is evaluated as in
+    :func:`escape_roots`, and the root is found by :func:`brentq_lane`,
+    so time and state equal that probe's lane of the lockstep search bit
+    for bit.
+    """
+    Q = []
+    for i in range(6):
+        row = []
+        for column in zip(*P):
+            total = -0.0
+            for k, c in zip(K, column):
+                if c:
+                    total = total + k[i] * c
+            row.append(total)
+        Q.append(row)
+
+    def coordinate(x, i):
+        q0, q1, q2, q3 = Q[i]
+        p = x
+        acc = q0 * p
+        p = p * x
+        acc = acc + q1 * p
+        p = p * x
+        acc = acc + q2 * p
+        p = p * x
+        return h * (acc + q3 * p) + y_old[i]
+
+    def escape(t):
+        x = (t - t_old) / h
+        px, py, pz = coordinate(x, 0), coordinate(x, 1), coordinate(x, 2)
+        return math.sqrt(px * px + py * py + pz * pz) - r_stop
+
+    t_root = brentq_lane(escape, t_old, t_new)
+    x = (t_root - t_old) / h
+    return t_root, tuple(coordinate(x, i) for i in range(6))
+
+
+def brentq_lane(f, xa, xb):
+    """One lane of :func:`brentq` on plain floats: the root of f on
+    [xa, xb], the same iterates and the same failures.
+
+    Where the lockstep search divides by zero in its interpolation (numpy
+    gives inf or NaN there, and the step falls back to bisection), this
+    one catches the ZeroDivisionError and bisects.
+    """
+    def value(x):
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(_NAN_VALUE.format(x))
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(_NO_SIGN_CHANGE)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (math.copysign(1.0, fpre)
+                                        != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (EVENT_TOL + EVENT_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        try:
+            if xpre == xblk:   # interpolate (secant)
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:              # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+        except ZeroDivisionError:
+            stry = math.inf    # numpy's x / 0: not short, so bisect
+        a, b = abs(spre), 3 * abs(sbis) - delta
+        if (abs(spre) > delta and abs(fcur) < abs(fpre)
+                and 2 * abs(stry) < (a if a < b else b)):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur = xcur + (scur if abs(scur) > delta
+                       else delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(_NO_CONVERGENCE)
 
 
 def initial_step(fun, y, f, atol, rtol, t_bound):

@@ -7,10 +7,11 @@ batch engine over a (6, N) state array; a single trajectory runs the
 same step on plain Python floats, in the same operation order, so both
 give the same probe bit for bit.  Their numerics come from
 :mod:`zenograv.rk45`, which also finds the escape crossing on the last
-step's dense output with a lockstep port of scipy's ``brentq``; a scan
-solves the crossings of all its probes at once after the engine
-finishes.  scipy itself is not imported: its RK45 and ``brentq`` are the
-oracles the tests check both paths against.  The launch plane at z_start
+step's dense output with a port of scipy's ``brentq``: a scan solves the
+crossings of all its probes at once in lockstep after the engine
+finishes, a single trajectory its one crossing on plain floats.  scipy
+itself is not imported: its RK45 and ``brentq`` are the oracles the
+tests check both paths against.  The launch plane at z_start
 and the escape radius r_stop are finite stand-ins for the asymptotic
 scattering problem.  Closed-form hyperbolic-orbit expressions
 (deflection angle, time of flight between true anomalies) are provided
@@ -169,9 +170,14 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     kept per accepted step, the last at the escape crossing.
 
     The stepper is the lockstep engine of :func:`scan_pattern` written on
-    plain floats: the same Dormand-Prince 5(4) step, controller, escape
-    root and failure rules in the same operation order, so the final
-    state and hit flag equal ``_integrate_batch(dist, cfg)`` bit for bit.
+    plain floats: the same Dormand-Prince 5(4) step
+    (:func:`rk45.dormand_prince`), controller, error norm, escape root
+    (:func:`rk45.escape_root`, one lane of the engine's Brent search) and
+    failure rules in the same operation order, so the final state and hit
+    flag equal ``_integrate_batch(dist, cfg)`` bit for bit.  On the
+    per-step path only the controller's error power goes through numpy
+    (for its bits); the launch checks, the initial step and the hit test
+    use it once per run.
     scipy's ``solve_ivp`` (RK45) is the oracle both are tested against.
 
     The acceleration does not depend on the probe's mass (equivalence
@@ -199,6 +205,7 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
         return (vx, vy, vz, ax, ay, az)
 
     y, atol = _launch(cfg)
+    atol_x, atol_v = atol[0], atol[3]
     if not all(map(math.isfinite, y)):
         raise IntegratorFailureError(_NON_FINITE)
     if _bound(dist, y, cfg.r_stop):
@@ -225,9 +232,18 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
         h = t_new - t
 
         y_new, K, e = rk45.dormand_prince(rhs, y, f, h)
-        err = rk45.rms_floats([
-            ei * h / (a + max(abs(yi), abs(yn)) * rtol)
-            for ei, a, yi, yn in zip(e, atol, y, y_new)])
+        # rk45.rms of (e h / scale), its squares summed in coordinate order
+        y0, y1, y2, y3, y4, y5 = y
+        n0, n1, n2, n3, n4, n5 = y_new
+        e0, e1, e2, e3, e4, e5 = e
+        s0 = e0 * h / (atol_x + max(abs(y0), abs(n0)) * rtol)
+        s1 = e1 * h / (atol_x + max(abs(y1), abs(n1)) * rtol)
+        s2 = e2 * h / (atol_x + max(abs(y2), abs(n2)) * rtol)
+        s3 = e3 * h / (atol_v + max(abs(y3), abs(n3)) * rtol)
+        s4 = e4 * h / (atol_v + max(abs(y4), abs(n4)) * rtol)
+        s5 = e5 * h / (atol_v + max(abs(y5), abs(n5)) * rtol)
+        err = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4
+                        + s5 * s5) / 6 ** 0.5
 
         if not (err < 1):
             power = rk45.SAFETY * rk45.error_power(err)
@@ -246,12 +262,10 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
 
         g_new = _radius(y_new) - r_stop
         if g <= 0 <= g_new:
-            (t_e,), (y_e,) = rk45.escape_roots(
-                np.array(K)[:, None], np.array([t]), np.array([h]),
-                np.array([y]), np.array([r_stop]), np.array([t_new]))
-            if not np.isfinite(y_e).all():
+            t_e, y_e = rk45.escape_root(K, t, h, y, r_stop, t_new)
+            if not all(map(math.isfinite, y_e)):
                 raise IntegratorFailureError(_NON_FINITE)
-            ts.append(float(t_e))
+            ts.append(t_e)
             ys.append(y_e)
             break
         if t_new >= t_bound:
@@ -603,7 +617,7 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
             steps = list(zip(*crossings))
             K = np.concatenate(steps.pop(1), axis=1)
             lanes, t, h, y, r_stop, t_new = map(np.concatenate, steps)
-            _, y_end[lanes] = rk45.escape_roots(K, t, h, y, r_stop, t_new)
+            y_end[lanes] = rk45.escape_roots(K, t, h, y, r_stop, t_new)
             hit_end[lanes] = hit[lanes] | _segment_hits(y[:, :3],
                                                         y_end[lanes, :3], dist)
             for j in lanes[~np.isfinite(y_end[lanes]).all(axis=1)]:

@@ -271,19 +271,28 @@ def zeno_rate_bounds(tau_Z, t_total):
     return 1.0 / tau_Z, t_total / tau_Z**2
 
 
-def survival_probability(tau: float, tau_Z: float, N: int) -> float:
+def survival_probability(tau, tau_Z: float, N: int):
     """Survival after N measurements: (1 - x^2)^N with x = tau/tau_Z.
 
     In the freeze regime the power is exp(N log1p(-x^2)), so a per-step
-    deficit x^2 below the rounding of 1 is kept.
+    deficit x^2 below the rounding of 1 is kept.  Elementwise in tau: a
+    float gives a float, an array an array of its shape.  The inputs are
+    checked once; each element is then computed on its own scalar, as a
+    float tau is (numpy's array power rounds some x^2 differently).
     """
     require((tau > 0) & (tau_Z > 0), "tau and tau_Z must be > 0")
     require(N >= 0, "N must be >= 0, got {}", N)
-    if tau >= tau_Z:
+    if np.any(tau >= tau_Z):
         warnings.warn("tau >= tau_Z: outside the freeze regime, the quadratic "
                       "survival model is unreliable here", stacklevel=2)
-    x2 = (tau / tau_Z) ** 2
-    return math.exp(N * math.log1p(-x2)) if x2 < 1 else (1.0 - x2) ** N
+
+    def survival(t):
+        x2 = (t / tau_Z) ** 2
+        return math.exp(N * math.log1p(-x2)) if x2 < 1 else (1.0 - x2) ** N
+
+    if np.ndim(tau) == 0:
+        return survival(tau)
+    return np.reshape([survival(t) for t in np.ravel(tau)], np.shape(tau))
 
 
 def spin_pair_model(g: float, probe_splitting: float = 0.0) -> BipartiteSystem:

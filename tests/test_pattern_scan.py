@@ -2,7 +2,8 @@
 
 * The lockstep escape root (``rk45.brentq`` via ``rk45.escape_roots``) against
   ``scipy.optimize.brentq`` on the same elementwise dense-output function,
-  bracket by bracket, bit for bit.
+  bracket by bracket, bit for bit; and the one-lane root
+  (``rk45.brentq_lane`` via ``rk45.escape_root``) against both.
 * The mirror: for an x-symmetric source the -l probes are not integrated,
   and the rows still equal those of every launch integrated.
 * The array tail: angles, projections and error strings per probe.
@@ -21,7 +22,7 @@ from zenograv.errors import (IntegratorFailureError, InvalidParameterError,
 from zenograv.massdist import (MassDistribution, SphereComponent,
                                make_superposed_source)
 from zenograv.rk45 import brentq as lockstep_brentq
-from zenograv.rk45 import escape_roots
+from zenograv.rk45 import brentq_lane, escape_root
 from zenograv.scatter import (ScatterConfig, _integrate_batch, _outgoing,
                               _x_symmetric, make_collapsed_sources,
                               scan_pattern, stereographic_project)
@@ -75,6 +76,25 @@ def sum_in_order(terms):
     return total
 
 
+def escape_roots(*args, original=rk45.escape_roots):
+    """``rk45.escape_roots``'s crossing times, read from a spy on the
+    ``rk45.brentq`` it calls, and its crossing states."""
+    found = []
+    lockstep = rk45.brentq
+
+    def spy(f, xa, xb):
+        found.append(lockstep(f, xa, xb))
+        return found[-1]
+
+    rk45.brentq = spy
+    try:
+        y_root = original(*args)
+    finally:
+        rk45.brentq = lockstep
+    (t_root,) = found
+    return t_root, y_root
+
+
 @pytest.fixture(scope="module")
 def crossings():
     """Every escape bracket of the benchmark-shaped scans, the hit grids
@@ -83,9 +103,9 @@ def crossings():
     original = rk45.escape_roots
 
     def spy(*args):
-        t_root, y_root = original(*args)
+        t_root, y_root = escape_roots(*args)
         steps.append((args, t_root))
-        return t_root, y_root
+        return y_root
 
     rk45.escape_roots = spy
     try:
@@ -193,6 +213,131 @@ class TestLockstepBrent:
                 lambda x, k: np.array([f(v) for v in x.tolist()]),
                 np.array([0.0, 0.0]), np.array([2.0, 2.0]))
         assert str(ours.value) == str(ref.value)
+
+
+def lane(K, t_old, h, y_old, r_stop, t_new, j):
+    """Lane j of :func:`rk45.escape_roots`' arguments, as plain floats in
+    the form :func:`rk45.escape_root` takes them."""
+    return (K[:, j].tolist(), float(t_old[j]), float(h[j]), y_old[j].tolist(),
+            float(r_stop[j]), float(t_new[j]))
+
+
+class TestOneLaneBrent:
+    """The single-probe root, ``rk45.escape_root`` on ``rk45.brentq_lane``,
+    against the lockstep lanes and scipy's brentq, bit for bit."""
+
+    @staticmethod
+    def check(args):
+        """Every lane of one escape_roots call; the number of lanes."""
+        t_root, y_root = escape_roots(*args)
+        for j in range(len(t_root)):
+            K, t_old, h, y_old, r_stop, t_new = lane(*args, j)
+            t_e, y_e = escape_root(K, t_old, h, y_old, r_stop, t_new)
+            f = dense_escape(K, t_old, h, y_old, r_stop)
+            assert t_e == t_root[j] == brentq(f, t_old, t_new, xtol=TOL,
+                                              rtol=TOL)
+            assert np.array(y_e).tobytes() == y_root[j].tobytes()
+        return len(t_root)
+
+    def test_real_brackets(self, crossings):
+        assert sum(self.check(args) for args, _ in crossings) >= 3500
+
+    def test_moved_radii(self, crossings):
+        # each real step with the escape radius moved to r at 1/3 and 2/3
+        # of the step, as in test_more_radii_on_the_same_steps
+        n = 0
+        for (K, t_old, h, y_old, r_stop, t_new), _ in crossings:
+            for frac in (1 / 3, 2 / 3):
+                t_mid = t_old + frac * (t_new - t_old)
+                r_mid = np.array([
+                    dense_escape(*lane(K, t_old, h, y_old, r_stop, t_new,
+                                       j)[:4], 0.0)(t_mid[j])
+                    for j in range(len(t_old))])
+                n += self.check((K, t_old, h, y_old, r_mid, t_new))
+        assert n >= 7000
+        assert n + sum(len(args[1]) for args, _ in crossings) >= 10_000
+
+    def test_roots_at_the_endpoints(self, crossings):
+        (K, t_old, h, y_old, r_stop, t_new), _ = crossings[0]
+        r_old = np.sqrt(scatter._dot3(y_old[:, :3], y_old[:, :3]))
+        r_new = np.array([dense_escape(*lane(K, t_old, h, y_old, r_stop,
+                                             t_new, j)[:4], 0.0)(t_new[j])
+                          for j in range(len(t_old))])
+        # f(t_old) = 0, then f(t_new) = 0 exactly: the roots are the ends,
+        # and the state at t_old is y_old
+        at_old = (K, t_old, h, y_old, r_old, t_new)
+        at_new = (K, t_old, h, y_old, r_new, t_new)
+        self.check(at_old)
+        self.check(at_new)
+        old = [escape_root(*lane(*at_old, j)) for j in range(len(t_old))]
+        assert [t for t, _ in old] == t_old.tolist()
+        assert [list(y) for _, y in old] == y_old.tolist()
+        assert [escape_root(*lane(*at_new, j))[0]
+                for j in range(len(t_old))] == t_new.tolist()
+
+    def test_synthetic_lanes(self):
+        # 1000 lanes: five functions of 200 lanes each, the lockstep call
+        # on all of them against brentq_lane and brentq on each
+        rng = np.random.default_rng(8)
+        c = rng.uniform(0.1, 7.9, 200)
+        s = rng.uniform(0.1, 1.9, 200)
+        lo = rng.uniform(1.0, 2.0, 200)
+        hi = np.nextafter(lo, 3.0)
+        cases = [
+            (lambda x, k: x * x * x - c[k], np.zeros(200), np.full(200, 2.0)),
+            (lambda x, k: (x - s[k]) / (1e-6 + np.abs(x - s[k])),
+             np.zeros(200), np.full(200, 2.0)),
+            (lambda x, k: x - c[k], c, c + 1.0),
+            (lambda x, k: x - c[k], c - 1.0, c),
+            (lambda x, k: (x - lo[k]) - 0.5 * (hi[k] - lo[k]), lo, hi),
+        ]
+        n = 0
+        for f, a, b in cases:
+            got = lockstep_brentq(f, a, b)
+            for k in range(len(a)):
+                def g(x):
+                    return float(f(np.float64(x), k))
+                root = brentq_lane(g, float(a[k]), float(b[k]))
+                assert root == got[k] == brentq(g, a[k], b[k], xtol=TOL,
+                                                rtol=TOL)
+                n += 1
+        assert n == 1000
+
+    @pytest.mark.parametrize("f", [
+        lambda x: x + 5.0,                              # no sign change
+        lambda x: math.nan if x > 1 else -1.0,          # NaN at b
+        lambda x: (x - 0.3) ** 5,                       # no convergence
+    ])
+    def test_failures_as_brentq(self, f):
+        with pytest.raises((ValueError, RuntimeError)) as ref:
+            brentq(f, 0.0, 2.0, xtol=TOL, rtol=TOL)
+        with pytest.raises(type(ref.value)) as ours:
+            brentq_lane(f, 0.0, 2.0)
+        assert str(ours.value) == str(ref.value)
+
+    @pytest.mark.parametrize("f", [
+        # flat: -1 left of 1, +1 from there.  Once two iterates lie on
+        # one side, f(xpre) == f(xcur), the secant slope dpre is 0 and
+        # the inverse-quadratic step divides by 0
+        lambda x: np.where(x < 1.0, -1.0, 1.0),
+        # tiny: the product of three differences of values near 1e-300
+        # in that step's denominator underflows to 0
+        lambda x: (x * x * x - 2.0) * 1e-300,
+    ], ids=["flat", "tiny"])
+    def test_zero_denominator_bisects(self, f):
+        # the lockstep lane gets inf or NaN there and bisects; the one
+        # lane must take the same iterates, and not raise
+        lanes, ours = [], []
+        root = lockstep_brentq(lambda x, _: lanes.append(x.tolist()) or f(x),
+                               np.array([0.0]), np.array([2.0]))
+
+        def g(x):
+            ours.append(x)
+            return float(f(np.float64(x)))
+
+        assert brentq_lane(g, 0.0, 2.0) == root[0]
+        assert ours == [x for (x,) in lanes]
+        assert root[0] == brentq(g, 0.0, 2.0, xtol=TOL, rtol=TOL)
 
 
 class TestMirror:

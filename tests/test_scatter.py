@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
@@ -618,6 +620,33 @@ class TestScalarPathOracle:
             assert tuple(projection(cfg, traj)) == (
                 pattern.proj_x[i], pattern.proj_y[i])
 
+    def test_no_lockstep_root_on_the_path(self, monkeypatch):
+        # the one-probe path is plain floats from launch to escape: with
+        # the lockstep root search made to raise, the scatter command's
+        # default probe, a hitting probe and a collapsed source give the
+        # same trajectories
+        src = make_superposed_source(R, RHO, D)
+        left, _ = make_collapsed_sources(R, RHO, D)
+        cases = [(src, ScatterConfig.for_source(src, b=1.2 * R, l=0.0, v=V)),
+                 (src, ScatterConfig.for_source(src, b=0.5 * R, l=R, v=V)),
+                 (left, ScatterConfig.for_source(src, b=1.2 * R, l=0.0, v=V))]
+        want = [integrate_trajectory(dist, cfg) for dist, cfg in cases]
+        assert [traj.hit_source for traj in want] == [False, True, False]
+
+        def lockstep(*args):
+            raise AssertionError("lockstep root search called")
+
+        monkeypatch.setattr(rk45, "escape_roots", lockstep)
+        monkeypatch.setattr(rk45, "brentq", lockstep)
+        for (dist, cfg), ref in zip(cases, want):
+            traj = integrate_trajectory(dist, cfg)
+            for name in ("t", "x", "v"):
+                assert getattr(traj, name).tobytes() == \
+                    getattr(ref, name).tobytes()
+            for name in ("hit_source", "deflection_angle", "n_accepted",
+                         "n_rejected", "n_rhs"):
+                assert getattr(traj, name) == getattr(ref, name)
+
     def test_same_errors_as_batch_and_scipy(self):
         src = make_superposed_source(R, RHO, D)
         bound = ScatterConfig.for_source(src, b=8 * R, l=0.0, v=1.8e-9,
@@ -724,6 +753,68 @@ class TestStageSums:
             want.tobytes()
         assert rk45.combine(np.full((2, 6, m), -0.0), rk45.A_ROWS[1]) \
             .tobytes() == np.full((6, m), -0.0).tobytes()
+
+
+def field(v):
+    """A test right-hand side on a state of 6 floats or 6 rows: the
+    velocities, then accelerations that mix the coordinates."""
+    x, y, z, vx, vy, vz = v
+    return (vx, vy, vz, y * 0.5 - x, z - x * y, x * 1e-3 + vz * vy)
+
+
+def engine_step(y, k1, h):
+    """One Dormand-Prince attempt as ``_integrate_batch`` takes it, from
+    ``rk45.combine`` on a (7, 6, 1) stage array: state, stages, error."""
+    K = np.empty((7, 6, 1))
+    K[0] = np.array(k1)[:, None]
+    y = np.array(y)[:, None]
+    for s in range(1, rk45.N_STAGES):
+        K[s] = field(y + rk45.combine(K[:s], rk45.A_ROWS[s - 1]) * h)
+    y_new = y + h * rk45.combine(K[:-1], rk45.B)
+    K[-1] = field(y_new)
+    return y_new, K, rk45.combine(K, rk45.E)
+
+
+def same_bits(a, b):
+    """Equal bit for bit where not NaN, and NaN in the same places."""
+    a, b = np.ravel(np.asarray(a, float)), np.ravel(np.asarray(b, float))
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+EDGE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                        1e300, -1e300, math.inf, -math.inf, math.nan, 1.0])
+FLOAT = st.one_of(st.floats(-1e3, 1e3), EDGE, st.floats())
+SIX = st.tuples(*[FLOAT] * 6)
+
+
+class TestDormandPrince:
+    """rk45.dormand_prince, written out on plain floats, against the
+    batch engine's stage sums."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(y=SIX, k1=SIX, h=FLOAT)
+    def test_equals_engine_stage_arithmetic(self, y, k1, h):
+        y_new, K, error = rk45.dormand_prince(field, y, k1, h)
+        with np.errstate(all="ignore"):
+            want_y, want_K, want_error = engine_step(y, k1, h)
+        assert same_bits(K, want_K)
+        assert same_bits(y_new, want_y)
+        assert same_bits(error, want_error)
+
+    def test_finite_steps_equal_engine(self):
+        # seeded finite draws over six decades, where a sum taken in
+        # another order shows in the last bit of some coordinate
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            y, k1 = rng.standard_normal((2, 6)) * 10.0 ** rng.integers(
+                -3, 3, (2, 6))
+            h = float(10.0 ** rng.uniform(-3, 1))
+            got = rk45.dormand_prince(field, tuple(y.tolist()),
+                                      tuple(k1.tolist()), h)
+            for ours, want in zip(got, engine_step(y, k1, h)):
+                assert same_bits(ours, want)
 
 
 class TestCollapsed:

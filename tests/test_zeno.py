@@ -473,6 +473,20 @@ class TestRateEstimates:
             prod = survival_probability(tau, TAU_Z, 50)
             assert res.survival_prob == pytest.approx(prod, rel=0.05)
 
+    def test_survival_probability_elementwise(self):
+        # one call on a tau grid gives each tau's own value, bit for bit
+        taus = np.logspace(-9, 0.1, 301).reshape(7, 43) * TAU_Z
+        with pytest.warns(UserWarning, match="regime"):
+            got = survival_probability(taus, TAU_Z, 1000)
+        with pytest.warns(UserWarning, match="regime"):
+            want = [survival_probability(tau, TAU_Z, 1000)
+                    for tau in taus.ravel()]
+        assert got.shape == taus.shape
+        assert got.tobytes() == np.array(want).tobytes()
+        taus[3, 5] = math.nan
+        with pytest.raises(InvalidParameterError, match="tau and tau_Z"):
+            survival_probability(taus, TAU_Z, 10)
+
     def test_out_of_regime_warns(self):
         with pytest.warns(UserWarning, match="regime"):
             survival_probability(2.0, 1.0, 3)
