@@ -1,6 +1,6 @@
-"""Scatter-layer benchmarks: a mirrored pattern scan, the engine alone (on
-the grid and on one probe), one trajectory, its escape root, and the
-field kernel.
+"""Scatter-layer benchmarks: a mirrored pattern scan (at two sizes), the
+engine alone (on the grid and on one probe), one trajectory, its escape
+root, and the field kernel.
 
     PYTHONPATH=src python -m pytest bench/test_scan.py
 
@@ -8,14 +8,16 @@ pytest-benchmark cases, outside the tier-1 ``testpaths``.  The grid has
 the shape of the benchmark's ``pattern`` task: 12x12 (beta in
 [1.2, 2.0], l in [0, 2R], mirrored) on the two-lobe source at
 t_R = 10^1.1 s.  ``scan_pattern`` integrates its 144 l >= 0 probes and
-mirrors the rest; the ``_integrate_batch`` case integrates all 276
-launches of the same grid, with no mirror, and a second case one probe
-of it; the trajectory case is that probe through the plain-float
-stepper, and the escape-root case the one-lane root search on that
-probe's last step.  The field kernel ``field_rows`` is timed on 144 and 1600
-positions around the two-lobe source (the engine's batch sizes for the
-benchmark grid and a 40x40 preset), as the engine holds them: one
-contiguous row per coordinate.
+mirrors the rest.  The same ranges at 100x100 (10 000 probes
+integrated, 19 900 rows) run only three rounds: there the engine's stage
+arithmetic outweighs its per-call overhead.  The ``_integrate_batch``
+case integrates all 276 launches of the 12x12 grid, with no mirror, and
+a second case one probe of it; the trajectory case is that probe through
+the plain-float stepper, and the escape-root case the one-lane root
+search on that probe's last step.  The field kernel ``field_rows`` is
+timed on 144 and 1600 positions around the two-lobe source (the engine's
+batch sizes for the benchmark grid and a 40x40 preset), as the engine
+holds them: one contiguous row per coordinate.
 """
 
 import numpy as np
@@ -50,6 +52,12 @@ def probe(cfg):
 def test_scan_pattern_12x12_mirrored(benchmark):
     pattern = benchmark(scan_pattern, SRC, *GRID)
     assert len(pattern.hit) == 276 and pattern.n_failed == 0
+
+
+def test_scan_pattern_100x100_mirrored(benchmark):
+    pattern = benchmark.pedantic(scan_pattern, (SRC, *GRID[:2], 100, 100, V),
+                                 rounds=3)
+    assert len(pattern.hit) == 100 * 199 and pattern.n_failed == 0
 
 
 def test_integrate_batch_276(benchmark, cfg):

@@ -147,7 +147,7 @@ def gravity_potential(dist: MassDistribution, x, m_probe: float) -> np.ndarray:
     return V
 
 
-def field_rows(dist: MassDistribution, x) -> np.ndarray:
+def field_rows(dist: MassDistribution, x, out=None) -> np.ndarray:
     """The field kernel: accelerations (3, m) at the points whose
     coordinates are the rows of x (3, m), all components at once.
 
@@ -157,13 +157,15 @@ def field_rows(dist: MassDistribution, x) -> np.ndarray:
     factor is where(s >= R, -G M/(s^2 s), -G M/R^3), and the terms are
     added in component order by a reduce from 0.0, the zeroed
     accumulator.  Every element's arithmetic is the
-    scalar right-hand side's, whatever the batch.  Floating-point
-    warnings are the caller's: the exterior branch divides by zero at a
-    component center.
+    scalar right-hand side's, whatever the batch.  The result goes into
+    ``out`` when one is given (any (3, m) float view, such as rows of the
+    engine's stage array), else into a new array; either is returned.
+    Floating-point warnings are the caller's: the exterior branch
+    divides by zero at a component center.
     """
     centers, radius, neg_gm, interior = dist._field_stack
     d = x - centers
     s2 = np.add.reduce(d * d, axis=1, initial=-0.0)
     s = np.sqrt(s2)
     f = np.where(s >= radius, neg_gm / (s2 * s), interior)
-    return np.add.reduce(f[:, None] * d, axis=0, initial=0.0)
+    return np.add.reduce(f[:, None] * d, axis=0, initial=0.0, out=out)

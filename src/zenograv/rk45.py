@@ -68,9 +68,9 @@ def dormand_prince(rhs, y, k1, h):
     Returns the 5th-order state, the seven stage slopes and the error
     estimate sum_j E[j] k_j (not yet times h), each a tuple of 6 floats.
     Every stage sum runs in stage order and skips the zero coefficients
-    B[1] and E[1], as :func:`combine` does, so each value equals the
-    batch engine's.  The six coordinates are written out: one expression
-    each, no per-coordinate loop.
+    B[1] and E[1], the order and skips of :func:`combine`, so each value
+    equals the batch engine's.  The six coordinates are written out: one
+    expression each, no per-coordinate loop.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = A_ROWS
@@ -142,33 +142,28 @@ def rms(x):
     return np.sqrt(np.add.reduce(x * x, axis=0, initial=-0.0)) / len(x) ** 0.5
 
 
-def _stage_sum(coef):
-    """The stages with a nonzero coefficient (a slice when they lead) and
-    those coefficients as a (k, 1, 1) column, for :func:`combine`."""
-    stages = [j for j, c in enumerate(coef) if c]
-    return (slice(len(stages)) if stages == list(range(len(stages)))
-            else np.array(stages),
-            np.array([coef[j] for j in stages])[:, None, None])
-
-
-# per coefficient tuple of the tableau: the arguments of its stage sum
-_STAGE_SUMS = {coef: _stage_sum(coef) for coef in (*A_ROWS, B, E, *zip(*P))}
-
-
 def combine(K, coef):
     """sum_j coef[j] * K[j], accumulated in stage order, for coef one of
-    A_ROWS, B, E or a column of P.
+    A_ROWS, B, E or a column of P; a new array of K[0]'s shape.
 
-    One multiply of the stages with a nonzero coefficient (the zero ones,
-    the second stage in B and E, are skipped) by their coefficient column,
-    and one reduce over the stage axis, started from -0.0 as in
-    :func:`rms`, so the sum is K_0 c_0 + K_1 c_1 + ... in that order.
-    Elementwise accumulation (not a BLAS product) keeps every probe's
-    arithmetic independent of its place in the batch.  K has the stages
-    on its first of three axes.
+    K_0 c_0 first, then each further K_j c_j added in place, with the
+    zero coefficients skipped (the second stage of B, E and every column
+    of P, and the first of three columns of P), so the sum is
+    K_0 c_0 + K_1 c_1 + ... in that order.  This is the reduce over the
+    stage axis from -0.0 (as in :func:`rms`) bit for bit, -0.0 + a being
+    a for every a, without the stage copy and the (k, ...) product that
+    the reduce forms first.  Elementwise accumulation (not a BLAS
+    product) keeps every probe's arithmetic independent of its place in
+    the batch.  K has the stages on its first axis.
     """
-    stages, weights = _STAGE_SUMS[coef]
-    return np.add.reduce(K[stages] * weights, axis=0, initial=-0.0)
+    acc = None
+    for k, c in zip(K, coef):
+        if c:
+            if acc is None:
+                acc = k * c
+            else:
+                acc += k * c
+    return acc
 
 
 def escape_roots(K, t_old, h, y_old, r_stop, t_new):

@@ -363,9 +363,27 @@ def _dot3(u, w):
 
 
 def _segment_hits(p0, p1, dist: MassDistribution) -> np.ndarray:
-    """Per segment p0[i] -> p1[i]: does it pass inside a sphere component?"""
+    """Per segment p0[i] -> p1[i]: does it pass inside a sphere component?
+
+    The exact test (the point of the segment nearest each center, against
+    its radius) runs only on the segments not surely far from the source.
+    Every point q of a segment has |q| >= (|p0| + |p1| - |p1 - p0|)/2 by
+    the triangle inequality, and a hit needs some |q| < reach, the
+    largest |c| + R over the components, so a hit has
+    |p0| + |p1| - |p1 - p0| < 2 reach.  A segment is skipped as far when
+    that difference exceeds 4 reach + 1e-9 (|p0| + |p1|): a margin of
+    2 reach, and a relative slack far above the rounding of either test.
+    A NaN or inf in a row makes that comparison false, so such rows take
+    the exact test.
+    """
+    reach = max(math.hypot(*c.center) + c.radius for c in dist.components)
     seg = p1 - p0
     seg2 = _dot3(seg, seg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r01 = np.sqrt(_dot3(p0, p0)) + np.sqrt(_dot3(p1, p1))
+        far = (1 - 1e-9) * r01 - np.sqrt(seg2) > 4 * reach
+    near = np.flatnonzero(~far)
+    p0, seg, seg2 = p0[near], seg[near], seg2[near]
     hit = np.zeros(len(seg), dtype=bool)
     for comp in dist.components:
         a = p0 - comp.center
@@ -375,7 +393,9 @@ def _segment_hits(p0, p1, dist: MassDistribution) -> np.ndarray:
                          0.0)
         nearest = a + tstar[:, None] * seg
         hit |= _dot3(nearest, nearest) < comp.radius ** 2
-    return hit
+    hits = np.zeros(len(far), dtype=bool)
+    hits[near] = hit
+    return hits
 
 
 def energy_series(dist: MassDistribution, traj: ProbeTrajectory,
@@ -501,9 +521,13 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
     probe: y, its slope and atol are (6, m), the stages (7, 6, m),
     per-probe scalars (m,); rows are transposed only for
     :func:`rk45.initial_step`, :func:`rk45.escape_roots` and
-    :func:`_segment_hits`.  Source hits are checked on every
-    accepted-step segment, buffered: one call per _HIT_ROWS / n
-    iterations of n probes, and one at the end.  A crossing probe's last
+    :func:`_segment_hits`.  Each stage state is its stage sum
+    (:func:`rk45.combine`, in stage order) times h plus y, formed in
+    place, and each slope is written straight into its stage's row of
+    the stage array: the velocities, then :func:`field_rows` into the
+    acceleration rows.  Source hits are checked on every accepted-step
+    segment, buffered: one call per _HIT_ROWS / n iterations of n
+    probes, and one at the end.  A crossing probe's last
     step is only recorded: once every probe has retired, all crossings
     are located on their steps' dense output by one lockstep Brent search
     (:func:`rk45.escape_roots`, solve_ivp's event root), and the partial
@@ -531,8 +555,11 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
     crossings = []               # per iteration: the crossing probes' steps
     segments = []                # per iteration: steps not yet hit-checked
 
-    def fun(y):
-        return np.concatenate((y[3:], field_rows(dist, y[:3])))
+    def fun(y, out):
+        # the slope at states y (6, m), written into out (6, m)
+        out[:3] = y[3:]
+        field_rows(dist, y[:3], out=out[3:])
+        return out
 
     def radius(y):
         return np.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2)
@@ -545,9 +572,10 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
                                        dist)]] = True
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f = fun(y)
-        h_abs = rk45.initial_step(lambda rows: fun(rows.T).T, y.T, f.T,
-                                  atol.T, rtol[:, None], t_bound)
+        f = fun(y, np.empty((6, n)))
+        h_abs = rk45.initial_step(
+            lambda rows: fun(rows.T, np.empty(rows.T.shape)).T, y.T, f.T,
+            atol.T, rtol[:, None], t_bound)
         t = np.zeros(n)
         g = radius(y) - r_stop           # escape event value
         retry = np.zeros(n, dtype=bool)  # last attempt was rejected
@@ -563,7 +591,7 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
             if m == 0:
                 break
             min_step = 10 * np.spacing(t)
-            h_abs = np.where(~retry & (h_abs < min_step), min_step, h_abs)
+            h_abs = np.where(retry, h_abs, np.maximum(h_abs, min_step))
             stuck = ~(h_abs >= min_step)
             t_new = np.minimum(t + h_abs, t_bound)
             h = t_new - t
@@ -571,16 +599,27 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
             K = np.empty((rk45.N_STAGES + 1, 6, m))
             K[0] = f
             for s in range(1, rk45.N_STAGES):
-                K[s] = fun(y + rk45.combine(K[:s], rk45.A_ROWS[s - 1]) * h)
-            y_new = y + h * rk45.combine(K[:-1], rk45.B)
-            f_new = K[-1] = fun(y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = rk45.rms(rk45.combine(K, rk45.E) * h / scale)
+                # y + sum_j a_sj K_j h, formed in place
+                y_s = rk45.combine(K[:s], rk45.A_ROWS[s - 1])
+                y_s *= h
+                y_s += y
+                fun(y_s, K[s])
+            y_new = rk45.combine(K[:-1], rk45.B)
+            y_new *= h
+            y_new += y
+            f_new = fun(y_new, K[-1])
+            scale = np.maximum(np.abs(y), np.abs(y_new))
+            scale *= rtol
+            scale += atol
+            e = rk45.combine(K, rk45.E)
+            e *= h
+            e /= scale
+            err = rk45.rms(e)
 
             accept = (err < 1) & ~stuck
             power = rk45.SAFETY * err ** rk45.ERROR_EXPONENT
-            grow = np.where(err == 0, rk45.MAX_FACTOR,
-                            np.minimum(rk45.MAX_FACTOR, power))
+            # at err == 0 the power is inf, so this is MAX_FACTOR there
+            grow = np.minimum(rk45.MAX_FACTOR, power)
             grow = np.where(retry, np.minimum(1.0, grow), grow)
             h_abs = h * np.where(accept, grow, np.fmax(rk45.MIN_FACTOR, power))
             retry = ~accept

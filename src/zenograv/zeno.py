@@ -275,10 +275,14 @@ def survival_probability(tau, tau_Z: float, N: int):
     """Survival after N measurements: (1 - x^2)^N with x = tau/tau_Z.
 
     In the freeze regime the power is exp(N log1p(-x^2)), so a per-step
-    deficit x^2 below the rounding of 1 is kept.  Elementwise in tau: a
-    float gives a float, an array an array of its shape.  The inputs are
-    checked once; each element is then computed on its own scalar, as a
-    float tau is (numpy's array power rounds some x^2 differently).
+    deficit x^2 below the rounding of 1 is kept.  Outside it, at
+    tau >= tau_Z, the short-time law gives no probability ((1 - x^2)^N is
+    negative for odd N and overflows for large N), so the value is NaN
+    there; only an x^2 that overflows raises, under the caller's errstate.
+    Elementwise in tau: a float gives a float, an array an array of its
+    shape.  The inputs are checked once; each element is then computed on
+    its own scalar, as a float tau is (numpy's array power rounds some
+    x^2 differently).
     """
     require((tau > 0) & (tau_Z > 0), "tau and tau_Z must be > 0")
     require(N >= 0, "N must be >= 0, got {}", N)
@@ -288,7 +292,7 @@ def survival_probability(tau, tau_Z: float, N: int):
 
     def survival(t):
         x2 = (t / tau_Z) ** 2
-        return math.exp(N * math.log1p(-x2)) if x2 < 1 else (1.0 - x2) ** N
+        return math.exp(N * math.log1p(-x2)) if x2 < 1 else math.nan
 
     if np.ndim(tau) == 0:
         return survival(tau)

@@ -1,8 +1,9 @@
 """Shared test oracles: asymptotic launch configs, orbit timing and the
 scipy RK45 trajectory integrator; a probe's outgoing direction, the rows
-of a pattern scan, and launch tables stacked from one-probe configs; the
-field and force at rows of points, the freeze projector and variance,
-the free wavepacket width, and a report's constraint by name."""
+of a pattern scan, and launch tables stacked from one-probe configs; a
+Dormand-Prince stage sum as one reduce, and the segment hit test on every
+segment; the field and force at rows of points, the freeze projector and
+variance, the free wavepacket width, and a report's constraint by name."""
 
 import math
 
@@ -14,7 +15,7 @@ from zenograv.constants import CONST
 from zenograv.errors import IntegratorFailureError
 from zenograv.massdist import field_rows
 from zenograv.scatter import (ProbeTrajectory, ScatterConfig, _deflection,
-                              _launch, _outgoing, _segment_hits,
+                              _dot3, _launch, _outgoing, _segment_hits,
                               _unterminated)
 from zenograv.zeno import _phi_block, effective_hamiltonian
 
@@ -141,6 +142,33 @@ def scipy_trajectory(dist, cfg):
     if sol.status < 0:
         raise IntegratorFailureError(f"integrator failed: {sol.message}")
     return traj
+
+
+def reduce_stage_sum(K, coef):
+    """Oracle kept out of the package: sum_j coef[j] K[j] as one reduce,
+    the stages with a nonzero coefficient times their coefficient
+    column, added over the stage axis from -0.0."""
+    stages = [j for j, c in enumerate(coef) if c]
+    weights = np.array([coef[j] for j in stages])[:, None, None]
+    return np.add.reduce(K[stages] * weights, axis=0, initial=-0.0)
+
+
+def exact_segment_hits(p0, p1, dist):
+    """Oracle kept out of the package: the exact test of ``_segment_hits``
+    (the point of each segment nearest each center, against its radius)
+    on every segment, with no far segment skipped."""
+    seg = p1 - p0
+    seg2 = _dot3(seg, seg)
+    hit = np.zeros(len(seg), dtype=bool)
+    for comp in dist.components:
+        a = p0 - comp.center
+        tstar = np.where(seg2 > 0.0,
+                         np.clip(-_dot3(a, seg) / np.where(seg2 > 0, seg2, 1.0),
+                                 0.0, 1.0),
+                         0.0)
+        nearest = a + tstar[:, None] * seg
+        hit |= _dot3(nearest, nearest) < comp.radius ** 2
+    return hit
 
 
 def gravity_field(dist, x):

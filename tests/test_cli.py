@@ -508,6 +508,23 @@ class TestSweeps:
         lines = (tmp_path / "zeno_scan.csv").read_text().strip().split("\n")
         assert len(lines) == 2 + rows
 
+    @pytest.mark.parametrize("ratio,N", [("1.5", 101), ("2", 1000)])
+    def test_zeno_formula_is_nan_outside_freeze_regime(self, tmp_path, capsys,
+                                                        ratio, N):
+        # (1 - x^2)^N at x = 1.5 is -6.1e9 for N = 101 and overflows for
+        # N = 1000: the closed-form column is NaN there instead
+        assert run_cli(["zeno", "--tau_max_ratio", ratio, "--N", N,
+                        "--n_tau", 3, "--output-dir", tmp_path]) == 0
+        assert "regime" in capsys.readouterr().err
+        lines = (tmp_path / "zeno_scan.csv").read_text().strip().split("\n")
+        rows = [dict(zip(lines[1].split(","), line.split(",")))
+                for line in lines[2:]]
+        assert [row["survival_formula"] for row in rows][-1] == "nan"
+        for row in rows[:-1]:
+            assert 0.0 <= float(row["survival_formula"]) <= 1.0
+        for row in rows:
+            assert 0.0 <= float(row["survival_sim"]) <= 1.0
+
     def test_decoherence_sweep_matches_scalar_rates(self, tmp_path):
         # one elementwise call over the R grid writes what per-R scalar
         # calls would

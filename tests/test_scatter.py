@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
@@ -16,8 +17,8 @@ from zenograv.errors import (IntegratorFailureError, InvalidParameterError,
                              UnterminatedTrajectoryError, ZenogravError)
 from zenograv.massdist import MassDistribution, make_superposed_source
 from zenograv.scatter import (ScatterConfig, ScatterPattern,
-                              _integrate_batch, _outgoing, energy_series,
-                              hyperbolic_time_from_anomaly,
+                              _integrate_batch, _outgoing, _segment_hits,
+                              energy_series, hyperbolic_time_from_anomaly,
                               integrate_trajectory, kepler_scatter_time,
                               make_collapsed_sources, pattern_to_csv,
                               pattern_to_svg, rutherford_angle,
@@ -33,8 +34,9 @@ M_PROBE = 1e-18
 
 
 import conftest
-from conftest import (anomaly_crossing_elapsed, clean_rows, launch_configs,
-                      oracle_config, outgoing_dir, scipy_trajectory, stack)
+from conftest import (anomaly_crossing_elapsed, clean_rows,
+                      exact_segment_hits, launch_configs, oracle_config,
+                      outgoing_dir, reduce_stage_sum, scipy_trajectory, stack)
 
 
 def single_sphere(radius=R, rho=RHO):
@@ -724,9 +726,76 @@ class TestHitEdgeOracle:
         self.check(monkeypatch, src, pattern, v, rows[edge:edge + 2])
 
 
+UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda u: np.linalg.norm(u) > 1e-3).map(lambda u: u / np.linalg.norm(u))
+NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def chord(draw, dist):
+    """A segment (p0, p1) about one component of dist: through it, tangent
+    to it at R (1 +- 1e-12), of zero length, or between two points up to
+    1e12 R from its center; now and then with a non-finite coordinate."""
+    comp = draw(st.sampled_from(dist.components))
+    center, radius = np.array(comp.center), comp.radius
+    kind = draw(st.sampled_from(["through", "tangent", "point", "any"]))
+    u, w = draw(UNIT), draw(UNIT)
+    d0, d1 = (radius * 10.0 ** draw(st.floats(-3.0, 12.0)) for _ in "01")
+    if kind == "through":
+        q = center + draw(st.floats(0.0, 0.999)) * radius * w
+    else:
+        normal = np.cross(u, w)
+        assume(np.linalg.norm(normal) > 1e-3)
+        rel = draw(st.sampled_from([-1e-12, 0.0, 1e-12]))
+        q = center + radius * (1 + rel) * normal / np.linalg.norm(normal)
+    p0, p1 = q - d0 * u, q + d1 * u
+    if kind == "point":
+        p1 = p0.copy()
+    elif kind == "any":
+        p0, p1 = center + d0 * u, center + d1 * w
+    for end, axis, value in draw(st.lists(st.tuples(
+            st.integers(0, 1), st.integers(0, 2), NONFINITE), max_size=2)):
+        (p0, p1)[end][axis] = value
+    return p0, p1
+
+
+class TestFarChordFilter:
+    """_segment_hits skips the segments surely far from the source before
+    its exact test: it flags what the exact test on every segment flags
+    (``exact_segment_hits``), row for row."""
+
+    @pytest.mark.parametrize("dist", [single_sphere(),
+                                      make_superposed_source(R, RHO, D)],
+                             ids=["one-sphere", "two-lobe"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_never_drops_a_hit(self, dist, data):
+        p0, p1 = (np.array(ends) for ends in zip(*data.draw(
+            st.lists(chord(dist), min_size=1, max_size=12))))
+        with np.errstate(all="ignore"):
+            want = exact_segment_hits(p0, p1, dist)
+            assert _segment_hits(p0, p1, dist).tolist() == want.tolist()
+
+
+def same_bits(a, b):
+    """Equal bit for bit where not NaN, and NaN in the same places."""
+    a, b = np.ravel(np.asarray(a, float)), np.ravel(np.asarray(b, float))
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+EDGE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                        1e300, -1e300, math.inf, -math.inf, math.nan, 1.0])
+FLOAT = st.one_of(st.floats(-1e3, 1e3), EDGE, st.floats())
+SIX = st.tuples(*[FLOAT] * 6)
+
+
 class TestStageSums:
-    """rk45.combine and rk45.rms, one reduce each, against the in-order
-    loops they replaced, bit for bit (signed zeros included)."""
+    """rk45.combine, an in-order loop, against the loops written out and
+    against one reduce over the stage axis (``reduce_stage_sum``), and
+    rk45.rms, one reduce, against its in-order loop, bit for bit (signed
+    zeros included)."""
 
     @staticmethod
     def in_order(terms):
@@ -754,6 +823,20 @@ class TestStageSums:
         assert rk45.combine(np.full((2, 6, m), -0.0), rk45.A_ROWS[1]) \
             .tobytes() == np.full((6, m), -0.0).tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(K=arrays(float, st.tuples(st.just(7), st.just(6),
+                                     st.integers(1, 8)), elements=FLOAT))
+    def test_equal_to_reduce(self, K):
+        # -0.0, subnormals, +-inf and NaN among the stages, on both
+        # layouts the callers use: (k, 6, m) and (k, m, 6)
+        with np.errstate(all="ignore"):
+            for coef in (*rk45.A_ROWS, rk45.B, rk45.E, *zip(*rk45.P)):
+                stages = K[:len(coef)]
+                for layout in (stages, np.ascontiguousarray(
+                        stages.transpose(0, 2, 1))):
+                    assert same_bits(rk45.combine(layout, coef),
+                                     reduce_stage_sum(layout, coef))
+
 
 def field(v):
     """A test right-hand side on a state of 6 floats or 6 rows: the
@@ -773,20 +856,6 @@ def engine_step(y, k1, h):
     y_new = y + h * rk45.combine(K[:-1], rk45.B)
     K[-1] = field(y_new)
     return y_new, K, rk45.combine(K, rk45.E)
-
-
-def same_bits(a, b):
-    """Equal bit for bit where not NaN, and NaN in the same places."""
-    a, b = np.ravel(np.asarray(a, float)), np.ravel(np.asarray(b, float))
-    nan = np.isnan(a)
-    return (np.array_equal(nan, np.isnan(b))
-            and a[~nan].tobytes() == b[~nan].tobytes())
-
-
-EDGE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                        1e300, -1e300, math.inf, -math.inf, math.nan, 1.0])
-FLOAT = st.one_of(st.floats(-1e3, 1e3), EDGE, st.floats())
-SIX = st.tuples(*[FLOAT] * 6)
 
 
 class TestDormandPrince:

@@ -491,6 +491,19 @@ class TestRateEstimates:
         with pytest.warns(UserWarning, match="regime"):
             survival_probability(2.0, 1.0, 3)
 
+    def test_survival_is_nan_outside_freeze_regime(self):
+        # (1 - x^2)^N is no probability for x >= 1: -6.1e9 at x = 1.5,
+        # N = 101, and an overflow at N = 1000
+        taus = np.array([0.5, 1.0, 1.5, 2.0])
+        for N in (101, 1000):
+            with pytest.warns(UserWarning, match="regime"):
+                got = survival_probability(taus, 1.0, N)
+            assert 0.0 <= got[0] <= 1.0
+            assert np.isnan(got[1:]).all()
+        # just inside, the deficit 1 - x^2 ~ eps still gives a value
+        assert 0.0 < survival_probability(np.nextafter(1.0, 0.0), 1.0, 3) \
+            < 1e-40
+
     @pytest.mark.parametrize("tau, tau_Z", [(math.nan, 1.0), (0.1, math.nan),
                                             (0.0, 1.0), (0.1, -1.0)])
     def test_survival_probability_rejects_nan_and_nonpositive(self, tau,
