@@ -50,16 +50,16 @@ def test_sweep_region_64x64_degenerate(benchmark, t_R_range):
 
 
 def test_region_to_csv_32x32(benchmark, grid):
-    text = benchmark(feasibility.region_to_csv, grid, "bench")
-    assert text.count("\n") == 2 + N * N
+    text = benchmark(feasibility.region_to_csv, grid)
+    assert text.count("\n") == 1 + N * N
 
 
 def test_region_to_csv_64x64_pinned(benchmark):
     grid = feasibility.sweep_region(("t_R", np.logspace(0, 2, 64)),
                                     ("R", np.full(64, 1e-5)),
                                     feasibility.ExperimentPoint())
-    text = benchmark(feasibility.region_to_csv, grid, "bench")
-    assert text.count("\n") == 2 + 64 * 64
+    text = benchmark(feasibility.region_to_csv, grid)
+    assert text.count("\n") == 1 + 64 * 64
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +73,10 @@ def pattern():
 
 def test_pattern_csv_and_svg_40x40(benchmark, pattern):
     def emit():
-        return (scatter.pattern_to_csv(pattern, "bench"),
-                scatter.pattern_to_svg(pattern, dashed_radius=2e-4,
-                                       header_comment="bench"))
+        return (scatter.pattern_to_csv(pattern),
+                scatter.pattern_to_svg(pattern, dashed_radius=2e-4))
     csv, svg = benchmark(emit)
-    assert csv.count("\n") == 2 + 3160
+    assert csv.count("\n") == 1 + 3160
     assert svg.count("<circle") == 3160 + 1
 
 
@@ -85,5 +84,5 @@ def test_eigen_csv_4000(benchmark):
     spec = PotentialSpec1D(a=1.0, b=4.0, c=1.0, M=1e-11, d=1e-5)
     sol = solve_eigen(spec, n_states=2, grid=(-4.0, 4.0, 4000))
     columns = [sol.x, spec.potential(sol.x), *sol.wavefunctions[:2]]
-    text = benchmark(csv_text, "x,V_of_x,psi0,psi1", columns, "bench")
-    assert text.count("\n") == 2 + 4000
+    text = benchmark(csv_text, "x,V_of_x,psi0,psi1", columns)
+    assert text.count("\n") == 1 + 4000

@@ -1,16 +1,17 @@
 """Command-line front-end: reproducible figure and table generation.
 
 Each subcommand runs in three stages in :func:`run`: resolve (validate
-the parameters), compute (the command's runner maps them to its files
-as text), write.  Every CSV/SVG file carries the fully resolved
-configuration in a header line and every JSON file under ``"config"``,
-so any output file can be regenerated from itself.  Files are written
-only after the computation has finished: each to a temp file beside it
-first, and these are renamed into place only once all are written and
-no target is a directory, so a failed run leaves none of its files
-(short of a failing rename) and no temp file.  Identical parameters
-give byte-identical output: the one random draw, ``scatter
---collapsed random``, takes its ``--seed`` from them.
+the parameters), compute (the command's runner maps them to its file
+bodies), write.  Only the writer stamps the resolved configuration on a
+file, in a CSV or SVG comment or a JSON ``"config"``, so any output can
+be regenerated from itself; a file type with no stamp is an I/O error
+before any file is written.  Files are written only after the
+computation has finished: each to a temp file beside it first, and
+these are renamed into place only once all are written and no target is
+a directory, so a failed run leaves none of its files (short of a
+failing rename) and no temp file.  Identical parameters give
+byte-identical output: the one random draw, ``scatter --collapsed
+random``, takes its ``--seed`` from them.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (a toolkit
 error, or an overflow, division by zero or numpy/scipy domain error in
@@ -119,12 +120,12 @@ PARAM_SCHEMAS = {
         "a1_min": (float, 1.0, "axis1 lower bound", _POS),
         "a1_max": (float, 100.0, "axis1 upper bound", _POS),
         "n1": (int, 16, f"axis1 grid points (log); n1*n2 at most "
-               f"{MAX_GRID_POINTS} (~0.7 GB)", _POS),
+               f"{MAX_GRID_POINTS} (~0.4 GB)", _POS),
         "axis2": (str, "R", f"second axis, one of {feasibility.SWEEP_AXES}", _ANY),
         "a2_min": (float, 1e-6, "axis2 lower bound", _POS),
         "a2_max": (float, 1e-4, "axis2 upper bound", _POS),
         "n2": (int, 16, f"axis2 grid points (log); n1*n2 at most "
-               f"{MAX_GRID_POINTS} (~0.7 GB)", _POS),
+               f"{MAX_GRID_POINTS} (~0.4 GB)", _POS),
     },
 }
 
@@ -179,20 +180,20 @@ def resolve_params(command: str, raw: dict) -> dict:
 
 
 def _write_files(texts: dict):
-    """Write each {path: text}: every text to a new temp file beside its
-    path, then, once all are written and no path is a directory, each
+    """Write each {path: texts}: the texts in turn to a new temp file beside
+    its path, then, once all are written and no path is a directory, each
     temp file renamed onto its path.  The temp files are opened as
     ``open(path, "w")`` opens a new file (mode 0o666 less the umask), and
     on any failure those not yet renamed are removed (a rename that fails
     leaves the files renamed before it)."""
     temps = {}
     try:
-        for path, text in texts.items():
+        for path, parts in texts.items():
             tmp = os.path.join(os.path.dirname(path),
                                f".zenograv-{os.urandom(6).hex()}")
             with open(tmp, "x") as fh:
                 temps[path] = tmp
-                fh.write(text)
+                fh.writelines(parts)
         for path in texts:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
@@ -208,20 +209,18 @@ def _write_files(texts: dict):
 
 def _within_budget(size_name: str, size: int) -> None:
     """Reject, before any array is made, a command whose arrays would hold
-    more than MAX_GRID_POINTS elements, the eigen grid's budget (a
-    300x300 feasibility grid peaks at 84 MB, so 10**6 cells take about
-    0.7 GB)."""
+    more than MAX_GRID_POINTS elements, the eigen grid's budget (10**6
+    feasibility cells peak at about 0.4 GB, on a 2-CPU machine in 2 s)."""
     require(size <= MAX_GRID_POINTS, f"{size_name} must be <= "
             f"{MAX_GRID_POINTS} (the grid budget), got {{}}", size)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand pipelines: runner(params, header) -> ({file name: text or
-# JSON payload}, summary).  ``header`` is the config line of CSV and SVG
-# files; a payload dict is written as JSON with the config under "config".
+# Subcommand pipelines: runner(params) -> ({file name: body text, or a
+# payload dict for a .json file}, summary).  run stamps the config.
 # ---------------------------------------------------------------------------
 
-def _run_scatter(params, header):
+def _run_scatter(params):
     src = make_superposed_source(params["R"], params["density"], params["d"])
     v = params["R"] / params["t_R"]
     cfg = scatter.ScatterConfig.for_source(src, b=params["beta"] * params["R"],
@@ -240,14 +239,14 @@ def _run_scatter(params, header):
             params["R"], params["density"], params["d"])[coin == "right"]
     traj = scatter.integrate_trajectory(src, cfg)
     files = {"trajectory.csv": csv_text("t,x,y,z,vx,vy,vz",
-                                        [traj.t, *traj.x.T, *traj.v.T], header)}
+                                        [traj.t, *traj.x.T, *traj.v.T])}
     return files, (f"theta={traj.deflection_angle:.6g} rad  "
                    f"hit={traj.hit_source}  samples={len(traj.t)}  "
                    f"steps={traj.n_accepted}  rejected={traj.n_rejected}  "
                    f"rhs_calls={traj.n_rhs}  source={coin}")
 
 
-def _run_pattern(params, header):
+def _run_pattern(params):
     _within_budget("n_b*n_l*(1+mirror)",
                    params["n_b"] * params["n_l"] * (1 + params["mirror"]))
     src = make_superposed_source(params["R"], params["density"], params["d"])
@@ -258,11 +257,10 @@ def _run_pattern(params, header):
         v, mirror_l=bool(params["mirror"]))
     theta_ref = scatter.rutherford_angle(src.total_mass, v,
                                          params["beta_min"] * params["R"])
-    files = {"pattern.csv": scatter.pattern_to_csv(pattern, header)}
+    files = {"pattern.csv": scatter.pattern_to_csv(pattern)}
     if params["svg"]:
         files["pattern.svg"] = scatter.pattern_to_svg(
-            pattern, dashed_radius=2 * math.tan(theta_ref / 2),
-            header_comment=header)
+            pattern, dashed_radius=2 * math.tan(theta_ref / 2))
     clean = pattern.clean
     rmax = max(map(math.hypot, pattern.proj_x[clean].tolist(),
                    pattern.proj_y[clean].tolist()), default=float("nan"))
@@ -271,7 +269,7 @@ def _run_pattern(params, header):
                    f"closed-form={2*math.tan(theta_ref/2):.4g}")
 
 
-def _run_eigen(params, header):
+def _run_eigen(params):
     spec = PotentialSpec1D(a=params["a"], b=params["b"], c=params["c"],
                            M=params["M"], d=params["d"])
     grid = (-params["x_max"], params["x_max"], params["n_points"])
@@ -280,7 +278,7 @@ def _run_eigen(params, header):
     files = {
         "eigen.csv": csv_text(
             "x,V_of_x,psi0,psi1",
-            [sol.x, sol.potential, *sol.wavefunctions[:2]], header),
+            [sol.x, sol.potential, *sol.wavefunctions[:2]]),
         "eigen_summary.json": {
             "E0_J": sol.energies[0], "E1_J": sol.energies[1],
             "gap_J": sol.gap_01,
@@ -294,7 +292,7 @@ def _run_eigen(params, header):
                    f"label={cls.label}")
 
 
-def _run_zeno(params, header):
+def _run_zeno(params):
     _within_budget("n_tau", params["n_tau"])
     g = params["g_over_hbar"] * CONST.hbar
     sys_model = zeno.spin_pair_model(g, probe_splitting=params[
@@ -310,7 +308,7 @@ def _run_zeno(params, header):
         formula = zeno.survival_probability(taus, tau_Z, N)
     files = {"zeno_scan.csv": csv_text(
         "tau,N,survival_sim,survival_formula,trace_dist",
-        [taus, N, run.survival_prob, formula, run.effective_H_error], header)}
+        [taus, N, run.survival_prob, formula, run.effective_H_error])}
     return files, f"freeze_time={tau_Z:.6g} s  N={N}  tau points={len(taus)}"
 
 
@@ -319,7 +317,7 @@ def _environment(params) -> deco.Environment:
                             T_int=params["T_int"])
 
 
-def _run_decoherence(params, header):
+def _run_decoherence(params):
     _within_budget("n_R", params["n_R"])
     env = _environment(params)
     Rs = np.logspace(math.log10(params["R_min"]), math.log10(params["R_max"]),
@@ -330,7 +328,7 @@ def _run_decoherence(params, header):
         "R,p,T_env,T_int,gamma_gas,gamma_bb_sc,gamma_bb_abs,gamma_bb_em,"
         "gamma_total",
         [Rs, env.pressure, env.T_env, env.T_int, b.gamma_gas, b.gamma_bb_sc,
-         b.gamma_bb_abs, b.gamma_bb_em, b.gamma_total], header)}
+         b.gamma_bb_abs, b.gamma_bb_em, b.gamma_total])}
     return files, f"R points={len(Rs)}  p={env.pressure} Pa  T={env.T_env} K"
 
 
@@ -340,7 +338,7 @@ def _point_from_params(params) -> feasibility.ExperimentPoint:
         if f.name != "env"})
 
 
-def _run_report(params, header):
+def _run_report(params):
     rep = feasibility.evaluate_point(_point_from_params(params))
     files = {"report.json": feasibility.report_to_dict(rep)}
     return files, (f"pass={rep.passed}  theta_max={rep.theta_max:.4g} rad  "
@@ -349,14 +347,14 @@ def _run_report(params, header):
                    f"KE={rep.kinetic_energy_eV:.4g} eV")
 
 
-def _run_feasibility(params, header):
+def _run_feasibility(params):
     _within_budget("n1*n2", params["n1"] * params["n2"])
     base = _point_from_params(params)
     axes = [(params[f"axis{i}"], np.logspace(math.log10(params[f"a{i}_min"]),
                                              math.log10(params[f"a{i}_max"]),
                                              params[f"n{i}"])) for i in (1, 2)]
     grid = feasibility.sweep_region(*axes, base)
-    files = {"region.csv": feasibility.region_to_csv(grid, header)}
+    files = {"region.csv": feasibility.region_to_csv(grid)}
     n_pass = np.count_nonzero(grid.passed)
     return files, (f"grid={params['n1']}x{params['n2']} over "
                    f"({params['axis1']},{params['axis2']})  pass={n_pass}/"
@@ -407,13 +405,20 @@ def run(command: str, raw_params: dict, output_dir: str) -> str:
     os.makedirs(output_dir, exist_ok=True)
     config = {"command": command, "params": params}
     header = "zenograv config: " + json.dumps(config, sort_keys=True)
-    files, summary = _RUNNERS[command](params, header)
+    files, summary = _RUNNERS[command](params)
+    # the config stamp written ahead of each body, by file suffix
+    stamps = {".csv": f"# {header}\n", ".json": "",
+              ".svg": f'<?xml version="1.0" encoding="UTF-8"?>\n'
+                      f"<!-- {header} -->\n"}
     texts = {}
     for name, content in files.items():
-        if isinstance(content, dict):   # a JSON payload
+        path, suffix = os.path.join(output_dir, name), os.path.splitext(name)[1]
+        if suffix not in stamps:   # no file leaves without its config
+            raise OSError(errno.EINVAL, "no config stamp for its type", path)
+        if suffix == ".json":   # a payload dict, with the config inside
             content = json.dumps({**content, "config": config}, indent=1,
                                  sort_keys=True) + "\n"
-        texts[os.path.join(output_dir, name)] = content
+        texts[path] = [stamps[suffix], content]
     _write_files(texts)
     return f"{summary}  -> {', '.join(texts)}"
 

@@ -4,10 +4,10 @@ A closed form written with Python operators and numpy ufuncs works on
 both; these helpers keep the two cases alike at the edges: validation
 that holds for every element (NaN fails it), a float result for scalar
 input, and the ``den = 0 -> inf`` ratios the formulas use.  The results
-leave the toolkit as CSV columns through :func:`csv_text`, which formats
-each distinct value of a mostly repeated float column once (a grid's
-axis and constant columns repeat); the inputs enter as dataclass fields
-made by :func:`parameter`.
+leave as CSV bodies, with no config line, through :func:`csv_text`,
+which formats each distinct value of a mostly repeated float column
+once (a grid's axis and constant columns repeat); the inputs enter as
+dataclass fields made by :func:`parameter`.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def ratio_or_inf(num, den):
     return np.divide(num, den, out=out, where=den > 0)
 
 
-def csv_text(names: str, columns, comment: str) -> str:
-    """CSV text: ``# comment``, the ``names`` line, one row per element.
+def csv_text(names: str, columns) -> str:
+    """CSV body: the ``names`` line, then one row per element.
 
     The columns broadcast against each other (a scalar is a constant
     column) and are read in C order.  Integer and bool columns are written
@@ -105,4 +105,4 @@ def csv_text(names: str, columns, comment: str) -> str:
         cells.append(flat.tolist())
     row = ",".join(formats) + "\n"
     values = chain.from_iterable(zip(*cells))
-    return f"# {comment}\n{names}\n" + row * arrays[0].size % tuple(values)
+    return f"{names}\n" + row * arrays[0].size % tuple(values)

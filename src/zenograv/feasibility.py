@@ -377,9 +377,8 @@ def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
     return RegionGrid(*(c.ravel() for c in np.broadcast_arrays(*columns)))
 
 
-def region_to_csv(grid: RegionGrid, header_comment: str) -> str:
-    """CSV text: axis1,axis2,theta_max,t_total,gamma_required,sigma_ratio,mfp,KE_eV,pass."""
+def region_to_csv(grid: RegionGrid) -> str:
+    """CSV body: axis1,axis2,theta_max,t_total,gamma_required,sigma_ratio,mfp,KE_eV,pass."""
     return csv_text("axis1,axis2,theta_max,t_total,gamma_required,"
                     "sigma_ratio,mfp,KE_eV,pass",
-                    [getattr(grid, f.name) for f in fields(grid)],
-                    header_comment)
+                    [getattr(grid, f.name) for f in fields(grid)])

@@ -304,30 +304,28 @@ def _bound(dist: MassDistribution, y, r_stop):
     """Can a probe launched along +z from state y = (x, y, z, vx, vy, vz)
     never reach r_stop?  Elementwise: y may be rows of launch columns.
 
-    A probe whose launch line passes outside every component starts
-    outside them all, so its energy per unit mass is exactly
+    A launch outside every component has the exact energy per unit mass
     E = v^2/2 - sum G M_i/|x0 - c_i|.  The potential is nowhere below
-    that of the point masses (a uniform sphere's interior potential lies
-    above -G M/s), so at |x| = r_stop it is at least
-    -sum G M_i/(r_stop - |c_i|); a probe whose E is below that bound, by
-    the relative _BOUND_MARGIN, never gets there.  A probe aimed into a
-    component is left to the integrator: it enters the source on its
-    first approach, where the integrator's own failures arise first (a
-    fall from rest at 1e8 R stops there on a step below 10 ulp of its
-    clock).
+    that of the point masses (a uniform sphere's interior potential,
+    -G M (3R^2 - s^2)/(2R^3), lies above -G M/s), so at |x| = r_stop it is
+    at least -sum G M_i/(r_stop - |c_i|); a probe whose E is below that
+    bound, by the relative _BOUND_MARGIN, never gets there, wherever its
+    launch line goes.  A launch from inside a component (a hand-made
+    config; :meth:`ScatterConfig.for_source` starts far outside) is left
+    to the integrator.
     """
     x, yy, z, vx, vy, vz = y
-    energy, floor, missed = 0.5 * (vx * vx + vy * vy + vz * vz), 0.0, True
+    energy, floor, outside = 0.5 * (vx * vx + vy * vy + vz * vz), 0.0, True
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for comp in dist.components:
             cx, cy, cz = comp.center
             gm = CONST.G * comp.mass
-            off2 = (x - cx) ** 2 + (yy - cy) ** 2
-            missed = missed & (off2 >= comp.radius ** 2)
-            energy = energy - gm / np.sqrt(off2 + (z - cz) ** 2)
+            s2 = (x - cx) ** 2 + (yy - cy) ** 2 + (z - cz) ** 2
+            outside = outside & (s2 >= comp.radius ** 2)
+            energy = energy - gm / np.sqrt(s2)
             # an r_stop within |c_i| bounds nothing: the floor is -inf
             floor = floor - gm / np.fmax(r_stop - math.hypot(cx, cy, cz), 0.0)
-        return missed & (energy < (1.0 + _BOUND_MARGIN) * floor)
+        return outside & (energy < (1.0 + _BOUND_MARGIN) * floor)
 
 
 def _outgoing(cfg: ScatterConfig, v_out) -> float:
@@ -782,18 +780,17 @@ def make_collapsed_sources(R: float, density: float, d: float):
 # Emission
 # ---------------------------------------------------------------------------
 
-def pattern_to_csv(pattern: ScatterPattern, header_comment: str) -> str:
-    """CSV text: beta,l,b,theta_rad,proj_x,proj_y,hit, one row per launched probe."""
+def pattern_to_csv(pattern: ScatterPattern) -> str:
+    """CSV body: beta,l,b,theta_rad,proj_x,proj_y,hit, one row per launched probe."""
     return csv_text("beta,l,b,theta_rad,proj_x,proj_y,hit",
                     (pattern.beta, pattern.l, pattern.b, pattern.theta,
-                     pattern.proj_x, pattern.proj_y, pattern.hit),
-                    header_comment)
+                     pattern.proj_x, pattern.proj_y, pattern.hit))
 
 
-def pattern_to_svg(pattern: ScatterPattern, dashed_radius: float,
-                   header_comment: str) -> str:
-    """Static SVG text of the projected pattern, colored by the sign of l,
-    with ``header_comment`` as its first comment.
+def pattern_to_svg(pattern: ScatterPattern, dashed_radius: float) -> str:
+    """Static SVG of the projected pattern, colored by the sign of l: the
+    ``<svg>`` element alone, which the writer stamps with the XML
+    declaration and the config comment.
 
     A dashed circle of ``dashed_radius`` (the closed-form
     maximum-deflection radius) is overlaid for comparison with the
@@ -809,10 +806,8 @@ def pattern_to_svg(pattern: ScatterPattern, dashed_radius: float,
     size = _SVG_SIZE
     scale = (size / 2.0) / (rmax * pad)
 
-    out = ['<?xml version="1.0" encoding="UTF-8"?>\n',
-           f"<!-- {header_comment} -->\n"]
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-               f'height="{size}" viewBox="0 0 {size} {size}">\n')
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+           f'height="{size}" viewBox="0 0 {size} {size}">\n']
     out.append(f'<rect width="{size}" height="{size}" fill="white"/>\n')
     out.append(f'<line x1="0" y1="{size/2}" x2="{size}" y2="{size/2}" '
                'stroke="#cccccc" stroke-width="1"/>\n')

@@ -22,8 +22,8 @@ from .errors import GridInsufficientError, InvalidParameterError
 
 DEFAULT_GRID = (-4.0, 4.0, 4000)
 # the largest grid solve_eigen accepts: on a 2-CPU machine 10**6 points
-# solve in about 1.1 s, and the eigen command, CSV included, takes about
-# 4 s and 0.4 GB
+# solve in about 1.0 s, and the eigen command, CSV included, takes about
+# 3 s and 0.4 GB
 MAX_GRID_POINTS = 10**6
 _BOUNDARY_AMPLITUDE = 1e-6
 

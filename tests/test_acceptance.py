@@ -279,8 +279,7 @@ def test_criterion_8_property_suites():
 
     # CSV determinism
     pattern = scan_pattern(single, (1.2, 1.5), (0.0, R), 2, 2, v)
-    outs = [pattern_to_csv(pattern, header_comment="determinism")
-            for _ in range(2)]
+    outs = [pattern_to_csv(pattern) for _ in range(2)]
     det_ok = outs[0] == outs[1]
 
     elapsed = time.perf_counter() - t0

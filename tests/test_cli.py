@@ -78,7 +78,11 @@ class TestValidation:
          2, "zenograv: validation error: r_stop**2 must be finite, got "
          "r_stop=inf\n"),
         (["scatter", "--beta", "4e16"], 0, ""),
-    ], ids=["d-1e300", "beta-4e16"])
+        # bound, and aimed into the source: it fails at launch
+        (["scatter", "--t_R", "1e300", "--beta", "0.5", "--l", "1e-5"], 3,
+         "zenograv: numerical failure: UnterminatedTrajectoryError: probe did "
+         "not escape r_stop=0.002 within t_max=1.5e+304\n"),
+    ], ids=["d-1e300", "beta-4e16", "bound-into-source"])
     def test_far_launch_ends(self, tmp_path, args, code, err):
         proc = subprocess.run([sys.executable, "-m", "zenograv.cli", *args,
                                "--output-dir", str(tmp_path)],
@@ -254,6 +258,18 @@ class TestFailedRunWritesNothing:
         assert run_cli([command, *args, "--output-dir", tmp_path]) == 3
         assert capsys.readouterr().err == (
             "zenograv: numerical failure: FloatingPointError: injected\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_file_type_without_a_config_stamp(self, tmp_path, capsys,
+                                              monkeypatch):
+        # run stamps each file with its config: a file of a type it has
+        # no stamp for fails the run (exit 4) before any file is written
+        monkeypatch.setitem(cli._RUNNERS, "eigen", lambda params: (
+            {"eigen.csv": "x\n1\n", "eigen.txt": "1\n"}, "E0=1"))
+        assert run_cli(["eigen", "--output-dir", tmp_path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("zenograv: I/O error: ") and "eigen.txt" in err
+        assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
     def test_directory_in_place_of_a_file(self, tmp_path, capsys):
@@ -818,12 +834,12 @@ PARAM_SCHEMAS = {
         "a1_min": (float, 1.0, "axis1 lower bound", "pos"),
         "a1_max": (float, 100.0, "axis1 upper bound", "pos"),
         "n1": (int, 16, "axis1 grid points (log); n1*n2 at most 1000000 "
-               "(~0.7 GB)", "pos"),
+               "(~0.4 GB)", "pos"),
         "axis2": (str, "R", f"second axis, one of {SWEEP_AXES}", "any"),
         "a2_min": (float, 1e-6, "axis2 lower bound", "pos"),
         "a2_max": (float, 1e-4, "axis2 upper bound", "pos"),
         "n2": (int, 16, "axis2 grid points (log); n1*n2 at most 1000000 "
-               "(~0.7 GB)", "pos"),
+               "(~0.4 GB)", "pos"),
     },
 }
 

@@ -13,13 +13,13 @@ from zenograv.feasibility import ExperimentPoint, sweep_region
 from zenograv.schrod1d import PotentialSpec1D, solve_eigen
 
 
-def reference_csv(names, columns, comment):
+def reference_csv(names, columns):
     """Row by row with f-strings: ``:.9g`` floats, ints and bools as ints."""
     def cell(x):
         if isinstance(x, (bool, int, np.bool_, np.integer)):
             return f"{int(x)}"
         return f"{x:.9g}"
-    lines = [f"# {comment}", names]
+    lines = [names]
     lines += [",".join(map(cell, row)) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
@@ -36,26 +36,25 @@ def test_edge_values_match_reference():
     ints = (np.arange(n) - n // 2) * 1_000_003
     bools = np.arange(n) % 3 == 0
     columns = [floats, ints, bools, floats[::-1].copy()]
-    want = reference_csv("f,i,b,r", [c.tolist() for c in columns], "cfg")
-    assert csv_text("f,i,b,r", columns, "cfg") == want
+    want = reference_csv("f,i,b,r", [c.tolist() for c in columns])
+    assert csv_text("f,i,b,r", columns) == want
 
 
 def test_scalar_columns_broadcast():
-    got = csv_text("x,N,p", [np.array([0.5, -0.0]), 20, 1e-15], "cfg")
-    assert got == "# cfg\nx,N,p\n0.5,20,1e-15\n-0,20,1e-15\n"
+    got = csv_text("x,N,p", [np.array([0.5, -0.0]), 20, 1e-15])
+    assert got == "x,N,p\n0.5,20,1e-15\n-0,20,1e-15\n"
 
 
 def test_grid_columns_read_in_c_order():
     a1 = np.array([[1.0], [2.0]])
     a2 = np.array([[10.0, 20.0, 30.0]])
-    got = csv_text("a1,a2,ok", [a1, a2, a1 * a2 > 25], "cfg")
-    assert got.splitlines()[2:] == ["1,10,0", "1,20,0", "1,30,1",
+    got = csv_text("a1,a2,ok", [a1, a2, a1 * a2 > 25])
+    assert got.splitlines()[1:] == ["1,10,0", "1,20,0", "1,30,1",
                                     "2,10,0", "2,20,1", "2,30,1"]
 
 
 def test_no_rows():
-    assert csv_text("a,b", [np.array([]), np.array([])], "cfg") == \
-        "# cfg\na,b\n"
+    assert csv_text("a,b", [np.array([]), np.array([])]) == "a,b\n"
 
 
 @settings(max_examples=100, deadline=None)
@@ -64,8 +63,8 @@ def test_no_rows():
                      max_size=20))
 def test_any_columns_match_reference(rows):
     columns = [np.array(c) for c in zip(*rows)] or [np.array([])] * 4
-    want = reference_csv("a,b,c,d", [c.tolist() for c in columns], "cfg")
-    assert csv_text("a,b,c,d", columns, "cfg") == want
+    want = reference_csv("a,b,c,d", [c.tolist() for c in columns])
+    assert csv_text("a,b,c,d", columns) == want
 
 
 # Bit patterns that format alike but must stay apart when a repeated
@@ -83,9 +82,9 @@ def test_repeated_columns_on_both_sides_of_the_half_rule():
     columns = [np.array([a, b, a, b]),                  # 2 of 4 distinct
                np.array([a, b, c, a]),                  # 3 of 4 distinct
                np.array(NANS[:2] * 2), np.array([math.inf, 5e-324] * 2)]
-    want = reference_csv("h,m,n,s", [col.tolist() for col in columns], "cfg")
-    assert csv_text("h,m,n,s", columns, "cfg") == want
-    assert want.splitlines()[2:] == [
+    want = reference_csv("h,m,n,s", [col.tolist() for col in columns])
+    assert csv_text("h,m,n,s", columns) == want
+    assert want.splitlines()[1:] == [
         "0,0,nan,inf", "-0,-0,nan,4.94065646e-324", "0,nan,nan,inf",
         "-0,0,nan,4.94065646e-324"]
 
@@ -108,8 +107,8 @@ def test_pooled_columns_match_reference(n, m, data):
                np.arange(n * m).reshape(n, m) % 3 - 1, rows > cols, rows]
     want = reference_csv("r,c,x,s,i,b,r", [
         np.broadcast_to(col, (n, m)).ravel().tolist()
-        for col in map(np.asarray, columns)], "pool")
-    assert csv_text("r,c,x,s,i,b,r", columns, "pool") == want
+        for col in map(np.asarray, columns)])
+    assert csv_text("r,c,x,s,i,b,r", columns) == want
 
 
 @pytest.mark.parametrize("axes", [

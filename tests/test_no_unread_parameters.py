@@ -23,9 +23,6 @@ ALLOWED = {
     # perfbench's trajectories workload passes the probe mass
     # positionally; the acceleration does not depend on it
     "scatter.integrate_trajectory.m_probe",
-    # every runner takes (params, header); a report is JSON, which
-    # carries the config under "config", not in a header line
-    "cli._run_report.header",
 }
 
 # Public functions named only outside the package: perfbench, which

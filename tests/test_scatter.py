@@ -43,6 +43,11 @@ def single_sphere(radius=R, rho=RHO):
     return make_superposed_source(radius, rho, 0.0)
 
 
+def escape_speed(src, r):
+    """The escape speed (m/s) from src at distance r (m)."""
+    return math.sqrt(2 * CONST.G * src.total_mass / r)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -448,7 +453,7 @@ def scalar_pattern(dist, pattern, v, **factors):
 
 
 def csv_lines(pattern):
-    return pattern_to_csv(pattern, "cfg").splitlines()[2:]
+    return pattern_to_csv(pattern).splitlines()[1:]
 
 
 def hit_grid(dist):
@@ -483,12 +488,14 @@ class TestBatchEngineOracle:
         # time, or its step underflowed) still returns hit False
         src = single_sphere()
         cfgs = launch_configs(src, hit_grid(src), V)
-        bound = ScatterConfig.for_source(src, b=0.5 * R, l=0.0, v=1.8e-9,
-                                         start_factor=5.0, stop_factor=12.0,
-                                         rtol=1e-6)
-        bound = dataclasses.replace(bound, t_max=bound.t_max / 10)
-        fall = ScatterConfig(b=0.0, l=0.0, v=1e-15, z_start=-1e3,
-                             t_max=1e30, r_stop=2e3)
+        # out of time 50 R past the source, which it passed through
+        late = dataclasses.replace(
+            ScatterConfig.for_source(src, b=0.5 * R, l=0.0, v=V),
+            t_max=100 * R / V)
+        # not bound (1.5 times the escape speed at 1e8 R), it passes
+        # through the source before its step underflows
+        fall = ScatterConfig(b=0.5 * R, l=0.0, v=1.5 * escape_speed(src, 1e3),
+                             z_start=-1e3, t_max=1e30, r_stop=2e3)
         checks = []
         original = scatter._segment_hits
         monkeypatch.setattr(scatter, "_segment_hits", lambda p0, p1, dist:
@@ -496,7 +503,7 @@ class TestBatchEngineOracle:
         # a buffer smaller than the grid's steps, larger than one probe's
         monkeypatch.setattr(scatter, "_HIT_ROWS", 512)
         y_end, hits, errors = _integrate_batch(src,
-                                               stack(cfgs + [bound, fall]))
+                                               stack(cfgs + [late, fall]))
         trajs = [integrate_trajectory(src, cfg, M_PROBE) for cfg in cfgs]
         assert sum(traj.n_accepted for traj in trajs) > 2 * scatter._HIT_ROWS
         assert len(checks) > 3
@@ -505,7 +512,7 @@ class TestBatchEngineOracle:
         assert [type(e) for e in errors] == [type(None)] * len(cfgs) + [
             UnterminatedTrajectoryError, IntegratorFailureError]
         assert hits[-2:].tolist() == [False, False]
-        for cfg in (bound, fall):
+        for cfg in (late, fall):
             checks.clear()
             _, (hit,), (error,) = _integrate_batch(src, stack([cfg]))
             assert error is not None and not hit
@@ -577,6 +584,18 @@ class TestBatchEngineOracle:
                    for error in batch.error)
         assert batch.error == scalar.error
         assert not batch.clean.any()
+
+    def test_launch_inside_a_sphere_is_not_called_bound(self):
+        # v^2/2 = 1.6 GM/R at 0.5 R from the centre: above the interior
+        # potential's 1.375 GM/R, so the probe escapes, but below the
+        # point mass's 2 GM/R, by which it would seem bound
+        src = single_sphere()
+        v = math.sqrt(3.2 * CONST.G * src.total_mass / R)
+        cfg = ScatterConfig(b=0.0, l=0.0, v=v, z_start=-0.5 * R, t_max=1e7,
+                            r_stop=100 * R)
+        assert integrate_trajectory(src, cfg, M_PROBE).hit_source
+        _, (hit,), (error,) = _integrate_batch(src, stack([cfg]))
+        assert hit and error is None
 
 
 class TestScalarPathOracle:
@@ -657,10 +676,12 @@ class TestScalarPathOracle:
         bound = dataclasses.replace(bound, t_max=bound.t_max / 10)
         outside = ScatterConfig(b=3e-3, l=0.0, v=V, z_start=-1e-3,
                                 t_max=200 * R / V, r_stop=2e-3)
-        # a fall from rest at 1e8 R: at the source, 10 ulp of the elapsed
-        # time exceed the step the tolerance asks for
-        tiny_step = ScatterConfig(b=0.5 * R, l=0.0, v=1e-15, z_start=-1e3,
-                                  t_max=1e30, r_stop=2e3)
+        # not bound (1.01 times the escape speed at 1e10 R): near the
+        # source, 10 ulp of the elapsed time exceed the step the tolerance
+        # asks for
+        tiny_step = ScatterConfig(
+            b=0.5 * R, l=0.0, v=1.01 * escape_speed(single_sphere(), 1e5),
+            z_start=-1e5, t_max=1e30, r_stop=2e5)
         cases = [(src, bound), (src, outside), (single_sphere(), tiny_step)]
         batch_errors = [_integrate_batch(dist, stack([cfg]))[2][0]
                         for dist, cfg in cases]
@@ -925,19 +946,21 @@ class TestEmission:
     def test_csv_format(self):
         src = single_sphere()
         pattern = scan_pattern(src, (1.2, 1.2), (0.0, 0.0), 1, 1, V)
-        lines = pattern_to_csv(pattern, header_comment="cfg").strip().split("\n")
-        assert lines[0] == "# cfg"
-        assert lines[1] == "beta,l,b,theta_rad,proj_x,proj_y,hit"
-        assert len(lines) == 3
-        assert lines[2].endswith(",0")
+        text = pattern_to_csv(pattern)
+        lines = text.strip().split("\n")
+        # the body alone: the writer stamps the config line above it
+        assert "zenograv config" not in text
+        assert lines[0] == "beta,l,b,theta_rad,proj_x,proj_y,hit"
+        assert len(lines) == 2
+        assert lines[1].endswith(",0")
 
     def test_svg_is_static(self):
         src = single_sphere()
         pattern = scan_pattern(src, (1.2, 1.4), (0.0, R), 2, 2, V)
-        svg = pattern_to_svg(pattern, dashed_radius=2e-4,
-                             header_comment="cfg")
-        assert svg.startswith("<?xml")
-        assert svg.splitlines()[1] == "<!-- cfg -->"
+        svg = pattern_to_svg(pattern, dashed_radius=2e-4)
+        # the <svg> element alone: no XML declaration, no config comment
+        assert svg.startswith("<svg")
+        assert "zenograv config" not in svg and "<!--" not in svg
         assert "<script" not in svg
         assert "stroke-dasharray" in svg
         assert svg.count("<circle") == np.count_nonzero(pattern.clean) + 1
