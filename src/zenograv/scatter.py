@@ -87,7 +87,8 @@ class ScatterConfig:
                     "r_stop**2 must be finite, got r_stop={}", self.r_stop)
         require((self.t_max > 0) & np.isfinite(self.t_max),
                 "t_max must be finite and > 0, got {}", self.t_max)
-        require(self.rtol > 0, "rtol must be > 0, got {}", self.rtol)
+        require((self.rtol > 0) & np.isfinite(self.rtol),
+                "rtol must be finite and > 0, got {}", self.rtol)
 
     @classmethod
     def for_source(cls, dist: MassDistribution, b, l, v, *,
@@ -176,8 +177,8 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
     failure rules in the same operation order, so the final state and hit
     flag equal ``_integrate_batch(dist, cfg)`` bit for bit.  On the
     per-step path only the controller's error power goes through numpy
-    (for its bits); the launch checks, the initial step and the hit test
-    use it once per run.
+    (for its bits); the bound check at launch, the initial step and the
+    hit test use it once per run.
     scipy's ``solve_ivp`` (RK45) is the oracle both are tested against.
 
     The acceleration does not depend on the probe's mass (equivalence
@@ -206,8 +207,6 @@ def integrate_trajectory(dist: MassDistribution, cfg: ScatterConfig,
 
     y, atol = _launch(cfg)
     atol_x, atol_v = atol[0], atol[3]
-    if not all(map(math.isfinite, y)):
-        raise IntegratorFailureError(_NON_FINITE)
     if _bound(dist, y, cfg.r_stop):
         raise _unterminated(cfg.r_stop, cfg.t_max)
     rtol = max(cfg.rtol, rk45.RTOL_FLOOR)
@@ -363,25 +362,11 @@ def _dot3(u, w):
 def _segment_hits(p0, p1, dist: MassDistribution) -> np.ndarray:
     """Per segment p0[i] -> p1[i]: does it pass inside a sphere component?
 
-    The exact test (the point of the segment nearest each center, against
-    its radius) runs only on the segments not surely far from the source.
-    Every point q of a segment has |q| >= (|p0| + |p1| - |p1 - p0|)/2 by
-    the triangle inequality, and a hit needs some |q| < reach, the
-    largest |c| + R over the components, so a hit has
-    |p0| + |p1| - |p1 - p0| < 2 reach.  A segment is skipped as far when
-    that difference exceeds 4 reach + 1e-9 (|p0| + |p1|): a margin of
-    2 reach, and a relative slack far above the rounding of either test.
-    A NaN or inf in a row makes that comparison false, so such rows take
-    the exact test.
+    Every segment takes the exact test: the point of the segment nearest
+    each center, against its radius.
     """
-    reach = max(math.hypot(*c.center) + c.radius for c in dist.components)
     seg = p1 - p0
     seg2 = _dot3(seg, seg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r01 = np.sqrt(_dot3(p0, p0)) + np.sqrt(_dot3(p1, p1))
-        far = (1 - 1e-9) * r01 - np.sqrt(seg2) > 4 * reach
-    near = np.flatnonzero(~far)
-    p0, seg, seg2 = p0[near], seg[near], seg2[near]
     hit = np.zeros(len(seg), dtype=bool)
     for comp in dist.components:
         a = p0 - comp.center
@@ -391,9 +376,7 @@ def _segment_hits(p0, p1, dist: MassDistribution) -> np.ndarray:
                          0.0)
         nearest = a + tstar[:, None] * seg
         hit |= _dot3(nearest, nearest) < comp.radius ** 2
-    hits = np.zeros(len(far), dtype=bool)
-    hits[near] = hit
-    return hits
+    return hit
 
 
 def energy_series(dist: MassDistribution, traj: ProbeTrajectory,
@@ -415,19 +398,6 @@ def rutherford_angle(M, v, b0):
     """
     require((M > 0) & (v > 0) & (b0 > 0), "M, v, b0 must all be > 0")
     return result(2.0 * np.arctan(CONST.G * M / (v * v * b0)))
-
-
-def rutherford_angle_density(rho, beta, t_R, approx: bool = False):
-    """Max deflection in the (density, beta, t_R) parametrization (rad).
-
-    For a sphere of density rho probed at impact parameter beta*R with
-    speed R/t_R the radius cancels: the exact angle is
-    2*atan((4 pi G rho / (3 beta)) t_R^2); ``approx=True`` returns the
-    small-angle form (8 pi G rho / (3 beta)) t_R^2.  Elementwise.
-    """
-    require((rho > 0) & (beta > 0) & (t_R > 0), "rho, beta, t_R must all be > 0")
-    x = 4.0 * np.pi * CONST.G * rho * t_R**2 / (3.0 * beta)
-    return 2.0 * x if approx else result(2.0 * np.arctan(x))
 
 
 def hyperbolic_time_from_anomaly(e, phi, h, GM, e2m1):
@@ -475,16 +445,17 @@ def kepler_scatter_time(M, rho, beta, zeta, t_R):
     deflection angle theta by theta = 2*phi_inf - pi, equivalently
     e = -1/cos(phi_inf) = 1/sin(theta/2).  Elementwise.
 
-    Stable near the parabolic limit (large t_R): with x = tan(theta/2),
-    e^2 - 1 = 1/x^2 exactly, and :func:`hyperbolic_time_from_anomaly`
-    takes it from there without forming e - 1 from a rounded e.
+    x = tan(theta/2) = (4 pi G rho / (3 beta)) t_R^2 is formed once (the
+    radius cancels), and theta = 2 atan(x).  Stable near the parabolic
+    limit (large t_R): e^2 - 1 = 1/x^2 exactly, and
+    :func:`hyperbolic_time_from_anomaly` takes it from there without
+    forming e - 1 from a rounded e.
     """
     require(beta > 1.0, "beta must be > 1, got {}", beta)
     require((zeta > 0.0) & (zeta < 1.0), "zeta must be in (0, 1), got {}", zeta)
     require((t_R > 0) & (M > 0) & (rho > 0), "M, rho, t_R must all be > 0")
-    theta = rutherford_angle_density(rho, beta, t_R)
-    x = 0.5 * rutherford_angle_density(rho, beta, t_R,
-                                       approx=True)   # tan(theta/2)
+    x = 4.0 * np.pi * CONST.G * rho * t_R**2 / (3.0 * beta)   # tan(theta/2)
+    theta = 2.0 * np.arctan(x)
     # (1/x)^2 underflows to 0 past the parabolic limit, where x * x would
     # overflow: such an orbit is rejected as not hyperbolic
     e2m1 = (1.0 / x) ** 2
@@ -510,9 +481,11 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
     of ``select_initial_step``, the RMS error norm with scale
     atol + max(|y|, |y_new|) rtol, safety 0.9, step factors clamped to
     [0.2, 10] and no growth right after a rejection, min_step = 10 ulp(t)
-    and clipping at t_max; no cap on the step.  A probe retires at its
-    outward r_stop crossing, at t_max or, if :func:`_bound`, before its
-    first step (UnterminatedTrajectoryError), on a non-finite accepted
+    and clipping at t_max; no cap on the step.  A probe retires before
+    its first step if :func:`_bound` (UnterminatedTrajectoryError); its
+    launch state needs no other check, as :class:`ScatterConfig` admits
+    only finite ones.  It retires later at its outward r_stop crossing,
+    at t_max (UnterminatedTrajectoryError), on a non-finite accepted
     state or when its step underflows (IntegratorFailureError); the error
     slot then holds the exception, the final state is NaN and the hit
     flag False.  The state is coordinate-major, one column per active
@@ -523,9 +496,9 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
     (:func:`rk45.combine`, in stage order) times h plus y, formed in
     place, and each slope is written straight into its stage's row of
     the stage array: the velocities, then :func:`field_rows` into the
-    acceleration rows.  Source hits are checked on every accepted-step
-    segment, buffered: one call per _HIT_ROWS / n iterations of n
-    probes, and one at the end.  A crossing probe's last
+    acceleration rows.  Every accepted-step segment takes the exact hit
+    test of :func:`_segment_hits`, buffered: one call per _HIT_ROWS / n
+    iterations of n probes, and one at the end.  A crossing probe's last
     step is only recorded: once every probe has retired, all crossings
     are located on their steps' dense output by one lockstep Brent search
     (:func:`rk45.escape_roots`, solve_ivp's event root), and the partial
@@ -541,14 +514,10 @@ def _integrate_batch(dist: MassDistribution, cfg: ScatterConfig):
 
     y_end = np.full((n, 6), np.nan)
     hit_end, hit = np.zeros((2, n), dtype=bool)  # hit: a checked segment hit
-    bad = ~np.isfinite(y).all(axis=0)
-    bound = _bound(dist, y, r_stop)
-    errors = [IntegratorFailureError(_NON_FINITE) if nonfinite else
-              _unterminated(r, t) if stays else None
-              for nonfinite, stays, r, t in zip(bad.tolist(), bound.tolist(),
-                                                r_stop.tolist(),
-                                                t_bound.tolist())]
-    done = bad | bound
+    done = _bound(dist, y, r_stop)
+    errors = [_unterminated(r, t) if stays else None
+              for stays, r, t in zip(done.tolist(), r_stop.tolist(),
+                                     t_bound.tolist())]
     idx = np.arange(n)           # original index of each active probe
     crossings = []               # per iteration: the crossing probes' steps
     segments = []                # per iteration: steps not yet hit-checked

@@ -1,8 +1,8 @@
 """Shared test oracles: asymptotic launch configs, orbit timing and the
 scipy RK45 trajectory integrator; a probe's outgoing direction, the rows
 of a pattern scan, and launch tables stacked from one-probe configs; a
-Dormand-Prince stage sum as one reduce, and the segment hit test on every
-segment; the field and force at rows of points, the freeze projector and
+Dormand-Prince stage sum as one reduce, and the density-form Rutherford
+angle; the field and force at rows of points, the freeze projector and
 variance, the free wavepacket width, and a report's constraint by name."""
 
 import math
@@ -12,11 +12,11 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from zenograv.constants import CONST
+from zenograv.elementwise import result
 from zenograv.errors import IntegratorFailureError
 from zenograv.massdist import field_rows
 from zenograv.scatter import (ProbeTrajectory, ScatterConfig, _deflection,
-                              _dot3, _launch, _outgoing, _segment_hits,
-                              _unterminated)
+                              _launch, _outgoing, _segment_hits, _unterminated)
 from zenograv.zeno import _phi_block, effective_hamiltonian
 
 
@@ -153,22 +153,14 @@ def reduce_stage_sum(K, coef):
     return np.add.reduce(K[stages] * weights, axis=0, initial=-0.0)
 
 
-def exact_segment_hits(p0, p1, dist):
-    """Oracle kept out of the package: the exact test of ``_segment_hits``
-    (the point of each segment nearest each center, against its radius)
-    on every segment, with no far segment skipped."""
-    seg = p1 - p0
-    seg2 = _dot3(seg, seg)
-    hit = np.zeros(len(seg), dtype=bool)
-    for comp in dist.components:
-        a = p0 - comp.center
-        tstar = np.where(seg2 > 0.0,
-                         np.clip(-_dot3(a, seg) / np.where(seg2 > 0, seg2, 1.0),
-                                 0.0, 1.0),
-                         0.0)
-        nearest = a + tstar[:, None] * seg
-        hit |= _dot3(nearest, nearest) < comp.radius ** 2
-    return hit
+def rutherford_angle_density(rho, beta, t_R, approx=False):
+    """Oracle kept out of the package: the maximum deflection (rad) off a
+    sphere of density rho at impact parameter beta*R and speed R/t_R, in
+    which R cancels: 2*atan((4 pi G rho / (3 beta)) t_R^2), or with
+    ``approx`` its small-angle form (8 pi G rho / (3 beta)) t_R^2.
+    Elementwise: float arguments give a float."""
+    x = 4.0 * np.pi * CONST.G * rho * t_R**2 / (3.0 * beta)
+    return result(2.0 * x if approx else 2.0 * np.arctan(x))
 
 
 def gravity_field(dist, x):

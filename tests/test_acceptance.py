@@ -10,7 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import clean_rows, force_at, oracle_config
+from conftest import (clean_rows, force_at, oracle_config,
+                      rutherford_angle_density)
 
 from zenograv.constants import CONST
 from zenograv.decoherence import (Environment, blackbody_rates,
@@ -20,8 +21,7 @@ from zenograv.feasibility import ExperimentPoint, evaluate_point
 from zenograv.massdist import make_superposed_source, potential_at
 from zenograv.scatter import (ScatterConfig, energy_series,
                               integrate_trajectory, kepler_scatter_time,
-                              pattern_to_csv, rutherford_angle,
-                              rutherford_angle_density, scan_pattern)
+                              pattern_to_csv, rutherford_angle, scan_pattern)
 from zenograv.schrod1d import PotentialSpec1D, potential_gradient, solve_eigen
 from zenograv.zeno import spin_pair_model, strobo_evolve
 
