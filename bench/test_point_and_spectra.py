@@ -29,7 +29,7 @@ PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 def test_evaluate_point_reference(benchmark):
     report = benchmark(feasibility.evaluate_point,
                        feasibility.ExperimentPoint())
-    assert len(report.constraints) == 6
+    assert len(report["constraints"]) == 6
 
 
 def test_solve_eigen_4000(benchmark):

@@ -282,14 +282,10 @@ def _run_eigen(params):
         "eigen_summary.json": {
             "E0_J": sol.energies[0], "E1_J": sol.energies[1],
             "gap_J": sol.gap_01,
-            "gradient_J_per_m": potential_gradient(spec, 1.0),
-            "label": cls.label,
-            "relative_gap": cls.relative_gap,
-            "outside_fraction": cls.outside_fraction,
-        },
+            "gradient_J_per_m": potential_gradient(spec, 1.0), **cls},
     }
     return files, (f"E0={sol.energies[0]:.4g} J  E1={sol.energies[1]:.4g} J  "
-                   f"label={cls.label}")
+                   f"label={cls['label']}")
 
 
 def _run_zeno(params):
@@ -340,11 +336,11 @@ def _point_from_params(params) -> feasibility.ExperimentPoint:
 
 def _run_report(params):
     rep = feasibility.evaluate_point(_point_from_params(params))
-    files = {"report.json": feasibility.report_to_dict(rep)}
-    return files, (f"pass={rep.passed}  theta_max={rep.theta_max:.4g} rad  "
-                   f"t_total={rep.t_total:.4g} s  "
-                   f"gamma_required={rep.gamma_zeno_required:.4g} 1/s  "
-                   f"KE={rep.kinetic_energy_eV:.4g} eV")
+    return {"report.json": rep}, (
+        f"pass={rep['passed']}  theta_max={rep['theta_max_rad']:.4g} rad  "
+        f"t_total={rep['t_total_s']:.4g} s  "
+        f"gamma_required={rep['gamma_zeno_required_s']:.4g} 1/s  "
+        f"KE={rep['kinetic_energy_eV']:.4g} eV")
 
 
 def _run_feasibility(params):

@@ -91,7 +91,7 @@ def gamma_distance(Lambda, lambda_th, x):
     require(Lambda >= 0, "Lambda must be >= 0, got {}", Lambda)
     require(lambda_th > 0, "lambda_th must be > 0, got {}", lambda_th)
     r = x / lambda_th
-    return result(lambda_th**2 * Lambda * -np.expm1(-r * r))
+    return result(lambda_th * lambda_th * Lambda * -np.expm1(-r * r))
 
 
 def gas_thermal_wavelength(T_e):
@@ -109,13 +109,13 @@ def rest_gas_rate(env: Environment, R) -> ChannelRate:
     """
     require(R > 0, "R must be > 0, got {}", R)
     lam = gas_thermal_wavelength(env.T_env)
-    gamma_sat = (lam / CONST.hbar) * (16 * np.pi / 3) * env.pressure * R**2
+    gamma_sat = (lam / CONST.hbar) * (16 * np.pi / 3) * env.pressure * (R * R)
     if not np.all(np.isfinite(gamma_sat)):
         # the prefactor times p overflows; times an underflowed R^2 it is NaN
         raise RateOverflowError("rest-gas rate (lambda_th/hbar)(16 pi/3) "
                                 "p R^2 overflows the float range",
                                 cells=~np.isfinite(gamma_sat))
-    return ChannelRate(Lambda=gamma_sat / lam**2, lambda_th=lam,
+    return ChannelRate(Lambda=gamma_sat / (lam * lam), lambda_th=lam,
                        gamma=gamma_sat)
 
 
@@ -144,10 +144,11 @@ def blackbody_rates(env: Environment, R, x
     lam_e = bb_thermal_wavelength(env.T_env)
     lam_i = bb_thermal_wavelength(env.T_int)
 
-    L_sc = result((1.0 / lam_e) ** 9 * (math.factorial(8) * 8 * ZETA_9
-                                        * np.pi**5 * c * R**6 / 9.0))
-    L_abs = (1.0 / lam_e) ** 6 * (16 * np.pi**9 * c * R**3 / 189.0)
-    L_em = (1.0 / lam_i) ** 6 * (16 * np.pi**9 * c * R**3 / 189.0)
+    L_sc = result(np.power(1.0 / lam_e, 9) * (
+        math.factorial(8) * 8 * ZETA_9 * np.pi**5 * c * np.power(R, 6) / 9.0))
+    absorption = 16 * np.pi**9 * c * np.power(R, 3) / 189.0
+    L_abs = result(np.power(1.0 / lam_e, 6) * absorption)
+    L_em = result(np.power(1.0 / lam_i, 6) * absorption)
 
     return tuple(ChannelRate(Lambda=L, lambda_th=lam,
                              gamma=gamma_distance(L, lam, x))
@@ -190,6 +191,7 @@ def mean_free_path(env: Environment, R_probe):
     path.
     """
     require(R_probe >= 0, "R_probe must be >= 0, got {}", R_probe)
-    A = np.pi * (CONST.d_H2 / 2 + R_probe) ** 2
+    reach = CONST.d_H2 / 2 + R_probe
+    A = np.pi * (reach * reach)
     return ratio_or_inf(CONST.k_B * env.T_env,
                         math.sqrt(2) * A * env.pressure)

@@ -1,8 +1,9 @@
 """Constraint intersection over experiment parameters.
 
 One ExperimentPoint fixes the source (radius, density), the probe (mass,
-speed via t_R = R/v), the safety margins and the environment; evaluating
-it runs every constraint of the proposal and reports margins:
+speed via t_R = R/v), the safety margins and the environment;
+:func:`evaluate_point` runs every constraint of the proposal on it and
+returns the ``report.json`` payload, with each constraint's margin:
 
   deflection      max deflection angle above the detector floor (sharp)
   time            scattering duration below the run budget (sharp)
@@ -24,8 +25,10 @@ zeno, decoherence) are elementwise, so a point whose R, t_R, m_probe and
 environment pressure and temperatures are broadcastable arrays stands
 for a grid of cells, and the kernel evaluates every cell in one pass.
 :func:`sweep_region` builds such a point from two sweep axes;
-:func:`evaluate_point` is the kernel's one-cell case.  A step that fails
-in some cells names them and reruns as arrays on the rest (:func:`_by_cell`).
+:func:`evaluate_point` is the kernel's one-cell case, bit for bit: on
+its path a square is a product and any other power ``np.power`` (a
+float's ``**`` rounds otherwise).  A step that fails in some cells names
+them and reruns as arrays on the rest (:func:`_by_cell`).
 The kernel runs with numpy's overflow and divide-by-zero errors raised,
 so a grid cell fails as float arithmetic does (an ArithmeticError)
 rather than becoming an inf or NaN row.
@@ -42,7 +45,7 @@ from . import decoherence as deco
 from . import scatter, zeno
 from .constants import joules_to_ev
 from .elementwise import (csv_text, parameter, ratio_or_inf, require,
-                          require_finite)
+                          require_finite, result)
 from .errors import InvalidParameterError, ZenogravError
 
 SWEEP_AXES = ("R", "v", "t_R", "p", "T", "m_probe")
@@ -105,43 +108,12 @@ class ExperimentPoint:
     @property
     def M(self) -> float:
         """Source mass (4/3) pi density R^3 (kg)."""
-        return 4.0 / 3.0 * np.pi * self.density * self.R**3
+        return result(4.0 / 3.0 * np.pi * self.density * np.power(self.R, 3))
 
     @property
     def b0(self) -> float:
         """Minimum safe impact parameter beta * R (m)."""
         return self.beta * self.R
-
-
-@dataclass(frozen=True)
-class ConstraintCheck:
-    name: str
-    value: float
-    threshold: float
-    margin: float            # >= 1 means satisfied
-    passed: bool | None      # None: sub-evaluation failed, indeterminate
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    point: ExperimentPoint
-    theta_max: float               # rad
-    t_total: float                 # s, uncapped scattering duration
-    t_used: float                  # s, duration used in rate/spread bounds
-    tau_Z: float                   # s, freeze timescale
-    breakdown: deco.DecoherenceBreakdown | None
-    gamma_dyn_required: float      # 1/s, freeze-dynamics requirement
-    gamma_zeno_required: float     # 1/s, max of decoherence and dynamics
-    sigma_ratio: float             # sigma_min / R
-    dp_ratio: float                # dp_min / (m v)
-    mfp: float                     # m
-    kinetic_energy_eV: float
-    constraints: tuple[ConstraintCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed is True for c in self.constraints)
 
 
 def _by_cell(sub, pt: ExperimentPoint):
@@ -174,10 +146,11 @@ def _by_cell(sub, pt: ExperimentPoint):
 def _evaluate(pt: ExperimentPoint):
     """Every report quantity and constraint of ``pt``, for all its cells.
 
-    Returns (quantities, checks).  quantities maps ConstraintReport field
-    names to values; checks holds one (name, value, threshold, margin,
-    failed, note) per constraint, where ``failed`` marks the cells named
-    by a ZenogravError of its sub-evaluation and ``note`` is then the first
+    Returns (quantities, checks).  quantities maps ``report.json`` keys
+    to values (a channel rate is None unless its evaluation succeeds in
+    every cell); checks holds one (name, value, threshold, margin, failed,
+    note) per constraint, where ``failed`` marks the cells named by a
+    ZenogravError of its sub-evaluation and ``note`` is then the first
     such error's text.  A failed sub-evaluation marks only the constraints
     that depend on it.  Values broadcast over the grid fields of ``pt``.
     """
@@ -215,17 +188,20 @@ def _evaluate(pt: ExperimentPoint):
     sigma_ratio = deco.wavepacket_spread_min(pt.m_probe, t_used) / pt.R
     dp_ratio = deco.momentum_floor(pt.m_probe, t_used, v)
     mfp = deco.mean_free_path(pt.env, pt.R_probe)
-    ke_eV = joules_to_ev(0.5 * pt.m_probe * v**2)
     path = v * t_used
     achievable = pt.gamma_zeno_achievable
 
     quantities = {
-        "theta_max": theta_max, "t_total": t_total, "t_used": t_used,
-        "tau_Z": tau_Z,
-        "breakdown": None if np.any(deco_failed) else breakdowns[0],
-        "gamma_dyn_required": gamma_dyn_required,
-        "gamma_zeno_required": gamma_required, "sigma_ratio": sigma_ratio,
-        "dp_ratio": dp_ratio, "mfp": mfp, "kinetic_energy_eV": ke_eV}
+        "theta_max_rad": theta_max, "t_total_s": t_total, "t_used_s": t_used,
+        "tau_Z_s": tau_Z,
+        **{f"{name}_s": None if np.any(deco_failed)
+           else getattr(breakdowns[0], name)
+           for name in ("gamma_gas", "gamma_bb_sc", "gamma_bb_abs",
+                        "gamma_bb_em")},
+        "gamma_dyn_required_s": gamma_dyn_required,
+        "gamma_zeno_required_s": gamma_required, "sigma_ratio": sigma_ratio,
+        "dp_ratio": dp_ratio, "mean_free_path_m": mfp,
+        "kinetic_energy_eV": joules_to_ev(0.5 * pt.m_probe * (v * v))}
     checks = (
         ("deflection", theta_max, pt.theta_min, theta_max / pt.theta_min,
          False, "max deflection above detector floor (sharp)"),
@@ -249,51 +225,36 @@ def _evaluate(pt: ExperimentPoint):
     return quantities, checks
 
 
-def evaluate_point(pt: ExperimentPoint) -> ConstraintReport:
-    """Evaluate every constraint at one parameter point.
+def evaluate_point(pt: ExperimentPoint) -> dict:
+    """Every constraint at one point: the ``report.json`` payload, less
+    its ``"config"``, and bit for bit a cell of :func:`sweep_region`.
 
-    The one-cell case of the grid kernel behind :func:`sweep_region`.
-    Sub-evaluation failures (e.g. a non-hyperbolic orbit, or a duration
-    that underflows to 0) mark only the constraints that depend on them
-    as indeterminate.
+    Keys: ``point``, each parameter under its field's ``key``, with
+    ``v_m_s`` and ``M_kg``; each quantity of :func:`_evaluate` as a float
+    or None; ``constraints``, by name, each with ``value``, ``threshold``,
+    ``margin`` (>= 1 means satisfied), ``passed`` and ``note``; and
+    ``passed``, whether every constraint's ``passed`` is True.  A failed
+    sub-evaluation (e.g. a non-hyperbolic orbit, or a duration that
+    underflows to 0) leaves the constraints that depend on it
+    indeterminate: ``passed`` None, ``margin`` NaN.
     """
     with np.errstate(over="raise", divide="raise"):
         quantities, checks = _evaluate(pt)
-    constraints = []
+    constraints = {}
     for name, value, threshold, margin, failed, note in checks:
         margin = math.nan if failed else float(margin)
-        constraints.append(ConstraintCheck(
-            name, float(value), float(threshold), margin,
-            None if failed else margin >= 1.0, note))
-    breakdown = quantities.pop("breakdown")
-    return ConstraintReport(
-        point=pt, breakdown=breakdown, constraints=tuple(constraints),
-        **{name: float(x) for name, x in quantities.items()})
-
-
-def report_to_dict(report: ConstraintReport) -> dict:
-    pt = report.point
+        constraints[name] = {
+            "value": float(value), "threshold": float(threshold),
+            "margin": margin, "passed": None if failed else margin >= 1.0,
+            "note": note}
     point = {f.metadata["key"]: getattr(obj, f.name)
              for obj in (pt, pt.env) for f in fields(obj) if f.metadata}
     return {
         "point": {**point, "v_m_s": pt.v, "M_kg": pt.M},
-        "theta_max_rad": report.theta_max,
-        "t_total_s": report.t_total,
-        "t_used_s": report.t_used,
-        "tau_Z_s": report.tau_Z,
-        **{f"{name}_s": getattr(report.breakdown, name, None) for name in (
-            "gamma_gas", "gamma_bb_sc", "gamma_bb_abs", "gamma_bb_em")},
-        "gamma_dyn_required_s": report.gamma_dyn_required,
-        "gamma_zeno_required_s": report.gamma_zeno_required,
-        "sigma_ratio": report.sigma_ratio,
-        "dp_ratio": report.dp_ratio,
-        "mean_free_path_m": report.mfp,
-        "kinetic_energy_eV": report.kinetic_energy_eV,
-        "constraints": {
-            c.name: {"value": c.value, "threshold": c.threshold,
-                     "margin": c.margin, "passed": c.passed, "note": c.note}
-            for c in report.constraints},
-        "passed": report.passed,
+        **{key: None if x is None else float(x)
+           for key, x in quantities.items()},
+        "constraints": constraints,
+        "passed": all(c["passed"] is True for c in constraints.values()),
     }
 
 
@@ -305,8 +266,6 @@ def _apply_axes(base: ExperimentPoint, assignments: dict) -> ExperimentPoint:
     axis keeps the base R.  A T axis sets both environment temperatures.
     Values may be broadcastable arrays (the axes of a grid).
     """
-    if {"R", "v", "t_R"} <= set(assignments):
-        raise InvalidParameterError("at most two of R, v, t_R may be axes")
     R = assignments.get("R", base.R)
     t_R = assignments.get("t_R", base.t_R)
     if "v" in assignments:   # derive whichever of R, t_R is not an axis
@@ -371,9 +330,9 @@ def sweep_region(axis1: tuple[str, np.ndarray], axis2: tuple[str, np.ndarray],
     passed = True
     for _, _, _, margin, failed, _ in checks:
         passed = passed & np.logical_not(failed) & (margin >= 1.0)
-    columns = (a1, a2, quantities["theta_max"], quantities["t_total"],
-               quantities["gamma_zeno_required"], quantities["sigma_ratio"],
-               quantities["mfp"], quantities["kinetic_energy_eV"], passed)
+    columns = (a1, a2, *(quantities[key] for key in (
+        "theta_max_rad", "t_total_s", "gamma_zeno_required_s", "sigma_ratio",
+        "mean_free_path_m", "kinetic_energy_eV")), passed)
     return RegionGrid(*(c.ravel() for c in np.broadcast_arrays(*columns)))
 
 

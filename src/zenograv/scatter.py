@@ -319,8 +319,9 @@ def _bound(dist: MassDistribution, y, r_stop):
         for comp in dist.components:
             cx, cy, cz = comp.center
             gm = CONST.G * comp.mass
-            s2 = (x - cx) ** 2 + (yy - cy) ** 2 + (z - cz) ** 2
-            outside = outside & (s2 >= comp.radius ** 2)
+            dx, dy, dz = x - cx, yy - cy, z - cz
+            s2 = dx * dx + dy * dy + dz * dz
+            outside = outside & (s2 >= comp.radius * comp.radius)
             energy = energy - gm / np.sqrt(s2)
             # an r_stop within |c_i| bounds nothing: the floor is -inf
             floor = floor - gm / np.fmax(r_stop - math.hypot(cx, cy, cz), 0.0)
@@ -397,7 +398,7 @@ def rutherford_angle(M, v, b0):
     Elementwise over floats or broadcastable arrays.
     """
     require((M > 0) & (v > 0) & (b0 > 0), "M, v, b0 must all be > 0")
-    return result(2.0 * np.arctan(CONST.G * M / (v * v * b0)))
+    return result(2.0 * np.arctan(np.divide(CONST.G * M, v * v * b0)))
 
 
 def hyperbolic_time_from_anomaly(e, phi, h, GM, e2m1):
@@ -432,8 +433,8 @@ def hyperbolic_time_from_anomaly(e, phi, h, GM, e2m1):
     series = F * F2 / 6.0 * series
     sinh_F_minus_F = np.where(F < 0.5, series, sinh_F - F)
     # np.divide: underflowed float h^3 and GM^2 give NaN, not ZeroDivisionError
-    return result(np.divide(h**3, GM**2) * (em1 * sinh_F + sinh_F_minus_F)
-                  / e2m1**1.5)
+    return result(np.divide(np.power(h, 3), GM * GM)
+                  * (em1 * sinh_F + sinh_F_minus_F) / np.power(e2m1, 1.5))
 
 
 def kepler_scatter_time(M, rho, beta, zeta, t_R):
@@ -454,14 +455,15 @@ def kepler_scatter_time(M, rho, beta, zeta, t_R):
     require(beta > 1.0, "beta must be > 1, got {}", beta)
     require((zeta > 0.0) & (zeta < 1.0), "zeta must be in (0, 1), got {}", zeta)
     require((t_R > 0) & (M > 0) & (rho > 0), "M, rho, t_R must all be > 0")
-    x = 4.0 * np.pi * CONST.G * rho * t_R**2 / (3.0 * beta)   # tan(theta/2)
+    x = 4.0 * np.pi * CONST.G * rho * (t_R * t_R) / (3.0 * beta)  # tan(theta/2)
     theta = 2.0 * np.arctan(x)
     # (1/x)^2 underflows to 0 past the parabolic limit, where x * x would
     # overflow: such an orbit is rejected as not hyperbolic
-    e2m1 = (1.0 / x) ** 2
+    inv_x = 1.0 / x
+    e2m1 = inv_x * inv_x
     e = np.sqrt(1.0 + e2m1)
     phi_inf = 0.5 * (np.pi + theta)
-    R = (3.0 * M / (4.0 * np.pi * rho)) ** (1.0 / 3.0)
+    R = np.power(3.0 * M / (4.0 * np.pi * rho), 1.0 / 3.0)
     h = (R / t_R) * (beta * R)       # v * b0
     t_half = hyperbolic_time_from_anomaly(e, zeta * phi_inf, h, CONST.G * M,
                                           e2m1=e2m1)

@@ -166,21 +166,15 @@ def find_wells(spec: PotentialSpec1D, x_max: float = DEFAULT_GRID[1]) -> dict:
     return {"minima": sorted(minima), "maxima": sorted(maxima)}
 
 
-@dataclass(frozen=True)
-class GroundStateClassification:
-    label: str                 # see classify_ground_state
-    relative_gap: float        # (E1 - E0)/|E0|
-    outside_fraction: float    # |psi0|^2 probability beyond the central barrier
+def classify_ground_state(sol: EigenSolution, spec: PotentialSpec1D) -> dict:
+    """Classify the ground state by gap and spatial delocalization: the
+    ``eigen_summary.json`` keys ``label``, ``relative_gap`` (E1 - E0)/|E0|
+    and ``outside_fraction``, the |psi0|^2 weight beyond the central barrier.
 
-
-def classify_ground_state(sol: EigenSolution, spec: PotentialSpec1D
-                          ) -> GroundStateClassification:
-    """Classify the ground state by gap and spatial delocalization.
-
-    A relative gap below 1e-3 marks the near-degenerate (double-well
-    tunneling doublet) regime; otherwise the probability weight outside
-    the central barrier decides between a genuinely delocalized multiwell
-    state (>= 0.25 outside) and an essentially central, harmonic-like one.
+    A relative gap below 1e-3 labels the near-degenerate (double-well
+    tunneling doublet) regime; otherwise the weight outside the central
+    barrier decides between a genuinely delocalized multiwell state
+    (>= 0.25 outside) and an essentially central, harmonic-like one.
     """
     if len(sol.energies) < 2:
         raise InvalidParameterError("need at least 2 solved states to classify")
@@ -212,5 +206,5 @@ def classify_ground_state(sol: EigenSolution, spec: PotentialSpec1D
         label = "central-harmonic-like"
     else:
         label = "delocalized-triple-well"
-    return GroundStateClassification(label=label, relative_gap=float(rel_gap),
-                                     outside_fraction=outside)
+    return {"label": label, "relative_gap": float(rel_gap),
+            "outside_fraction": outside}

@@ -268,7 +268,7 @@ def zeno_rate_bounds(tau_Z, t_total):
     """
     require(tau_Z > 0, "tau_Z must be > 0, got {}", tau_Z)
     require(t_total >= 0, "t_total must be >= 0, got {}", t_total)
-    return 1.0 / tau_Z, t_total / tau_Z**2
+    return 1.0 / tau_Z, t_total / (tau_Z * tau_Z)
 
 
 def survival_probability(tau, tau_Z: float, N: int):

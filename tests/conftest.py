@@ -3,7 +3,7 @@ scipy RK45 trajectory integrator; a probe's outgoing direction, the rows
 of a pattern scan, and launch tables stacked from one-probe configs; a
 Dormand-Prince stage sum as one reduce, and the density-form Rutherford
 angle; the field and force at rows of points, the freeze projector and
-variance, the free wavepacket width, and a report's constraint by name."""
+variance, and the free wavepacket width."""
 
 import math
 
@@ -190,8 +190,3 @@ def wavepacket_spread(m, t, delta_u):
     """Oracle kept out of the package: the free Gaussian packet width (m)."""
     return math.sqrt(2 * delta_u**2
                      + 0.5 * (CONST.hbar * t / (m * delta_u)) ** 2)
-
-
-def constraint(rep, name):
-    """Oracle kept out of the package: the check of ``rep`` called ``name``."""
-    return next(c for c in rep.constraints if c.name == name)

@@ -202,27 +202,28 @@ def test_criterion_6_decoherence_coefficients():
 
 def test_criterion_7_reference_feasibility_report():
     rep = evaluate_point(ExperimentPoint())
-    ke_ok = abs(rep.kinetic_energy_eV - 3e-12) <= 0.1 * 3e-12
-    gamma_ok = 100.0 / 3 <= rep.gamma_zeno_required <= 100.0 * 3
-    sigma_ok = rep.sigma_ratio <= 2e-2
-    mfp_ok = rep.mfp > 1.0
-    ok = rep.passed and ke_ok and gamma_ok and sigma_ok and mfp_ok
+    ke_ok = abs(rep["kinetic_energy_eV"] - 3e-12) <= 0.1 * 3e-12
+    gamma_ok = 100.0 / 3 <= rep["gamma_zeno_required_s"] <= 100.0 * 3
+    sigma_ok = rep["sigma_ratio"] <= 2e-2
+    mfp_ok = rep["mean_free_path_m"] > 1.0
+    ok = rep["passed"] and ke_ok and gamma_ok and sigma_ok and mfp_ok
 
     # the two-lobe-figure probe speed (t_R = 10^1.1 s) also satisfies
     # every constraint; its kinetic energy is lower by (10/10^1.1)^2
     rep_fig = evaluate_point(replace(ExperimentPoint(), t_R=10 ** 1.1))
 
-    _line(7, "summary feasibility report", ok and rep_fig.passed,
-          f"pass={rep.passed}, KE={rep.kinetic_energy_eV:.3e} eV, "
-          f"required rate={rep.gamma_zeno_required:.1f} 1/s, "
-          f"sigma/R={rep.sigma_ratio:.4f}, mfp={rep.mfp:.0f} m; "
-          f"t_R=10^1.1 variant pass={rep_fig.passed} "
-          f"(KE={rep_fig.kinetic_energy_eV:.3e} eV)")
-    assert rep.passed
+    _line(7, "summary feasibility report", ok and rep_fig["passed"],
+          f"pass={rep['passed']}, KE={rep['kinetic_energy_eV']:.3e} eV, "
+          f"required rate={rep['gamma_zeno_required_s']:.1f} 1/s, "
+          f"sigma/R={rep['sigma_ratio']:.4f}, "
+          f"mfp={rep['mean_free_path_m']:.0f} m; "
+          f"t_R=10^1.1 variant pass={rep_fig['passed']} "
+          f"(KE={rep_fig['kinetic_energy_eV']:.3e} eV)")
+    assert rep["passed"]
     assert ke_ok and gamma_ok and sigma_ok and mfp_ok
-    assert rep_fig.passed
-    assert rep_fig.kinetic_energy_eV == pytest.approx(3.121e-12 / 10 ** 0.2,
-                                                      rel=1e-3)
+    assert rep_fig["passed"]
+    assert rep_fig["kinetic_energy_eV"] == pytest.approx(
+        3.121e-12 / 10 ** 0.2, rel=1e-3)
 
 
 def test_criterion_8_property_suites():

@@ -18,7 +18,8 @@ from zenograv import cli
 from zenograv import decoherence as deco
 from zenograv import feasibility, scatter
 from zenograv.errors import InvalidParameterError
-from zenograv.schrod1d import MAX_GRID_POINTS
+from zenograv.schrod1d import (MAX_GRID_POINTS, PotentialSpec1D,
+                               classify_ground_state, solve_eigen)
 
 
 def run_cli(args):
@@ -52,6 +53,20 @@ class TestReport:
             pass
         assert (stat.S_IMODE((tmp_path / "out" / "report.json").stat().st_mode)
                 == stat.S_IMODE((tmp_path / "plain").stat().st_mode))
+
+    @pytest.mark.parametrize("argv", [[], ["--t_R", "1e100"]])
+    def test_report_json_is_the_evaluated_point(self, tmp_path, argv):
+        # the file is evaluate_point's payload with the config added; at
+        # t_R = 1e100 the time constraint is indeterminate (NaN margin),
+        # so the two are compared as JSON text
+        assert run_cli(["report", *argv, "--output-dir", tmp_path]) == 0
+        data = json.loads((tmp_path / "report.json").read_text())
+        config = data.pop("config")
+        rep = feasibility.evaluate_point(cli._point_from_params(
+            config["params"]))
+        assert json.dumps(rep, sort_keys=True) == json.dumps(data,
+                                                             sort_keys=True)
+        assert (rep["constraints"]["time"]["passed"] is None) == bool(argv)
 
 
 class TestValidation:
@@ -195,8 +210,8 @@ class TestNumericalFailure:
         assert "GridInsufficientError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args,error", [
-        # source mass (4/3) pi rho R^3 overflows
-        (["report", "--R", "1e200"], "OverflowError"),
+        # source mass (4/3) pi rho R^3 overflows, in one point as in a grid
+        (["report", "--R", "1e200"], "FloatingPointError"),
         # R = v t_R ~ 1e300..1e302: the grid's source mass overflows
         (["feasibility", "--axis1", "v", "--axis2", "t_R",
           "--a1_min", "1e300", "--a1_max", "1e300"], "FloatingPointError"),
@@ -297,6 +312,18 @@ class TestEigen:
         assert lines[0].startswith("# zenograv config:")
         assert lines[1] == "x,V_of_x,psi0,psi1"
         assert len(lines) == 2 + 4000
+
+    def test_summary_holds_the_classification(self, tmp_path):
+        assert run_cli(["eigen", "--output-dir", tmp_path]) == 0
+        data = json.loads((tmp_path / "eigen_summary.json").read_text())
+        params = data["config"]["params"]
+        spec = PotentialSpec1D(**{key: params[key]
+                                  for key in ("a", "b", "c", "M", "d")})
+        sol = solve_eigen(spec, grid=(-params["x_max"], params["x_max"],
+                                      params["n_points"]))
+        cls = classify_ground_state(sol, spec)
+        assert cls == {key: data[key] for key in (
+            "label", "relative_gap", "outside_fraction")}
 
     def test_oversized_grid_exits_2_without_allocating(self, tmp_path, capsys,
                                                        monkeypatch):

@@ -6,7 +6,7 @@ from operator import attrgetter
 
 import numpy as np
 import pytest
-from conftest import anomaly_crossing_elapsed, constraint, oracle_config
+from conftest import anomaly_crossing_elapsed, oracle_config
 
 from zenograv import decoherence as deco
 from zenograv import cli, scatter, zeno
@@ -14,8 +14,7 @@ from zenograv.constants import CONST, joules_to_ev
 from zenograv.decoherence import Environment
 from zenograv.errors import InvalidParameterError, ZenogravError
 from zenograv.feasibility import (SWEEP_AXES, ExperimentPoint, _apply_axes,
-                                  evaluate_point, region_to_csv,
-                                  report_to_dict, sweep_region)
+                                  evaluate_point, region_to_csv, sweep_region)
 from zenograv.massdist import make_superposed_source
 from zenograv.scatter import integrate_trajectory
 
@@ -85,57 +84,59 @@ class TestExperimentPoint:
 class TestReferenceReport:
     def test_all_constraints_pass(self):
         rep = evaluate_point(REF)
-        assert rep.passed
-        for c in rep.constraints:
-            assert c.passed is True, c
+        assert rep["passed"] is True
+        for c in rep["constraints"].values():
+            assert c["passed"] is True, c
 
     def test_reference_values(self):
         rep = evaluate_point(REF)
-        assert rep.theta_max == pytest.approx(1.21148e-4, rel=1e-4)
-        assert rep.t_total == pytest.approx(57.937, rel=1e-3)
-        assert rep.t_used == rep.t_total
-        assert rep.tau_Z == pytest.approx(1.65086, rel=1e-4)
+        assert rep["theta_max_rad"] == pytest.approx(1.21148e-4, rel=1e-4)
+        assert rep["t_total_s"] == pytest.approx(57.937, rel=1e-3)
+        assert rep["t_used_s"] == rep["t_total_s"]
+        assert rep["tau_Z_s"] == pytest.approx(1.65086, rel=1e-4)
         # binding requirement is the interaction-timescale bound 100/tau_Z
-        assert rep.gamma_dyn_required == pytest.approx(100 / rep.tau_Z, rel=1e-12)
-        assert rep.gamma_zeno_required == pytest.approx(60.574, rel=1e-3)
-        assert rep.breakdown.gamma_total == pytest.approx(34.357, rel=1e-3)
-        assert rep.sigma_ratio == pytest.approx(0.010766, rel=1e-3)
-        assert rep.mfp == pytest.approx(3106.7, rel=1e-3)
-        assert rep.kinetic_energy_eV == pytest.approx(3.1208e-12, rel=1e-4)
-        assert rep.kinetic_energy_eV == pytest.approx(3e-12, rel=0.10)
+        assert rep["gamma_dyn_required_s"] == pytest.approx(
+            100 / rep["tau_Z_s"], rel=1e-12)
+        assert rep["gamma_zeno_required_s"] == pytest.approx(60.574, rel=1e-3)
+        assert rep["constraints"]["decoherence"]["value"] == pytest.approx(
+            34.357, rel=1e-3)
+        assert rep["sigma_ratio"] == pytest.approx(0.010766, rel=1e-3)
+        assert rep["mean_free_path_m"] == pytest.approx(3106.7, rel=1e-3)
+        assert rep["kinetic_energy_eV"] == pytest.approx(3.1208e-12, rel=1e-4)
+        assert rep["kinetic_energy_eV"] == pytest.approx(3e-12, rel=0.10)
 
     def test_slow_probe_fails_deflection(self):
         rep = evaluate_point(replace(REF, t_R=1.0))
-        assert not rep.passed
-        assert constraint(rep, "deflection").passed is False
-        assert rep.theta_max < 1e-4
+        assert rep["passed"] is False
+        assert rep["constraints"]["deflection"]["passed"] is False
+        assert rep["theta_max_rad"] < 1e-4
 
     def test_poor_vacuum_fails_decoherence(self):
         rep = evaluate_point(replace(REF, env=Environment(1e-6, 1.0, 1.0)))
-        assert not rep.passed
-        assert constraint(rep, "decoherence").passed is False
+        assert rep["passed"] is False
+        assert rep["constraints"]["decoherence"]["passed"] is False
         # gas channel scales linearly: 1e9 times the reference pressure
-        ref_gas = evaluate_point(REF).breakdown.gamma_gas
-        assert rep.breakdown.gamma_gas == pytest.approx(1e9 * ref_gas, rel=1e-9)
+        ref_gas = evaluate_point(REF)["gamma_gas_s"]
+        assert rep["gamma_gas_s"] == pytest.approx(1e9 * ref_gas, rel=1e-9)
 
     def test_duration_capped(self):
         rep = evaluate_point(replace(REF, t_R=10 ** 1.3))
-        assert rep.t_total > 100.0
-        assert rep.t_used == 100.0
-        assert constraint(rep, "time").passed is False
+        assert rep["t_total_s"] > 100.0
+        assert rep["t_used_s"] == 100.0
+        assert rep["constraints"]["time"]["passed"] is False
 
     def test_pressure_monotonicity(self):
         # raising the pressure never turns a fail back into a pass
         states = []
         for p in np.logspace(-16, -6, 11):
             rep = evaluate_point(replace(REF, env=Environment(p, 1.0, 1.0)))
-            states.append(rep.passed)
+            states.append(rep["passed"])
         flips = sum(1 for a, b in zip(states, states[1:]) if a != b)
         assert flips <= 1
         assert states[0] and not states[-1]
 
     def test_report_dict_round_trip(self):
-        d = report_to_dict(evaluate_point(REF))
+        d = evaluate_point(REF)
         assert d["passed"] is True
         assert set(d["constraints"]) == {"deflection", "time", "zeno-rate",
                                          "decoherence", "classicality",
@@ -155,12 +156,12 @@ class TestAgainstSimulation:
             cfg = oracle_config(src, pt.b0, 0.0, pt.v)
             traj = integrate_trajectory(src, cfg, pt.m_probe)
             rep = evaluate_point(pt)
-            assert rep.theta_max == pytest.approx(traj.deflection_angle,
-                                                  rel=0.05)
-            phi_target = pt.zeta * 0.5 * (np.pi + rep.theta_max)
+            assert rep["theta_max_rad"] == pytest.approx(
+                traj.deflection_angle, rel=0.05)
+            phi_target = pt.zeta * 0.5 * (np.pi + rep["theta_max_rad"])
             elapsed = anomaly_crossing_elapsed(traj, phi_target,
                                                CONST.G * src.total_mass)
-            assert rep.t_total == pytest.approx(elapsed, rel=0.05)
+            assert rep["t_total_s"] == pytest.approx(elapsed, rel=0.05)
 
 
 class TestDurationWindow:
@@ -170,9 +171,8 @@ class TestDurationWindow:
         logs = np.linspace(0.5, 1.5, 201)
         passes = []
         for lt in logs:
-            rep = evaluate_point(replace(REF, t_R=10 ** lt))
-            ok = (constraint(rep, "deflection").passed
-                  and constraint(rep, "time").passed)
+            checks = evaluate_point(replace(REF, t_R=10 ** lt))["constraints"]
+            ok = checks["deflection"]["passed"] and checks["time"]["passed"]
             passes.append(ok)
         idx = np.nonzero(passes)[0]
         assert len(idx) > 0
@@ -188,8 +188,9 @@ class TestSweep:
                             REF)
         # t_R = R/v = 10 s at this cell: same report as the reference
         ref = evaluate_point(REF)
-        assert grid.theta_max[0] == pytest.approx(ref.theta_max, rel=1e-12)
-        assert grid.t_total[0] == pytest.approx(ref.t_total, rel=1e-12)
+        assert grid.theta_max[0] == pytest.approx(ref["theta_max_rad"],
+                                                  rel=1e-12)
+        assert grid.t_total[0] == pytest.approx(ref["t_total_s"], rel=1e-12)
         assert grid.passed[0]
 
     def test_R_axis_keeps_t_R(self):
@@ -197,9 +198,10 @@ class TestSweep:
                             REF)
         # deflection and duration depend only on (rho, beta, zeta, t_R)
         ref = evaluate_point(REF)
-        assert grid.theta_max[0] == pytest.approx(ref.theta_max, rel=1e-9)
-        assert grid.t_total[0] == pytest.approx(ref.t_total, rel=1e-9)
-        assert grid.KE_eV[0] == pytest.approx(4 * ref.kinetic_energy_eV,
+        assert grid.theta_max[0] == pytest.approx(ref["theta_max_rad"],
+                                                  rel=1e-9)
+        assert grid.t_total[0] == pytest.approx(ref["t_total_s"], rel=1e-9)
+        assert grid.KE_eV[0] == pytest.approx(4 * ref["kinetic_energy_eV"],
                                               rel=1e-9)  # v = R/t_R doubled
 
     def test_classicality_contour_location(self):
@@ -256,6 +258,9 @@ AXIS_VALUES = {
     "T": np.logspace(-1, 2.5, 4),
     "m_probe": np.logspace(-19, -17, 5),
 }
+# log10 ranges of the seeded cells of the point-equals-cell test
+PARITY_DECADES = {"t_R": (-1, 3), "R": (-7, -3), "m_probe": (-20, -16),
+                  "p": (-18, -6), "T": (-1, 2.5), "v": (-8, -4)}
 COLUMNS = ("axis1", "axis2", "theta_max", "t_total", "gamma_required",
            "sigma_ratio", "mfp", "KE_eV")
 
@@ -430,36 +435,48 @@ class TestGridKernelParity:
 
     @pytest.mark.filterwarnings("error")
     def test_evaluate_point_is_a_cell_of_the_sweep(self):
+        # the same bits, not only close: float powers through libm and
+        # array powers through numpy round differently in the last bit.
         # R = 2.25e-67 m: h^3 and (G M)^2 underflow to 0, so the duration
-        # is 0/0, in one cell as in the grid
-        for (name1, vals1), (name2, vals2) in [
-                (("t_R", [3.0, 10.0, 10 ** 1.3]), ("p", [0.0, 1e-15, 1e-6])),
-                (("R", [2.25e-67, 1e-5]), ("t_R", [1.0, 10.0]))]:
+        # is 0/0, in one cell as in the grid.  Then one seeded 8x8 grid of
+        # log-uniform cells per axis pair
+        rng = np.random.default_rng(34)
+        grids = [(("t_R", [3.0, 10.0, 10 ** 1.3]), ("p", [0.0, 1e-15, 1e-6])),
+                 (("R", [2.25e-67, 1e-5]), ("t_R", [1.0, 10.0]))]
+        grids += [((name1, (10 ** rng.uniform(*PARITY_DECADES[name1], 8))
+                    .tolist()),
+                   (name2, (10 ** rng.uniform(*PARITY_DECADES[name2], 8))
+                    .tolist()))
+                  for name1, name2 in (("t_R", "R"), ("m_probe", "R"),
+                                       ("p", "T"), ("v", "m_probe"))]
+        for (name1, vals1), (name2, vals2) in grids:
             grid = sweep_region((name1, np.array(vals1)),
                                 (name2, np.array(vals2)), REF)
             cells = itertools.product(vals1, vals2)
             for i, (v1, v2) in enumerate(cells):
                 rep = evaluate_point(_apply_axes(REF, {name1: v1, name2: v2}))
-                got = (rep.theta_max, rep.t_total, rep.gamma_zeno_required,
-                       rep.sigma_ratio, rep.mfp, rep.kinetic_energy_eV)
+                got = tuple(rep[key] for key in (
+                    "theta_max_rad", "t_total_s", "gamma_zeno_required_s",
+                    "sigma_ratio", "mean_free_path_m", "kinetic_energy_eV"))
                 want = tuple(getattr(grid, name)[i] for name in (
                     "theta_max", "t_total", "gamma_required", "sigma_ratio",
                     "mfp", "KE_eV"))
-                assert all(_same(a, b) for a, b in zip(got, want)), (got,
-                                                                     want)
-                assert rep.passed is grid.passed.tolist()[i]
-        check = constraint(evaluate_point(replace(REF, R=2.25e-67)), "time")
-        assert check.passed is None and check.note == (
+                assert all(a == b or math.isnan(a) and math.isnan(b)
+                           for a, b in zip(got, want)), (got, want)
+                assert rep["passed"] is grid.passed.tolist()[i]
+        check = evaluate_point(replace(REF, R=2.25e-67))["constraints"]["time"]
+        assert check["passed"] is None and check["note"] == (
             "InvalidParameterError: scattering duration not finite and > 0: "
             "nan s")
 
     def test_one_cell_indeterminate_report(self):
         rep = evaluate_point(replace(REF, t_R=1e100))
-        time = constraint(rep, "time")
-        assert time.passed is None and math.isnan(time.margin)
-        assert time.note.startswith("InvalidParameterError: orbit not hyperbolic")
-        assert constraint(rep, "deflection").passed is True
-        assert not rep.passed
+        time = rep["constraints"]["time"]
+        assert time["passed"] is None and math.isnan(time["margin"])
+        assert time["note"].startswith(
+            "InvalidParameterError: orbit not hyperbolic")
+        assert rep["constraints"]["deflection"]["passed"] is True
+        assert rep["passed"] is False
 
     def test_degenerate_duration_is_indeterminate(self):
         # past the parabolic limit the Kepler time underflows to 0
@@ -467,12 +484,13 @@ class TestGridKernelParity:
         # indeterminate, and the run budget stands in for it
         for t_R, t_total in ((1e40, "0.0"), (1e60, "nan")):
             rep = evaluate_point(replace(REF, t_R=t_R))
-            time = constraint(rep, "time")
-            assert time.passed is None and math.isnan(time.margin)
-            assert time.note == ("InvalidParameterError: scattering duration "
-                                 f"not finite and > 0: {t_total} s")
-            assert math.isnan(rep.t_total) and rep.t_used == REF.t_total_cap
-            assert not rep.passed
+            time = rep["constraints"]["time"]
+            assert time["passed"] is None and math.isnan(time["margin"])
+            assert time["note"] == ("InvalidParameterError: scattering "
+                                    f"duration not finite and > 0: {t_total} s")
+            assert math.isnan(rep["t_total_s"])
+            assert rep["t_used_s"] == REF.t_total_cap
+            assert rep["passed"] is False
         grid = sweep_region(("t_R", np.array([10.0, 1e40, 1e60])),
                             ("R", np.array([1e-5])), REF)
         assert grid.passed.tolist() == [True, False, False]
@@ -494,8 +512,8 @@ class TestGridKernelParity:
                          ("R", np.array([1e-5])), REF)
 
     def test_overflow_raises_instead_of_inf_rows(self):
-        # R = v t_R ~ 1e300 overflows the source mass: float arithmetic
-        # raises OverflowError here, the grid FloatingPointError
+        # R = v t_R ~ 1e300 overflows the source mass (4/3) pi rho R^3:
+        # the grid raises FloatingPointError, as one point does
         with pytest.raises(FloatingPointError):
             sweep_region(("v", np.array([1e300])),
                          ("t_R", np.array([1.0, 10.0])), REF)
@@ -523,7 +541,7 @@ REPORT_POINT_KEYS = {
                     sigma_ratio_max=0.03, gamma_zeno_achievable=2e3),
 ])
 def test_report_point_block_holds_every_parameter(pt):
-    point = report_to_dict(evaluate_point(pt))["point"]
+    point = evaluate_point(pt)["point"]
     assert len(REPORT_POINT_KEYS) == 17
     assert point == {key: attrgetter(name)(pt)
                      for key, name in REPORT_POINT_KEYS.items()}

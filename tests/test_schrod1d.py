@@ -155,9 +155,9 @@ class TestClassification:
     def test_reference_is_delocalized_triple_well(self):
         sol = solve_eigen(TRIPLE_WELL, n_states=2)
         cls = classify_ground_state(sol, TRIPLE_WELL)
-        assert cls.label == "delocalized-triple-well"
-        assert cls.outside_fraction > 0.5
-        assert cls.relative_gap == pytest.approx(0.11364, rel=1e-3)
+        assert cls["label"] == "delocalized-triple-well"
+        assert cls["outside_fraction"] > 0.5
+        assert cls["relative_gap"] == pytest.approx(0.11364, rel=1e-3)
         # delocalized across all three wells: two symmetric side peaks
         # connected through substantial central amplitude (a tunneling
         # doublet would have essentially zero weight at the origin)
@@ -172,22 +172,23 @@ class TestClassification:
     def test_pure_well_is_harmonic_like(self):
         spec = PotentialSpec1D(a=1, b=0, c=1e-15, M=1e-11, d=1e-5)
         sol = solve_eigen(spec, n_states=2, grid=(-8.0, 8.0, 4000))
-        assert classify_ground_state(sol, spec).label == "central-harmonic-like"
+        assert (classify_ground_state(sol, spec)["label"]
+                == "central-harmonic-like")
 
     def test_deep_central_well_is_harmonic_like(self):
         spec = PotentialSpec1D(a=5, b=4, c=1, M=1e-11, d=1e-5)
         sol = solve_eigen(spec, n_states=2)
         cls = classify_ground_state(sol, spec)
-        assert cls.label == "central-harmonic-like"
-        assert cls.outside_fraction < 0.25
+        assert cls["label"] == "central-harmonic-like"
+        assert cls["outside_fraction"] < 0.25
 
     def test_deep_double_well_near_degenerate(self):
         spec = PotentialSpec1D(a=1, b=8, c=1, M=1e-11, d=1e-5)
         sol = solve_eigen(spec, n_states=2)
         with pytest.warns(UserWarning, match="degenerate"):
             cls = classify_ground_state(sol, spec)
-        assert cls.label == "near-degenerate-double-well"
-        assert cls.relative_gap < 1e-3
+        assert cls["label"] == "near-degenerate-double-well"
+        assert cls["relative_gap"] < 1e-3
 
     def test_needs_two_states(self):
         sol = solve_eigen(TRIPLE_WELL, n_states=1)
